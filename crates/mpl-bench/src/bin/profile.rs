@@ -92,6 +92,9 @@ fn main() {
         (corpus::exchange_with_root_wide(24), Client::Simple),
         (corpus::exchange_with_root_wide(48), Client::Simple),
         (corpus::exchange_with_root_wide(96), Client::Simple),
+        // A match-heavy path (2048 matches on one path), so the phase-sum
+        // check also covers the engine's match-set bookkeeping.
+        (corpus::repeated_exchanges(1024), Client::Simple),
     ];
 
     let mut runs = Vec::new();

@@ -47,6 +47,7 @@ use mpl_runtime::RoundExecutor;
 
 use crate::client::ClientDomain;
 use crate::matcher::{MatchOutcome, RecvSite, SendSite};
+use crate::matchset::MatchSet;
 use crate::norm::NormCtx;
 use crate::observer::{AnalysisObserver, EngineProfile, NoopObserver, TraceObserver};
 use crate::scheduler::{LocationKey, Scheduler};
@@ -838,6 +839,9 @@ struct Engine<'a, O: AnalysisObserver> {
     scheduler: Scheduler,
     observer: &'a mut O,
     assumes: Vec<Expr>,
+    /// Every match of every admitted state. Invariant: each queued or
+    /// stored state's match set is a subset, so a successor contributes
+    /// only the pairs its step added (see [`Engine::admit_successor`]).
     matches: BTreeSet<(CfgNodeId, CfgNodeId)>,
     events: BTreeMap<String, MatchEvent>,
     prints: BTreeMap<(CfgNodeId, String), Option<i64>>,
@@ -1023,6 +1027,7 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
                 CfgNode::Send { .. } | CfgNode::Recv { .. } | CfgNode::Exit
             )
         });
+        let base = st.matches.clone();
         let step_start = timing.then(Instant::now);
         let (successors, actions) = {
             let mut stepper = Stepper::new(self.step_ctx());
@@ -1037,7 +1042,7 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
                 profile.matching += dt;
             }
         }
-        self.absorb(successors, actions, timing, profile);
+        self.absorb(&base, successors, actions, timing, profile);
         true
     }
 
@@ -1113,7 +1118,13 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
                 Ok(output) => {
                     self.worker_closure.merge(&output.closure);
                     self.observer.on_step(self.scheduler.steps(), &pre);
-                    self.absorb(output.successors, output.actions, timing, profile);
+                    self.absorb(
+                        &pre.matches,
+                        output.successors,
+                        output.actions,
+                        timing,
+                        profile,
+                    );
                 }
                 // Re-raise the worker's panic on the coordinating
                 // thread, at the step where the sequential loop would
@@ -1132,9 +1143,11 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
     /// Merges one stepped item: replays its action log (observer events
     /// and accumulator effects, in step order), then normalizes and
     /// admits its successor states — exactly what the historical loop
-    /// did after `step()` returned.
+    /// did after `step()` returned. `base` is the match set of the state
+    /// that was stepped.
     fn absorb(
         &mut self,
+        base: &MatchSet,
         successors: Vec<AnalysisState>,
         actions: Vec<TaskAction>,
         timing: bool,
@@ -1152,18 +1165,8 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
             if !keep {
                 continue;
             }
-            self.matches.extend(s.matches.iter().cloned());
-            if self.is_terminal(&s) {
-                self.finish_terminal(&s);
-                continue;
-            }
             let admit_start = timing.then(Instant::now);
-            let rejected = self.scheduler.admit(
-                s,
-                self.domain,
-                &self.session.widen_thresholds,
-                &mut *self.observer,
-            );
+            let rejected = self.admit_successor(base, s);
             if let Some(t) = admit_start {
                 profile.admission += t.elapsed();
             }
@@ -1171,6 +1174,29 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
                 self.give_up(reason);
             }
         }
+    }
+
+    /// Folds a normalized successor's new matches into the result, then
+    /// finishes it (terminal) or offers it to the scheduler. The result
+    /// already holds every match of `base` (the stepped state was
+    /// admitted, and widening only unions admitted match sets), so only
+    /// `s.matches \ base` is new.
+    fn admit_successor(&mut self, base: &MatchSet, s: AnalysisState) -> Option<TopReason> {
+        self.matches.extend(s.matches.difference(base));
+        debug_assert!(
+            s.matches.iter().all(|m| self.matches.contains(&m)),
+            "a stepped state's matches were missing from the result"
+        );
+        if self.is_terminal(&s) {
+            self.finish_terminal(&s);
+            return None;
+        }
+        self.scheduler.admit(
+            s,
+            self.domain,
+            &self.session.widen_thresholds,
+            &mut *self.observer,
+        )
     }
 
     fn replay(&mut self, action: TaskAction) {

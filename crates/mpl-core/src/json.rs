@@ -117,6 +117,7 @@ pub fn json_escape(s: &str) -> String {
 /// Returns a [`JsonError`] describing the first syntax problem.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -130,6 +131,7 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -256,6 +258,14 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain characters up to the next delimiter
+            // in one go. The delimiters are ASCII, so the run ends on a
+            // character boundary of the (already valid UTF-8) input.
+            let start = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -293,17 +303,7 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Advance one full UTF-8 character, not one byte.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().expect("non-empty checked above");
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("unescaped control character in string"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("unescaped control character in string")),
             }
         }
     }
@@ -386,6 +386,28 @@ mod tests {
         assert_eq!(v.get("s").and_then(JsonValue::as_str), Some("héllo ☃"));
         let v = parse("{\"s\":\"\\u2603\"}").unwrap();
         assert_eq!(v.get("s").and_then(JsonValue::as_str), Some("☃"));
+    }
+
+    #[test]
+    fn control_characters_and_unterminated_strings_keep_their_offsets() {
+        let err = parse("{\"s\":\"ab\u{1}c\"}").unwrap_err();
+        assert_eq!(
+            (err.message.as_str(), err.at),
+            ("unescaped control character in string", 8)
+        );
+        let err = parse("\"é☃").unwrap_err();
+        assert_eq!((err.message.as_str(), err.at), ("unterminated string", 6));
+    }
+
+    #[test]
+    fn large_strings_round_trip() {
+        // 4 MiB of mixed plain, multi-byte and escaped characters: the
+        // decoder copies plain runs whole, so this stays linear.
+        let unit = "plain ascii text é☃ \"quoted\" back\\slash\ttab\n";
+        let big = unit.repeat((4 << 20) / unit.len() + 1);
+        let line = format!("{{\"s\":\"{}\"}}", json_escape(&big));
+        let v = parse(&line).unwrap();
+        assert_eq!(v.get("s").and_then(JsonValue::as_str), Some(big.as_str()));
     }
 
     #[test]

@@ -33,12 +33,14 @@ use crate::state::AnalysisState;
 /// sets), `matching` (blocked steps: send–receive matching, ambiguity
 /// splits, pending-send promotion), `join_widen` (successor
 /// normalization: closure, empty-set dropping, merging, canonical
-/// renumbering, bound saturation) and `admission` (dedup / widening
-/// against stored states, including the state clones it takes). Under
-/// the parallel round executor, stepping happens off-thread, so the
-/// main thread's loop body is instead partitioned into `round_wait`
-/// (blocked on the worker pool) and `round_merge` (replaying worker
-/// results in frontier order), with `join_widen`/`admission` still
+/// renumbering, bound saturation) and `admission` (folding the
+/// successor's new matches into the result, terminal bookkeeping, and
+/// dedup / widening against stored states, including the state clones
+/// it takes). Under the parallel round executor, stepping happens
+/// off-thread, so the main thread's loop body is instead partitioned
+/// into `round_wait` (blocked on the worker pool) and `round_merge`
+/// (replaying worker results in frontier order), with
+/// `join_widen`/`admission` still
 /// accounted separately inside the merge. In both modes
 /// [`EngineProfile::phase_sum`] covers the loop body, so
 /// `phase_sum ≈ total` within a few percent.
@@ -57,7 +59,8 @@ pub struct EngineProfile {
     /// Time normalizing successor states (close / merge / renumber /
     /// saturate).
     pub join_widen: Duration,
-    /// Time admitting successors (clone + dedup + widening).
+    /// Time admitting successors (match accumulation + clone + dedup +
+    /// widening).
     pub admission: Duration,
     /// Wall-clock time of the whole engine run.
     pub total: Duration,

@@ -3,7 +3,9 @@
 //! The heavy components live behind [`Shared`] copy-on-write handles:
 //! cloning a state is O(#components) reference-count bumps, and each
 //! component is deep-copied only when (and if) a successor actually
-//! mutates it. See DESIGN §3.12 for why sharing is sound.
+//! mutates it. The match set is a persistent [`MatchSet`], so a
+//! successor shares its predecessor's matches and adds one path. See
+//! DESIGN §3.12 for why sharing is sound.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
@@ -15,6 +17,7 @@ use mpl_domains::{ConstEnv, ConstraintGraph, LinExpr, NsVar, PsetId, VarId};
 use mpl_lang::ast::Expr;
 use mpl_procset::ProcRange;
 
+use crate::matchset::MatchSet;
 use crate::share::Shared;
 
 /// A send that has been issued but not yet matched (the depth-1
@@ -63,7 +66,7 @@ pub struct AnalysisState {
     /// The process sets, in canonical order.
     pub psets: Vec<Shared<PsetState>>,
     /// Send–receive matches established so far.
-    pub matches: Shared<BTreeSet<(CfgNodeId, CfgNodeId)>>,
+    pub matches: MatchSet,
     next_id: u32,
 }
 
@@ -88,7 +91,7 @@ impl AnalysisState {
                 range: ProcRange::all_procs(),
                 pending: None,
             })],
-            matches: Shared::new(BTreeSet::new()),
+            matches: MatchSet::new(),
             next_id: 1,
         }
     }
@@ -421,9 +424,7 @@ impl AnalysisState {
             p.range = p.range.widen(&q.range);
             debug_assert_eq!(p.pending.is_some(), q.pending.is_some());
         }
-        let matches: BTreeSet<(CfgNodeId, CfgNodeId)> =
-            self.matches.union(&newer.matches).cloned().collect();
-        out.matches = matches.into();
+        out.matches = self.matches.union(&newer.matches);
         out.next_id = self.next_id.max(newer.next_id);
         out
     }
@@ -483,7 +484,8 @@ impl AnalysisState {
     /// A 64-bit structural fingerprint of the whole state, chaining the
     /// component fingerprints ([`ConstraintGraph::fingerprint`],
     /// [`ConstEnv::fingerprint`]) with the uniform set, process sets
-    /// (id, node, range-bound alias sets, pending send) and match set.
+    /// (id, node, range-bound alias sets, pending send) and the match
+    /// set's cached length and [`MatchSet::fingerprint`].
     ///
     /// Equal fingerprints are treated as structural equality by
     /// [`AnalysisState::same_as`]; collisions are debug-asserted against.
@@ -515,9 +517,7 @@ impl AnalysisState {
             }
         }
         self.matches.len().hash(&mut h);
-        for m in self.matches.iter() {
-            m.hash(&mut h);
-        }
+        self.matches.fingerprint().hash(&mut h);
         h.finish()
     }
 
@@ -575,9 +575,7 @@ impl AnalysisState {
         if seen.insert(Shared::heap_id(&self.uniform)) {
             total += self.uniform.len() * BTREE_ENTRY;
         }
-        if seen.insert(Shared::heap_id(&self.matches)) {
-            total += self.matches.len() * BTREE_ENTRY;
-        }
+        total += self.matches.approx_bytes(seen);
         total += self.psets.capacity() * std::mem::size_of::<Shared<PsetState>>();
         for p in &self.psets {
             if seen.insert(Shared::heap_id(p)) {

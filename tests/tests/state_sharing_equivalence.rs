@@ -13,9 +13,15 @@
 //!   sequences: the incrementally-maintained fingerprint always equals
 //!   the from-scratch recomputation, equal build histories yield equal
 //!   fingerprints, and fingerprint equality implies structural equality.
+//!
+//! A scaling check rides along: a path's states share their match set,
+//! so the stored-state footprint grows near-linearly with path length.
 
 use mpl_cfg::{Cfg, CfgNodeId};
-use mpl_core::{analyze_cfg, AnalysisConfig, AnalysisResult, AnalysisState, Client, Shared};
+use mpl_core::{
+    analyze_cfg, analyze_cfg_with, AnalysisConfig, AnalysisResult, AnalysisState, Client, Shared,
+    StatsObserver,
+};
 use mpl_domains::{ConstraintGraph, LinExpr, NsVar, PsetId};
 use mpl_lang::corpus;
 use mpl_rng::Rng64;
@@ -45,6 +51,32 @@ fn corpus_results_are_identical_across_repeat_runs() {
             );
         }
     }
+}
+
+/// Estimated stored-state bytes at the end of an analysis of `k`
+/// sequential pair exchanges (one path of 2k matches).
+fn stored_bytes_of_repeated_exchanges(k: usize) -> usize {
+    let cfg = Cfg::build(&corpus::repeated_exchanges(k).program);
+    let mut stats = StatsObserver::new();
+    let result = analyze_cfg_with(&cfg, &AnalysisConfig::default(), &mut stats);
+    assert!(result.is_exact(), "{:?}", result.verdict);
+    assert_eq!(result.matches.len(), 2 * k);
+    stats.profile().expect("profile fired").stored.approx_bytes
+}
+
+#[test]
+fn stored_state_bytes_scale_near_linearly_with_match_history() {
+    // Every stored state on the path holds the path's matches so far:
+    // with a copied set per state the store grows quadratically (about
+    // 3.5x per doubling here); with shared path-copied sets it grows by
+    // k log k.
+    let small = stored_bytes_of_repeated_exchanges(256);
+    let large = stored_bytes_of_repeated_exchanges(512);
+    assert!(
+        (large as f64) < 2.5 * small as f64,
+        "stored bytes grew {:.2}x for 2x the matches ({small} -> {large})",
+        large as f64 / small as f64
+    );
 }
 
 #[test]
