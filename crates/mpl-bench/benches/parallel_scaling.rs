@@ -7,67 +7,61 @@
 //! are identical at every worker count — asserted here after measuring.
 
 use mpl_bench::harness::Group;
-use mpl_core::{AnalysisConfig, BatchAnalyzer, BatchJob, Client};
+use mpl_core::{AnalysisRequest, Client, RequestBatch};
 use mpl_lang::corpus;
 use std::hint::black_box;
 
 /// The corpus plus a few scaled workloads so the batch has enough work
 /// to amortize thread startup.
-fn jobs() -> Vec<BatchJob> {
+fn requests() -> Vec<AnalysisRequest> {
     let mut out = Vec::new();
     for prog in corpus::all() {
-        out.push(BatchJob::new(
-            prog.name,
-            prog.program,
-            AnalysisConfig::default(),
-        ));
+        out.push(
+            AnalysisRequest::builder()
+                .name(prog.name)
+                .program(prog.program),
+        );
     }
     for k in [8usize, 16, 24] {
-        let prog = corpus::repeated_exchanges(k);
-        let config = AnalysisConfig::builder()
-            .client(Client::Simple)
-            .build()
-            .expect("valid config");
-        out.push(BatchJob::new(
-            format!("repeated_exchanges_{k}"),
-            prog.program,
-            config,
-        ));
+        out.push(
+            AnalysisRequest::builder()
+                .name(format!("repeated_exchanges_{k}"))
+                .program(corpus::repeated_exchanges(k).program)
+                .client(Client::Simple),
+        );
     }
-    out
+    out.into_iter()
+        .map(|builder| builder.build().expect("valid request"))
+        .collect()
 }
 
-fn run_batch(workers: usize) -> usize {
-    let mut batch = BatchAnalyzer::new().workers(workers);
-    for job in jobs() {
-        batch.push(job);
+fn batch(workers: usize) -> RequestBatch {
+    let mut batch = RequestBatch::new().workers(workers);
+    for request in requests() {
+        batch.push(request);
     }
-    batch.run().summary.programs
+    batch
 }
 
 fn main() {
     let group = Group::new("parallel_batch_scaling");
     for workers in [1usize, 2, 4, 8] {
         group.bench(&format!("corpus_jobs_{workers}"), || {
-            black_box(run_batch(workers))
+            black_box(batch(workers).run().summary.programs)
         });
     }
     drop(group);
 
     // Sanity: the batch is result-deterministic at every worker count.
     let render = |workers: usize| {
-        let mut batch = BatchAnalyzer::new().workers(workers);
-        for job in jobs() {
-            batch.push(job);
-        }
-        batch
+        batch(workers)
             .run()
-            .records
+            .responses
             .iter()
             .map(|r| {
                 let result = r.result.as_ref().expect("fault-free corpus completes");
                 format!(
-                    "{} {:?} {:?} {}",
+                    "{:?} {:?} {:?} {}",
                     r.name, result.verdict, result.matches, result.steps
                 )
             })

@@ -25,7 +25,7 @@ fn main() {
 /// Speedup is relative to one worker; on a single-core host it stays
 /// near 1× and only reflects pool overhead.
 fn parallel_batch_table_e15() {
-    use mpl_core::{BatchAnalyzer, BatchJob};
+    use mpl_core::{AnalysisRequest, RequestBatch};
     use std::time::Instant;
 
     println!("================================================================");
@@ -38,13 +38,12 @@ fn parallel_batch_table_e15() {
     println!("{}", "-".repeat(56));
     let mut base = None;
     for workers in [1usize, 2, 4, 8] {
-        let mut batch = BatchAnalyzer::new().workers(workers);
+        let mut batch = RequestBatch::new().workers(workers);
         for prog in corpus::all() {
-            batch.push(BatchJob::new(
-                prog.name,
-                prog.program,
-                AnalysisConfig::default(),
-            ));
+            let request = AnalysisRequest::builder()
+                .name(prog.name)
+                .program(prog.program);
+            batch.push(request.build().expect("valid request"));
         }
         let start = Instant::now();
         let report = batch.run();

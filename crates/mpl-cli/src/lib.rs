@@ -31,8 +31,8 @@ use mpl_cfg::Cfg;
 use mpl_core::diagnostics::diagnose;
 use mpl_core::{
     analyze_cfg, analyze_cfg_with, classify, info_flow, mpi_cfg_topology, summary_json_line,
-    AnalysisConfig, AnalysisRequest, BatchResponse, Client, ObserverStack, RequestBatch,
-    StaticTopology, StatsObserver, TraceObserver, Verdict,
+    AnalysisConfig, AnalysisRequest, AnalysisRequestBuilder, BatchResponse, Client, ObserverStack,
+    RequestBatch, StaticTopology, StatsObserver, TraceObserver, Verdict,
 };
 use mpl_lang::{corpus, parse_program};
 use mpl_sim::{Schedule, SendMode, SimConfig, Simulator};
@@ -312,7 +312,7 @@ fn cmd_analyze(
 }
 
 /// Runs a corpus — the built-in one, or every `.mpl` file under `--dir`
-/// — through [`BatchAnalyzer`].
+/// — through a [`RequestBatch`], one request per program.
 ///
 /// Output is deterministic for any `--jobs` value; only the `--timing`
 /// fields (wall times, panic worker ids) vary between runs, so
@@ -346,15 +346,17 @@ fn cmd_analyze_corpus(args: &[String]) -> Result<CmdOutput, String> {
     let json = flags.switch("--json");
     let timing = flags.switch("--timing");
 
-    let mut batch = RequestBatch::new().workers(jobs).retries(retries);
+    let mut policy = AnalysisRequest::builder().retries(retries);
     if timeout_ms > 0 {
-        batch = batch.timeout(Duration::from_millis(timeout_ms));
+        policy = policy.timeout(Duration::from_millis(timeout_ms));
     }
+    let mut batch = RequestBatch::new().workers(jobs);
     if let Some(dir) = flags.value("--dir") {
-        push_corpus_dir(&mut batch, dir, client, min_np)?;
+        push_corpus_dir(&mut batch, dir, &policy, client, min_np)?;
     } else {
         for prog in corpus::all() {
-            let request = AnalysisRequest::builder()
+            let request = policy
+                .clone()
                 .name(prog.name)
                 .program(prog.program)
                 .client(client)
@@ -375,14 +377,17 @@ fn cmd_analyze_corpus(args: &[String]) -> Result<CmdOutput, String> {
     Ok(CmdOutput { text, code })
 }
 
-/// Queues every `.mpl` file under `dir` (sorted by file name, so job
-/// order — and hence the report — is independent of directory
-/// enumeration order). A file that fails to read or parse becomes a
-/// [`JobOutcome::Error`] record in its slot instead of aborting the run;
-/// `// mpl:fault=...` directives in the source are honored.
+/// Queues every `.mpl` file under `dir` as a request built from
+/// `policy` (sorted by file name, so request order — and hence the
+/// report — is independent of directory enumeration order). A file that
+/// fails to read or parse becomes a
+/// [`JobOutcome::Error`](mpl_core::JobOutcome::Error) record in its
+/// slot instead of aborting the run; `// mpl:fault=...` directives in
+/// the source are honored.
 fn push_corpus_dir(
     batch: &mut RequestBatch,
     dir: &str,
+    policy: &AnalysisRequestBuilder,
     client: Client,
     min_np: i64,
 ) -> Result<(), String> {
@@ -415,7 +420,8 @@ fn push_corpus_dir(
                 continue;
             }
         };
-        match AnalysisRequest::builder()
+        match policy
+            .clone()
             .name(&name)
             .source(source)
             .config(defaults.clone())

@@ -41,7 +41,6 @@
 //! # let _ = Client::Simple;
 //! ```
 
-pub mod batch;
 pub mod cache;
 pub mod client;
 pub mod config;
@@ -68,7 +67,6 @@ pub mod share;
 pub mod state;
 pub mod topology;
 
-pub use batch::{BatchAnalyzer, BatchJob, BatchReport, BatchSummary, Fault, JobOutcome, JobRecord};
 pub use cache::{CacheStats, ResultCache};
 pub use client::{CartesianClient, Client, ClientDomain, SymbolicClient};
 pub use config::{AnalysisConfig, AnalysisConfigBuilder, ConfigError};
@@ -87,7 +85,7 @@ pub use pattern::{classify, classify_pairs, Pattern};
 pub use persist::{CacheJournal, JournalEntry, JournalReplay, JournalStats};
 pub use request::{
     summary_json_line, AnalysisRequest, AnalysisRequestBuilder, AnalysisResponse, BatchResponse,
-    RequestBatch, RequestError, PROTOCOL_VERSION,
+    BatchSummary, Fault, JobOutcome, RequestBatch, RequestError, PROTOCOL_VERSION,
 };
 pub use result::{AnalysisResult, MatchEvent, PrintFact, TopReason, Verdict};
 pub use rewrite::{rewrite_broadcast, RewriteError};

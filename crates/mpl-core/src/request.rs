@@ -1,12 +1,14 @@
 //! The unified request/response API: every way of asking this workspace
 //! for an analysis — `mpl analyze`, `mpl analyze-corpus`, the `mpl
 //! serve` daemon — builds an [`AnalysisRequest`] and renders an
-//! [`AnalysisResponse`].
+//! [`AnalysisResponse`]. A request is the one unit of work: it carries
+//! its own deadline, retries and injected fault, and a [`RequestBatch`]
+//! is an ordered list of requests fanned across a worker pool.
 //!
 //! The point of funneling all entry points through one pair of types is
 //! **byte-identity**: a response must render to the same bytes whether
-//! it was computed cold by `mpl analyze --json`, computed cold by the
-//! daemon, or replayed from the daemon's result cache. That is what
+//! it was computed by `mpl analyze --json`, by the daemon, in a batch of
+//! any width, or replayed from the daemon's result cache. That is what
 //! makes the cache testable (diff the bytes) and what makes cached
 //! answers trustworthy (there is no "cached rendering" that can drift
 //! from the real one). Consequences:
@@ -18,8 +20,11 @@
 //!   anonymous daemon request renders exactly like `mpl analyze --json`;
 //! * every record starts with the protocol version field `"v"`
 //!   ([`PROTOCOL_VERSION`]) and uses the stable kebab-case codes from
-//!   [`Verdict::code`], [`TopReason::code`](crate::result::TopReason::code)
-//!   and [`JobOutcome::code`].
+//!   [`Verdict::code`], [`TopReason::code`] and [`JobOutcome::code`];
+//! * every attempt starts from a fresh variable interner
+//!   ([`mpl_domains::VarTable`]), whose name indices would otherwise
+//!   depend on what the thread analyzed before, and a batch collects its
+//!   responses by submission index, not completion order.
 //!
 //! Requests are also the **cache identity**: [`AnalysisRequest::fingerprint`]
 //! hashes [`AnalysisRequest::cache_check`] — the full configuration
@@ -33,25 +38,107 @@
 //! validating: malformed inputs become typed [`RequestError`]s
 //! (mirroring [`ConfigError`]) instead of panics or silently-defaulted
 //! knobs.
+//!
+//! # Fault tolerance
+//!
+//! The paper's framework *fails soundly*: when a pattern exceeds the
+//! abstraction it returns ⊤, never a wrong answer (§VI). Requests extend
+//! that discipline from one analysis to a fleet of them:
+//!
+//! * **panic isolation** — a panicking request becomes a
+//!   [`JobOutcome::Panicked`] response, caught by
+//!   [`AnalysisRequest::execute`] or, in a batch, by
+//!   [`mpl_runtime::Pool::run_ordered_isolated`], which also names the
+//!   worker; the rest of the batch completes;
+//! * **cooperative deadlines** — each attempt gets a fresh
+//!   [`CancelToken`] with the request's `timeout`, and the engine gives
+//!   up with a sound ⊤ ([`TopReason::Deadline`]) when it fires. Partial
+//!   progress at expiry is wall-clock-dependent, so a
+//!   [`JobOutcome::TimedOut`] response carries the normalized bare ⊤
+//!   ([`AnalysisResult::top`]);
+//! * **retry with degradation** — with `retries > 0`, a request that ⊤s
+//!   on a resource budget ([`TopReason::StepBudget`] /
+//!   [`TopReason::PsetBudget`]) or times out is re-run under an
+//!   escalating coarsening ladder (earlier widening, fewer thresholds,
+//!   smaller step budget) that is 32 attempts deep. A retry that
+//!   produces an answer yields [`JobOutcome::Degraded`]; if every
+//!   attempt exhausts its budget the attempt-1 result (under the
+//!   *requested* config) is reported.
 
 use std::fmt;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
+use mpl_domains::ClosureStats;
 use mpl_lang::ast::Program;
 use mpl_lang::parse_program;
+use mpl_runtime::{panic_message, CancelToken, Pool};
 
-use crate::batch::{run_job, BatchAnalyzer, BatchJob, BatchSummary, Fault, JobOutcome, JobRecord};
 use crate::client::Client;
 use crate::config::{AnalysisConfig, AnalysisConfigBuilder, ConfigError};
+use crate::engine::analyze;
 use crate::json::json_escape;
-use crate::result::{AnalysisResult, Verdict};
+use crate::result::{AnalysisResult, TopReason, Verdict};
 
 /// Version of the JSON wire format. Stamped as `"v"` on every record
 /// (program lines, summaries, and all daemon responses) so clients can
 /// detect incompatible servers instead of misparsing them.
 pub const PROTOCOL_VERSION: i64 = 1;
+
+/// The deepest level of the degradation ladder ([`degrade`]). Every
+/// attempt past `MAX_LEVEL + 1` would rerun an identical configuration,
+/// so the ladder stops there whatever `retries` asks for.
+const MAX_LEVEL: u32 = 31;
+
+/// A deterministic fault injected into a request — the test hook for
+/// the fault-tolerance machinery. Injected via
+/// [`AnalysisRequestBuilder::fault`] or the magic corpus directive
+/// `// mpl:fault=<kind>` on its own line of an `.mpl` source file (see
+/// [`Fault::from_directive`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum Fault {
+    /// Panic on every attempt (directive `panic`). Exercises panic
+    /// isolation: the request must become a [`JobOutcome::Panicked`]
+    /// response.
+    Panic,
+    /// Run forever — poll the cancel token until the deadline fires
+    /// (directive `spin`). Exercises the cooperative-deadline path end
+    /// to end; a spinning request without a timeout panics
+    /// (deterministically) rather than hanging its worker forever.
+    Spin,
+    /// Report a step-budget ⊤ on the first attempt and analyze normally
+    /// on retries (directive `top-once`). Exercises the retry ladder
+    /// deterministically.
+    TopOnce,
+}
+
+impl Fault {
+    /// The fault's directive tag (`panic`, `spin`, `top-once`), also its
+    /// fragment of [`AnalysisRequest::cache_check`].
+    #[must_use]
+    pub fn tag(self) -> &'static str {
+        match self {
+            Fault::Panic => "panic",
+            Fault::Spin => "spin",
+            Fault::TopOnce => "top-once",
+        }
+    }
+
+    /// Scans MPL source text for a `// mpl:fault=<kind>` directive line,
+    /// `<kind>` being a [`Fault::tag`]. The directive is an ordinary line
+    /// comment to the language, so faulted programs still parse.
+    #[must_use]
+    pub fn from_directive(source: &str) -> Option<Fault> {
+        source.lines().find_map(|line| {
+            let tag = line.trim().strip_prefix("// mpl:fault=")?.trim();
+            [Fault::Panic, Fault::Spin, Fault::TopOnce]
+                .into_iter()
+                .find(|f| f.tag() == tag)
+        })
+    }
+}
 
 /// A rejected [`AnalysisRequestBuilder`] input — the request-level
 /// analogue of [`ConfigError`].
@@ -115,9 +202,9 @@ impl RequestError {
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct AnalysisRequest {
-    /// Optional display name. Part of the cache identity because it is
-    /// rendered into the response (and into injected-fault panic
-    /// messages).
+    /// Optional display name, never empty. Part of the cache identity
+    /// because it is rendered into the response (and into injected-fault
+    /// panic messages).
     pub name: Option<String>,
     /// The program to analyze.
     pub program: Program,
@@ -125,8 +212,9 @@ pub struct AnalysisRequest {
     pub config: AnalysisConfig,
     /// Cooperative deadline for each attempt.
     pub timeout: Option<Duration>,
-    /// Degraded retries after a budget-⊤ or deadline (the batch layer's
-    /// ladder; see [`crate::batch`]).
+    /// Degraded retries after a budget-⊤ or deadline (see the module
+    /// docs). The ladder is 32 attempts deep, so values above 31 run
+    /// exactly like 31.
     pub retries: u32,
     /// Deterministic fault injection (tests and smoke runs only).
     pub fault: Option<Fault>,
@@ -183,16 +271,7 @@ impl AnalysisRequest {
             c.trace,
             self.timeout.map_or(0, |t| t.as_nanos()),
             self.retries,
-            match self.fault {
-                None => "none",
-                Some(Fault::Panic) => "panic",
-                Some(Fault::Spin) => "spin",
-                Some(Fault::TopOnce) => "top-once",
-                // `Fault` is non_exhaustive-in-spirit; an unknown future
-                // variant must not silently alias `none`.
-                #[allow(unreachable_patterns)]
-                Some(_) => "other",
-            },
+            self.fault.map_or("none", Fault::tag),
         );
         let _ = write!(out, "\n{}", self.normalized_program());
         out
@@ -214,41 +293,135 @@ impl AnalysisRequest {
         mpl_domains::splitmix64(h ^ check.len() as u64)
     }
 
-    /// Executes the request on the calling thread with the full batch
-    /// discipline — fresh interner per attempt, cooperative deadline,
-    /// retry ladder — and panic isolation: an unwinding analysis becomes
-    /// a [`JobOutcome::Panicked`] response, exactly as it would in a
-    /// [`BatchAnalyzer`] fleet.
+    /// Executes the request on the calling thread — fresh interner per
+    /// attempt, cooperative deadline, retry ladder — with panic
+    /// isolation: an unwinding analysis becomes a
+    /// [`JobOutcome::Panicked`] response, exactly as it would in a
+    /// [`RequestBatch`].
     #[must_use]
     pub fn execute(&self) -> AnalysisResponse {
         let start = Instant::now();
-        let job = BatchJob {
-            name: self.name.clone().unwrap_or_default(),
-            program: self.program.clone(),
-            config: self.config.clone(),
-            timeout: self.timeout,
-            fault: self.fault,
-        };
-        let caught = catch_unwind(AssertUnwindSafe(|| run_job(&job, None, self.retries)));
-        let wall_nanos = start.elapsed().as_nanos() as u64;
-        let (outcome, result) = match caught {
-            Ok((outcome, result)) => (outcome, result),
-            Err(payload) => (
-                JobOutcome::Panicked {
-                    message: mpl_runtime::panic_message(payload.as_ref()),
-                },
-                None,
-            ),
-        };
+        let (outcome, result) = catch_unwind(AssertUnwindSafe(|| self.run_ladder()))
+            .unwrap_or_else(|payload| {
+                let message = panic_message(payload.as_ref());
+                (JobOutcome::Panicked { message }, None)
+            });
         AnalysisResponse {
             name: self.name.clone(),
             client: self.config.client,
             outcome,
             result,
-            wall_nanos,
+            wall_nanos: start.elapsed().as_nanos() as u64,
             panic_worker: None,
         }
     }
+
+    /// Runs the attempt ladder: attempt 1 under the requested
+    /// configuration, then — after a budget-⊤ or a deadline — up to
+    /// `retries` more under ever coarser [`degrade`]d ones, capped at the
+    /// ladder's depth. Panics, including an injected [`Fault::Panic`],
+    /// unwind out of here.
+    fn run_ladder(&self) -> (JobOutcome, Option<AnalysisResult>) {
+        let name = self.name.as_deref().unwrap_or("");
+        let max_attempts = self.retries.saturating_add(1).min(MAX_LEVEL + 1);
+        // The attempt-1 budget-⊤ result, kept so exhausted retries still
+        // report the answer produced under the *requested* configuration.
+        let mut requested_top: Option<AnalysisResult> = None;
+        for attempt in 1..=max_attempts {
+            // Fresh interner per attempt: VarId assignment must not depend
+            // on prior attempts or on what this thread analyzed before.
+            mpl_domains::reset_table();
+            let token = self.timeout.map(CancelToken::with_deadline);
+            let result = match self.fault {
+                Some(Fault::Panic) => {
+                    panic!("injected fault: job `{name}` panics by directive")
+                }
+                Some(Fault::Spin) => {
+                    let Some(token) = &token else {
+                        // Spinning with no deadline would hang the worker
+                        // forever; fail deterministically instead.
+                        panic!("injected fault: job `{name}` spins but no timeout is configured");
+                    };
+                    // Sleep-poll rather than busy-wait: the fault models a
+                    // request that never finishes, and must not starve a
+                    // batch's real requests of CPU on small machines.
+                    while !token.is_cancelled() {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    AnalysisResult::top(TopReason::Deadline)
+                }
+                Some(Fault::TopOnce) if attempt == 1 => AnalysisResult::top(TopReason::StepBudget),
+                _ => {
+                    let mut config = degrade(&self.config, attempt);
+                    config.cancel = token;
+                    analyze(&self.program, &config)
+                }
+            };
+            let last = attempt == max_attempts;
+            match result.verdict {
+                Verdict::Top {
+                    reason: TopReason::Deadline,
+                } => {
+                    if last {
+                        // Normalized bare ⊤: partial progress at expiry is
+                        // wall-clock-dependent and must not leak into
+                        // deterministic output.
+                        let top = AnalysisResult::top(TopReason::Deadline);
+                        return (JobOutcome::TimedOut, Some(top));
+                    }
+                }
+                Verdict::Top {
+                    reason: TopReason::StepBudget | TopReason::PsetBudget { .. },
+                } => {
+                    if last {
+                        // Prefer the budget-⊤ computed under the requested
+                        // config over a coarsened one; if attempt 1 timed
+                        // out, this one is the best sound answer available.
+                        return match requested_top {
+                            Some(original) => (JobOutcome::Completed, Some(original)),
+                            None => answered(attempt, result),
+                        };
+                    }
+                    if attempt == 1 {
+                        requested_top = Some(result);
+                    }
+                }
+                // A definitive answer: exact, deadlock, or a non-budget ⊤.
+                _ => return answered(attempt, result),
+            }
+        }
+        unreachable!("the attempt loop returns on its final attempt")
+    }
+}
+
+/// The degradation ladder: attempt 1 is the requested configuration;
+/// every later attempt widens sooner (halved delay), snaps through half
+/// as many thresholds, and burns a quarter of the step budget — so a
+/// request that timed out converges (or fails fast with a sound
+/// budget-⊤) instead of timing out again. A pure function of
+/// `(config, attempt)`, so retries are deterministic; it bottoms out at
+/// level [`MAX_LEVEL`].
+fn degrade(config: &AnalysisConfig, attempt: u32) -> AnalysisConfig {
+    let mut coarse = config.clone();
+    if attempt <= 1 {
+        return coarse;
+    }
+    let level = (attempt - 1).min(MAX_LEVEL);
+    coarse.widen_delay >>= level;
+    let keep = coarse.widen_thresholds.len() >> level;
+    coarse.widen_thresholds.truncate(keep);
+    coarse.max_steps = (coarse.max_steps >> (2 * u64::from(level)).min(63)).max(1_000);
+    coarse
+}
+
+/// The outcome of a ladder that stopped at `attempt` with `result`.
+fn answered(attempt: u32, result: AnalysisResult) -> (JobOutcome, Option<AnalysisResult>) {
+    let outcome = if attempt == 1 {
+        JobOutcome::Completed
+    } else {
+        JobOutcome::Degraded { attempts: attempt }
+    };
+    (outcome, Some(result))
 }
 
 /// Validating builder for [`AnalysisRequest`].
@@ -284,7 +457,9 @@ pub struct AnalysisRequestBuilder {
 }
 
 impl AnalysisRequestBuilder {
-    /// Sets the display name.
+    /// Sets the display name. An empty name is no name: it renders no
+    /// `name` field, like the unnamed request whose cache identity it
+    /// shares.
     #[must_use]
     pub fn name(mut self, name: impl Into<String>) -> Self {
         self.name = Some(name.into());
@@ -446,13 +621,92 @@ impl AnalysisRequestBuilder {
             }
         });
         Ok(AnalysisRequest {
-            name: self.name,
+            name: self.name.filter(|name| !name.is_empty()),
             program,
             config,
             timeout: self.timeout,
             retries: self.retries,
             fault,
         })
+    }
+}
+
+/// How one request ended, as a typed taxonomy mirroring [`TopReason`]'s
+/// style: [`Self::code`] is the stable kebab-case tag machine output
+/// uses.
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum JobOutcome {
+    /// The analysis ran to its natural end under the requested
+    /// configuration (any verdict — ⊤ on a budget counts as completed
+    /// when retries are off or exhausted).
+    Completed,
+    /// A budget-⊤ or timed-out request produced this answer on a retry
+    /// under a coarsened configuration.
+    Degraded {
+        /// Total attempts made (≥ 2).
+        attempts: u32,
+    },
+    /// Every attempt hit the cooperative deadline; the response carries
+    /// the normalized bare ⊤.
+    TimedOut,
+    /// The analysis panicked; the rest of its batch completed without it.
+    Panicked {
+        /// The panic payload, rendered to text.
+        message: String,
+    },
+    /// The request could not even be built (e.g. its source failed to
+    /// parse); queued via [`RequestBatch::push_error`].
+    Error {
+        /// Why the request never ran.
+        message: String,
+    },
+}
+
+impl JobOutcome {
+    /// A stable, machine-readable outcome code (kebab-case, mirroring
+    /// [`TopReason::code`]; used by the corpus JSON output).
+    #[must_use]
+    pub fn code(&self) -> &'static str {
+        match self {
+            JobOutcome::Completed => "completed",
+            JobOutcome::Degraded { .. } => "degraded",
+            JobOutcome::TimedOut => "timed-out",
+            JobOutcome::Panicked { .. } => "panicked",
+            JobOutcome::Error { .. } => "error",
+        }
+    }
+
+    /// True for the two success shapes ([`Self::Completed`] /
+    /// [`Self::Degraded`]) — the ones that carry a result produced by a
+    /// finished analysis run.
+    #[must_use]
+    pub fn is_ok(&self) -> bool {
+        matches!(self, JobOutcome::Completed | JobOutcome::Degraded { .. })
+    }
+
+    /// The failure detail for [`Self::Panicked`] / [`Self::Error`]
+    /// outcomes, if any.
+    #[must_use]
+    pub fn detail(&self) -> Option<&str> {
+        match self {
+            JobOutcome::Panicked { message } | JobOutcome::Error { message } => Some(message),
+            _ => None,
+        }
+    }
+}
+
+impl fmt::Display for JobOutcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JobOutcome::Completed => f.write_str("completed"),
+            JobOutcome::Degraded { attempts } => {
+                write!(f, "degraded after {attempts} attempts")
+            }
+            JobOutcome::TimedOut => f.write_str("timed out"),
+            JobOutcome::Panicked { message } => write!(f, "panicked: {message}"),
+            JobOutcome::Error { message } => write!(f, "error: {message}"),
+        }
     }
 }
 
@@ -466,15 +720,19 @@ pub struct AnalysisResponse {
     pub name: Option<String>,
     /// The client analysis that ran.
     pub client: Client,
-    /// How the job ended.
+    /// How the request ended.
     pub outcome: JobOutcome,
     /// The analysis result; `None` exactly when no analysis ran
-    /// (panicked / error records).
+    /// (panicked / error responses). A timed-out request carries the
+    /// normalized bare ⊤.
     pub result: Option<AnalysisResult>,
-    /// Wall-clock nanoseconds. **Not deterministic** — rendered only
-    /// with `timing`.
+    /// Wall-clock nanoseconds, summed over retries (0 for panicked and
+    /// error responses). **Not deterministic** — rendered only with
+    /// `timing`.
     pub wall_nanos: u64,
-    /// Pool worker id for fleet-panicked records. **Not deterministic.**
+    /// The pool worker a panicked batch request ran on.
+    /// Scheduling-dependent, hence **not deterministic** — rendered only
+    /// with `timing`.
     pub panic_worker: Option<usize>,
 }
 
@@ -497,20 +755,6 @@ fn topology_list(result: &AnalysisResult) -> Vec<String> {
 }
 
 impl AnalysisResponse {
-    /// Wraps a batch [`JobRecord`] (which does not know its client) into
-    /// a response. An empty record name maps to `None`.
-    #[must_use]
-    pub fn from_record(record: JobRecord, client: Client) -> AnalysisResponse {
-        AnalysisResponse {
-            name: (!record.name.is_empty()).then_some(record.name),
-            client,
-            outcome: record.outcome,
-            result: record.result,
-            wall_nanos: record.wall_nanos,
-            panic_worker: record.panic_worker,
-        }
-    }
-
     /// The canonical JSON record for this response — one line, stable
     /// key order, versioned. This is *the* wire format: `mpl analyze
     /// --json`, the corpus NDJSON and the daemon all emit exactly these
@@ -619,6 +863,74 @@ impl AnalysisResponse {
     }
 }
 
+/// Aggregated statistics over a whole batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct BatchSummary {
+    /// Total number of requests run (including panicked and error
+    /// responses).
+    pub programs: usize,
+    /// Requests whose verdict was [`Verdict::Exact`].
+    pub exact: usize,
+    /// Requests whose verdict was [`Verdict::Deadlock`].
+    pub deadlock: usize,
+    /// Requests whose verdict was [`Verdict::Top`].
+    pub top: usize,
+    /// Requests that ended [`JobOutcome::Completed`].
+    pub completed: usize,
+    /// Requests that ended [`JobOutcome::Degraded`].
+    pub degraded: usize,
+    /// Requests that ended [`JobOutcome::TimedOut`].
+    pub timed_out: usize,
+    /// Requests that ended [`JobOutcome::Panicked`].
+    pub panicked: usize,
+    /// Requests that ended [`JobOutcome::Error`] (never ran at all).
+    pub errors: usize,
+    /// Total message leaks found across all requests.
+    pub leaks: usize,
+    /// Total send/recv matches established across all requests.
+    pub matches: usize,
+    /// Total engine steps across all requests.
+    pub steps: u64,
+    /// Sum of per-request wall times in nanoseconds (CPU work, not batch
+    /// wall time). **Not deterministic.**
+    pub wall_nanos: u64,
+    /// Field-wise merge of every request's closure counters.
+    pub closure: ClosureStats,
+}
+
+impl BatchSummary {
+    /// Folds one response into the summary.
+    fn absorb(&mut self, response: &AnalysisResponse) {
+        self.programs += 1;
+        match &response.outcome {
+            JobOutcome::Completed => self.completed += 1,
+            JobOutcome::Degraded { .. } => self.degraded += 1,
+            JobOutcome::TimedOut => self.timed_out += 1,
+            JobOutcome::Panicked { .. } => self.panicked += 1,
+            JobOutcome::Error { .. } => self.errors += 1,
+        }
+        if let Some(result) = &response.result {
+            match &result.verdict {
+                Verdict::Exact => self.exact += 1,
+                Verdict::Deadlock { .. } => self.deadlock += 1,
+                Verdict::Top { .. } => self.top += 1,
+            }
+            self.leaks += result.leaks.len();
+            self.matches += result.matches.len();
+            self.steps += result.steps;
+            self.closure.merge(&result.closure_stats);
+        }
+        self.wall_nanos += response.wall_nanos;
+    }
+
+    /// Requests that did not produce a finished analysis: timed out,
+    /// panicked, or failed to build.
+    #[must_use]
+    pub fn failures(&self) -> usize {
+        self.timed_out + self.panicked + self.errors
+    }
+}
+
 /// The versioned JSON summary record for a batch (the last line of the
 /// corpus NDJSON output).
 #[must_use]
@@ -657,71 +969,52 @@ pub fn summary_json_line(summary: &BatchSummary, workers: usize, timing: bool) -
     out
 }
 
-/// A batch of requests run through the [`BatchAnalyzer`] fleet —
-/// submission order preserved, one [`AnalysisResponse`] per request.
-/// Deadlines and retries are fleet-level here
-/// ([`Self::timeout`] / [`Self::retries`]); a request's own `timeout`
-/// still overrides the fleet deadline per job, but per-request `retries`
-/// are ignored in batch mode (the fleet ladder applies uniformly so the
-/// report stays deterministic).
-#[derive(Debug)]
+/// An ordered batch of requests run across a worker pool: one
+/// [`AnalysisResponse`] per queued request, in submission order. Each
+/// request runs under its own deadline, retries and fault, exactly as
+/// [`AnalysisRequest::execute`] would run it, so a response is the same
+/// bytes in a batch of any width as on its own.
+///
+/// ```
+/// use mpl_core::{AnalysisRequest, RequestBatch};
+/// use mpl_lang::corpus;
+///
+/// let mut batch = RequestBatch::new().workers(4);
+/// for prog in corpus::all() {
+///     let request = AnalysisRequest::builder().name(prog.name).program(prog.program);
+///     batch.push(request.build().expect("valid request"));
+/// }
+/// let done = batch.run();
+/// assert_eq!(done.summary.programs, corpus::all().len());
+/// assert_eq!(done.summary.completed, corpus::all().len());
+/// ```
+#[derive(Debug, Default)]
 pub struct RequestBatch {
-    analyzer: BatchAnalyzer,
-    clients: Vec<Client>,
-}
-
-impl Default for RequestBatch {
-    fn default() -> RequestBatch {
-        RequestBatch::new()
-    }
+    /// The requests to run, in submission order.
+    requests: Vec<AnalysisRequest>,
+    /// Responses of requests that failed before they could be built,
+    /// each with the submission slot it fills.
+    failed: Vec<(usize, AnalysisResponse)>,
+    workers: usize,
 }
 
 impl RequestBatch {
-    /// An empty batch (one worker, no deadline, no retries).
+    /// An empty batch that runs on one worker.
     #[must_use]
     pub fn new() -> RequestBatch {
-        RequestBatch {
-            analyzer: BatchAnalyzer::new(),
-            clients: Vec::new(),
-        }
+        RequestBatch::default()
     }
 
     /// Sets the worker count (clamped to at least 1).
     #[must_use]
     pub fn workers(mut self, workers: usize) -> RequestBatch {
-        self.analyzer = self.analyzer.workers(workers);
-        self
-    }
-
-    /// Sets the fleet-wide per-job deadline.
-    #[must_use]
-    pub fn timeout(mut self, timeout: Duration) -> RequestBatch {
-        self.analyzer = self.analyzer.timeout(timeout);
-        self
-    }
-
-    /// Sets the fleet-wide degraded-retry count.
-    #[must_use]
-    pub fn retries(mut self, retries: u32) -> RequestBatch {
-        self.analyzer = self.analyzer.retries(retries);
+        self.workers = workers;
         self
     }
 
     /// Appends a request.
     pub fn push(&mut self, request: AnalysisRequest) {
-        self.clients.push(request.config.client);
-        let mut job = BatchJob::new(
-            request.name.unwrap_or_default(),
-            request.program,
-            request.config,
-        );
-        if let Some(timeout) = request.timeout {
-            job = job.with_timeout(timeout);
-        }
-        if let Some(fault) = request.fault {
-            job = job.with_fault(fault);
-        }
-        self.analyzer.push(job);
+        self.requests.push(request);
     }
 
     /// Appends a pre-failed record (a request that could not even be
@@ -734,37 +1027,79 @@ impl RequestBatch {
         message: impl Into<String>,
         client: Client,
     ) {
-        self.clients.push(client);
-        self.analyzer.push_error(name, message);
+        let response = AnalysisResponse {
+            name: Some(name.into()).filter(|name| !name.is_empty()),
+            client,
+            outcome: JobOutcome::Error {
+                message: message.into(),
+            },
+            result: None,
+            wall_nanos: 0,
+            panic_worker: None,
+        };
+        self.failed.push((self.len(), response));
     }
 
-    /// Number of queued requests.
+    /// Number of queued requests (including pre-failed records).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.analyzer.len()
+        self.requests.len() + self.failed.len()
     }
 
     /// True if no requests are queued.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.analyzer.is_empty()
+        self.len() == 0
     }
 
-    /// Runs the batch. Deterministic apart from the timing fields, for
-    /// any worker count (see [`BatchAnalyzer::run`]).
+    /// Runs every request across the worker pool. Deterministic apart
+    /// from the timing fields, for any worker count. No panic escapes
+    /// this call: a panicking request becomes its own
+    /// [`JobOutcome::Panicked`] response.
     #[must_use]
     pub fn run(self) -> BatchResponse {
-        let report = self.analyzer.run();
-        let responses = report
-            .records
-            .into_iter()
-            .zip(self.clients)
-            .map(|(record, client)| AnalysisResponse::from_record(record, client))
+        let pool = Pool::new(self.workers);
+        let runnable: Vec<&AnalysisRequest> = self.requests.iter().collect();
+        let (ran, _) = pool.run_ordered_isolated(runnable, |_, request| {
+            let start = Instant::now();
+            (request.run_ladder(), start.elapsed())
+        });
+        let total = self.len();
+        let mut failed = self.failed.into_iter().peekable();
+        let mut ran = self.requests.into_iter().zip(ran);
+        let responses: Vec<AnalysisResponse> = (0..total)
+            .map(|slot| {
+                if let Some((_, response)) = failed.next_if(|(at, _)| *at == slot) {
+                    return response;
+                }
+                let (request, ran) = ran.next().expect("one pool slot per request");
+                let ((outcome, result), wall, panic_worker) = match ran {
+                    Ok((answer, wall)) => (answer, wall, None),
+                    Err(failure) => {
+                        let outcome = JobOutcome::Panicked {
+                            message: failure.message,
+                        };
+                        ((outcome, None), Duration::ZERO, Some(failure.worker))
+                    }
+                };
+                AnalysisResponse {
+                    name: request.name,
+                    client: request.config.client,
+                    outcome,
+                    result,
+                    wall_nanos: wall.as_nanos() as u64,
+                    panic_worker,
+                }
+            })
             .collect();
+        let mut summary = BatchSummary::default();
+        for response in &responses {
+            summary.absorb(response);
+        }
         BatchResponse {
             responses,
-            summary: report.summary,
-            workers: report.workers,
+            summary,
+            workers: pool.workers(),
         }
     }
 }
@@ -850,16 +1185,60 @@ mod tests {
 
     #[test]
     fn execute_matches_batch_rendering() {
-        // One request through the single-shot path and through a fleet
-        // must render byte-identical JSON (the cache/daemon invariant).
-        let solo = fig2_request().execute().json_line(false);
-        let mut batch = RequestBatch::new().workers(4);
-        batch.push(fig2_request());
-        let fleet = batch.run();
-        assert_eq!(solo, fleet.responses[0].json_line(false));
-        assert!(solo.starts_with("{\"v\":1,\"type\":\"program\","), "{solo}");
-        assert!(solo.contains("\"verdict\":\"exact\""), "{solo}");
-        assert!(!solo.contains("\"name\""), "anonymous request: {solo}");
+        // Every request renders the same bytes through the single-shot
+        // path and through a batch of any width (the cache/daemon
+        // invariant), whatever its fault or retry policy.
+        let fig2 = || {
+            AnalysisRequest::builder()
+                .source(corpus::fig2_exchange().source)
+                .client(Client::Simple)
+        };
+        let cases = [
+            fig2(),
+            fig2().fault(Fault::Panic),
+            fig2().fault(Fault::Spin).timeout(Duration::from_millis(50)),
+            fig2().fault(Fault::TopOnce).retries(1),
+            AnalysisRequest::builder()
+                .program(corpus::nearest_neighbor_shift().program)
+                .max_psets(1)
+                .retries(2),
+        ]
+        .map(|builder| builder.build().expect("valid request"));
+        let solo: Vec<String> = cases.iter().map(|r| r.execute().json_line(false)).collect();
+        for workers in [1, 4] {
+            let mut batch = RequestBatch::new().workers(workers);
+            for request in &cases {
+                batch.push(request.clone());
+            }
+            batch.push_error("broken", "parse error", Client::Simple);
+            let fleet: Vec<String> = batch
+                .run()
+                .responses
+                .iter()
+                .map(|r| r.json_line(false))
+                .collect();
+            assert_eq!(solo, fleet[..cases.len()], "at {workers} workers");
+            assert_eq!(
+                fleet[cases.len()],
+                "{\"v\":1,\"type\":\"program\",\"name\":\"broken\",\"client\":\"simple\",\
+                 \"verdict\":null,\"reason\":null,\"outcome\":\"error\",\
+                 \"detail\":\"parse error\",\"matches\":0,\"leaks\":0,\"steps\":0,\
+                 \"topology\":[]}"
+            );
+        }
+        let outcomes = [
+            "completed",
+            "panicked",
+            "timed-out",
+            "degraded\",\"attempts\":2",
+            "completed",
+        ];
+        for (line, outcome) in solo.iter().zip(outcomes) {
+            assert!(line.starts_with("{\"v\":1,\"type\":\"program\","), "{line}");
+            assert!(!line.contains("\"name\""), "anonymous request: {line}");
+            assert!(line.contains(&format!("\"outcome\":\"{outcome}")), "{line}");
+        }
+        assert!(solo[0].contains("\"verdict\":\"exact\""), "{}", solo[0]);
     }
 
     #[test]
@@ -872,6 +1251,20 @@ mod tests {
             .unwrap();
         let line = request.execute().json_line(false);
         assert!(line.contains("\"name\":\"fig2\""), "{line}");
+        // An empty name is no name: it renders like the anonymous
+        // request whose cache identity it shares.
+        let empty = AnalysisRequest::builder()
+            .source(corpus::fig2_exchange().source)
+            .client(Client::Simple)
+            .name("")
+            .build()
+            .unwrap();
+        let anonymous = fig2_request();
+        assert_eq!(empty.cache_check(), anonymous.cache_check());
+        assert_eq!(
+            empty.execute().json_line(false),
+            anonymous.execute().json_line(false)
+        );
     }
 
     #[test]
@@ -926,5 +1319,294 @@ mod tests {
         assert!(!line.contains("cpu_nanos"), "{line}");
         let timed = summary_json_line(&done.summary, done.workers, true);
         assert!(timed.contains("\"workers\":1"), "{timed}");
+    }
+
+    /// A named request for `program` under the default configuration.
+    fn named(name: &str, program: Program) -> AnalysisRequestBuilder {
+        AnalysisRequest::builder().name(name).program(program)
+    }
+
+    /// Runs `request` as a one-request batch.
+    fn run_alone(request: AnalysisRequestBuilder) -> AnalysisResponse {
+        let mut batch = RequestBatch::new();
+        batch.push(request.build().unwrap());
+        batch.run().responses.remove(0)
+    }
+
+    fn corpus_batch(workers: usize) -> BatchResponse {
+        let mut batch = RequestBatch::new().workers(workers);
+        for prog in corpus::all() {
+            batch.push(named(prog.name, prog.program).build().unwrap());
+        }
+        batch.run()
+    }
+
+    fn names(done: &BatchResponse) -> Vec<&str> {
+        done.responses
+            .iter()
+            .map(|r| r.name.as_deref().unwrap_or(""))
+            .collect()
+    }
+
+    /// Strips the non-deterministic fields for comparison.
+    fn fingerprint(done: &BatchResponse) -> Vec<String> {
+        done.responses
+            .iter()
+            .map(|r| match &r.result {
+                Some(res) => format!(
+                    "{:?} [{}] {:?} matches={:?} leaks={:?} steps={} closure=({},{},{},{})",
+                    r.name,
+                    r.outcome.code(),
+                    res.verdict,
+                    res.matches,
+                    res.leaks,
+                    res.steps,
+                    res.closure_stats.full_closures,
+                    res.closure_stats.full_closure_vars,
+                    res.closure_stats.incremental_closures,
+                    res.closure_stats.incremental_closure_vars,
+                ),
+                None => format!("{:?} [{}] {:?}", r.name, r.outcome.code(), r.outcome),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn records_preserve_submission_order() {
+        let expected: Vec<&str> = corpus::all().iter().map(|p| p.name).collect();
+        assert_eq!(names(&corpus_batch(4)), expected);
+    }
+
+    #[test]
+    fn summary_counts_are_consistent() {
+        let done = corpus_batch(3);
+        let s = done.summary;
+        let results = || done.responses.iter().filter_map(|r| r.result.as_ref());
+        assert_eq!(s.programs, corpus::all().len());
+        assert_eq!(s.programs, s.exact + s.deadlock + s.top);
+        assert_eq!(s.programs, s.completed, "fault-free corpus completes");
+        assert_eq!(s.failures(), 0);
+        assert_eq!(
+            s.matches,
+            results().map(|res| res.matches.len()).sum::<usize>()
+        );
+        assert_eq!(s.steps, results().map(|res| res.steps).sum::<u64>());
+        assert!(s.exact > 0, "corpus should contain exact programs");
+        assert!(s.closure.full_closures > 0 || s.closure.incremental_closures > 0);
+    }
+
+    #[test]
+    fn empty_batch_yields_empty_report() {
+        let done = RequestBatch::new().workers(8).run();
+        assert!(done.responses.is_empty());
+        assert_eq!(done.summary, BatchSummary::default());
+        assert_eq!(done.workers, 8);
+    }
+
+    #[test]
+    fn panicking_job_is_isolated_and_named() {
+        let good = corpus::fig2_exchange().program;
+        for workers in [1usize, 4] {
+            let mut batch = RequestBatch::new().workers(workers);
+            batch.push(named("before", good.clone()).build().unwrap());
+            let poison = named("poison", good.clone()).fault(Fault::Panic);
+            batch.push(poison.build().unwrap());
+            batch.push(named("after", good.clone()).build().unwrap());
+            let done = batch.run();
+            assert_eq!(names(&done), ["before", "poison", "after"]);
+            let poison = &done.responses[1];
+            assert!(matches!(poison.outcome, JobOutcome::Panicked { .. }));
+            assert!(
+                poison.outcome.detail().unwrap().contains("injected fault"),
+                "{:?}",
+                poison.outcome
+            );
+            assert!(poison.result.is_none());
+            assert!(poison.panic_worker.is_some(), "the pool names the worker");
+            assert!(done.responses[0].outcome.is_ok());
+            assert!(done.responses[2].outcome.is_ok());
+            assert_eq!(done.summary.panicked, 1);
+            assert_eq!(done.summary.completed, 2);
+        }
+    }
+
+    #[test]
+    fn spin_without_timeout_panics_deterministically() {
+        let spinner = named("spinner", corpus::fig2_exchange().program).fault(Fault::Spin);
+        let response = run_alone(spinner);
+        assert!(matches!(response.outcome, JobOutcome::Panicked { .. }));
+        assert!(response
+            .outcome
+            .detail()
+            .unwrap()
+            .contains("no timeout is configured"));
+    }
+
+    #[test]
+    fn top_once_fault_degrades_with_retry_and_completes_without() {
+        let flaky = named("flaky", corpus::fig2_exchange().program).fault(Fault::TopOnce);
+        // Without retries: the injected budget-⊤ is the final answer.
+        let response = run_alone(flaky.clone());
+        assert_eq!(response.outcome, JobOutcome::Completed);
+        assert!(matches!(
+            response.result.unwrap().verdict,
+            Verdict::Top {
+                reason: TopReason::StepBudget
+            }
+        ));
+        // With one retry: attempt 2 analyzes for real and recovers.
+        let mut batch = RequestBatch::new();
+        batch.push(flaky.retries(1).build().unwrap());
+        let done = batch.run();
+        assert_eq!(
+            done.responses[0].outcome,
+            JobOutcome::Degraded { attempts: 2 }
+        );
+        let result = done.responses[0].result.as_ref().unwrap();
+        assert!(result.is_exact(), "{:?}", result.verdict);
+        assert_eq!(done.summary.degraded, 1);
+    }
+
+    #[test]
+    fn retry_ladder_is_deterministic_across_worker_counts() {
+        let build = |workers: usize| {
+            let mut batch = RequestBatch::new().workers(workers);
+            for prog in corpus::all() {
+                batch.push(named(prog.name, prog.program).retries(2).build().unwrap());
+            }
+            let flaky = named("flaky", corpus::fig2_exchange().program)
+                .fault(Fault::TopOnce)
+                .retries(2);
+            batch.push(flaky.build().unwrap());
+            batch.run()
+        };
+        let seq = fingerprint(&build(1));
+        for workers in [4, 8] {
+            assert_eq!(seq, fingerprint(&build(workers)), "diverged at {workers}");
+        }
+    }
+
+    #[test]
+    fn exhausted_retries_report_the_requested_config_answer() {
+        // A pset-budget ⊤ that no coarsening fixes: the response must
+        // carry the attempt-1 result (budget ⊤ under max_psets=1),
+        // outcome Completed, not Degraded.
+        let cramped = named("cramped", corpus::nearest_neighbor_shift().program)
+            .max_psets(1)
+            .retries(2);
+        let response = run_alone(cramped);
+        assert_eq!(response.outcome, JobOutcome::Completed);
+        assert!(matches!(
+            response.result.unwrap().verdict,
+            Verdict::Top {
+                reason: TopReason::PsetBudget { max: 1 }
+            }
+        ));
+    }
+
+    #[test]
+    fn error_records_flow_through_in_order() {
+        let good = corpus::fig2_exchange().program;
+        let mut batch = RequestBatch::new().workers(4);
+        batch.push(named("first", good.clone()).build().unwrap());
+        batch.push_error(
+            "broken",
+            "parse error at line 3: expected expression",
+            Client::Cartesian,
+        );
+        batch.push(named("last", good).build().unwrap());
+        assert_eq!(batch.len(), 3);
+        let done = batch.run();
+        assert_eq!(names(&done), ["first", "broken", "last"]);
+        assert!(matches!(
+            done.responses[1].outcome,
+            JobOutcome::Error { .. }
+        ));
+        assert!(done.responses[1].result.is_none());
+        assert_eq!(done.summary.errors, 1);
+        assert_eq!(done.summary.programs, 3);
+        assert_eq!(done.summary.failures(), 1);
+    }
+
+    #[test]
+    fn fault_directives_parse_from_source_comments() {
+        assert_eq!(
+            Fault::from_directive("x := 1;\n// mpl:fault=panic\n"),
+            Some(Fault::Panic)
+        );
+        assert_eq!(
+            Fault::from_directive("  // mpl:fault=spin\nx := 1;\n"),
+            Some(Fault::Spin)
+        );
+        assert_eq!(
+            Fault::from_directive("// mpl:fault=top-once\n"),
+            Some(Fault::TopOnce)
+        );
+        assert_eq!(Fault::from_directive("// mpl:fault=unknown\n"), None);
+        assert_eq!(Fault::from_directive("x := 1;\n"), None);
+    }
+
+    #[test]
+    fn cache_check_pins_fault_tags() {
+        // Cache journals key their entries by these exact fragments;
+        // renaming one would turn every journaled entry into a miss.
+        for (fault, fragment) in [
+            (None, ";fault=none\n"),
+            (Some(Fault::Panic), ";fault=panic\n"),
+            (Some(Fault::Spin), ";fault=spin\n"),
+            (Some(Fault::TopOnce), ";fault=top-once\n"),
+        ] {
+            let mut builder = AnalysisRequest::builder().source("x := 1;");
+            if let Some(fault) = fault {
+                builder = builder.fault(fault);
+            }
+            let check = builder.build().unwrap().cache_check();
+            assert!(check.contains(fragment), "{fault:?}: {check}");
+        }
+    }
+
+    #[test]
+    fn degradation_ladder_is_monotone_and_saturating() {
+        let base = AnalysisConfig::default();
+        let a1 = degrade(&base, 1);
+        assert_eq!(a1.widen_delay, base.widen_delay);
+        assert_eq!(a1.max_steps, base.max_steps);
+        let a2 = degrade(&base, 2);
+        assert!(a2.widen_delay <= a1.widen_delay);
+        assert!(a2.widen_thresholds.len() <= a1.widen_thresholds.len());
+        assert!(a2.max_steps <= a1.max_steps);
+        // Deep attempts saturate instead of overflowing.
+        let deep = degrade(&base, 40);
+        assert_eq!(deep.widen_delay, 0);
+        assert!(deep.widen_thresholds.is_empty());
+        assert_eq!(deep.max_steps, 1_000);
+        // The last attempt the ladder makes, and no earlier one, already
+        // runs the deepest configuration: capping attempts there drops
+        // only identical reruns.
+        let slow = AnalysisConfig {
+            widen_delay: u32::MAX,
+            ..base
+        };
+        let last = degrade(&slow, MAX_LEVEL + 1);
+        assert_eq!(last.widen_delay, degrade(&slow, u32::MAX).widen_delay);
+        assert_ne!(last.widen_delay, degrade(&slow, MAX_LEVEL).widen_delay);
+    }
+
+    #[test]
+    fn outcome_codes_are_stable_kebab_case() {
+        assert_eq!(JobOutcome::Completed.code(), "completed");
+        assert_eq!(JobOutcome::Degraded { attempts: 2 }.code(), "degraded");
+        assert_eq!(JobOutcome::TimedOut.code(), "timed-out");
+        let panicked = JobOutcome::Panicked {
+            message: "boom".to_owned(),
+        };
+        assert_eq!(panicked.code(), "panicked");
+        assert_eq!(panicked.to_string(), "panicked: boom");
+        let error = JobOutcome::Error {
+            message: "bad file".to_owned(),
+        };
+        assert_eq!(error.code(), "error");
+        assert!(!error.is_ok());
+        assert!(JobOutcome::Completed.is_ok());
     }
 }

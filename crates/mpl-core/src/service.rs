@@ -564,8 +564,9 @@ impl AnalysisService {
     /// occurrence's computation (counted in `coalesced`), and inserts
     /// happen in submission order after the fleet. The admission gate
     /// and quotas do not apply (the batch is the caller's own,
-    /// already-bounded workload); fleet-level retries use the service
-    /// default.
+    /// already-bounded workload). Each line runs under its own
+    /// `timeout_ms` and `retries` (or the service defaults), exactly as
+    /// [`Self::handle_line`] runs it, so both paths cache the same bytes.
     #[must_use]
     pub fn handle_batch(&self, lines: &[String], jobs: usize) -> Vec<String> {
         enum Slot {
@@ -585,9 +586,7 @@ impl AnalysisService {
         // (fingerprint, check) of each in-batch leader → its slot index.
         let mut leaders: std::collections::HashMap<(u64, String), usize> =
             std::collections::HashMap::new();
-        let mut batch = RequestBatch::new()
-            .workers(jobs)
-            .retries(self.default_retries);
+        let mut batch = RequestBatch::new().workers(jobs);
         {
             let mut state = self.cache.lock().expect("cache lock");
             for line in lines {

@@ -11,6 +11,11 @@ cargo fmt --all --check
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== cargo doc -D warnings (private items included) =="
+# A stale intra-doc link fails here instead of rendering as dead text.
+RUSTDOCFLAGS="-D warnings --document-private-items" \
+  cargo doc --workspace --no-deps --offline -q
+
 echo "== cargo test --workspace =="
 cargo test --workspace --offline -q
 

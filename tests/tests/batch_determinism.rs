@@ -1,9 +1,9 @@
-//! Determinism of the parallel batch runtime (mpl-runtime / BatchAnalyzer
+//! Determinism of the parallel batch runtime (mpl-runtime / RequestBatch
 //! / `mpl analyze-corpus`): for the whole corpus, verdicts, topologies and
 //! match events must be byte-identical no matter how many workers run the
 //! batch. Also pins the `--json` output schema.
 
-use mpl_core::{AnalysisConfig, BatchAnalyzer, BatchJob, BatchReport, Client};
+use mpl_core::{AnalysisRequest, BatchResponse, Client, RequestBatch};
 use mpl_lang::corpus;
 
 /// Renders closure counters without `closure_nanos` (wall time — the one
@@ -15,13 +15,18 @@ fn closure_counts(c: &mpl_domains::ClosureStats) -> String {
     )
 }
 
-/// Every deterministic field of a batch report, rendered to one string.
-/// Wall times and panic worker ids are the only fields excluded (they
-/// vary by nature).
-fn fingerprint(report: &BatchReport) -> String {
+/// Every deterministic field of a batch response, rendered to one
+/// string. Wall times and panic worker ids are the only fields excluded
+/// (they vary by nature).
+fn fingerprint(done: &BatchResponse) -> String {
     let mut out = String::new();
-    for rec in &report.records {
-        out.push_str(&format!("{}\noutcome: {:?}\n", rec.name, rec.outcome));
+    for rec in &done.responses {
+        out.push_str(&format!(
+            "{:?} {}\noutcome: {:?}\n",
+            rec.name,
+            rec.client.tag(),
+            rec.outcome
+        ));
         match &rec.result {
             Some(result) => out.push_str(&format!(
                 "verdict: {:?}\nmatches: {:?}\nevents: {:?}\nleaks: {:?}\nprints: {:?}\n\
@@ -37,7 +42,7 @@ fn fingerprint(report: &BatchReport) -> String {
             None => out.push_str("no result\n\n"),
         }
     }
-    let s = &report.summary;
+    let s = &done.summary;
     out.push_str(&format!(
         "summary: programs={} exact={} deadlock={} top={} completed={} degraded={} \
          timed_out={} panicked={} errors={} matches={} leaks={} steps={} closure={}\n",
@@ -58,14 +63,14 @@ fn fingerprint(report: &BatchReport) -> String {
     out
 }
 
-fn corpus_batch(workers: usize, client: Client) -> BatchReport {
-    let mut batch = BatchAnalyzer::new().workers(workers);
+fn corpus_batch(workers: usize, client: Client) -> BatchResponse {
+    let mut batch = RequestBatch::new().workers(workers);
     for prog in corpus::all() {
-        let config = AnalysisConfig::builder()
-            .client(client)
-            .build()
-            .expect("valid config");
-        batch.push(BatchJob::new(prog.name, prog.program, config));
+        let request = AnalysisRequest::builder()
+            .name(prog.name)
+            .program(prog.program)
+            .client(client);
+        batch.push(request.build().expect("valid request"));
     }
     batch.run()
 }
@@ -81,23 +86,23 @@ fn corpus_batch_is_byte_identical_for_1_and_8_workers() {
 
 #[test]
 fn mixed_config_batch_is_deterministic() {
-    // Jobs with different clients and budgets in one batch: per-job
-    // config must travel with the job, not leak across workers.
+    // Requests with different clients and budgets in one batch: each
+    // request's config must travel with it, not leak across workers.
     let build = |workers: usize| {
-        let mut batch = BatchAnalyzer::new().workers(workers);
+        let mut batch = RequestBatch::new().workers(workers);
         for (i, prog) in corpus::all().into_iter().enumerate() {
             let client = if i % 2 == 0 {
                 Client::Cartesian
             } else {
                 Client::Simple
             };
-            let config = AnalysisConfig::builder()
+            let request = AnalysisRequest::builder()
+                .name(prog.name)
+                .program(prog.program)
                 .client(client)
                 .min_np(4 + (i as i64 % 3))
-                .max_steps(10_000)
-                .build()
-                .expect("valid config");
-            batch.push(BatchJob::new(prog.name, prog.program, config));
+                .max_steps(10_000);
+            batch.push(request.build().expect("valid request"));
         }
         batch.run()
     };

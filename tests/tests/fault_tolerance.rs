@@ -7,20 +7,19 @@
 use std::time::Duration;
 
 use mpl_core::{
-    analyze, AnalysisConfig, AnalysisResult, BatchAnalyzer, BatchJob, BatchReport, Fault,
-    JobOutcome, TopReason, Verdict, CANCEL_CHECK_STEPS,
+    analyze, AnalysisConfig, AnalysisRequest, AnalysisRequestBuilder, AnalysisResult,
+    BatchResponse, Fault, JobOutcome, RequestBatch, TopReason, Verdict, CANCEL_CHECK_STEPS,
 };
 use mpl_lang::corpus;
 use mpl_runtime::{CancelToken, Pool};
 
-/// The deterministic fields of a record, one line per record.
-fn fingerprint(report: &BatchReport) -> Vec<String> {
-    report
-        .records
+/// The deterministic fields of a response, one line per response.
+fn fingerprint(done: &BatchResponse) -> Vec<String> {
+    done.responses
         .iter()
         .map(|rec| match &rec.result {
             Some(result) => format!(
-                "{} [{}] verdict={:?} matches={:?} leaks={:?} steps={}",
+                "{:?} [{}] verdict={:?} matches={:?} leaks={:?} steps={}",
                 rec.name,
                 rec.outcome.code(),
                 result.verdict,
@@ -28,9 +27,20 @@ fn fingerprint(report: &BatchReport) -> Vec<String> {
                 result.leaks,
                 result.steps
             ),
-            None => format!("{} [{}] {}", rec.name, rec.outcome.code(), rec.outcome),
+            None => format!("{:?} [{}] {}", rec.name, rec.outcome.code(), rec.outcome),
         })
         .collect()
+}
+
+/// The built-in corpus as a batch on `workers` workers, every request
+/// built from `policy`.
+fn corpus_batch(workers: usize, policy: &AnalysisRequestBuilder) -> RequestBatch {
+    let mut batch = RequestBatch::new().workers(workers);
+    for prog in corpus::all() {
+        let request = policy.clone().name(prog.name).program(prog.program);
+        batch.push(request.build().expect("valid request"));
+    }
+    batch
 }
 
 #[test]
@@ -85,32 +95,22 @@ fn cancelled_engine_stops_within_the_polling_interval() {
 
 #[test]
 fn deadline_records_are_identical_across_worker_counts() {
+    // Generous: mdcask_full alone takes ~0.3 s in a debug build, and
+    // here it shares the cores with the two spinners.
+    let policy = AnalysisRequest::builder().timeout(Duration::from_millis(2000));
     let report_at = |workers: usize| {
-        let mut batch = BatchAnalyzer::new()
-            .workers(workers)
-            // Generous: mdcask_full alone takes ~0.3 s in a debug build,
-            // and here it shares the cores with the two spinners.
-            .timeout(Duration::from_millis(2000));
-        for prog in corpus::all() {
-            batch.push(BatchJob::new(
-                prog.name,
-                prog.program,
-                AnalysisConfig::default(),
-            ));
-        }
+        let mut batch = corpus_batch(workers, &policy);
         // Two spinners exercise the deadline under contention.
         let spin = corpus::fig2_exchange();
         for name in ["spin_a", "spin_b"] {
-            batch.push(
-                BatchJob::new(name, spin.program.clone(), AnalysisConfig::default())
-                    .with_fault(Fault::Spin),
-            );
+            let spinner = policy.clone().name(name).program(spin.program.clone());
+            batch.push(spinner.fault(Fault::Spin).build().expect("valid request"));
         }
         batch.run()
     };
     let seq = report_at(1);
     assert_eq!(seq.summary.timed_out, 2);
-    for rec in &seq.records {
+    for rec in &seq.responses {
         if rec.outcome == JobOutcome::TimedOut {
             let result = rec.result.as_ref().expect("timed-out records carry ⊤");
             assert!(matches!(
@@ -299,45 +299,25 @@ fn acceptance_corpus_panic_plus_spin_under_contention() {
 fn injected_panic_is_invisible_to_the_rest_of_the_batch() {
     // A clean batch and one with an extra poisoned job: every shared
     // record must be identical — the panic cannot perturb neighbors.
-    let clean = {
-        let mut batch = BatchAnalyzer::new().workers(4);
-        for prog in corpus::all() {
-            batch.push(BatchJob::new(
-                prog.name,
-                prog.program,
-                AnalysisConfig::default(),
-            ));
-        }
-        batch.run()
-    };
+    let policy = AnalysisRequest::builder();
+    let clean = corpus_batch(4, &policy).run();
     let poisoned = {
-        let mut batch = BatchAnalyzer::new().workers(4);
-        for prog in corpus::all() {
-            batch.push(BatchJob::new(
-                prog.name,
-                prog.program,
-                AnalysisConfig::default(),
-            ));
-        }
-        batch.push(
-            BatchJob::new(
-                "poison",
-                corpus::fig2_exchange().program,
-                AnalysisConfig::default(),
-            )
-            .with_fault(Fault::Panic),
-        );
+        let mut batch = corpus_batch(4, &policy);
+        let poison = policy
+            .name("poison")
+            .program(corpus::fig2_exchange().program);
+        batch.push(poison.fault(Fault::Panic).build().expect("valid request"));
         batch.run()
     };
-    let n = clean.records.len();
-    assert_eq!(poisoned.records.len(), n + 1);
+    let n = clean.responses.len();
+    assert_eq!(poisoned.responses.len(), n + 1);
     assert_eq!(
         fingerprint(&clean),
         fingerprint(&poisoned)[..n],
         "the poisoned job leaked into its neighbors"
     );
     assert!(matches!(
-        poisoned.records[n].outcome,
+        poisoned.responses[n].outcome,
         JobOutcome::Panicked { .. }
     ));
 }

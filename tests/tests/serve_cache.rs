@@ -85,6 +85,62 @@ fn batch_responses_and_counters_match_for_any_worker_count() {
 }
 
 #[test]
+fn batch_lines_run_under_their_own_retries() {
+    // A batch line is cached under its own `retries`, so it must also be
+    // computed under them: otherwise the single-line cache hit that
+    // follows serves bytes a cold single line would never produce.
+    let flaky = format!("// mpl:fault=top-once\n{}", corpus::fig2_exchange().source);
+    let line = format!(
+        "{{\"op\":\"analyze\",\"program\":\"{}\",\"retries\":1}}",
+        json_escape(&flaky)
+    );
+    let svc = AnalysisService::new(ServiceConfig::default());
+    let batched = svc.handle_batch(std::slice::from_ref(&line), 1);
+    let cold = AnalysisService::new(ServiceConfig::default())
+        .handle_line(&line)
+        .line()
+        .to_owned();
+    let hit = svc.handle_line(&line).line().to_owned();
+    assert!(
+        cold.contains("\"outcome\":\"degraded\",\"attempts\":2"),
+        "{cold}"
+    );
+    assert_eq!(batched, [cold.as_str()]);
+    assert_eq!(hit, cold);
+    assert_eq!(svc.cache_stats().hits, 1);
+}
+
+#[test]
+fn retries_beyond_the_ladder_depth_change_nothing() {
+    // The degradation ladder is 32 attempts deep, so any `retries` past
+    // 31 answers exactly like 31 — and just as promptly.
+    let svc = AnalysisService::new(ServiceConfig::default());
+    let source = corpus::nearest_neighbor_shift().source;
+    let line = |retries: u32| {
+        format!(
+            "{{\"op\":\"analyze\",\"program\":\"{}\",\"max_psets\":1,\"retries\":{retries}}}",
+            json_escape(&source)
+        )
+    };
+    let deepest = svc.handle_line(&line(31)).line().to_owned();
+    assert!(deepest.contains("\"reason\":\"pset-budget\""), "{deepest}");
+    assert_eq!(svc.handle_line(&line(u32::MAX)).line(), deepest);
+
+    // A deadline that fires on every attempt gives up after the last
+    // rung, not after `retries` more.
+    let spin = format!(
+        "{{\"op\":\"analyze\",\"program\":\"{}\",\"timeout_ms\":1,\"retries\":{}}}",
+        json_escape("// mpl:fault=spin\nx := 1;"),
+        u32::MAX
+    );
+    let reply = svc.handle_line(&spin);
+    assert!(
+        reply.line().contains("\"outcome\":\"timed-out\""),
+        "{reply:?}"
+    );
+}
+
+#[test]
 fn fingerprint_collision_falls_back_to_recompute() {
     // Two requests forced onto the same 64-bit key: the stored check
     // string disagrees, so the lookup must miss (counted as a
