@@ -1,9 +1,9 @@
 //! E15: parallel batch-analysis scaling — wall time for the full corpus
-//! batch as the `mpl-runtime` worker count grows (jobs = 1, 2, 4, 8).
+//! batch as the `RequestBatch` worker count grows (jobs = 1, 2, 4, 8).
 //!
 //! On a multi-core host the batch should approach linear speedup (the
 //! jobs are independent); on a single-core container the times stay flat
-//! and only measure the (small) pool overhead. Either way the *results*
+//! and only measure the (small) cost of the worker threads. Either way the *results*
 //! are identical at every worker count — asserted here after measuring.
 
 use mpl_bench::harness::Group;

@@ -21,9 +21,9 @@ fn main() {
 }
 
 /// E15: wall time for the full-corpus batch analysis at 1/2/4/8 workers
-/// (the `mpl-runtime` work-stealing pool behind `mpl analyze-corpus`).
+/// (the `RequestBatch` claim counter behind `mpl analyze-corpus`).
 /// Speedup is relative to one worker; on a single-core host it stays
-/// near 1× and only reflects pool overhead.
+/// near 1× and only reflects the cost of the worker threads.
 fn parallel_batch_table_e15() {
     use mpl_core::{AnalysisRequest, RequestBatch};
     use std::time::Instant;

@@ -55,9 +55,9 @@ impl ProfiledRun {
 
 /// Runs `prog` under `client` with closure instrumentation.
 ///
-/// The closure counters come from the engine's per-run
-/// [`mpl_core::AnalysisSession`] delta ([`AnalysisResult::closure_stats`]),
-/// so concurrent thread-local activity never needs a global reset.
+/// The closure counters are the engine's per-run delta
+/// ([`AnalysisResult::closure_stats`]), so earlier closure work on the
+/// thread never needs a global reset.
 #[must_use]
 pub fn profiled_run(prog: &CorpusProgram, client: Client) -> ProfiledRun {
     let config = AnalysisConfig::builder()

@@ -45,8 +45,6 @@ pub struct AnalysisConfig {
     /// Threshold ladder for constraint-graph widening: instead of jumping
     /// straight to ±∞, unstable bounds are relaxed to the next threshold.
     pub widen_thresholds: Vec<i64>,
-    /// Collect a human-readable Fig 5-style trace.
-    pub trace: bool,
     /// Cooperative cancellation: when set, the worklist loop polls the
     /// token at a bounded step interval and ends the analysis with a
     /// sound ⊤ ([`crate::result::TopReason::Deadline`]) once it fires.
@@ -65,7 +63,6 @@ impl Default for AnalysisConfig {
             allow_pending_sends: true,
             widen_delay: 6,
             widen_thresholds: mpl_domains::DEFAULT_WIDEN_THRESHOLDS.to_vec(),
-            trace: false,
             cancel: None,
         }
     }
@@ -192,13 +189,6 @@ impl AnalysisConfigBuilder {
     #[must_use]
     pub fn widen_thresholds(mut self, thresholds: Vec<i64>) -> Self {
         self.config.widen_thresholds = thresholds;
-        self
-    }
-
-    /// Enables or disables the Fig 5-style trace.
-    #[must_use]
-    pub fn trace(mut self, trace: bool) -> Self {
-        self.config.trace = trace;
         self
     }
 

@@ -4,8 +4,9 @@
 //! Kept as a separate module so `engine.rs` stays focused on the
 //! framework logic itself.
 
-use crate::engine::analyze;
-use crate::{AnalysisConfig, AnalysisResult, Client, PrintFact, Verdict};
+use crate::engine::{analyze, analyze_cfg_with};
+use crate::{AnalysisConfig, AnalysisResult, Client, PrintFact, TraceObserver, Verdict};
+use mpl_cfg::Cfg;
 use mpl_lang::corpus;
 
 fn run(prog: &corpus::CorpusProgram, client: Client) -> AnalysisResult {
@@ -156,16 +157,34 @@ fn const_relay_propagates_constant_through_two_hops() {
 #[test]
 fn trace_collects_steps() {
     let prog = corpus::fig2_exchange();
-    let config = AnalysisConfig {
-        trace: true,
-        ..AnalysisConfig::default()
-    };
-    let result = analyze(&prog.program, &config);
+    let mut tracer = TraceObserver::new();
+    let cfg = Cfg::build(&prog.program);
+    let _ = analyze_cfg_with(&cfg, &AnalysisConfig::default(), &mut tracer);
     assert!(
-        result.trace.iter().any(|l| l.contains("match")),
+        tracer.lines().iter().any(|l| l.contains("match")),
         "{:?}",
-        result.trace
+        tracer.lines()
     );
+}
+
+#[test]
+fn closure_stats_count_only_this_run() {
+    // Two identical runs back to back on one thread: the second starts
+    // with the first's closure work already on the thread's counters,
+    // and must not report it.
+    let prog = corpus::exchange_with_root();
+    let counts = |r: AnalysisResult| {
+        let c = r.closure_stats;
+        [
+            c.full_closures,
+            c.full_closure_vars,
+            c.incremental_closures,
+            c.incremental_closure_vars,
+        ]
+    };
+    let first = counts(run(&prog, Client::Simple));
+    assert!(first[0] + first[2] > 0, "the run closes some graph");
+    assert_eq!(counts(run(&prog, Client::Simple)), first);
 }
 
 #[test]

@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 use mpl_cfg::{Cfg, CfgNode, CfgNodeId, EdgeKind};
-use mpl_domains::{LinExpr, VarId};
+use mpl_domains::{ClosureStats, LinExpr, VarId};
 use mpl_lang::ast::{BinOp, Expr, Program, UnOp};
 use mpl_procset::{ProcRange, SubtractOutcome};
 
@@ -36,7 +36,7 @@ use crate::config::AnalysisConfig;
 use crate::matcher::{MatchOutcome, RecvSite, SendSite};
 use crate::matchset::MatchSet;
 use crate::norm::NormCtx;
-use crate::observer::{AnalysisObserver, EngineProfile, NoopObserver, TraceObserver};
+use crate::observer::{AnalysisObserver, EngineProfile, NoopObserver};
 use crate::result::{AnalysisResult, MatchEvent, PrintFact, TopReason, Verdict};
 use crate::scheduler::Scheduler;
 use crate::state::{AnalysisState, PendingSend};
@@ -48,29 +48,19 @@ pub fn analyze(program: &Program, config: &AnalysisConfig) -> AnalysisResult {
 }
 
 /// Analyzes an already-built CFG (so node ids can be shared with the
-/// simulator or other tooling).
-///
-/// When `config.trace` is set, a [`TraceObserver`] collects the Fig
-/// 5-style trace into the result; otherwise the engine runs with the
-/// zero-cost [`NoopObserver`].
+/// simulator or other tooling) under the zero-cost [`NoopObserver`].
 #[must_use]
 pub fn analyze_cfg(cfg: &Cfg, config: &AnalysisConfig) -> AnalysisResult {
-    if config.trace {
-        let mut tracer = TraceObserver::new();
-        let mut result = analyze_cfg_with(cfg, config, &mut tracer);
-        result.trace = tracer.into_lines();
-        result
-    } else {
-        analyze_cfg_with(cfg, config, &mut NoopObserver)
-    }
+    analyze_cfg_with(cfg, config, &mut NoopObserver)
 }
 
 /// Analyzes a CFG under a caller-supplied [`AnalysisObserver`].
 ///
 /// The observer receives every engine event (steps, matches, splits,
-/// merges, widenings, ⊤) as the run unfolds; `result.trace` is left
-/// empty — attach a [`TraceObserver`]'s lines yourself if needed. The
-/// engine is monomorphized over `O`, so a no-op observer costs nothing.
+/// merges, widenings, ⊤) as the run unfolds; a
+/// [`TraceObserver`](crate::observer::TraceObserver) collects them as the
+/// Fig 5-style trace. The engine is monomorphized over `O`, so a no-op
+/// observer costs nothing.
 #[must_use]
 pub fn analyze_cfg_with<O: AnalysisObserver>(
     cfg: &Cfg,
@@ -85,7 +75,9 @@ struct Engine<'a, O: AnalysisObserver> {
     norm: NormCtx,
     config: AnalysisConfig,
     domain: &'static dyn ClientDomain,
-    session: crate::session::AnalysisSession,
+    /// The thread's closure counters when the run started, so the run
+    /// reports only its own closure work.
+    closure_baseline: ClosureStats,
     scheduler: Scheduler,
     observer: &'a mut O,
     assumes: Vec<Expr>,
@@ -110,14 +102,13 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
                 _ => None,
             })
             .collect();
-        let session = crate::session::AnalysisSession::new(config.widen_thresholds.clone());
         let scheduler = Scheduler::new(&config);
         Engine {
             cfg,
             norm,
             domain: config.client.domain(),
             config,
-            session,
+            closure_baseline: ClosureStats::snapshot(),
             scheduler,
             observer,
             assumes,
@@ -178,8 +169,7 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
                 .collect(),
             leaks: self.leaks.into_iter().collect(),
             steps: self.scheduler.steps(),
-            closure_stats: self.session.closure_delta(),
-            trace: Vec::new(),
+            closure_stats: ClosureStats::snapshot().since(&self.closure_baseline),
         };
         self.observer.on_complete(&result);
         profile.total = run_start.elapsed();
@@ -883,7 +873,7 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
         self.scheduler.admit(
             s,
             self.domain,
-            &self.session.widen_thresholds,
+            &self.config.widen_thresholds,
             &mut *self.observer,
         )
     }

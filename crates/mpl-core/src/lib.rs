@@ -62,7 +62,6 @@ pub mod result;
 pub mod rewrite;
 pub mod scheduler;
 pub mod service;
-pub mod session;
 pub mod share;
 pub mod state;
 pub mod topology;
@@ -91,7 +90,6 @@ pub use result::{AnalysisResult, MatchEvent, PrintFact, TopReason, Verdict};
 pub use rewrite::{rewrite_broadcast, RewriteError};
 pub use scheduler::{StoredStats, CANCEL_CHECK_STEPS};
 pub use service::{error_line, AnalysisService, Reply, ServiceConfig, ShutdownMode};
-pub use session::AnalysisSession;
 pub use share::Shared;
 pub use state::{AnalysisState, PsetState};
 pub use topology::StaticTopology;

@@ -190,10 +190,9 @@ pub struct NoopObserver;
 
 impl AnalysisObserver for NoopObserver {}
 
-/// Renders the Fig 5-style trace the engine used to collect inline.
-///
-/// The strings are byte-identical to the historical `trace: true`
-/// output, so `mpl analyze --trace` is unchanged.
+/// Renders the Fig 5-style trace: one line per worklist step, plus one
+/// per promotion, split, match and terminal state, in the order the
+/// engine reaches them. `mpl analyze --trace` prints these lines.
 #[derive(Debug, Clone, Default)]
 pub struct TraceObserver {
     lines: Vec<String>,
@@ -290,8 +289,8 @@ impl fmt::Display for EngineStats {
 }
 
 /// Counts engine events and captures the final result's closure
-/// statistics (the §IX profile quantities measured by
-/// [`crate::session::AnalysisSession`]).
+/// statistics (the §IX profile quantities the engine measures per run,
+/// [`AnalysisResult::closure_stats`]).
 #[derive(Debug, Clone, Default)]
 pub struct StatsObserver {
     stats: EngineStats,
@@ -495,18 +494,26 @@ mod tests {
 
     #[test]
     fn trace_observer_reproduces_legacy_trace() {
+        // Pins the format `mpl analyze --trace` prints: one `step N:`
+        // line per step, in step order, and one `match:` line per match.
         let prog = corpus::fig2_exchange();
-        let config = AnalysisConfig {
-            trace: true,
-            ..AnalysisConfig::default()
-        };
-        let legacy = analyze(&prog.program, &config);
+        let config = AnalysisConfig::default();
+        let plain = analyze(&prog.program, &config);
         let mut tracer = TraceObserver::new();
-        let untraced = AnalysisConfig::default();
-        let observed = analyze_cfg_with(&Cfg::build(&prog.program), &untraced, &mut tracer);
-        assert_eq!(legacy.trace, tracer.lines());
-        assert_eq!(legacy.verdict, observed.verdict);
-        assert_eq!(legacy.steps, observed.steps);
+        let observed = analyze_cfg_with(&Cfg::build(&prog.program), &config, &mut tracer);
+        assert_eq!(plain.verdict, observed.verdict);
+        assert_eq!(plain.steps, observed.steps);
+        let steps: Vec<&String> = tracer
+            .lines()
+            .iter()
+            .filter(|l| l.starts_with("step "))
+            .collect();
+        assert_eq!(steps.len() as u64, observed.steps);
+        for (i, line) in steps.iter().enumerate() {
+            assert!(line.starts_with(&format!("step {}: ", i + 1)), "{line}");
+        }
+        let matches = tracer.lines().iter().filter(|l| l.starts_with("match: "));
+        assert_eq!(matches.count(), observed.events.len());
     }
 
     #[test]
@@ -523,7 +530,7 @@ mod tests {
         assert_eq!(
             stats.closure_stats().copied(),
             Some(result.closure_stats),
-            "on_complete must capture the session's closure delta"
+            "on_complete must capture the run's closure delta"
         );
         // The Display form is a single line.
         assert!(!stats.stats().to_string().contains('\n'));

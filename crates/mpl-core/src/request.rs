@@ -3,7 +3,7 @@
 //! serve` daemon — builds an [`AnalysisRequest`] and renders an
 //! [`AnalysisResponse`]. A request is the one unit of work: it carries
 //! its own deadline, retries and injected fault, and a [`RequestBatch`]
-//! is an ordered list of requests fanned across a worker pool.
+//! is an ordered list of requests fanned across worker threads.
 //!
 //! The point of funneling all entry points through one pair of types is
 //! **byte-identity**: a response must render to the same bytes whether
@@ -47,9 +47,9 @@
 //!
 //! * **panic isolation** — a panicking request becomes a
 //!   [`JobOutcome::Panicked`] response, caught by
-//!   [`AnalysisRequest::execute`] or, in a batch, by
-//!   [`mpl_runtime::Pool::run_ordered_isolated`], which also names the
-//!   worker; the rest of the batch completes;
+//!   [`AnalysisRequest::execute`], the one isolation layer; a
+//!   [`RequestBatch`] runs every request through it and names the worker
+//!   thread, and the rest of the batch completes;
 //! * **cooperative deadlines** — each attempt gets a fresh
 //!   [`CancelToken`] with the request's `timeout`, and the engine gives
 //!   up with a sound ⊤ ([`TopReason::Deadline`]) when it fires. Partial
@@ -65,15 +65,18 @@
 //!   attempt exhausts its budget the attempt-1 result (under the
 //!   *requested* config) is reported.
 
+use std::any::Any;
 use std::fmt;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use mpl_domains::ClosureStats;
 use mpl_lang::ast::Program;
 use mpl_lang::parse_program;
-use mpl_runtime::{panic_message, CancelToken, Pool};
+use mpl_runtime::CancelToken;
 
 use crate::client::Client;
 use crate::config::{AnalysisConfig, AnalysisConfigBuilder, ConfigError};
@@ -267,8 +270,7 @@ impl AnalysisRequest {
         }
         let _ = write!(
             out,
-            ";trace={};timeout_nanos={};retries={};fault={}",
-            c.trace,
+            ";timeout_nanos={};retries={};fault={}",
             self.timeout.map_or(0, |t| t.as_nanos()),
             self.retries,
             self.fault.map_or("none", Fault::tag),
@@ -296,22 +298,26 @@ impl AnalysisRequest {
     /// Executes the request on the calling thread — fresh interner per
     /// attempt, cooperative deadline, retry ladder — with panic
     /// isolation: an unwinding analysis becomes a
-    /// [`JobOutcome::Panicked`] response, exactly as it would in a
-    /// [`RequestBatch`].
+    /// [`JobOutcome::Panicked`] response with a zero wall time. This is
+    /// the only place a panic is caught; a [`RequestBatch`] runs each of
+    /// its requests through it.
     #[must_use]
     pub fn execute(&self) -> AnalysisResponse {
         let start = Instant::now();
-        let (outcome, result) = catch_unwind(AssertUnwindSafe(|| self.run_ladder()))
-            .unwrap_or_else(|payload| {
-                let message = panic_message(payload.as_ref());
-                (JobOutcome::Panicked { message }, None)
-            });
+        let (outcome, result, wall_nanos) =
+            match catch_unwind(AssertUnwindSafe(|| self.run_ladder())) {
+                Ok((outcome, result)) => (outcome, result, start.elapsed().as_nanos() as u64),
+                Err(payload) => {
+                    let message = panic_message(payload.as_ref());
+                    (JobOutcome::Panicked { message }, None, 0)
+                }
+            };
         AnalysisResponse {
             name: self.name.clone(),
             client: self.config.client,
             outcome,
             result,
-            wall_nanos: start.elapsed().as_nanos() as u64,
+            wall_nanos,
             panic_worker: None,
         }
     }
@@ -412,6 +418,18 @@ fn degrade(config: &AnalysisConfig, attempt: u32) -> AnalysisConfig {
     coarse.widen_thresholds.truncate(keep);
     coarse.max_steps = (coarse.max_steps >> (2 * u64::from(level)).min(63)).max(1_000);
     coarse
+}
+
+/// Renders a caught panic payload as text: `&str` and `String` payloads
+/// verbatim, a placeholder otherwise.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_owned()
+    }
 }
 
 /// The outcome of a ladder that stopped at `attempt` with `result`.
@@ -730,9 +748,9 @@ pub struct AnalysisResponse {
     /// error responses). **Not deterministic** — rendered only with
     /// `timing`.
     pub wall_nanos: u64,
-    /// The pool worker a panicked batch request ran on.
-    /// Scheduling-dependent, hence **not deterministic** — rendered only
-    /// with `timing`.
+    /// The batch worker a panicked batch request ran on (0 when the
+    /// batch ran inline). Scheduling-dependent, hence **not
+    /// deterministic** — rendered only with `timing`.
     pub panic_worker: Option<usize>,
 }
 
@@ -969,11 +987,11 @@ pub fn summary_json_line(summary: &BatchSummary, workers: usize, timing: bool) -
     out
 }
 
-/// An ordered batch of requests run across a worker pool: one
+/// An ordered batch of requests run across worker threads: one
 /// [`AnalysisResponse`] per queued request, in submission order. Each
-/// request runs under its own deadline, retries and fault, exactly as
-/// [`AnalysisRequest::execute`] would run it, so a response is the same
-/// bytes in a batch of any width as on its own.
+/// request runs through [`AnalysisRequest::execute`], under its own
+/// deadline, retries and fault, so a response is the same bytes in a
+/// batch of any width as on its own.
 ///
 /// ```
 /// use mpl_core::{AnalysisRequest, RequestBatch};
@@ -990,11 +1008,9 @@ pub fn summary_json_line(summary: &BatchSummary, workers: usize, timing: bool) -
 /// ```
 #[derive(Debug, Default)]
 pub struct RequestBatch {
-    /// The requests to run, in submission order.
-    requests: Vec<AnalysisRequest>,
-    /// Responses of requests that failed before they could be built,
-    /// each with the submission slot it fills.
-    failed: Vec<(usize, AnalysisResponse)>,
+    /// Submission order: a request to run, or the response of one that
+    /// failed before it could be built.
+    queue: Vec<Result<AnalysisRequest, AnalysisResponse>>,
     workers: usize,
 }
 
@@ -1014,7 +1030,7 @@ impl RequestBatch {
 
     /// Appends a request.
     pub fn push(&mut self, request: AnalysisRequest) {
-        self.requests.push(request);
+        self.queue.push(Ok(request));
     }
 
     /// Appends a pre-failed record (a request that could not even be
@@ -1027,7 +1043,7 @@ impl RequestBatch {
         message: impl Into<String>,
         client: Client,
     ) {
-        let response = AnalysisResponse {
+        self.queue.push(Err(AnalysisResponse {
             name: Some(name.into()).filter(|name| !name.is_empty()),
             client,
             outcome: JobOutcome::Error {
@@ -1036,14 +1052,13 @@ impl RequestBatch {
             result: None,
             wall_nanos: 0,
             panic_worker: None,
-        };
-        self.failed.push((self.len(), response));
+        }));
     }
 
     /// Number of queued requests (including pre-failed records).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.requests.len() + self.failed.len()
+        self.queue.len()
     }
 
     /// True if no requests are queued.
@@ -1052,44 +1067,61 @@ impl RequestBatch {
         self.len() == 0
     }
 
-    /// Runs every request across the worker pool. Deterministic apart
-    /// from the timing fields, for any worker count. No panic escapes
-    /// this call: a panicking request becomes its own
-    /// [`JobOutcome::Panicked`] response.
+    /// Runs every request on `min(workers, requests)` scoped threads,
+    /// or inline on the caller's thread when that is one. Deterministic
+    /// apart from the timing fields, for any worker count. No panic
+    /// escapes this call: a panicking request becomes its own
+    /// [`JobOutcome::Panicked`] response, stamped with the worker that
+    /// ran it.
+    ///
+    /// The threads share one claim counter and take requests last
+    /// submitted first: callers that list their heavy programs last
+    /// start those first, so light requests fill in behind them instead
+    /// of a heavy one finishing alone. Each response lands in its
+    /// submission slot, so the order of `responses` never depends on the
+    /// schedule.
     #[must_use]
     pub fn run(self) -> BatchResponse {
-        let pool = Pool::new(self.workers);
-        let runnable: Vec<&AnalysisRequest> = self.requests.iter().collect();
-        let (ran, _) = pool.run_ordered_isolated(runnable, |_, request| {
-            let start = Instant::now();
-            (request.run_ladder(), start.elapsed())
-        });
-        let total = self.len();
-        let mut failed = self.failed.into_iter().peekable();
-        let mut ran = self.requests.into_iter().zip(ran);
-        let responses: Vec<AnalysisResponse> = (0..total)
-            .map(|slot| {
-                if let Some((_, response)) = failed.next_if(|(at, _)| *at == slot) {
-                    return response;
-                }
-                let (request, ran) = ran.next().expect("one pool slot per request");
-                let ((outcome, result), wall, panic_worker) = match ran {
-                    Ok((answer, wall)) => (answer, wall, None),
-                    Err(failure) => {
-                        let outcome = JobOutcome::Panicked {
-                            message: failure.message,
-                        };
-                        ((outcome, None), Duration::ZERO, Some(failure.worker))
+        let workers = self.workers.max(1);
+        let queue = &self.queue;
+        let slots: Vec<OnceLock<AnalysisResponse>> =
+            queue.iter().map(|_| OnceLock::new()).collect();
+        let claimed = AtomicUsize::new(0);
+        let work = |worker: usize| {
+            // Claim `c` takes slot `len - 1 - c`: last submitted first.
+            // `Relaxed` suffices: the counter only hands out indices; the
+            // responses are published by their `OnceLock` and the join.
+            while let Some(i) = queue
+                .len()
+                .checked_sub(claimed.fetch_add(1, Ordering::Relaxed) + 1)
+            {
+                if let Ok(request) = &queue[i] {
+                    let mut response = request.execute();
+                    if matches!(response.outcome, JobOutcome::Panicked { .. }) {
+                        response.panic_worker = Some(worker);
                     }
-                };
-                AnalysisResponse {
-                    name: request.name,
-                    client: request.config.client,
-                    outcome,
-                    result,
-                    wall_nanos: wall.as_nanos() as u64,
-                    panic_worker,
+                    let _ = slots[i].set(response);
                 }
+            }
+        };
+        let threads = workers.min(queue.iter().filter(|entry| entry.is_ok()).count());
+        if threads <= 1 {
+            work(0);
+        } else {
+            let work = &work;
+            std::thread::scope(|scope| {
+                for worker in 0..threads {
+                    scope.spawn(move || work(worker));
+                }
+            });
+        }
+        let responses: Vec<AnalysisResponse> = self
+            .queue
+            .into_iter()
+            .zip(slots)
+            .map(|(entry, slot)| match entry {
+                Ok(_) => slot.into_inner().expect("every request answered once"),
+                Err(failed) => failed,
             })
             .collect();
         let mut summary = BatchSummary::default();
@@ -1099,7 +1131,7 @@ impl RequestBatch {
         BatchResponse {
             responses,
             summary,
-            workers: pool.workers(),
+            workers,
         }
     }
 }
@@ -1281,6 +1313,26 @@ mod tests {
         assert!(line.contains("\"outcome\":\"panicked\""), "{line}");
         assert!(line.contains("\"verdict\":null"), "{line}");
         assert!(line.contains("\"detail\":\"injected fault"), "{line}");
+        // A panic has no wall time, and a request run alone no worker.
+        assert_eq!((response.wall_nanos, response.panic_worker), (0, None));
+        assert!(response.text_line(true).ends_with(" wall_ms=0.000"));
+    }
+
+    #[test]
+    fn panic_message_formats_string_and_str_payloads() {
+        let caught = |f: fn()| panic_message(catch_unwind(f).unwrap_err().as_ref());
+        assert_eq!(
+            caught(|| panic!("static str payload")),
+            "static str payload"
+        );
+        assert_eq!(
+            caught(|| panic!("formatted {} payload", 1)),
+            "formatted 1 payload"
+        );
+        assert_eq!(
+            caught(|| std::panic::panic_any(7_u8)),
+            "non-string panic payload"
+        );
     }
 
     #[test]
@@ -1311,9 +1363,10 @@ mod tests {
 
     #[test]
     fn summary_line_is_versioned() {
-        let mut batch = RequestBatch::new();
+        let mut batch = RequestBatch::new().workers(0);
         batch.push(fig2_request());
         let done = batch.run();
+        assert_eq!(done.workers, 1, "zero workers clamps to one");
         let line = summary_json_line(&done.summary, done.workers, false);
         assert!(line.starts_with("{\"v\":1,\"type\":\"summary\","), "{line}");
         assert!(!line.contains("cpu_nanos"), "{line}");
@@ -1406,7 +1459,8 @@ mod tests {
     #[test]
     fn panicking_job_is_isolated_and_named() {
         let good = corpus::fig2_exchange().program;
-        for workers in [1usize, 4] {
+        // 64 workers over three requests start only three threads.
+        for workers in [1usize, 4, 64] {
             let mut batch = RequestBatch::new().workers(workers);
             batch.push(named("before", good.clone()).build().unwrap());
             let poison = named("poison", good.clone()).fault(Fault::Panic);
@@ -1422,12 +1476,29 @@ mod tests {
                 poison.outcome
             );
             assert!(poison.result.is_none());
-            assert!(poison.panic_worker.is_some(), "the pool names the worker");
+            assert_eq!(poison.wall_nanos, 0);
+            // Below the thread count, so `Some(0)` when the batch ran inline.
+            let worker = poison.panic_worker.expect("the batch names the worker");
+            assert!(
+                worker < workers.min(3),
+                "worker {worker} at {workers} workers"
+            );
             assert!(done.responses[0].outcome.is_ok());
             assert!(done.responses[2].outcome.is_ok());
             assert_eq!(done.summary.panicked, 1);
             assert_eq!(done.summary.completed, 2);
         }
+        // A batch in which every request panics still answers each one.
+        let mut batch = RequestBatch::new().workers(4);
+        for name in ["a", "b", "c"] {
+            batch.push(
+                named(name, good.clone())
+                    .fault(Fault::Panic)
+                    .build()
+                    .unwrap(),
+            );
+        }
+        assert_eq!(batch.run().summary.panicked, 3);
     }
 
     #[test]
@@ -1526,6 +1597,14 @@ mod tests {
         assert_eq!(done.summary.errors, 1);
         assert_eq!(done.summary.programs, 3);
         assert_eq!(done.summary.failures(), 1);
+
+        // A batch of nothing but error records runs no request at all.
+        let mut batch = RequestBatch::new().workers(4);
+        batch.push_error("a", "parse error", Client::Simple);
+        batch.push_error("b", "parse error", Client::Simple);
+        let done = batch.run();
+        assert_eq!(names(&done), ["a", "b"]);
+        assert_eq!((done.summary.errors, done.summary.programs), (2, 2));
     }
 
     #[test]

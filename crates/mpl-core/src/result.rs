@@ -199,8 +199,6 @@ pub struct AnalysisResult {
     /// Closure operations performed during this run (full and incremental
     /// counts with average variable sizes — the §IX profile quantities).
     pub closure_stats: mpl_domains::ClosureStats,
-    /// Optional trace (when `AnalysisConfig::trace`).
-    pub trace: Vec<String>,
 }
 
 impl AnalysisResult {
@@ -220,7 +218,6 @@ impl AnalysisResult {
             leaks: Vec::new(),
             steps: 0,
             closure_stats: mpl_domains::ClosureStats::default(),
-            trace: Vec::new(),
         }
     }
 

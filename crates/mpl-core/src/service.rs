@@ -9,8 +9,7 @@
 //! sockets. The CLI's `mpl serve` command owns the listener and the
 //! per-connection threads and calls [`AnalysisService::handle_line_as`]
 //! for every line it reads; tests and the load-test harness call the
-//! same method (or [`AnalysisService::handle_batch`]) directly. One code
-//! path, every caller.
+//! same method directly. One code path, every caller.
 //!
 //! ## Protocol (version [`PROTOCOL_VERSION`])
 //!
@@ -73,7 +72,7 @@ use crate::cache::{CacheStats, ResultCache};
 use crate::config::AnalysisConfig;
 use crate::json::{json_escape, parse, JsonValue};
 use crate::persist::{CacheJournal, JournalStats};
-use crate::request::{AnalysisRequest, RequestBatch, PROTOCOL_VERSION};
+use crate::request::{AnalysisRequest, PROTOCOL_VERSION};
 
 /// Knobs for [`AnalysisService::open`].
 #[derive(Debug, Clone)]
@@ -554,99 +553,6 @@ impl AnalysisService {
         Flight::Lead(slot)
     }
 
-    /// Serves a whole batch of `analyze` request lines with sequential
-    /// cache admission and a [`RequestBatch`] fleet of `jobs` workers
-    /// for the misses. Responses come back in submission order and —
-    /// unlike concurrent [`Self::handle_line`] calls — the cache and
-    /// coalescing counters are deterministic for any `jobs` value:
-    /// lookups happen in submission order before the fleet runs,
-    /// duplicate lines within the batch coalesce onto the first
-    /// occurrence's computation (counted in `coalesced`), and inserts
-    /// happen in submission order after the fleet. The admission gate
-    /// and quotas do not apply (the batch is the caller's own,
-    /// already-bounded workload). Each line runs under its own
-    /// `timeout_ms` and `retries` (or the service defaults), exactly as
-    /// [`Self::handle_line`] runs it, so both paths cache the same bytes.
-    #[must_use]
-    pub fn handle_batch(&self, lines: &[String], jobs: usize) -> Vec<String> {
-        enum Slot {
-            /// Answered from the cache or failed validation.
-            Done(String),
-            /// Submitted to the fleet as its `index`-th job.
-            Run {
-                index: usize,
-                key: u64,
-                check: String,
-            },
-            /// A duplicate of an earlier line in this batch; shares the
-            /// computation of the slot at `of`.
-            Share { of: usize },
-        }
-        let mut slots: Vec<Slot> = Vec::with_capacity(lines.len());
-        // (fingerprint, check) of each in-batch leader → its slot index.
-        let mut leaders: std::collections::HashMap<(u64, String), usize> =
-            std::collections::HashMap::new();
-        let mut batch = RequestBatch::new().workers(jobs);
-        {
-            let mut state = self.cache.lock().expect("cache lock");
-            for line in lines {
-                let request = match parse(line)
-                    .map_err(|e| error_line("bad-json", &e.to_string()))
-                    .and_then(|value| match value.get("op").map(JsonValue::as_str) {
-                        Some(Some("analyze")) | None => self.build_request(&value),
-                        _ => Err(error_line(
-                            "bad-request",
-                            "batch lines must be `analyze` ops",
-                        )),
-                    }) {
-                    Ok(request) => request,
-                    Err(err) => {
-                        self.invalid.fetch_add(1, Ordering::Relaxed);
-                        slots.push(Slot::Done(err));
-                        continue;
-                    }
-                };
-                let key = request.fingerprint();
-                let check = request.cache_check();
-                match state.cache.lookup(key, &check) {
-                    Some(body) => slots.push(Slot::Done(body)),
-                    None => {
-                        if let Some(&of) = leaders.get(&(key, check.clone())) {
-                            self.coalesced.fetch_add(1, Ordering::Relaxed);
-                            slots.push(Slot::Share { of });
-                            continue;
-                        }
-                        leaders.insert((key, check.clone()), slots.len());
-                        slots.push(Slot::Run {
-                            index: batch.len(),
-                            key,
-                            check,
-                        });
-                        batch.push(request);
-                    }
-                }
-            }
-        }
-        let done = batch.run();
-        let mut state = self.cache.lock().expect("cache lock");
-        let mut resolved: Vec<String> = Vec::with_capacity(slots.len());
-        for slot in slots {
-            let body = match slot {
-                Slot::Done(line) => line,
-                Slot::Run { index, key, check } => {
-                    let body = done.responses[index].json_line(false);
-                    state.insert(key, check, body.clone());
-                    body
-                }
-                // Leaders always precede their sharers, so the body is
-                // already resolved.
-                Slot::Share { of } => resolved[of].clone(),
-            };
-            resolved.push(body);
-        }
-        resolved
-    }
-
     /// Builds the request from an `analyze` object, mapping every
     /// failure to a rendered `error` line with the matching
     /// [`RequestError::code`](crate::request::RequestError::code).
@@ -940,66 +846,6 @@ mod tests {
             "{reply:?}"
         );
         assert!(!svc.shutdown_token().is_cancelled());
-    }
-
-    #[test]
-    fn handle_batch_counters_are_deterministic_across_jobs() {
-        let programs: Vec<String> = corpus::all()
-            .into_iter()
-            .take(6)
-            .map(|p| analyze_line(&p.source))
-            .collect();
-        // Two rounds of the same batch: round one all misses, round two
-        // all hits — independent of the worker count.
-        for jobs in [1usize, 4, 8] {
-            let svc = service();
-            let cold = svc.handle_batch(&programs, jobs);
-            let stats = svc.cache_stats();
-            assert_eq!((stats.hits, stats.misses), (0, 6), "jobs={jobs}");
-            let warm = svc.handle_batch(&programs, jobs);
-            let stats = svc.cache_stats();
-            assert_eq!((stats.hits, stats.misses), (6, 6), "jobs={jobs}");
-            assert_eq!(cold, warm, "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn handle_batch_coalesces_duplicates_deterministically() {
-        let source = corpus::fig2_exchange().source;
-        let lines = vec![
-            analyze_line(&source),
-            analyze_line(&source),
-            analyze_line(&source),
-        ];
-        for jobs in [1usize, 4] {
-            let svc = service();
-            let bodies = svc.handle_batch(&lines, jobs);
-            assert_eq!(bodies[0], bodies[1], "jobs={jobs}");
-            assert_eq!(bodies[0], bodies[2], "jobs={jobs}");
-            assert_eq!(svc.coalesced(), 2, "jobs={jobs}");
-            let stats = svc.cache_stats();
-            // All three lines looked up (miss), one computed.
-            assert_eq!((stats.hits, stats.misses, stats.entries), (0, 3, 1));
-        }
-    }
-
-    #[test]
-    fn handle_batch_evictions_are_deterministic() {
-        let programs: Vec<String> = corpus::all()
-            .into_iter()
-            .take(6)
-            .map(|p| analyze_line(&p.source))
-            .collect();
-        for jobs in [1usize, 4] {
-            let svc = AnalysisService::new(ServiceConfig {
-                cache_capacity: 2,
-                ..ServiceConfig::default()
-            });
-            let _ = svc.handle_batch(&programs, jobs);
-            let stats = svc.cache_stats();
-            assert_eq!(stats.entries, 2, "jobs={jobs}");
-            assert_eq!(stats.evictions, 4, "jobs={jobs}");
-        }
     }
 
     #[test]

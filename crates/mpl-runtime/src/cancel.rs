@@ -1,11 +1,11 @@
 //! Cooperative cancellation: a shared flag plus an optional deadline.
 //!
-//! A [`CancelToken`] is the runtime's answer to jobs that never finish on
-//! their own: the batch layer hands one to every job, and long-running
-//! loops (the engine worklist, injected fault spins) poll it at a bounded
-//! interval. Cancellation is *cooperative* — nothing is killed; the
-//! observer is expected to stop with a sound "gave up" answer (the
-//! analysis returns ⊤, never a partial verdict).
+//! A [`CancelToken`] is the answer to analyses that never finish on
+//! their own: a request hands one to each of its attempts, and
+//! long-running loops (the engine worklist, injected fault spins) poll
+//! it at a bounded interval. Cancellation is *cooperative* — nothing is
+//! killed; the observer is expected to stop with a sound "gave up"
+//! answer (the analysis returns ⊤, never a partial verdict).
 //!
 //! The hot-path check is one relaxed-ish atomic load; the deadline clock
 //! is consulted only until it first expires, after which the expiry is

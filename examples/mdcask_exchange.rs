@@ -10,7 +10,7 @@
 //! Run with `cargo run -p mpl-examples --bin mdcask_exchange`.
 
 use mpl_cfg::Cfg;
-use mpl_core::{analyze_cfg, classify, AnalysisConfig, Client, StaticTopology};
+use mpl_core::{analyze_cfg_with, classify, AnalysisConfig, Client, StaticTopology, TraceObserver};
 use mpl_lang::corpus;
 use mpl_sim::Simulator;
 
@@ -21,17 +21,18 @@ fn main() {
 
     let config = AnalysisConfig::builder()
         .client(Client::Simple) // §VII suffices for this pattern
-        .trace(true)
         .build()
         .expect("valid config");
-    let result = analyze_cfg(&cfg, &config);
+    let mut tracer = TraceObserver::new();
+    let result = analyze_cfg_with(&cfg, &config, &mut tracer);
+    let trace = tracer.into_lines();
 
     println!("=== Fig 5-style engine trace (excerpt) ===");
-    for line in result.trace.iter().take(24) {
+    for line in trace.iter().take(24) {
         println!("{line}");
     }
-    if result.trace.len() > 24 {
-        println!("... ({} more steps to fixpoint)", result.trace.len() - 24);
+    if trace.len() > 24 {
+        println!("... ({} more steps to fixpoint)", trace.len() - 24);
     }
 
     println!("\n=== result ===");

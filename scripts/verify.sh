@@ -19,19 +19,22 @@ RUSTDOCFLAGS="-D warnings --document-private-items" \
 echo "== cargo test --workspace =="
 cargo test --workspace --offline -q
 
-echo "== analyze-corpus determinism (jobs=1 vs jobs=4) =="
+echo "== analyze-corpus determinism (jobs=1 vs jobs=4 and 64) =="
 # The batch runtime must produce byte-identical output for any worker
 # count (wall times are only printed under --timing, which we omit).
+# 64 workers are more than the 19 corpus programs.
 cargo build -q -p mpl-cli --offline
 MPL=target/debug/mpl
 seq_out=$("$MPL" analyze-corpus --jobs 1)
-par_out=$("$MPL" analyze-corpus --jobs 4)
-diff <(printf '%s\n' "$seq_out") <(printf '%s\n' "$par_out") \
-  || { echo "analyze-corpus output differs between jobs=1 and jobs=4"; exit 1; }
 seq_json=$("$MPL" analyze-corpus --jobs 1 --json)
-par_json=$("$MPL" analyze-corpus --jobs 4 --json)
-diff <(printf '%s\n' "$seq_json") <(printf '%s\n' "$par_json") \
-  || { echo "analyze-corpus --json output differs between jobs=1 and jobs=4"; exit 1; }
+for jobs in 4 64; do
+  par_out=$("$MPL" analyze-corpus --jobs "$jobs")
+  diff <(printf '%s\n' "$seq_out") <(printf '%s\n' "$par_out") \
+    || { echo "analyze-corpus output differs between jobs=1 and jobs=$jobs"; exit 1; }
+  par_json=$("$MPL" analyze-corpus --jobs "$jobs" --json)
+  diff <(printf '%s\n' "$seq_json") <(printf '%s\n' "$par_json") \
+    || { echo "analyze-corpus --json output differs between jobs=1 and jobs=$jobs"; exit 1; }
+done
 
 echo "== analyze-corpus golden JSON (byte-identical) =="
 # The corpus report is a public, deterministic artifact: any refactor of
@@ -73,6 +76,10 @@ fi
 smoke_seq=$("$MPL" analyze-corpus --dir "$smoke_dir" --jobs 1 --timeout-ms 200 --keep-going --json)
 diff <(printf '%s\n' "$smoke_seq") <(printf '%s\n' "$smoke_out") \
   || { echo "faulted corpus output differs between jobs=1 and jobs=4"; exit 1; }
+# 16 workers are more than the 8 files.
+smoke_wide=$("$MPL" analyze-corpus --dir "$smoke_dir" --jobs 16 --timeout-ms 200 --keep-going --json)
+diff <(printf '%s\n' "$smoke_seq") <(printf '%s\n' "$smoke_wide") \
+  || { echo "faulted corpus output differs between jobs=1 and jobs=16"; exit 1; }
 # Without --keep-going the injected failures must be a nonzero exit.
 if "$MPL" analyze-corpus --dir "$smoke_dir" --jobs 4 --timeout-ms 200 >/dev/null; then
   echo "expected nonzero exit without --keep-going"; exit 1

@@ -11,7 +11,7 @@ use mpl_core::{
     BatchResponse, Fault, JobOutcome, RequestBatch, TopReason, Verdict, CANCEL_CHECK_STEPS,
 };
 use mpl_lang::corpus;
-use mpl_runtime::{CancelToken, Pool};
+use mpl_runtime::CancelToken;
 
 /// The deterministic fields of a response, one line per response.
 fn fingerprint(done: &BatchResponse) -> Vec<String> {
@@ -45,26 +45,33 @@ fn corpus_batch(workers: usize, policy: &AnalysisRequestBuilder) -> RequestBatch
 
 #[test]
 fn pool_survives_panicking_jobs_and_preserves_order() {
-    let pool = Pool::new(4);
-    let jobs: Vec<u32> = (0..32).collect();
-    let (results, _stats) = pool.run_ordered_isolated(jobs, |_, n| {
-        assert!(n % 5 != 3, "job {n} refuses to run");
-        n * 2
-    });
-    assert_eq!(results.len(), 32);
-    for (i, slot) in results.iter().enumerate() {
-        let n = i as u32;
-        match slot {
-            Ok(v) => {
-                assert!(n % 5 != 3);
-                assert_eq!(*v, n * 2);
-            }
-            Err(failure) => {
-                assert_eq!(n % 5, 3, "job {n} should not have failed");
-                assert!(failure.message.contains(&format!("job {n} refuses")));
-            }
+    let mut batch = RequestBatch::new().workers(4);
+    for n in 0..32 {
+        let mut request = AnalysisRequest::builder()
+            .name(format!("job{n}"))
+            .program(corpus::fig2_exchange().program);
+        if n % 5 == 3 {
+            request = request.fault(Fault::Panic);
+        }
+        batch.push(request.build().expect("valid request"));
+    }
+    let done = batch.run();
+    assert_eq!(done.responses.len(), 32);
+    for (n, response) in done.responses.iter().enumerate() {
+        assert_eq!(response.name.as_deref(), Some(format!("job{n}").as_str()));
+        if n % 5 == 3 {
+            let detail = response.outcome.detail().expect("a panic detail");
+            assert!(detail.contains(&format!("job `job{n}` panics")), "{detail}");
+            assert!(response.panic_worker.is_some_and(|w| w < 4));
+        } else {
+            assert_eq!(response.outcome, JobOutcome::Completed, "job {n}");
+            assert!(response
+                .result
+                .as_ref()
+                .is_some_and(AnalysisResult::is_exact));
         }
     }
+    assert_eq!((done.summary.panicked, done.summary.completed), (6, 26));
 }
 
 #[test]

@@ -4,8 +4,7 @@
 //! Runs the full corpus under both clients three ways — no observer
 //! (plain `analyze_cfg`), a `TraceObserver`, and a stacked
 //! `TraceObserver` + `StatsObserver` — and asserts the analysis results
-//! are identical apart from the `trace` field, that the collected trace
-//! matches the legacy `config.trace` output line for line, and that the
+//! are identical, that both tracers collect the same lines, and that the
 //! stats counters agree with the result they were collected from.
 
 use mpl_cfg::Cfg;
@@ -13,10 +12,9 @@ use mpl_core::observer::{ObserverStack, StatsObserver, TraceObserver};
 use mpl_core::{analyze_cfg, analyze_cfg_with, AnalysisConfig, AnalysisResult, Client};
 use mpl_lang::corpus;
 
-/// Strips the trace and wall-clock-bearing closure stats so results
-/// from separate runs compare on semantics alone.
-fn sans_trace(mut r: AnalysisResult) -> AnalysisResult {
-    r.trace = Vec::new();
+/// Strips the wall-clock-bearing closure stats so results from separate
+/// runs compare on semantics alone.
+fn sans_timing(mut r: AnalysisResult) -> AnalysisResult {
     r.closure_stats = Default::default();
     r
 }
@@ -35,8 +33,8 @@ fn observers_do_not_perturb_any_corpus_verdict() {
             let mut tracer = TraceObserver::new();
             let traced = analyze_cfg_with(&cfg, &config, &mut tracer);
             assert_eq!(
-                sans_trace(plain.clone()),
-                sans_trace(traced),
+                sans_timing(plain.clone()),
+                sans_timing(traced),
                 "TraceObserver changed the result of {} under {client:?}",
                 prog.name
             );
@@ -50,29 +48,13 @@ fn observers_do_not_perturb_any_corpus_verdict() {
                 analyze_cfg_with(&cfg, &config, &mut stack)
             };
             assert_eq!(
-                sans_trace(plain.clone()),
-                sans_trace(stacked.clone()),
+                sans_timing(plain),
+                sans_timing(stacked.clone()),
                 "stacked observers changed the result of {} under {client:?}",
                 prog.name
             );
             assert_eq!(tracer.lines(), tracer2.lines(), "{}", prog.name);
             assert_eq!(stats.stats().steps, stacked.steps, "{}", prog.name);
-
-            // The trace collected through the observer is the same text
-            // the legacy `config.trace` path produces.
-            let legacy_config = AnalysisConfig::builder()
-                .client(client)
-                .trace(true)
-                .build()
-                .expect("valid config");
-            let legacy = analyze_cfg(&cfg, &legacy_config);
-            assert_eq!(
-                legacy.trace,
-                tracer.lines(),
-                "trace text diverged on {} under {client:?}",
-                prog.name
-            );
-            assert_eq!(sans_trace(legacy), sans_trace(plain), "{}", prog.name);
         }
     }
 }

@@ -1,9 +1,8 @@
 //! Cache and backpressure behaviour of the serving stack, end to end:
-//! a cached daemon response must be byte-identical to the cold one,
-//! the cold one byte-identical to `mpl analyze --json`, counters must
-//! be deterministic under any worker count, a fingerprint collision
-//! must fall back to recomputation (never a wrong answer), and a
-//! saturated admission gate must reject — not hang.
+//! a cached daemon response must be byte-identical to the cold one, the
+//! cold one byte-identical to `mpl analyze --json`, a fingerprint
+//! collision must fall back to recomputation (never a wrong answer), and
+//! a saturated admission gate must reject — not hang.
 
 use mpl_core::{json_escape, AnalysisRequest, AnalysisService, ResultCache, ServiceConfig};
 use mpl_lang::corpus;
@@ -57,55 +56,22 @@ fn cached_response_is_byte_identical_to_cold_and_to_analyze_json() {
 }
 
 #[test]
-fn batch_responses_and_counters_match_for_any_worker_count() {
-    let lines: Vec<String> = corpus::all()
-        .into_iter()
-        .take(8)
-        .map(|p| analyze_line(&p.source))
-        .collect();
-    let baseline = {
-        let svc = AnalysisService::new(ServiceConfig::default());
-        svc.handle_batch(&lines, 1)
-    };
-    for jobs in [4usize, 8] {
-        let svc = AnalysisService::new(ServiceConfig::default());
-        let cold = svc.handle_batch(&lines, jobs);
-        assert_eq!(cold, baseline, "responses diverged at jobs={jobs}");
-        let stats = svc.cache_stats();
-        assert_eq!(
-            (stats.hits, stats.misses, stats.collisions),
-            (0, 8, 0),
-            "jobs={jobs}"
-        );
-        let warm = svc.handle_batch(&lines, jobs);
-        assert_eq!(warm, baseline, "warm responses diverged at jobs={jobs}");
-        let stats = svc.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (8, 8), "jobs={jobs}");
-    }
-}
-
-#[test]
 fn batch_lines_run_under_their_own_retries() {
-    // A batch line is cached under its own `retries`, so it must also be
-    // computed under them: otherwise the single-line cache hit that
-    // follows serves bytes a cold single line would never produce.
+    // A line is cached under its own `retries`, so it must also be
+    // computed under them: otherwise the cache hit that follows serves
+    // bytes the cold line never produced.
     let flaky = format!("// mpl:fault=top-once\n{}", corpus::fig2_exchange().source);
     let line = format!(
         "{{\"op\":\"analyze\",\"program\":\"{}\",\"retries\":1}}",
         json_escape(&flaky)
     );
     let svc = AnalysisService::new(ServiceConfig::default());
-    let batched = svc.handle_batch(std::slice::from_ref(&line), 1);
-    let cold = AnalysisService::new(ServiceConfig::default())
-        .handle_line(&line)
-        .line()
-        .to_owned();
+    let cold = svc.handle_line(&line).line().to_owned();
     let hit = svc.handle_line(&line).line().to_owned();
     assert!(
         cold.contains("\"outcome\":\"degraded\",\"attempts\":2"),
         "{cold}"
     );
-    assert_eq!(batched, [cold.as_str()]);
     assert_eq!(hit, cold);
     assert_eq!(svc.cache_stats().hits, 1);
 }

@@ -1,7 +1,6 @@
 //! Robustness integration tests for the analysis service: single-flight
-//! coalescing under real thread storms, deterministic batch coalescing,
-//! quota rejection behaviour, and warm-restart byte-identity through the
-//! persistent cache journal.
+//! coalescing under real thread storms, quota rejection behaviour, and
+//! warm-restart byte-identity through the persistent cache journal.
 
 use std::path::PathBuf;
 use std::sync::atomic::Ordering as AtomicOrdering;
@@ -81,33 +80,6 @@ fn single_flight_storm_computes_once_per_distinct_request() {
         stats.hits,
         svc.coalesced()
     );
-}
-
-#[test]
-fn batch_coalescing_is_deterministic_for_any_worker_count() {
-    let sources: Vec<String> = corpus::all()
-        .iter()
-        .take(3)
-        .map(|p| p.source.clone())
-        .collect();
-    // 9 lines: each program three times.
-    let lines: Vec<String> = (0..9).map(|i| analyze_line(&sources[i % 3])).collect();
-    let mut baseline: Option<(Vec<String>, u64)> = None;
-    for jobs in [1usize, 2, 4, 8] {
-        let svc = AnalysisService::new(ServiceConfig::default());
-        let bodies = svc.handle_batch(&lines, jobs);
-        let stats = svc.cache_stats();
-        assert_eq!(svc.coalesced(), 6, "jobs={jobs}: 2 duplicates × 3 programs");
-        assert_eq!((stats.hits, stats.misses), (0, 9), "jobs={jobs}");
-        assert_eq!(stats.entries, 3, "jobs={jobs}");
-        match &baseline {
-            None => baseline = Some((bodies, svc.coalesced())),
-            Some((expected, coalesced)) => {
-                assert_eq!(&bodies, expected, "jobs={jobs}: bytes differ");
-                assert_eq!(svc.coalesced(), *coalesced, "jobs={jobs}");
-            }
-        }
-    }
 }
 
 #[test]
