@@ -1,10 +1,12 @@
 //! E18: copy-on-write state sharing on the wide-program stress rows.
 //!
 //! Measures end-to-end analysis time and the per-phase engine breakdown
-//! on `exchange_with_root_wide(p)` — the workload whose successor states
-//! used to deep-copy an O(p²) constraint matrix per engine step — plus a
-//! small control program that must stay in the noise. Also reports how
-//! many matrix copies the CoW layer actually materialized.
+//! on `exchange_with_root_wide_live(p)` — the workload whose successor
+//! states used to deep-copy an O(p²) constraint matrix per engine step;
+//! its padding stays live, so dead-variable projection leaves the
+//! matrices at full size — plus a small control program that must stay
+//! in the noise. Also reports how many matrix copies the CoW layer
+//! actually materialized.
 //!
 //! Writes a JSON summary to `$BENCH_STATE_SHARING_JSON` when that
 //! variable is set (the `scripts/verify.sh` artifact
@@ -44,9 +46,9 @@ fn main() {
     let programs = [
         ("fig2_exchange", corpus::fig2_exchange(), 20),
         ("exchange_with_root", corpus::exchange_with_root(), 20),
-        ("exchange_wide_24", corpus::exchange_with_root_wide(24), 5),
-        ("exchange_wide_48", corpus::exchange_with_root_wide(48), 3),
-        ("exchange_wide_96", corpus::exchange_with_root_wide(96), 2),
+        ("wide_live_24", corpus::exchange_with_root_wide_live(24), 5),
+        ("wide_live_48", corpus::exchange_with_root_wide_live(48), 3),
+        ("wide_live_96", corpus::exchange_with_root_wide_live(96), 2),
     ];
 
     println!("== state_sharing (E18) ==");

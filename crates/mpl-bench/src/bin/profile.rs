@@ -21,9 +21,9 @@ use mpl_lang::corpus::{self, GridDims};
 
 /// The phase breakdown must explain the run: on programs large enough to
 /// be out of timer noise, `|phase_sum - total| <= 10% of total`.
-fn check_phase_coverage(runs: &[ProfiledRun]) -> bool {
+fn check_phase_coverage(runs: &[(String, ProfiledRun)]) -> bool {
     let mut ok = true;
-    for run in runs {
+    for (label, run) in runs {
         // Sub-millisecond runs are dominated by timer granularity.
         if run.profile.total.as_micros() < 2_000 {
             continue;
@@ -34,7 +34,7 @@ fn check_phase_coverage(runs: &[ProfiledRun]) -> bool {
         let verdict = if gap <= 0.10 { "ok" } else { "FAIL" };
         println!(
             "phase check {:<26} sum {:>9.2?} of {:>9.2?} (gap {:>5.1}%) {}",
-            run.name,
+            label,
             run.profile.phase_sum(),
             run.profile.total,
             100.0 * gap,
@@ -43,6 +43,14 @@ fn check_phase_coverage(runs: &[ProfiledRun]) -> bool {
         ok &= gap <= 0.10;
     }
     ok
+}
+
+/// A labelled `exchange_with_root_wide_live(n)` row.
+fn wide_live(n: usize) -> (String, corpus::CorpusProgram) {
+    (
+        format!("wide_live({n})"),
+        corpus::exchange_with_root_wide_live(n),
+    )
 }
 
 fn main() {
@@ -59,38 +67,46 @@ fn main() {
     );
     println!("{}", "-".repeat(104));
 
+    let named = |prog: corpus::CorpusProgram| (prog.name.to_owned(), prog);
     let programs = vec![
-        (corpus::fanout_broadcast(), Client::Simple),
-        (corpus::exchange_with_root(), Client::Simple),
-        (corpus::gather_to_root(), Client::Simple),
-        (corpus::mdcask_full(), Client::Simple),
-        (corpus::nearest_neighbor_shift(), Client::Simple),
-        (corpus::left_shift(), Client::Simple),
-        (corpus::fig2_exchange(), Client::Simple),
+        (named(corpus::fanout_broadcast()), Client::Simple),
+        (named(corpus::exchange_with_root()), Client::Simple),
+        (named(corpus::gather_to_root()), Client::Simple),
+        (named(corpus::mdcask_full()), Client::Simple),
+        (named(corpus::nearest_neighbor_shift()), Client::Simple),
+        (named(corpus::left_shift()), Client::Simple),
+        (named(corpus::fig2_exchange()), Client::Simple),
         (
-            corpus::nas_cg_transpose_square(GridDims::Symbolic),
+            named(corpus::nas_cg_transpose_square(GridDims::Symbolic)),
             Client::Cartesian,
         ),
         (
-            corpus::nas_cg_transpose_rect(GridDims::Symbolic),
+            named(corpus::nas_cg_transpose_rect(GridDims::Symbolic)),
             Client::Cartesian,
         ),
         // The paper's variable-count regime (52-66 vars per graph) and
-        // beyond (the E18 state-sharing stress row).
-        (corpus::exchange_with_root_wide(24), Client::Simple),
-        (corpus::exchange_with_root_wide(48), Client::Simple),
-        (corpus::exchange_with_root_wide(96), Client::Simple),
+        // beyond (the E18 state-sharing stress row). The padding must
+        // stay live, or dead-variable projection shrinks every graph.
+        (wide_live(24), Client::Simple),
+        (wide_live(48), Client::Simple),
+        (wide_live(96), Client::Simple),
+        // The same padding left dead: dead-variable projection's
+        // before/after row (E23).
+        (
+            ("wide(96)".to_owned(), corpus::exchange_with_root_wide(96)),
+            Client::Simple,
+        ),
         // A match-heavy path (2048 matches on one path), so the phase-sum
         // check also covers the engine's match-set bookkeeping.
-        (corpus::repeated_exchanges(1024), Client::Simple),
+        (named(corpus::repeated_exchanges(1024)), Client::Simple),
     ];
 
     let mut runs = Vec::new();
-    for (prog, client) in &programs {
+    for ((label, prog), client) in &programs {
         let run = profiled_run(prog, *client);
         println!(
             "{:<26} {:<10} {:>9} {:>8} {:>9.1} {:>8} {:>9.1} {:>8.2?} {:>7.1}%",
-            run.name,
+            label,
             format!("{client:?}"),
             run.result.steps,
             run.closure.full_closures,
@@ -100,7 +116,7 @@ fn main() {
             run.total,
             100.0 * run.closure_share(),
         );
-        runs.push(run);
+        runs.push((label.clone(), run));
     }
 
     println!();
@@ -112,11 +128,11 @@ fn main() {
         "program", "transfer", "match", "join/widen", "admission", "total", "stored", "~bytes"
     );
     println!("{}", "-".repeat(100));
-    for run in &runs {
+    for (label, run) in &runs {
         let p = &run.profile;
         println!(
             "{:<26} {:>10.2?} {:>10.2?} {:>10.2?} {:>10.2?} {:>10.2?} {:>7} {:>10}",
-            run.name,
+            label,
             p.transfer,
             p.matching,
             p.join_widen,
@@ -148,18 +164,18 @@ fn main() {
         // The widest program is too slow to re-run under full re-closure;
         // measure the ablation on the small and mid-size workloads.
         let ablation_set = vec![
-            (corpus::fanout_broadcast(), Client::Simple),
-            (corpus::exchange_with_root(), Client::Simple),
-            (corpus::exchange_with_root_wide(24), Client::Simple),
+            (named(corpus::fanout_broadcast()), Client::Simple),
+            (named(corpus::exchange_with_root()), Client::Simple),
+            (wide_live(24), Client::Simple),
         ];
-        for (prog, client) in &ablation_set {
+        for ((label, prog), client) in &ablation_set {
             let fast = profiled_run(prog, *client);
             set_force_full_closure(true);
             let slow = profiled_run(prog, *client);
             set_force_full_closure(false);
             println!(
                 "{:<26} {:>14.2?} {:>14.2?} {:>8.2}x {:>6}+{:>6} {:>6}+{:>6}",
-                prog.name,
+                label,
                 fast.total,
                 slow.total,
                 slow.total.as_secs_f64() / fast.total.as_secs_f64().max(1e-9),

@@ -27,8 +27,6 @@ use mpl_lang::corpus::CorpusProgram;
 /// One measured analysis run with its closure profile.
 #[derive(Debug, Clone)]
 pub struct ProfiledRun {
-    /// Corpus program name.
-    pub name: &'static str,
     /// Client used.
     pub client: Client,
     /// The analysis result.
@@ -75,7 +73,6 @@ pub fn profiled_run(prog: &CorpusProgram, client: Client) -> ProfiledRun {
         .copied()
         .expect("StatsObserver captures the engine profile on completion");
     ProfiledRun {
-        name: prog.name,
         client,
         result,
         total,

@@ -1,9 +1,12 @@
-//! A generic forward worklist dataflow solver over sequential CFGs.
+//! A generic worklist dataflow solver over sequential CFGs, in both
+//! directions.
 //!
 //! This is the classic framework the paper *extends*: facts flow along CFG
 //! edges of a single process, with joins at merge points. It is used for
 //! sequential baselines (constant propagation that must treat every `recv`
-//! as unknown) against which the parallel pCFG analysis is compared.
+//! as unknown) against which the parallel pCFG analysis is compared, and
+//! backwards for the liveness that keeps dead variables out of every pCFG
+//! state ([`crate::liveness`]).
 
 use std::collections::VecDeque;
 
@@ -15,43 +18,67 @@ pub trait JoinSemiLattice: Clone + PartialEq {
     fn join(&mut self, other: &Self) -> bool;
 }
 
-/// A forward dataflow problem over a [`Cfg`].
-pub trait ForwardAnalysis {
-    /// The fact attached to each CFG edge/node entry.
+/// A dataflow problem over a [`Cfg`], solved in either direction by
+/// [`solve_forward`] or [`solve_backward`].
+pub trait DataflowAnalysis {
+    /// The fact attached to each CFG node.
     type Fact: JoinSemiLattice;
 
-    /// The fact holding at procedure entry.
+    /// The fact holding at the seed: procedure entry for a forward
+    /// problem, procedure exit for a backward one.
     fn boundary(&self) -> Self::Fact;
 
-    /// The fact for unreachable nodes (bottom).
+    /// The fact for nodes the flow never reaches (bottom).
     fn bottom(&self) -> Self::Fact;
 
-    /// Transforms the fact entering `node` into the fact leaving it along
-    /// an edge of kind `kind` (branch analyses may refine by outcome).
+    /// Carries `fact` across `node` along an edge of kind `kind`: forward,
+    /// from the node's entry out along an outgoing edge (branch analyses
+    /// may refine by outcome); backward, from the node's exit back along
+    /// an incoming edge.
     fn transfer(&self, cfg: &Cfg, node: CfgNodeId, kind: EdgeKind, fact: &Self::Fact)
         -> Self::Fact;
 }
 
-/// Runs `analysis` to fixpoint and returns the fact holding *on entry to*
-/// each node (indexed by node id).
-pub fn solve_forward<A: ForwardAnalysis>(cfg: &Cfg, analysis: &A) -> Vec<A::Fact> {
+/// Runs `analysis` forward to fixpoint and returns the fact holding *on
+/// entry to* each node (indexed by node id).
+pub fn solve_forward<A: DataflowAnalysis>(cfg: &Cfg, analysis: &A) -> Vec<A::Fact> {
+    solve(cfg, analysis, cfg.entry(), Cfg::succs)
+}
+
+/// Runs `analysis` backward to fixpoint and returns the fact holding *on
+/// exit from* each node (indexed by node id): the join, over the node's
+/// successors, of the fact [`DataflowAnalysis::transfer`] carries back
+/// across each of them. Every node of a built CFG reaches the exit, so
+/// every node is solved.
+pub fn solve_backward<A: DataflowAnalysis>(cfg: &Cfg, analysis: &A) -> Vec<A::Fact> {
+    solve(cfg, analysis, cfg.exit(), Cfg::preds)
+}
+
+/// The one worklist loop behind both directions: `seed` starts at the
+/// boundary fact and `edges` names the neighbours a node's fact flows to.
+fn solve<A: DataflowAnalysis>(
+    cfg: &Cfg,
+    analysis: &A,
+    seed: CfgNodeId,
+    edges: fn(&Cfg, CfgNodeId) -> &[(EdgeKind, CfgNodeId)],
+) -> Vec<A::Fact> {
     let n = cfg.node_count();
     let mut facts: Vec<A::Fact> = (0..n).map(|_| analysis.bottom()).collect();
-    facts[cfg.entry().0 as usize] = analysis.boundary();
+    facts[seed.0 as usize] = analysis.boundary();
 
     let mut queue: VecDeque<CfgNodeId> = VecDeque::new();
     let mut queued = vec![false; n];
-    queue.push_back(cfg.entry());
-    queued[cfg.entry().0 as usize] = true;
+    queue.push_back(seed);
+    queued[seed.0 as usize] = true;
 
     while let Some(node) = queue.pop_front() {
         queued[node.0 as usize] = false;
-        let entry_fact = facts[node.0 as usize].clone();
-        for &(kind, succ) in cfg.succs(node) {
-            let out = analysis.transfer(cfg, node, kind, &entry_fact);
-            if facts[succ.0 as usize].join(&out) && !queued[succ.0 as usize] {
-                queued[succ.0 as usize] = true;
-                queue.push_back(succ);
+        let fact = facts[node.0 as usize].clone();
+        for &(kind, next) in edges(cfg, node) {
+            let out = analysis.transfer(cfg, node, kind, &fact);
+            if facts[next.0 as usize].join(&out) && !queued[next.0 as usize] {
+                queued[next.0 as usize] = true;
+                queue.push_back(next);
             }
         }
     }
@@ -142,7 +169,7 @@ mod tests {
         }
     }
 
-    impl ForwardAnalysis for SeqConstProp {
+    impl DataflowAnalysis for SeqConstProp {
         type Fact = ConstMap;
 
         fn boundary(&self) -> ConstMap {
@@ -246,5 +273,70 @@ mod tests {
     fn exit_fact_is_reachable() {
         let (cfg, facts) = solve("x := 1;");
         assert!(facts[cfg.exit().0 as usize].reachable);
+    }
+
+    // `solve_backward` on the liveness lattice: each fact is the set of
+    // names live on exit from its node.
+
+    fn live_out(src: &str) -> (Cfg, Vec<crate::liveness::LiveSet>) {
+        let cfg = Cfg::build(&parse_program(src).unwrap());
+        let facts = solve_backward(&cfg, &crate::liveness::Liveness);
+        (cfg, facts)
+    }
+
+    /// The first node whose statement renders as `stmt`.
+    fn node_of(cfg: &Cfg, stmt: &str) -> CfgNodeId {
+        cfg.node_ids()
+            .find(|&id| cfg.node(id).to_string() == stmt)
+            .unwrap_or_else(|| panic!("no node `{stmt}`"))
+    }
+
+    fn live_after(cfg: &Cfg, facts: &[crate::liveness::LiveSet], stmt: &str) -> Vec<String> {
+        let fact = &facts[node_of(cfg, stmt).0 as usize];
+        fact.names().map(str::to_owned).collect()
+    }
+
+    #[test]
+    fn backward_straight_line_kill() {
+        let (cfg, facts) = live_out("x := 1; y := x; print y;");
+        assert_eq!(live_after(&cfg, &facts, "x := 1"), ["x"]);
+        // `x` is dead once `y := x` has read it.
+        assert_eq!(live_after(&cfg, &facts, "y := x"), ["y"]);
+        assert!(live_after(&cfg, &facts, "print y").is_empty());
+        assert!(facts[cfg.entry().0 as usize].names().next().is_none());
+    }
+
+    #[test]
+    fn backward_loop_carries_liveness_across_the_back_edge() {
+        let (cfg, facts) = live_out("x := 0; n := 5; while x < n do x := x + 1; end print 0;");
+        // Live at the loop head (on exit from the last initializer) ...
+        assert_eq!(live_after(&cfg, &facts, "n := 5"), ["n", "x"]);
+        // ... and along the back edge out of the body.
+        assert_eq!(live_after(&cfg, &facts, "x := (x + 1)"), ["n", "x"]);
+        assert_eq!(live_after(&cfg, &facts, "branch (x < n)"), ["n", "x"]);
+    }
+
+    #[test]
+    fn backward_join_is_the_union_over_both_arms() {
+        let (cfg, facts) = live_out("a := 1; b := 2; if id = 0 then print a; else print b; end");
+        assert_eq!(live_after(&cfg, &facts, "branch (id = 0)"), ["a", "b"]);
+        assert_eq!(live_after(&cfg, &facts, "b := 2"), ["a", "b"]);
+    }
+
+    #[test]
+    fn backward_recv_defines_its_target_and_reads_its_source() {
+        let (cfg, facts) = live_out("x := 3; s := 1; recv x <- s; print x;");
+        // `s` is read by the receive; `x` is overwritten by it.
+        assert_eq!(live_after(&cfg, &facts, "s := 1"), ["s"]);
+        assert!(live_after(&cfg, &facts, "x := 3").is_empty());
+        assert_eq!(live_after(&cfg, &facts, "recv x <- s"), ["x"]);
+    }
+
+    #[test]
+    fn backward_send_reads_value_and_destination() {
+        let (cfg, facts) = live_out("v := 7; d := 1; send v -> d;");
+        assert_eq!(live_after(&cfg, &facts, "d := 1"), ["d", "v"]);
+        assert_eq!(live_after(&cfg, &facts, "v := 7"), ["v"]);
+        assert!(live_after(&cfg, &facts, "send v -> d").is_empty());
     }
 }

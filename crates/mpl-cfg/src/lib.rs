@@ -4,9 +4,11 @@
 //! ([`Cfg`]) whose nodes are individual statements/branches — the exact
 //! graph the CGO'09 pCFG framework is defined over (one CFG shared by all
 //! processes of the SPMD program) — and provides a small *sequential*
-//! forward-dataflow framework ([`dataflow`]) used for baseline analyses
-//! (e.g. sequential constant propagation, which cannot see through
-//! `send`/`recv` and therefore motivates the parallel framework).
+//! dataflow framework ([`dataflow`]), solved forward or backward. Its
+//! clients are baseline analyses (e.g. sequential constant propagation,
+//! which cannot see through `send`/`recv` and therefore motivates the
+//! parallel framework) and the [`liveness`] the pCFG engine uses to keep
+//! dead variables out of its states.
 //!
 //! ```
 //! use mpl_lang::parse_program;
@@ -21,7 +23,8 @@
 pub mod dataflow;
 pub mod dot;
 pub mod graph;
+pub mod liveness;
 pub mod seq_constprop;
 
-pub use dataflow::{solve_forward, ForwardAnalysis, JoinSemiLattice};
+pub use dataflow::{solve_backward, solve_forward, DataflowAnalysis, JoinSemiLattice};
 pub use graph::{Cfg, CfgNode, CfgNodeId, EdgeKind};

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 
 use mpl_lang::ast::{BinOp, Expr, UnOp};
 
-use crate::dataflow::{solve_forward, ForwardAnalysis, JoinSemiLattice};
+use crate::dataflow::{solve_forward, DataflowAnalysis, JoinSemiLattice};
 use crate::graph::{Cfg, CfgNode, CfgNodeId, EdgeKind};
 
 /// The flat constant lattice over the variables of one process:
@@ -102,7 +102,7 @@ fn eval(e: &Expr, env: &BTreeMap<String, Option<i64>>) -> Option<i64> {
     }
 }
 
-impl ForwardAnalysis for SeqConstProp {
+impl DataflowAnalysis for SeqConstProp {
     type Fact = ConstFact;
 
     fn boundary(&self) -> ConstFact {

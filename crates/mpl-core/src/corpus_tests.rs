@@ -216,3 +216,55 @@ fn stencil_2d_vertical_concrete_is_exact() {
     let result = run(&prog, Client::Simple);
     assert!(result.is_exact(), "verdict: {:?}", result.verdict);
 }
+
+/// Both ranks send first, so both sends go pending, and each reads its
+/// destination local (`d`, `e`) only when it is matched, long after the
+/// send statement. The dead-variable projection must keep a local that a
+/// pending send reads, or the match fails and the second print is lost.
+#[test]
+fn pending_send_keeps_the_locals_it_reads() {
+    let program = mpl_lang::parse_program(
+        "if id = 0 then d := 1; send 7 -> d; recv z <- 1; print z; \
+         else if id = 1 then e := 0; send 9 -> e; recv y <- 0; print y; end end",
+    )
+    .unwrap();
+    let cfg = Cfg::build(&program);
+    for client in [Client::Simple, Client::Cartesian] {
+        let config = AnalysisConfig {
+            client,
+            ..AnalysisConfig::default()
+        };
+        let result = crate::engine::analyze_cfg(&cfg, &config);
+        assert!(result.is_exact(), "{client:?}: {:?}", result.verdict);
+        // `print z` runs on rank 0 and `print y` on rank 1.
+        let prints: Vec<(String, Option<i64>)> = result
+            .prints
+            .iter()
+            .map(|p| (cfg.node(p.node).to_string(), p.value))
+            .collect();
+        assert_eq!(
+            prints,
+            [
+                ("print z".to_owned(), Some(9)),
+                ("print y".to_owned(), Some(7))
+            ],
+            "{client:?}"
+        );
+    }
+}
+
+/// Each padding local of `exchange_with_root_wide` is dead once the next
+/// assignment has read it, so the projection keeps every state of the
+/// exchange at the unpadded program's size: each local costs exactly its
+/// own transfer step.
+#[test]
+fn dead_padding_costs_one_step_per_local() {
+    for client in [Client::Simple, Client::Cartesian] {
+        let base = run(&corpus::exchange_with_root(), client).steps;
+        for n in [8, 48, 96_usize] {
+            let wide = run(&corpus::exchange_with_root_wide(n), client);
+            assert!(wide.is_exact(), "{client:?} n={n}: {:?}", wide.verdict);
+            assert_eq!(wide.steps, base + n as u64, "{client:?} n={n}");
+        }
+    }
+}

@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 use mpl_cfg::{Cfg, CfgNode, CfgNodeId, EdgeKind};
-use mpl_domains::{ClosureStats, LinExpr, VarId};
+use mpl_domains::{ClosureStats, LinExpr, PsetId, VarId};
 use mpl_lang::ast::{BinOp, Expr, Program, UnOp};
 use mpl_procset::{ProcRange, SubtractOutcome};
 
@@ -35,7 +35,7 @@ use crate::client::ClientDomain;
 use crate::config::AnalysisConfig;
 use crate::matcher::{MatchOutcome, RecvSite, SendSite};
 use crate::matchset::MatchSet;
-use crate::norm::NormCtx;
+use crate::norm::{LiveNames, NormCtx};
 use crate::observer::{AnalysisObserver, EngineProfile, NoopObserver};
 use crate::result::{AnalysisResult, MatchEvent, PrintFact, TopReason, Verdict};
 use crate::scheduler::Scheduler;
@@ -73,6 +73,7 @@ pub fn analyze_cfg_with<O: AnalysisObserver>(
 struct Engine<'a, O: AnalysisObserver> {
     cfg: &'a Cfg,
     norm: NormCtx,
+    live: LiveNames,
     config: AnalysisConfig,
     domain: &'static dyn ClientDomain,
     /// The thread's closure counters when the run started, so the run
@@ -95,6 +96,7 @@ struct Engine<'a, O: AnalysisObserver> {
 impl<'a, O: AnalysisObserver> Engine<'a, O> {
     fn new(cfg: &'a Cfg, config: AnalysisConfig, observer: &'a mut O) -> Engine<'a, O> {
         let norm = NormCtx::from_cfg(cfg);
+        let live = LiveNames::from_cfg(cfg);
         let assumes = cfg
             .node_ids()
             .filter_map(|id| match cfg.node(id) {
@@ -106,6 +108,7 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
         Engine {
             cfg,
             norm,
+            live,
             domain: config.client.domain(),
             config,
             closure_baseline: ClosureStats::snapshot(),
@@ -880,9 +883,9 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
 
     /// Normalizes a successor state in place: closes the constraint
     /// graph, drops infeasible paths and provably-empty sets, merges
-    /// compatible sets, renames canonically and re-saturates range
-    /// bounds. Returns `false` if the state must be discarded (the ⊤
-    /// causes are recorded here).
+    /// compatible sets, projects out dead variables, renames canonically
+    /// and re-saturates range bounds. Returns `false` if the state must
+    /// be discarded (the ⊤ causes are recorded here).
     fn normalize_successor(&mut self, s: &mut AnalysisState) -> bool {
         // An inconsistent constraint graph marks an infeasible path:
         // under it every range would look empty and the state would
@@ -913,6 +916,7 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
             });
             return false;
         }
+        self.project_dead_vars(s);
         self.domain.rename(s);
         // Re-saturate range bounds against the current facts so
         // loop-invariant aliases (e.g. a wavefront's own `id`)
@@ -927,6 +931,60 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
         // and later match probes against it are read-only — no CoW copy.
         s.cg.close();
         true
+    }
+
+    /// Projects out of `s` every per-set variable that is dead at its
+    /// set's CFG node (DESIGN §3.16), so each constraint graph carries
+    /// only variables a later statement can read. `np`, inputs and each
+    /// set's rank `id` are never candidates. A variable also stays when
+    /// its set's pending send reads it (the send's `value` and `dest` are
+    /// evaluated only at match time), or when it is the first alias of a
+    /// range bound whose aliases are all dead: saturation lists every
+    /// variable pinned to a bound's value as an alias, so many bound
+    /// aliases are dead locals, yet a bound left with no alias would turn
+    /// the state into ⊤. Every other alias of a dead variable is stripped.
+    fn project_dead_vars(&self, s: &mut AnalysisState) {
+        let homes: Vec<(PsetId, CfgNodeId, Option<CfgNodeId>)> = s
+            .psets
+            .iter()
+            .map(|p| (p.id, p.node, p.pending.as_ref().map(|pd| pd.node)))
+            .collect();
+        let is_dead = |v: VarId| {
+            let (Some(ns), Some(name)) = (v.namespace(), v.name_index()) else {
+                return false;
+            };
+            !v.is_rank_id()
+                && homes.iter().any(|&(id, node, pending)| {
+                    id == ns
+                        && !self.live.is_live(node, name)
+                        && !pending.is_some_and(|send| self.live.is_read(send, name))
+                })
+        };
+        let mut dead: BTreeSet<VarId> =
+            s.cg.variables()
+                .iter()
+                .copied()
+                .chain(s.consts.iter().map(|(&v, _)| v))
+                .chain(s.uniform.iter().copied())
+                .filter(|&v| is_dead(v))
+                .collect();
+        if dead.is_empty() {
+            return;
+        }
+        for p in &s.psets {
+            for bound in [&p.range.lb, &p.range.ub] {
+                let aliases = bound.exprs();
+                if aliases
+                    .iter()
+                    .all(|e| e.var.is_some_and(|v| dead.contains(&v)))
+                {
+                    if let Some(first) = aliases.first().and_then(|e| e.var) {
+                        dead.remove(&first);
+                    }
+                }
+            }
+        }
+        s.project_out(|v| dead.contains(&v));
     }
 
     fn is_terminal(&self, st: &AnalysisState) -> bool {

@@ -23,7 +23,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use mpl_cfg::dataflow::{solve_forward, ForwardAnalysis, JoinSemiLattice};
+use mpl_cfg::dataflow::{solve_forward, DataflowAnalysis, JoinSemiLattice};
 use mpl_cfg::{Cfg, CfgNode, CfgNodeId, EdgeKind};
 use mpl_lang::ast::{BinOp, Expr};
 
@@ -105,7 +105,7 @@ fn id_comparison(cond: &Expr) -> Option<(BinOp, i64)> {
     }
 }
 
-impl ForwardAnalysis for IdGuards {
+impl DataflowAnalysis for IdGuards {
     type Fact = IdInterval;
 
     fn boundary(&self) -> IdInterval {

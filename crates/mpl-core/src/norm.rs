@@ -4,7 +4,7 @@
 
 use std::collections::{BTreeSet, HashSet};
 
-use mpl_cfg::{Cfg, CfgNode};
+use mpl_cfg::{Cfg, CfgNode, CfgNodeId};
 use mpl_domains::{intern_name, ConstEnv, ConstraintGraph, LinExpr, PsetId, VarId, VarKind};
 use mpl_hsm::SymPoly;
 use mpl_lang::ast::{BinOp, Expr, UnOp};
@@ -304,6 +304,53 @@ impl NormCtx {
             Some(VarKind::Pset(..)) => return None,
         };
         Some(base + SymPoly::constant(e.offset))
+    }
+}
+
+/// The names live on entry to each CFG node ([`mpl_cfg::liveness`]) and
+/// the names each node reads, interned once per run (after
+/// [`NormCtx::from_cfg`] has fixed the vocabulary) so the engine's
+/// dead-variable projection tests a variable by its name index alone.
+#[derive(Debug, Clone, Default)]
+pub struct LiveNames {
+    /// Sorted name indices live on entry, per node id.
+    live: Vec<Vec<u32>>,
+    /// Sorted name indices the node's own statement reads, per node id.
+    reads: Vec<Vec<u32>>,
+}
+
+impl LiveNames {
+    /// Solves liveness over `cfg` and interns the result.
+    #[must_use]
+    pub fn from_cfg(cfg: &Cfg) -> LiveNames {
+        fn interned<'a>(names: impl IntoIterator<Item = &'a str>) -> Vec<u32> {
+            let mut idx: Vec<u32> = names.into_iter().map(intern_name).collect();
+            idx.sort_unstable();
+            idx.dedup();
+            idx
+        }
+        LiveNames {
+            live: mpl_cfg::liveness::live_on_entry(cfg)
+                .iter()
+                .map(|names| interned(names.iter().map(String::as_str)))
+                .collect(),
+            reads: cfg
+                .node_ids()
+                .map(|id| interned(mpl_cfg::liveness::reads(cfg.node(id))))
+                .collect(),
+        }
+    }
+
+    /// True if the name with index `name` is live on entry to `node`.
+    #[must_use]
+    pub fn is_live(&self, node: CfgNodeId, name: u32) -> bool {
+        self.live[node.0 as usize].binary_search(&name).is_ok()
+    }
+
+    /// True if `node`'s own statement reads the name with index `name`.
+    #[must_use]
+    pub fn is_read(&self, node: CfgNodeId, name: u32) -> bool {
+        self.reads[node.0 as usize].binary_search(&name).is_ok()
     }
 }
 

@@ -89,6 +89,13 @@ use crate::result::{AnalysisResult, TopReason, Verdict};
 /// detect incompatible servers instead of misparsing them.
 pub const PROTOCOL_VERSION: i64 = 1;
 
+/// The engine revision stamped into every
+/// [`AnalysisRequest::cache_check`]. Bump when an engine change alters
+/// any response byte for the same request: a journal written by an
+/// older engine then misses once, instead of replaying its stale bodies
+/// under a check string the new engine would also produce.
+const ENGINE_REVISION: u32 = 2;
+
 /// The deepest level of the degradation ladder ([`degrade`]). Every
 /// attempt past `MAX_LEVEL + 1` would rerun an identical configuration,
 /// so the ladder stops there whatever `retries` asks for.
@@ -270,7 +277,7 @@ impl AnalysisRequest {
         }
         let _ = write!(
             out,
-            ";timeout_nanos={};retries={};fault={}",
+            ";engine={ENGINE_REVISION};timeout_nanos={};retries={};fault={}",
             self.timeout.map_or(0, |t| t.as_nanos()),
             self.retries,
             self.fault.map_or("none", Fault::tag),
@@ -1642,6 +1649,18 @@ mod tests {
             let check = builder.build().unwrap().cache_check();
             assert!(check.contains(fragment), "{fault:?}: {check}");
         }
+    }
+
+    #[test]
+    fn cache_check_pins_the_engine_revision() {
+        // Journals written before the fragment existed, or under another
+        // revision, must miss: their bodies may carry stale bytes.
+        let check = AnalysisRequest::builder()
+            .source("x := 1;")
+            .build()
+            .unwrap()
+            .cache_check();
+        assert!(check.contains(";engine=2;"), "{check}");
     }
 
     #[test]

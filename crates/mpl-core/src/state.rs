@@ -145,10 +145,7 @@ impl AnalysisState {
                 },
             }));
         }
-        self.cg.drop_namespace(old.id);
-        self.consts.drop_namespace(old.id);
-        self.uniform.retain(|v| v.namespace() != Some(old.id));
-        self.strip_namespace_aliases(old.id);
+        self.drop_namespace(old.id);
     }
 
     /// Refreshes every range bound's alias set against the current
@@ -170,17 +167,40 @@ impl AnalysisState {
         self.resaturate_ranges();
         let dead = self.psets[idx].id;
         self.psets.remove(idx);
-        self.cg.drop_namespace(dead);
-        self.consts.drop_namespace(dead);
-        self.uniform.retain(|v| v.namespace() != Some(dead));
-        self.strip_namespace_aliases(dead);
+        self.drop_namespace(dead);
     }
 
-    /// Removes bound aliases that reference variables of a namespace that
-    /// no longer exists.
-    fn strip_namespace_aliases(&mut self, dead: PsetId) {
+    /// Projects every variable of namespace `dead` out of the state.
+    fn drop_namespace(&mut self, dead: PsetId) {
+        self.project_out(|v| v.namespace() == Some(dead));
+    }
+
+    /// Projects the variables `dead` selects out of the constraint graph
+    /// (exactly, see [`ConstraintGraph::retain_vars`]), the constant
+    /// environment and the uniform set, and strips their aliases from
+    /// every range bound. A component that holds none of them is left
+    /// untouched, so its copy-on-write handle stays shared.
+    pub fn project_out(&mut self, dead: impl Fn(VarId) -> bool) {
+        if self.cg.variables().iter().any(|&v| dead(v)) {
+            self.cg.retain_vars(|v| !dead(v));
+        }
+        if self.consts.iter().any(|(&v, _)| dead(v)) {
+            self.consts.retain(|v| !dead(v));
+        }
+        if self.uniform.iter().any(|&v| dead(v)) {
+            self.uniform.retain(|&v| !dead(v));
+        }
         for p in &mut self.psets {
-            p.range = strip_range(&p.range, |v| v.namespace() == Some(dead));
+            let mentions = p
+                .range
+                .lb
+                .exprs()
+                .iter()
+                .chain(p.range.ub.exprs())
+                .any(|e| e.var.is_some_and(&dead));
+            if mentions {
+                p.range = strip_range(&p.range, &dead);
+            }
         }
     }
 
@@ -209,10 +229,7 @@ impl AnalysisState {
                 Some(true) => {
                     let dead = self.psets[i].id;
                     self.psets.remove(i);
-                    self.cg.drop_namespace(dead);
-                    self.consts.drop_namespace(dead);
-                    self.uniform.retain(|v| v.namespace() != Some(dead));
-                    self.strip_namespace_aliases(dead);
+                    self.drop_namespace(dead);
                 }
                 Some(false) => i += 1,
                 None => {
@@ -320,8 +337,8 @@ impl AnalysisState {
             range,
             pending: None,
         }));
-        self.strip_namespace_aliases(a);
-        self.strip_namespace_aliases(b);
+        self.drop_namespace(a);
+        self.drop_namespace(b);
     }
 
     /// Renumbers process sets into canonical order (sorted by CFG node,

@@ -114,9 +114,14 @@ impl ConstEnv {
         self.vals.extend(copies);
     }
 
+    /// Keeps only the variables `keep` accepts.
+    pub fn retain(&mut self, mut keep: impl FnMut(VarId) -> bool) {
+        self.vals.retain(|&k, _| keep(k));
+    }
+
     /// Removes every variable of namespace `p`.
     pub fn drop_namespace(&mut self, p: PsetId) {
-        self.vals.retain(|k, _| k.namespace() != Some(p));
+        self.retain(|k| k.namespace() != Some(p));
     }
 
     /// Iterates over all entries.

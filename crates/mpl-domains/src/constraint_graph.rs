@@ -750,35 +750,35 @@ impl ConstraintGraph {
         self.fp = self.recomputed_fingerprint();
     }
 
-    /// Removes `x` entirely (projecting the constraints onto the rest).
-    pub fn remove_var(&mut self, x: impl Into<VarId>) {
-        let x = x.into();
-        if !self.has_var(x) {
+    /// Removes every variable `keep` rejects in one projection pass. The
+    /// graph is closed first, so every consequence routed through a
+    /// removed variable survives among the rest: on a closed
+    /// difference-bound graph, dropping rows and columns is exact
+    /// projection. [`VarId::ZERO`] is always kept.
+    pub fn retain_vars(&mut self, mut keep: impl FnMut(VarId) -> bool) {
+        let mut kept = |v: VarId| v == VarId::ZERO || keep(v);
+        if self.vars.iter().all(|&v| kept(v)) {
             return;
         }
         self.ensure_closed();
-        let i = self.index[&x];
         KEEP_SCRATCH.with(|s| {
-            let mut keep = s.borrow_mut();
-            keep.clear();
-            keep.extend((0..self.n()).filter(|&k| k != i));
-            self.compact_keep(&keep);
+            let mut rows = s.borrow_mut();
+            rows.clear();
+            rows.extend((0..self.n()).filter(|&k| kept(self.vars[k])));
+            self.compact_keep(&rows);
         });
+    }
+
+    /// Removes `x` entirely (projecting the constraints onto the rest).
+    pub fn remove_var(&mut self, x: impl Into<VarId>) {
+        let x = x.into();
+        self.retain_vars(|v| v != x);
     }
 
     /// Removes every variable owned by process set `p` in one projection
     /// pass.
     pub fn drop_namespace(&mut self, p: PsetId) {
-        if !self.vars.iter().any(|v| v.namespace() == Some(p)) {
-            return;
-        }
-        self.ensure_closed();
-        KEEP_SCRATCH.with(|s| {
-            let mut keep = s.borrow_mut();
-            keep.clear();
-            keep.extend((0..self.n()).filter(|&k| self.vars[k].namespace() != Some(p)));
-            self.compact_keep(&keep);
-        });
+        self.retain_vars(|v| v.namespace() != Some(p));
     }
 
     /// Renames every variable of namespace `from` into namespace `to`.

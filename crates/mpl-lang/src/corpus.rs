@@ -663,6 +663,31 @@ pub fn exchange_with_root_wide(extra_vars: usize) -> CorpusProgram {
     )
 }
 
+/// [`exchange_with_root_wide`] followed by one `print w0 + w1 + … +
+/// w{n-1};`. That single statement reads every padding local, so all of
+/// them stay live through the exchange and dead-variable projection
+/// keeps them all: the constraint graphs keep the paper's 52–66 variable
+/// regime (and beyond), where closure, join/widen and match costs grow
+/// with the variable count. The profile's variable-regime rows (E6, E8,
+/// E18) run this program.
+#[must_use]
+pub fn exchange_with_root_wide_live(extra_vars: usize) -> CorpusProgram {
+    let mut wide = exchange_with_root_wide(extra_vars);
+    let sum: Vec<String> = (0..extra_vars).map(|k| format!("w{k}")).collect();
+    if !sum.is_empty() {
+        wide.source
+            .push_str(&format!("print {};\n", sum.join(" + ")));
+    }
+    entry(
+        "exchange_with_root_wide_live",
+        "§IX (variable-count regime, all locals live)",
+        "exchange-with-root padded with chained locals that a final print keeps live",
+        PatternHint::ExchangeWithRoot,
+        2,
+        wide.source,
+    )
+}
+
 /// `k` back-to-back exchange phases between ranks 0 and 1 — a
 /// program-size scaling knob for the analysis benchmarks (the pCFG walk
 /// grows linearly with the number of communication phases).
@@ -803,5 +828,8 @@ mod extension_tests {
         assert!(tree_broadcast().program.len() > 5);
         assert!(pipeline_double().program.len() > 5);
         assert!(exchange_with_root_wide(10).source.matches(":=").count() >= 11);
+        let live = exchange_with_root_wide_live(3);
+        assert!(live.source.ends_with("print w0 + w1 + w2;\n"));
+        assert!(live.source.starts_with(&exchange_with_root_wide(3).source));
     }
 }

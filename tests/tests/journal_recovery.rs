@@ -1,9 +1,10 @@
 //! Property test for cache-journal torn-tail recovery: a `kill -9` can
 //! truncate the journal at *any* byte boundary, so replay must be total
 //! — for every possible truncation point it recovers the longest valid
-//! record prefix, never panics, and never yields a partial record.
+//! record prefix, never panics, and never yields a partial record. A
+//! record an older engine wrote replays too, but is never served.
 
-use mpl_core::{CacheJournal, JournalEntry};
+use mpl_core::{json_escape, AnalysisService, CacheJournal, JournalEntry, ServiceConfig};
 
 /// Builds a realistic journal through the public API (open + append in
 /// a scratch dir) and returns its raw bytes plus the entries written.
@@ -138,4 +139,56 @@ fn corruption_at_every_offset_never_panics_and_never_fabricates() {
         }
         assert!(replay.valid_bytes + replay.torn_bytes == mutated.len() as u64);
     }
+}
+
+/// A journal written before the engine revision joined the check string
+/// carries bodies the current engine would not produce (here: a stale
+/// `steps`). Replay still loads the record, but the request must miss it
+/// and answer exactly what `mpl analyze --json` prints.
+#[test]
+fn records_of_an_older_engine_replay_but_never_serve() {
+    let dir = std::env::temp_dir().join(format!("mpl-journal-stale-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = || ServiceConfig {
+        cache_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    };
+    let source = mpl_lang::corpus::exchange_with_root().source;
+    let line = format!(
+        "{{\"op\":\"analyze\",\"program\":\"{}\"}}",
+        json_escape(&source)
+    );
+
+    // Let the service journal the record, then rewrite it in the older
+    // format under the same key: no engine fragment, wrong `steps`.
+    let fresh = AnalysisService::open(config()).expect("open service");
+    let _ = fresh.handle_line(&line);
+    drop(fresh);
+    let (journal, replay) = CacheJournal::open(&dir).expect("reopen journal");
+    drop(journal);
+    let record = replay.entries.into_iter().next().expect("journaled record");
+    assert!(record.check.contains(";engine=2;"), "{}", record.check);
+    let old_check = record.check.replace(";engine=2;", ";");
+    let stale_body = record.body.replace("\"steps\":74", "\"steps\":78");
+    assert_ne!(stale_body, record.body, "{}", record.body);
+    std::fs::remove_dir_all(&dir).expect("clear journal");
+    let (mut journal, _) = CacheJournal::open(&dir).expect("fresh journal");
+    journal
+        .append(record.key, &old_check, &stale_body)
+        .expect("plant stale record");
+    drop(journal);
+
+    let restarted = AnalysisService::open(config()).expect("restart on old journal");
+    assert_eq!(restarted.replayed(), 1);
+    let served = restarted.handle_line(&line).line().to_owned();
+    let stats = restarted.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (0, 1));
+    let args: Vec<String> = ["analyze", "prog.mpl", "--json"]
+        .iter()
+        .map(|s| (*s).to_owned())
+        .collect();
+    let cli = mpl_cli::run_command(&args, &source).expect("analyze runs");
+    assert_eq!(format!("{served}\n"), cli.text);
+    assert_ne!(served, stale_body);
+    let _ = std::fs::remove_dir_all(&dir);
 }
