@@ -53,7 +53,7 @@ fn main() {
 
     println!("== state_sharing (E18) ==");
     println!(
-        "{:<22} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8} {:>12} {:>8}",
+        "{:<22} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8} {:>5} {:>12} {:>8}",
         "program",
         "total",
         "transfer",
@@ -61,6 +61,7 @@ fn main() {
         "join/widen",
         "admission",
         "stored",
+        "peak",
         "~bytes",
         "copies"
     );
@@ -70,7 +71,7 @@ fn main() {
         let (run, copies) = measure(prog, *runs);
         let p = &run.profile;
         println!(
-            "{:<22} {:>10.2?} {:>10.2?} {:>10.2?} {:>10.2?} {:>10.2?} {:>8} {:>12} {:>8}",
+            "{:<22} {:>10.2?} {:>10.2?} {:>10.2?} {:>10.2?} {:>10.2?} {:>8} {:>5} {:>12} {:>8}",
             label,
             p.total,
             p.transfer,
@@ -78,6 +79,7 @@ fn main() {
             p.join_widen,
             p.admission,
             p.stored.locations,
+            p.stored.peak_live,
             p.stored.approx_bytes,
             copies,
         );
@@ -88,13 +90,15 @@ fn main() {
             rows,
             "{{\"program\":\"{label}\",\"total_ms\":{:.3},\"transfer_ms\":{:.3},\
              \"match_ms\":{:.3},\"join_widen_ms\":{:.3},\"admission_ms\":{:.3},\
-             \"stored_locations\":{},\"stored_approx_bytes\":{},\"matrix_copies\":{}}}",
+             \"stored_locations\":{},\"stored_peak_live\":{},\"stored_approx_bytes\":{},\
+             \"matrix_copies\":{}}}",
             ms(p.total),
             ms(p.transfer),
             ms(p.matching),
             ms(p.join_widen),
             ms(p.admission),
             p.stored.locations,
+            p.stored.peak_live,
             p.stored.approx_bytes,
             copies,
         );

@@ -124,14 +124,22 @@ fn main() {
     println!("per-phase engine breakdown (E18)");
     println!("================================================================");
     println!(
-        "{:<26} {:>10} {:>10} {:>10} {:>10} {:>10} {:>7} {:>10}",
-        "program", "transfer", "match", "join/widen", "admission", "total", "stored", "~bytes"
+        "{:<26} {:>10} {:>10} {:>10} {:>10} {:>10} {:>7} {:>5} {:>10}",
+        "program",
+        "transfer",
+        "match",
+        "join/widen",
+        "admission",
+        "total",
+        "stored",
+        "peak",
+        "~bytes"
     );
-    println!("{}", "-".repeat(100));
+    println!("{}", "-".repeat(106));
     for (label, run) in &runs {
         let p = &run.profile;
         println!(
-            "{:<26} {:>10.2?} {:>10.2?} {:>10.2?} {:>10.2?} {:>10.2?} {:>7} {:>10}",
+            "{:<26} {:>10.2?} {:>10.2?} {:>10.2?} {:>10.2?} {:>10.2?} {:>7} {:>5} {:>10}",
             label,
             p.transfer,
             p.matching,
@@ -139,6 +147,7 @@ fn main() {
             p.admission,
             p.total,
             p.stored.locations,
+            p.stored.peak_live,
             p.stored.approx_bytes,
         );
     }

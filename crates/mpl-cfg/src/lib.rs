@@ -8,7 +8,9 @@
 //! clients are baseline analyses (e.g. sequential constant propagation,
 //! which cannot see through `send`/`recv` and therefore motivates the
 //! parallel framework) and the [`liveness`] the pCFG engine uses to keep
-//! dead variables out of its states.
+//! dead variables out of its states. [`scc`] ranks the graph's strongly
+//! connected components, which the engine uses to retire stored states
+//! no later step can reach.
 //!
 //! ```
 //! use mpl_lang::parse_program;
@@ -24,7 +26,9 @@ pub mod dataflow;
 pub mod dot;
 pub mod graph;
 pub mod liveness;
+pub mod scc;
 pub mod seq_constprop;
 
 pub use dataflow::{solve_backward, solve_forward, DataflowAnalysis, JoinSemiLattice};
 pub use graph::{Cfg, CfgNode, CfgNodeId, EdgeKind};
+pub use scc::SccRanks;

@@ -302,8 +302,9 @@ fn cmd_analyze(
             let _ = writeln!(out, "engine phases: {profile}");
             let _ = writeln!(
                 out,
-                "stored states: {} locations, ~{} bytes (shared substructure deduplicated)",
-                profile.stored.locations, profile.stored.approx_bytes,
+                "stored states: {} locations, peak {} live, ~{} bytes held at end \
+                 (shared substructure deduplicated)",
+                profile.stored.locations, profile.stored.peak_live, profile.stored.approx_bytes,
             );
         }
     }
@@ -664,7 +665,14 @@ mod tests {
         assert!(out.text.contains("engine events:"), "{}", out.text);
         assert!(out.text.contains("widenings"), "{}", out.text);
         assert!(out.text.contains("engine phases:"), "{}", out.text);
-        assert!(out.text.contains("stored states:"), "{}", out.text);
+        // fig. 2 visits 13 locations, but the store never holds more than
+        // the few its queued states can still reach.
+        assert!(
+            out.text
+                .contains("stored states: 13 locations, peak 4 live, ~"),
+            "{}",
+            out.text
+        );
     }
 
     #[test]

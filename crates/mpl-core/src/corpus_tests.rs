@@ -5,7 +5,9 @@
 //! framework logic itself.
 
 use crate::engine::{analyze, analyze_cfg_with};
-use crate::{AnalysisConfig, AnalysisResult, Client, PrintFact, TraceObserver, Verdict};
+use crate::{
+    AnalysisConfig, AnalysisResult, Client, PrintFact, StatsObserver, TraceObserver, Verdict,
+};
 use mpl_cfg::Cfg;
 use mpl_lang::corpus;
 
@@ -267,4 +269,26 @@ fn dead_padding_costs_one_step_per_local() {
             assert_eq!(wide.steps, base + n as u64, "{client:?} n={n}");
         }
     }
+}
+
+/// The store keeps a location only while a queued state can still reach
+/// it (DESIGN §3.17). A path of k pair exchanges visits each of its
+/// 2k + 8 locations once, so the store's high-water mark must not grow
+/// with k, while the distinct-location count and the steps still do.
+#[test]
+fn store_high_water_is_independent_of_path_length() {
+    let peak_live = |k: usize| {
+        let cfg = Cfg::build(&corpus::repeated_exchanges(k).program);
+        let mut stats = StatsObserver::new();
+        let result = analyze_cfg_with(&cfg, &AnalysisConfig::default(), &mut stats);
+        assert!(result.is_exact(), "k={k}: {:?}", result.verdict);
+        let visited = 2 * k + 8;
+        assert_eq!(result.steps, visited as u64, "k={k}");
+        let stored = stats.profile().expect("profile fired").stored;
+        assert_eq!(stored.locations, visited, "k={k}");
+        stored.peak_live
+    };
+    let short = peak_live(64);
+    assert_eq!(short, peak_live(512));
+    assert!(short <= 4, "{short} live locations");
 }

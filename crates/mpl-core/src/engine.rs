@@ -104,7 +104,7 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
                 _ => None,
             })
             .collect();
-        let scheduler = Scheduler::new(&config);
+        let scheduler = Scheduler::new(&config, cfg);
         Engine {
             cfg,
             norm,

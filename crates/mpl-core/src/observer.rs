@@ -57,7 +57,8 @@ pub struct EngineProfile {
     pub admission: Duration,
     /// Wall-clock time of the whole engine run.
     pub total: Duration,
-    /// Final footprint of the scheduler's per-location state store.
+    /// The scheduler's per-location state store: locations stored over
+    /// the run, the most held at once, and the bytes held at the end.
     pub stored: StoredStats,
     /// Frontiers the FIFO worklist went through. A frontier is what the
     /// queue held when the previous one was used up, so `rounds` is the
@@ -84,8 +85,8 @@ impl fmt::Display for EngineProfile {
         write!(
             f,
             "transfer {:?}, match {:?}, join/widen {:?}, admission {:?} \
-             (sum {:?} of {:?} total); {} stored locations, ~{} bytes; \
-             {} rounds, frontier peak {} mean {:.1}",
+             (sum {:?} of {:?} total); {} stored locations, peak {} live, \
+             ~{} bytes held at end; {} rounds, frontier peak {} mean {:.1}",
             self.transfer,
             self.matching,
             self.join_widen,
@@ -93,6 +94,7 @@ impl fmt::Display for EngineProfile {
             self.phase_sum(),
             self.total,
             self.stored.locations,
+            self.stored.peak_live,
             self.stored.approx_bytes,
             self.rounds,
             self.frontier_peak,

@@ -1,5 +1,6 @@
-//! The worklist scheduler: exploration order, budgets, cancellation and
-//! widening-delay bookkeeping, extracted from the engine loop.
+//! The worklist scheduler: exploration order, budgets, cancellation,
+//! widening-delay bookkeeping and the bounded location store, extracted
+//! from the engine loop.
 //!
 //! States are keyed by their pCFG location (the `location_key`: the
 //! ordered (CFG node, pending?) pairs of their process sets) and explored
@@ -13,9 +14,18 @@
 //!   it converges;
 //! * **admission** — a successor state is queued only if it brings new
 //!   information at its location (`same_as` dedup / widening progress).
+//!
+//! The store keeps a location's state only while a queued state can
+//! still reach it (DESIGN §3.17). A location's rank is the lowest
+//! [`SccRanks`] rank of its process sets' nodes. Every step moves sets
+//! along CFG edges, so no successor ranks below the state it came from,
+//! and the lowest rank over the queue, the *watermark*, never falls.
+//! Before each pop, every stored location ranked below the watermark is
+//! evicted: no state can be admitted there again.
 
 use std::collections::{HashMap, VecDeque};
 
+use mpl_cfg::{Cfg, SccRanks};
 use mpl_runtime::CancelToken;
 
 use crate::client::ClientDomain;
@@ -29,25 +39,15 @@ use crate::state::AnalysisState;
 /// cancellation within a bounded number of steps" guarantee.
 pub const CANCEL_CHECK_STEPS: u64 = 8;
 
-/// An interned pCFG location: an index into the scheduler's slot table.
-/// Replaces the per-step `Vec<(CfgNodeId, bool)>` allocation of
-/// [`AnalysisState::location_key`] — the key is hashed once
-/// ([`AnalysisState::location_fingerprint`]) and passed by value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct LocationKey(u32);
-
-impl LocationKey {
-    fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-/// Best-known state per location, with its cached state fingerprint and
-/// the location's visit count.
+/// Best-known state at one location, with its cached state fingerprint
+/// and the location's visit count.
 struct Slot {
     state: AnalysisState,
     fp: u64,
     visits: u32,
+    /// Debug-only collision guard: the full location key.
+    #[cfg(debug_assertions)]
+    key: Vec<(mpl_cfg::CfgNodeId, bool)>,
 }
 
 /// A snapshot of the scheduler's location store, for `--stats` memory
@@ -55,24 +55,32 @@ struct Slot {
 #[derive(Debug, Clone, Copy, Default)]
 #[non_exhaustive]
 pub struct StoredStats {
-    /// Number of distinct pCFG locations with a stored state.
+    /// Number of distinct pCFG locations stored over the run.
     pub locations: usize,
-    /// Estimated heap bytes of the stored states, counting each
-    /// CoW-shared component allocation once.
+    /// Most locations stored at once: the store's high-water mark.
+    pub peak_live: usize,
+    /// Estimated heap bytes of the states still stored when the run
+    /// ended, counting each CoW-shared component allocation once.
     pub approx_bytes: usize,
 }
 
-/// The engine's worklist with its budget and widening bookkeeping.
+/// The engine's worklist with its budget, widening and store
+/// bookkeeping.
 pub struct Scheduler {
     work: VecDeque<AnalysisState>,
-    /// Best-known state, cached fingerprint and visit count per interned
-    /// location.
-    stored: Vec<Slot>,
-    /// Location fingerprint → slot index.
-    loc_index: HashMap<u64, u32>,
-    /// Debug-only collision guard: the full location key per slot.
-    #[cfg(debug_assertions)]
-    loc_keys: Vec<Vec<(mpl_cfg::CfgNodeId, bool)>>,
+    /// Location fingerprint → best-known state at that location.
+    stored: HashMap<u64, Slot>,
+    ranks: SccRanks,
+    /// Queued states per location rank.
+    queued: Vec<u32>,
+    /// Stored location fingerprints per location rank.
+    buckets: Vec<Vec<u64>>,
+    /// The lowest rank any queued state can have: no state below it is
+    /// ever queued again, and no location below it is stored.
+    watermark: u32,
+    /// Locations stored over the run, and the most stored at once.
+    locations: usize,
+    peak_live: usize,
     steps: u64,
     max_steps: u64,
     widen_delay: u32,
@@ -90,16 +98,20 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// A scheduler configured from the engine knobs (step budget,
-    /// widening delay, cancellation token).
+    /// A scheduler for `cfg`, configured from the engine knobs (step
+    /// budget, widening delay, cancellation token).
     #[must_use]
-    pub fn new(config: &AnalysisConfig) -> Scheduler {
+    pub fn new(config: &AnalysisConfig, cfg: &Cfg) -> Scheduler {
+        let ranks = SccRanks::compute(cfg);
         Scheduler {
             work: VecDeque::new(),
-            stored: Vec::new(),
-            loc_index: HashMap::new(),
-            #[cfg(debug_assertions)]
-            loc_keys: Vec::new(),
+            stored: HashMap::new(),
+            queued: vec![0; ranks.count()],
+            buckets: vec![Vec::new(); ranks.count()],
+            ranks,
+            watermark: 0,
+            locations: 0,
+            peak_live: 0,
             steps: 0,
             max_steps: config.max_steps,
             widen_delay: config.widen_delay,
@@ -111,36 +123,54 @@ impl Scheduler {
         }
     }
 
-    /// Interns the state's pCFG location, returning a stable by-value
-    /// key. `None` if the location has never been stored.
-    fn lookup(&self, s: &AnalysisState) -> Option<LocationKey> {
-        let key = self
-            .loc_index
-            .get(&s.location_fingerprint())
-            .map(|&i| LocationKey(i));
-        #[cfg(debug_assertions)]
-        if let Some(k) = key {
-            debug_assert_eq!(
-                self.loc_keys[k.index()],
-                s.location_key(),
-                "location fingerprint collision"
-            );
-        }
-        key
+    /// The location's rank: the lowest rank of its process sets' nodes.
+    fn rank_of(&self, s: &AnalysisState) -> u32 {
+        s.psets
+            .iter()
+            .map(|p| self.ranks.rank(p.node))
+            .min()
+            .expect("a queued state has a process set")
     }
 
-    /// Allocates a slot for a location not seen before.
-    fn insert_slot(&mut self, s: &AnalysisState, fp: u64) -> LocationKey {
-        let idx = u32::try_from(self.stored.len()).expect("location count overflow");
-        self.loc_index.insert(s.location_fingerprint(), idx);
-        #[cfg(debug_assertions)]
-        self.loc_keys.push(s.location_key());
-        self.stored.push(Slot {
-            state: s.clone(),
-            fp,
-            visits: 1,
-        });
-        LocationKey(idx)
+    /// Queues `s`, which must not rank below the watermark.
+    fn push(&mut self, s: AnalysisState) {
+        let rank = self.rank_of(&s);
+        debug_assert!(
+            rank >= self.watermark,
+            "state at rank {rank} queued below the watermark {}",
+            self.watermark
+        );
+        self.queued[rank as usize] += 1;
+        self.work.push_back(s);
+    }
+
+    /// Stores a state at a location not seen before.
+    fn insert_slot(&mut self, loc: u64, s: &AnalysisState, fp: u64) {
+        self.stored.insert(
+            loc,
+            Slot {
+                state: s.clone(),
+                fp,
+                visits: 1,
+                #[cfg(debug_assertions)]
+                key: s.location_key(),
+            },
+        );
+        let rank = self.rank_of(s);
+        self.buckets[rank as usize].push(loc);
+        self.locations += 1;
+        self.peak_live = self.peak_live.max(self.stored.len());
+    }
+
+    /// Raises the watermark to the lowest rank still queued, evicting
+    /// every location it passes. Some state must still count as queued.
+    fn evict_below_watermark(&mut self) {
+        while self.queued[self.watermark as usize] == 0 {
+            for loc in std::mem::take(&mut self.buckets[self.watermark as usize]) {
+                self.stored.remove(&loc);
+            }
+            self.watermark += 1;
+        }
     }
 
     /// Location-store size and estimated memory, each CoW-shared
@@ -148,13 +178,15 @@ impl Scheduler {
     #[must_use]
     pub fn stored_stats(&self) -> StoredStats {
         let mut seen = std::collections::HashSet::new();
-        let mut bytes = 0;
-        for slot in &self.stored {
-            bytes += slot.state.approx_bytes(&mut seen);
-        }
+        let approx_bytes = self
+            .stored
+            .values()
+            .map(|slot| slot.state.approx_bytes(&mut seen))
+            .sum();
         StoredStats {
-            locations: self.stored.len(),
-            approx_bytes: bytes,
+            locations: self.locations,
+            peak_live: self.peak_live,
+            approx_bytes,
         }
     }
 
@@ -162,8 +194,8 @@ impl Scheduler {
     /// visit of its location).
     pub fn seed(&mut self, init: AnalysisState) {
         let fp = init.fingerprint();
-        self.insert_slot(&init, fp);
-        self.work.push_back(init);
+        self.insert_slot(init.location_fingerprint(), &init, fp);
+        self.push(init);
     }
 
     /// Worklist steps taken so far (1-based on the first [`Self::tick`]).
@@ -172,7 +204,8 @@ impl Scheduler {
         self.steps
     }
 
-    /// Pops the next state to explore, in FIFO order.
+    /// Pops the next state to explore, in FIFO order, first evicting
+    /// every stored location below the queue's lowest rank.
     ///
     /// Returns `None` when the worklist is exhausted (fixpoint), and
     /// `Some(Err(reason))` when a budget ran out: the step budget, or —
@@ -181,6 +214,10 @@ impl Scheduler {
     /// cooperative deadline.
     pub fn tick(&mut self) -> Option<Result<AnalysisState, TopReason>> {
         let st = self.work.pop_front()?;
+        // `st` still counts as queued, so the watermark cannot pass it.
+        self.evict_below_watermark();
+        let rank = self.rank_of(&st);
+        self.queued[rank as usize] -= 1;
         if self.frontier_left == 0 {
             let width = self.work.len() + 1;
             self.frontier_left = width;
@@ -234,12 +271,14 @@ impl Scheduler {
         observer: &mut O,
     ) -> Option<TopReason> {
         let s_fp = s.fingerprint();
-        let Some(key) = self.lookup(&s) else {
-            self.insert_slot(&s, s_fp);
-            self.work.push_back(s);
+        let loc = s.location_fingerprint();
+        let Some(slot) = self.stored.get_mut(&loc) else {
+            self.insert_slot(loc, &s, s_fp);
+            self.push(s);
             return None;
         };
-        let slot = &self.stored[key.index()];
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(slot.key, s.location_key(), "location fingerprint collision");
         let visits = slot.visits + 1;
         if visits <= self.widen_delay {
             // Delayed widening: explore the state exactly (bounded
@@ -255,11 +294,10 @@ impl Scheduler {
             if s.same_as_slow(&slot.state) {
                 return None;
             }
-            let slot = &mut self.stored[key.index()];
             slot.state = s.clone();
             slot.fp = s_fp;
             slot.visits = visits;
-            self.work.push_back(s);
+            self.push(s);
             return None;
         }
         let widened = domain.widen(&slot.state, &s, thresholds);
@@ -278,11 +316,10 @@ impl Scheduler {
             return Some(TopReason::AbstractionLoss);
         }
         observer.on_widen(visits, &widened);
-        let slot = &mut self.stored[key.index()];
         slot.state = widened.clone();
         slot.fp = w_fp;
         slot.visits = visits;
-        self.work.push_back(widened);
+        self.push(widened);
         None
     }
 }
@@ -427,7 +464,7 @@ mod frontier_order_tests {
         let cfg = Cfg::build(&corpus::fig2_exchange().program);
         let mut nodes: Vec<CfgNodeId> = cfg.node_ids().collect();
         nodes.reverse();
-        let mut sched = Scheduler::new(&AnalysisConfig::default());
+        let mut sched = Scheduler::new(&AnalysisConfig::default(), &cfg);
         for &n in &nodes {
             sched.seed(AnalysisState::initial(n, 4));
         }

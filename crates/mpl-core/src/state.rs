@@ -575,8 +575,10 @@ impl AnalysisState {
 
     /// Estimated heap bytes reachable from this state, skipping
     /// allocations whose identity is already in `seen` — so a store of
-    /// CoW states counts each shared component once.
-    pub(crate) fn approx_bytes(&self, seen: &mut std::collections::HashSet<usize>) -> usize {
+    /// CoW states counts each shared component once. Public only so
+    /// tests can measure states an observer kept.
+    #[doc(hidden)]
+    pub fn approx_bytes(&self, seen: &mut std::collections::HashSet<usize>) -> usize {
         const BTREE_ENTRY: usize = 24; // rough per-entry node overhead
         let mut total = std::mem::size_of::<AnalysisState>();
         if seen.insert(Shared::heap_id(&self.cg)) {

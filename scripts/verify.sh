@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Offline tier-1 verification: formatting, lints, and the full test
-# suite, with zero registry access (the default workspace has no
-# external dependencies; see README "ext-deps").
+# suite, with zero registry access (the workspace has no external
+# dependencies).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

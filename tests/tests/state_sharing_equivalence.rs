@@ -15,12 +15,15 @@
 //!   fingerprints, and fingerprint equality implies structural equality.
 //!
 //! A scaling check rides along: a path's states share their match set,
-//! so the stored-state footprint grows near-linearly with path length.
+//! so the footprint of every state along the path grows near-linearly
+//! with path length.
+
+use std::collections::HashSet;
 
 use mpl_cfg::{Cfg, CfgNodeId};
 use mpl_core::{
-    analyze_cfg, analyze_cfg_with, AnalysisConfig, AnalysisResult, AnalysisState, Client, Shared,
-    StatsObserver,
+    analyze_cfg, analyze_cfg_with, AnalysisConfig, AnalysisObserver, AnalysisResult, AnalysisState,
+    Client, Shared,
 };
 use mpl_domains::{ConstraintGraph, LinExpr, NsVar, PsetId};
 use mpl_lang::corpus;
@@ -53,25 +56,40 @@ fn corpus_results_are_identical_across_repeat_runs() {
     }
 }
 
-/// Estimated stored-state bytes at the end of an analysis of `k`
-/// sequential pair exchanges (one path of 2k matches).
-fn stored_bytes_of_repeated_exchanges(k: usize) -> usize {
+/// Keeps every state the engine steps. The scheduler's store evicts a
+/// location once no queued state can reach it, so only an observer still
+/// sees the whole path.
+#[derive(Default)]
+struct PathStates(Vec<AnalysisState>);
+
+impl AnalysisObserver for PathStates {
+    fn on_step(&mut self, _step: u64, st: &AnalysisState) {
+        self.0.push(st.clone());
+    }
+}
+
+/// Estimated bytes of every state an analysis of `k` sequential pair
+/// exchanges steps (one path of 2k matches), each shared allocation
+/// counted once.
+fn path_bytes_of_repeated_exchanges(k: usize) -> usize {
     let cfg = Cfg::build(&corpus::repeated_exchanges(k).program);
-    let mut stats = StatsObserver::new();
-    let result = analyze_cfg_with(&cfg, &AnalysisConfig::default(), &mut stats);
+    let mut path = PathStates::default();
+    let result = analyze_cfg_with(&cfg, &AnalysisConfig::default(), &mut path);
     assert!(result.is_exact(), "{:?}", result.verdict);
     assert_eq!(result.matches.len(), 2 * k);
-    stats.profile().expect("profile fired").stored.approx_bytes
+    assert_eq!(path.0.len() as u64, result.steps);
+    let mut seen = HashSet::new();
+    path.0.iter().map(|st| st.approx_bytes(&mut seen)).sum()
 }
 
 #[test]
 fn stored_state_bytes_scale_near_linearly_with_match_history() {
-    // Every stored state on the path holds the path's matches so far:
-    // with a copied set per state the store grows quadratically (about
-    // 3.5x per doubling here); with shared path-copied sets it grows by
-    // k log k.
-    let small = stored_bytes_of_repeated_exchanges(256);
-    let large = stored_bytes_of_repeated_exchanges(512);
+    // Every state on the path holds the path's matches so far: with a
+    // copied set per state the path's footprint grows quadratically
+    // (about 3.5x per doubling here); with shared path-copied sets it
+    // grows by k log k.
+    let small = path_bytes_of_repeated_exchanges(256);
+    let large = path_bytes_of_repeated_exchanges(512);
     assert!(
         (large as f64) < 2.5 * small as f64,
         "stored bytes grew {:.2}x for 2x the matches ({small} -> {large})",
