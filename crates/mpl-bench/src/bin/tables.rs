@@ -1,5 +1,5 @@
 //! Regenerates the paper's worked tables and figures (experiments
-//! E1–E5, E10 of DESIGN.md) as text tables.
+//! E1–E5 and E10–E12 of DESIGN.md) as text tables.
 //!
 //! Run with `cargo run -p mpl-bench --bin tables`.
 
@@ -17,48 +17,6 @@ fn main() {
     pattern_table_e10();
     mpicfg_precision_table();
     critical_path_table();
-    parallel_batch_table_e15();
-}
-
-/// E15: wall time for the full-corpus batch analysis at 1/2/4/8 workers
-/// (the `RequestBatch` claim counter behind `mpl analyze-corpus`).
-/// Speedup is relative to one worker; on a single-core host it stays
-/// near 1× and only reflects the cost of the worker threads.
-fn parallel_batch_table_e15() {
-    use mpl_core::{AnalysisRequest, RequestBatch};
-    use std::time::Instant;
-
-    println!("================================================================");
-    println!("Parallel batch analysis: corpus wall time by worker count (E15)");
-    println!("================================================================");
-    println!(
-        "{:<10} {:>12} {:>10} {:>10} {:>8}",
-        "jobs", "wall", "speedup", "programs", "exact"
-    );
-    println!("{}", "-".repeat(56));
-    let mut base = None;
-    for workers in [1usize, 2, 4, 8] {
-        let mut batch = RequestBatch::new().workers(workers);
-        for prog in corpus::all() {
-            let request = AnalysisRequest::builder()
-                .name(prog.name)
-                .program(prog.program);
-            batch.push(request.build().expect("valid request"));
-        }
-        let start = Instant::now();
-        let report = batch.run();
-        let wall = start.elapsed();
-        let baseline = *base.get_or_insert(wall);
-        println!(
-            "{:<10} {:>12.2?} {:>9.2}x {:>10} {:>8}",
-            workers,
-            wall,
-            baseline.as_secs_f64() / wall.as_secs_f64().max(1e-9),
-            report.summary.programs,
-            report.summary.exact
-        );
-    }
-    println!();
 }
 
 /// Precision against the MPI-CFG baseline (paper §II): statement pairs

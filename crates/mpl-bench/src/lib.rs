@@ -1,82 +1,196 @@
-//! # mpl-bench — evaluation harness
+//! # mpl-bench — evaluation binaries
 //!
 //! Regenerates every table and figure of the paper's evaluation (see the
 //! experiment index in `DESIGN.md`):
 //!
-//! * `cargo run -p mpl-bench --bin tables` — the per-figure analysis
-//!   results (E1–E5, E10): verdicts, matched topologies, Table I HSM
-//!   derivations and the pattern/collective table;
-//! * `cargo run -p mpl-bench --bin profile` — the §IX profile (E6):
-//!   closure operation counts, average variable counts and the share of
-//!   analysis time spent in transitive closure, plus the full-closure
-//!   ablation (E8);
-//! * `cargo bench -p mpl-bench` — in-tree [`harness`] benches: closure
-//!   scaling (E7), end-to-end analysis times (E6) and the closure
-//!   ablation (E8).
-
-pub mod harness;
+//! * `cargo run -p mpl-bench --bin tables` — the untimed results (E1–E5,
+//!   E10–E12): verdicts, matched topologies, Table I HSM derivations,
+//!   the pattern/collective table, MPI-CFG precision and critical paths;
+//! * `cargo run -p mpl-bench --bin profile --release` — every timed row:
+//!   the §IX profile (E6), closure and program-size scaling (E7), the
+//!   per-phase breakdown (E18) and, with `--ablation`, the closure and
+//!   client ablations (E8).
+//!
+//! [`sample`] is the one timing loop `profile` uses and [`profiled_run`]
+//! is one instrumented engine run. End-to-end timings of the `mpl`
+//! binary (serving, batches) belong to `mpl-benchmark`.
 
 use std::time::{Duration, Instant};
 
+use mpl_cfg::Cfg;
 use mpl_core::{
     analyze_cfg_with, AnalysisConfig, AnalysisResult, Client, EngineProfile, StatsObserver,
 };
-use mpl_domains::ClosureStats;
-use mpl_lang::corpus::CorpusProgram;
+use mpl_domains::{stats, ClosureStats};
 
-/// One measured analysis run with its closure profile.
+/// Samples [`sample`] takes of every row.
+pub const SAMPLES: usize = 5;
+
+/// The shortest sample [`sample`] takes. A call shorter than this is
+/// repeated until a sample lasts about this long, so the stopwatch's own
+/// cost stays under 0.1 % of it. The engine runs `profile` times take
+/// longer (0.13 ms and up on a 2-vCPU x86-64 VM), so each of their
+/// samples is normally a single run.
+const MIN_SAMPLE: Duration = Duration::from_micros(100);
+
+/// The samples of one row.
 #[derive(Debug, Clone)]
-pub struct ProfiledRun {
-    /// Client used.
-    pub client: Client,
-    /// The analysis result.
-    pub result: AnalysisResult,
-    /// Total wall-clock analysis time.
-    pub total: Duration,
-    /// Closure counters accumulated during the run.
-    pub closure: ClosureStats,
-    /// Per-phase engine breakdown (E18).
-    pub profile: EngineProfile,
+pub struct Sampled<T> {
+    /// Each sample's per-call time and the result of its last call,
+    /// fastest first; never empty.
+    samples: Vec<(Duration, T)>,
 }
 
-impl ProfiledRun {
-    /// Fraction of the analysis time spent inside transitive closures —
-    /// the paper's headline "92.5 %".
+impl<T> Sampled<T> {
+    /// The median sample: its per-call time and its last call's result.
     #[must_use]
-    pub fn closure_share(&self) -> f64 {
-        if self.total.is_zero() {
-            return 0.0;
-        }
-        self.closure.closure_time().as_secs_f64() / self.total.as_secs_f64()
+    pub fn median(&self) -> &(Duration, T) {
+        &self.samples[self.samples.len() / 2]
+    }
+
+    /// The fastest sample's per-call time.
+    #[must_use]
+    pub fn min(&self) -> Duration {
+        self.samples[0].0
+    }
+
+    /// The interquartile range of the per-call times (nearest rank).
+    #[must_use]
+    pub fn iqr(&self) -> Duration {
+        let rank = |quarter: usize| self.samples[(quarter * self.samples.len()).div_ceil(4) - 1].0;
+        rank(3) - rank(1)
+    }
+
+    /// Whether every sample's result reports the same `counters`.
+    pub fn agree<K: PartialEq>(&self, counters: impl Fn(&T) -> K) -> bool {
+        let first = counters(&self.samples[0].1);
+        self.samples
+            .iter()
+            .all(|(_, result)| counters(result) == first)
     }
 }
 
-/// Runs `prog` under `client` with closure instrumentation.
+/// Times `f`. One warm-up call calibrates how many calls make a sample
+/// of at least `MIN_SAMPLE`; then each of [`SAMPLES`] samples times
+/// that many calls with one stopwatch and keeps the last call's result.
+pub fn sample<T>(mut f: impl FnMut() -> T) -> Sampled<T> {
+    let start = Instant::now();
+    std::hint::black_box(f());
+    let once = start.elapsed().max(Duration::from_nanos(1));
+    let iters = u32::try_from(MIN_SAMPLE.as_nanos().div_ceil(once.as_nanos())).unwrap_or(u32::MAX);
+    let mut samples: Vec<(Duration, T)> = (0..SAMPLES)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 1..iters {
+                std::hint::black_box(f());
+            }
+            let last = f();
+            (start.elapsed() / iters, last)
+        })
+        .collect();
+    samples.sort_by_key(|(time, _)| *time);
+    Sampled { samples }
+}
+
+/// One instrumented engine run.
+#[derive(Debug, Clone)]
+pub struct ProfiledRun {
+    /// The analysis result.
+    pub result: AnalysisResult,
+    /// Closure counters accumulated during the run.
+    pub closure: ClosureStats,
+    /// Bound matrices the run copied on write.
+    pub matrix_copies: u64,
+    /// Per-phase breakdown of the worklist loop and store footprint
+    /// (E18), timed by the engine's own clock.
+    pub profile: EngineProfile,
+}
+
+/// The counters of one run that do not depend on timing: every run of
+/// one program on one thread reports the same.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunCounters {
+    /// Engine steps.
+    steps: u64,
+    /// Closure counts and variable sums (`closure_nanos` zeroed).
+    closure: ClosureStats,
+    /// Bound matrices copied on write.
+    matrix_copies: u64,
+    /// Locations the store held over the run.
+    stored_locations: usize,
+    /// Most locations the store held at once.
+    stored_peak_live: usize,
+}
+
+impl ProfiledRun {
+    /// Fraction of the worklist loop spent inside transitive closures —
+    /// the paper's headline "92.5 %".
+    #[must_use]
+    pub fn closure_share(&self) -> f64 {
+        if self.profile.total.is_zero() {
+            return 0.0;
+        }
+        self.closure.closure_time().as_secs_f64() / self.profile.total.as_secs_f64()
+    }
+
+    /// The run's timing-independent counters.
+    #[must_use]
+    pub fn counters(&self) -> RunCounters {
+        RunCounters {
+            steps: self.result.steps,
+            closure: ClosureStats {
+                closure_nanos: 0,
+                ..self.closure
+            },
+            matrix_copies: self.matrix_copies,
+            stored_locations: self.profile.stored.locations,
+            stored_peak_live: self.profile.stored.peak_live,
+        }
+    }
+}
+
+/// Runs the engine over `cfg` under `client` with closure and phase
+/// instrumentation.
 ///
 /// The closure counters are the engine's per-run delta
-/// ([`AnalysisResult::closure_stats`]), so earlier closure work on the
-/// thread never needs a global reset.
+/// ([`AnalysisResult::closure_stats`]) and the matrix copies a delta of
+/// the thread's counter, so earlier work on the thread never needs a
+/// reset.
 #[must_use]
-pub fn profiled_run(prog: &CorpusProgram, client: Client) -> ProfiledRun {
+pub fn profiled_run(cfg: &Cfg, client: Client) -> ProfiledRun {
     let config = AnalysisConfig::builder()
         .client(client)
         .build()
         .expect("default-based config is valid");
-    let cfg = mpl_cfg::Cfg::build(&prog.program);
-    let mut stats = StatsObserver::new();
-    let start = Instant::now();
-    let result = analyze_cfg_with(&cfg, &config, &mut stats);
-    let total = start.elapsed();
-    let closure = result.closure_stats;
-    let profile = stats
+    let mut observer = StatsObserver::new();
+    let copies_before = stats::matrix_copies();
+    let result = analyze_cfg_with(cfg, &config, &mut observer);
+    let matrix_copies = stats::matrix_copies() - copies_before;
+    let profile = observer
         .profile()
         .copied()
         .expect("StatsObserver captures the engine profile on completion");
     ProfiledRun {
-        client,
+        closure: result.closure_stats,
         result,
-        total,
-        closure,
+        matrix_copies,
         profile,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mpl_lang::corpus;
+
+    #[test]
+    fn repeated_runs_on_one_thread_report_equal_counters() {
+        for prog in [corpus::fig2_exchange(), corpus::repeated_exchanges(64)] {
+            let cfg = Cfg::build(&prog.program);
+            let first = profiled_run(&cfg, Client::Simple).counters();
+            let second = profiled_run(&cfg, Client::Simple).counters();
+            assert_eq!(first, second, "{}", prog.name);
+            assert!(first.steps > 0 && first.stored_peak_live > 0, "{first:?}");
+        }
     }
 }

@@ -289,10 +289,12 @@ fn drain_finishes_in_flight_requests_before_exit() {
 #[test]
 fn oversized_line_gets_structured_error_and_daemon_stays_up() {
     let dir = scratch("oversize");
-    let daemon = spawn_daemon(&dir, &["--max-line-bytes", "1024"]);
+    // Room for the 20 000-byte deep line below.
+    const CAP: usize = 32 * 1024;
+    let daemon = spawn_daemon(&dir, &["--max-line-bytes", &CAP.to_string()]);
 
     let mut stream = connect(&daemon.sock);
-    let huge = vec![b'x'; 8 * 1024];
+    let huge = vec![b'x'; CAP + 8 * 1024];
     stream.write_all(&huge).expect("send oversized prefix");
     stream.write_all(b"\n").expect("newline");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
@@ -302,7 +304,7 @@ fn oversized_line_gets_structured_error_and_daemon_stays_up() {
         response.contains("\"code\":\"line-too-long\""),
         "{response}"
     );
-    assert!(response.contains("1024"), "{response}");
+    assert!(response.contains(&CAP.to_string()), "{response}");
     // The connection is closed after the refusal (framing is lost).
     // The daemon closes with part of the oversized line unread, which
     // surfaces as either EOF or a connection reset — both are "closed".
@@ -322,11 +324,24 @@ fn oversized_line_gets_structured_error_and_daemon_stays_up() {
     // and the refusal shows up in stats.
     let pong = round_trip(&daemon.sock, "{\"op\":\"ping\"}");
     assert_eq!(pong, "{\"v\":1,\"type\":\"pong\"}");
+    // A line nested 20 000 deep fits the cap but not the JSON parser's
+    // depth limit: one `bad-json` record, and the same connection
+    // answers its next line.
+    let mut stream = connect(&daemon.sock);
+    writeln!(stream, "{}", "[".repeat(20_000)).expect("send deep line");
+    writeln!(stream, "{{\"op\":\"ping\"}}").expect("send ping");
+    let mut reader = BufReader::new(stream);
+    let mut response = String::new();
+    reader.read_line(&mut response).expect("deep line reply");
+    assert!(response.contains("\"code\":\"bad-json\""), "{response}");
+    response.clear();
+    reader.read_line(&mut response).expect("ping reply");
+    assert_eq!(response, "{\"v\":1,\"type\":\"pong\"}\n");
     let stats = round_trip(&daemon.sock, "{\"op\":\"stats\"}");
     assert_eq!(counter(&stats, "oversize"), 1, "{stats}");
-    // A line of exactly the cap (1024 payload bytes) still parses.
-    let exact = format!("{{\"op\":\"ping\"}}{}", " ".repeat(1024 - 13));
-    assert_eq!(exact.len(), 1024);
+    // A line of exactly the cap still parses.
+    let exact = format!("{{\"op\":\"ping\"}}{}", " ".repeat(CAP - 13));
+    assert_eq!(exact.len(), CAP);
     assert_eq!(
         round_trip(&daemon.sock, &exact),
         "{\"v\":1,\"type\":\"pong\"}"

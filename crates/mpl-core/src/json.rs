@@ -8,12 +8,22 @@
 //! * [`parse`] — a small recursive-descent parser for incoming request
 //!   lines, producing a [`JsonValue`] tree.
 //!
-//! The parser accepts standard JSON with one deliberate restriction:
-//! numbers must be integers in `i64` range. No request field is
-//! fractional, and silently rounding a malformed knob would violate the
-//! protocol's strict-validation discipline, so floats are a parse error.
+//! The parser accepts standard JSON with two deliberate restrictions:
+//!
+//! * numbers must be integers in `i64` range. No request field is
+//!   fractional, and silently rounding a malformed knob would violate
+//!   the protocol's strict-validation discipline, so floats are a parse
+//!   error;
+//! * arrays and objects nest at most 64 levels (`MAX_DEPTH`). Requests
+//!   and journal records nest one level deep, and the cap bounds the
+//!   parser's recursion (and the recursive drop of the tree it builds),
+//!   so no input line can overflow the stack.
 
 use std::fmt;
+
+/// Deepest array/object nesting [`parse`] accepts; the bracket that
+/// would open one more level is a [`JsonError`] at its byte.
+const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,6 +130,7 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
         text: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -134,6 +145,8 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -174,8 +187,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(JsonValue::Str),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -184,6 +197,21 @@ impl Parser<'_> {
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to open
+    /// level [`MAX_DEPTH`] + 1.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<JsonValue, JsonError> {
@@ -408,6 +436,28 @@ mod tests {
         let line = format!("{{\"s\":\"{}\"}}", json_escape(&big));
         let v = parse(&line).unwrap();
         assert_eq!(v.get("s").and_then(JsonValue::as_str), Some(big.as_str()));
+    }
+
+    #[test]
+    fn deepest_accepted_nesting_fits_a_small_stack_and_one_more_level_fails() {
+        let arrays = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        let objects = |levels: usize| "{\"k\":".repeat(levels) + "0" + &"}".repeat(levels);
+        // A 2 MiB thread is the smallest stack a serve connection or a
+        // test runs on; parse and drop must both fit it unoptimized.
+        let deepest = [arrays(MAX_DEPTH), objects(MAX_DEPTH)];
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || deepest.map(|line| drop(parse(&line).expect("MAX_DEPTH levels"))))
+            .expect("spawn")
+            .join()
+            .expect("deepest accepted values parse and drop on 2 MiB");
+
+        // The offending byte is the opener of level MAX_DEPTH + 1.
+        let message = format!("nesting deeper than {MAX_DEPTH} levels");
+        let err = parse(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!((&err.message, err.at), (&message, MAX_DEPTH));
+        let err = parse(&objects(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!((&err.message, err.at), (&message, 5 * MAX_DEPTH));
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! hooks at every interesting point of the worklist loop (steps, splits,
 //! merges, matches, widenings, ⊤). All hooks have empty default bodies,
 //! so the default [`NoopObserver`] monomorphizes to nothing — the
-//! observed engine compiles to the same code as a hard-wired loop (the
-//! `observer_overhead` bench in `mpl-bench` keeps this honest).
+//! observed engine compiles to the same code as a hard-wired loop, and
+//! [`crate::analyze_cfg`] is just the engine run with a `NoopObserver`.
 //!
 //! Three concrete observers cover the existing consumers:
 //!
-//! * [`TraceObserver`] renders the Fig 5-style human trace (the exact
-//!   strings the engine used to push into `AnalysisResult::trace`);
+//! * [`TraceObserver`] renders the Fig 5-style human trace that
+//!   `mpl analyze --trace` prints;
 //! * [`StatsObserver`] counts engine events and captures the final
 //!   [`crate::result::AnalysisResult`]'s closure statistics;
 //! * [`ObserverStack`] composes any number of observers so the CLI and
@@ -164,7 +164,7 @@ pub trait AnalysisObserver {
     }
 
     /// The run finished; `result` is the final [`AnalysisResult`] about
-    /// to be returned (trace not yet attached).
+    /// to be returned.
     fn on_complete(&mut self, result: &AnalysisResult) {
         let _ = result;
     }

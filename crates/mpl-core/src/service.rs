@@ -8,8 +8,8 @@
 //! The service is transport-agnostic on purpose: it knows nothing about
 //! sockets. The CLI's `mpl serve` command owns the listener and the
 //! per-connection threads and calls [`AnalysisService::handle_line_as`]
-//! for every line it reads; tests and the load-test harness call the
-//! same method directly. One code path, every caller.
+//! for every line it reads; tests call the same method directly. One
+//! code path, every caller.
 //!
 //! ## Protocol (version [`PROTOCOL_VERSION`])
 //!

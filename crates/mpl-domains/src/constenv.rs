@@ -3,7 +3,7 @@
 //! This is the "simpler dataflow state representation than constraint
 //! graphs" the paper's §IX roadmap calls for (item 1). The pCFG constant
 //! propagation client (Fig 2) layers it next to — or instead of — the
-//! constraint graph, and the ablation bench compares the two.
+//! constraint graph.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -13,8 +13,8 @@
 //! and an O(n²) single-edge incremental variant driven by a lazy dirty
 //! set ([`ConstraintGraph::close`] is a no-op when nothing changed). Both
 //! closure paths are instrumented through [`stats::ClosureStats`], which
-//! is how the benches reproduce the §IX profile (closure counts, average
-//! variable counts, share of runtime).
+//! is how `mpl-bench`'s `profile` binary reproduces the §IX profile
+//! (closure counts, average variable counts, share of runtime).
 //!
 //! The crate also provides [`constenv::ConstEnv`], a flat
 //! constant-propagation lattice used by the Fig 2 client and by the

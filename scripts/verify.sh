@@ -85,12 +85,15 @@ if "$MPL" analyze-corpus --dir "$smoke_dir" --jobs 4 --timeout-ms 200 >/dev/null
   echo "expected nonzero exit without --keep-going"; exit 1
 fi
 
-echo "== per-phase profiler smoke (E18) =="
-# The phase breakdown must account for the measured wall clock: on every
-# program out of timer noise, |transfer+match+join/widen+admission -
-# total| <= 10% of total. `--check` exits nonzero otherwise.
+echo "== profile and tables smoke (E1-E12, E18) =="
+# `profile --check` exits nonzero unless every sample of a row reports
+# the same counters and, on every program out of timer noise, the four
+# phases of the median run explain its worklist loop
+# (|transfer+match+join/widen+admission - loop| <= 10% of loop).
+# `tables` regenerates the untimed figures and must not panic.
 cargo build -q --release -p mpl-bench --offline
-target/release/profile --check | tail -n 8
+target/release/profile --check | grep -E '^(phase|counter) check'
+target/release/tables >/dev/null
 
 echo "== serve daemon smoke (cache + byte-identity) =="
 # Start a daemon, fire concurrent requests at it, and hold it to the
@@ -173,31 +176,5 @@ grep -q '"type":"drain"' "$smoke_dir/chaos2.log" \
   || { echo "missing drain record"; cat "$smoke_dir/chaos2.log"; exit 1; }
 grep -q '"type":"shutdown-summary"' "$smoke_dir/chaos2.log" \
   || { echo "missing shutdown summary"; cat "$smoke_dir/chaos2.log"; exit 1; }
-
-echo "== serve load bench artifact =="
-# Replays the corpus against the in-process service from 8 concurrent
-# clients; emits BENCH_serve.json (p50/p99 latency, cache hit rate,
-# structured-rejection check). Numbers are machine-specific; only the
-# file's presence and shape are verified here.
-BENCH_SERVE_JSON="$PWD/BENCH_serve.json" \
-  cargo bench -q -p mpl-bench --bench serve_load --offline >/dev/null
-grep -q '"bench":"serve_load"' BENCH_serve.json \
-  || { echo "BENCH_serve.json missing or malformed"; exit 1; }
-grep -q '"rejected_structured":true' BENCH_serve.json \
-  || { echo "BENCH_serve.json missing structured-rejection check"; exit 1; }
-grep -q '"coalesced":' BENCH_serve.json \
-  || { echo "BENCH_serve.json missing coalesced counter"; exit 1; }
-grep -q '"quota_rejected":' BENCH_serve.json \
-  || { echo "BENCH_serve.json missing quota counters"; exit 1; }
-
-echo "== state-sharing bench artifact (E18) =="
-# Emits BENCH_state_sharing.json (per-program totals, phase splits,
-# stored-state footprint and CoW matrix-copy counts) for before/after
-# comparisons; the numbers are wall-clock and machine-specific, only the
-# file's presence and shape are verified here.
-BENCH_STATE_SHARING_JSON="$PWD/BENCH_state_sharing.json" \
-  cargo bench -q -p mpl-bench --bench state_sharing --offline >/dev/null
-grep -q '"bench":"state_sharing"' BENCH_state_sharing.json \
-  || { echo "BENCH_state_sharing.json missing or malformed"; exit 1; }
 
 echo "verify: OK"

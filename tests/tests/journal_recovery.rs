@@ -141,6 +141,25 @@ fn corruption_at_every_offset_never_panics_and_never_fabricates() {
     }
 }
 
+#[test]
+fn replay_stops_at_a_deeply_nested_record_and_keeps_the_prefix_before_it() {
+    // 300 000 nested brackets would overflow the stack of a recursive
+    // parser; under the JSON depth cap the line is just unparseable, so
+    // it ends recovery like any corrupt record, and the valid record
+    // behind it is not recovered either.
+    let entries = sample_entries();
+    let valid = build_journal(&entries);
+    let deep = format!("{}\n", "[".repeat(300_000));
+    let mut data = valid.clone();
+    data.extend_from_slice(deep.as_bytes());
+    data.extend_from_slice(&build_journal(&entries[..1]));
+
+    let replay = CacheJournal::replay_bytes(&data);
+    assert_eq!(replay.entries.len(), entries.len());
+    assert_eq!(replay.valid_bytes, valid.len() as u64);
+    assert_eq!(replay.torn_bytes, (data.len() - valid.len()) as u64);
+}
+
 /// A journal written before the engine revision joined the check string
 /// carries bodies the current engine would not produce (here: a stale
 /// `steps`). Replay still loads the record, but the request must miss it

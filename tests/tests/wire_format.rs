@@ -198,8 +198,12 @@ fn error_and_rejection_codes_are_pinned_kebab_case() {
         max_in_flight: 1,
         ..ServiceConfig::default()
     });
+    // 20 000 nested brackets: past the parser's depth cap, so one
+    // `bad-json` record instead of a stack overflow.
+    let deep = "[".repeat(20_000);
     let failures = [
         ("not json", "bad-json"),
+        (deep.as_str(), "bad-json"),
         ("{\"program\":\"x := 1;\"}", "bad-request"),
         ("{\"op\":\"warp\"}", "bad-request"),
         ("{\"op\":\"analyze\"}", "bad-request"),
