@@ -15,11 +15,16 @@
 //! whole analysis; its E18 phases are those of the median run, and
 //! partition that run's worklist loop as the engine's own clock timed it.
 //!
+//! E18 also counts heap allocations per engine step, through the
+//! counting allocator of `mpl-bench`, and adds the `hot-set` row: the
+//! warm-up programs of the `serve-hot` benchmark workload, analyzed one
+//! after another under the Cartesian client and summed.
+//!
 //! Run with `cargo run -p mpl-bench --bin profile --release`. Pass
 //! `--ablation` to add the ablations (E8). Pass `--check` to exit 1 if
-//! two samples of a row report different counters, or if the phases of a
-//! mid-size median run do not account for its loop — the smoke test
-//! `scripts/verify.sh` runs.
+//! two samples of a row report different counters or count different
+//! allocations, or if the phases of a mid-size median run do not account
+//! for its loop — the smoke test `scripts/verify.sh` runs.
 
 use std::process::Command;
 use std::time::Duration;
@@ -50,6 +55,9 @@ fn banner(title: &str, header: &str) {
 struct Profiler {
     /// Labels of the rows whose samples reported different counters.
     drifted: Vec<String>,
+    /// Labels of the engine rows whose samples counted different
+    /// allocations.
+    alloc_drifted: Vec<String>,
 }
 
 impl Profiler {
@@ -69,8 +77,27 @@ impl Profiler {
 
     /// Samples engine runs of `prog` under `client`.
     fn run(&mut self, label: &str, prog: &CorpusProgram, client: Client) -> Sampled<ProfiledRun> {
-        let cfg = Cfg::build(&prog.program);
-        self.sample(label, || profiled_run(&cfg, client), ProfiledRun::counters)
+        self.run_set(label, std::slice::from_ref(prog), client)
+    }
+
+    /// Samples engine runs over every program of `progs` under `client`,
+    /// summed into one run per sample.
+    fn run_set(
+        &mut self,
+        label: &str,
+        progs: &[CorpusProgram],
+        client: Client,
+    ) -> Sampled<ProfiledRun> {
+        let cfgs: Vec<Cfg> = progs.iter().map(|p| Cfg::build(&p.program)).collect();
+        let row = self.sample(
+            label,
+            || cfgs.iter().map(|cfg| profiled_run(cfg, client)).sum(),
+            ProfiledRun::counters,
+        );
+        if !row.agree(|run| run.allocations) {
+            self.alloc_drifted.push(label.to_owned());
+        }
+        row
     }
 
     /// Samples `f`, counting the closures it performs.
@@ -152,7 +179,7 @@ fn closure_profile(profiler: &mut Profiler) -> Vec<(String, Sampled<ProfiledRun>
         println!(
             "{label:<24} {:<9} {:>6} {:>6} {:>8.1} {:>6} {:>8.1} {} {:>7.1}%",
             format!("{client:?}"),
-            run.result.steps,
+            run.steps,
             c.full_closures,
             c.avg_full_vars(),
             c.incremental_closures,
@@ -166,19 +193,35 @@ fn closure_profile(profiler: &mut Profiler) -> Vec<(String, Sampled<ProfiledRun>
     rows
 }
 
-/// E18: where the median run of each E6 row spent its worklist loop
-/// (`loop` is the loop's own clock), what its store held and how many
-/// matrices it copied.
+/// The `serve-hot` benchmark workload's warm-up programs: the corpus,
+/// `repeated_exchanges(k)` for 37 log-spaced `k` in 8..=1024 and
+/// `exchange_with_root_wide(n)` for 8 log-spaced `n` in 8..=48.
+fn hot_set() -> Vec<CorpusProgram> {
+    let log_spaced = |lo: usize, hi: usize, i: usize, count: usize| {
+        let u = (i as f64 + 0.5) / count as f64;
+        let size = lo as f64 * (hi as f64 / lo as f64).powf(u);
+        (size.round() as usize).clamp(lo, hi)
+    };
+    let mut set = corpus::all();
+    set.extend((0..37).map(|i| corpus::repeated_exchanges(log_spaced(8, 1024, i, 37))));
+    set.extend((0..8).map(|i| corpus::exchange_with_root_wide(log_spaced(8, 48, i, 8))));
+    set
+}
+
+/// E18: where the median run of each E6 row and of the `hot-set` row
+/// spent its worklist loop (`loop` is the loop's own clock), what its
+/// store held, how many matrices it copied and how many heap
+/// allocations it made per step.
 fn phase_breakdown(rows: &[(String, Sampled<ProfiledRun>)]) {
     banner(
         "per-phase engine breakdown of the median run (E18)",
-        "program                   transfer     match join/widen admission      loop stored  peak    ~bytes copies",
+        "program                   transfer     match join/widen admission      loop stored  peak    ~bytes copies allocs/step",
     );
     for (label, row) in rows {
         let run = &row.median().1;
         let p = &run.profile;
         println!(
-            "{label:<24} {:>9.2?} {:>9.2?} {:>10.2?} {:>9.2?} {:>9.2?} {:>6} {:>5} {:>9} {:>6}",
+            "{label:<24} {:>9.2?} {:>9.2?} {:>10.2?} {:>9.2?} {:>9.2?} {:>6} {:>5} {:>9} {:>6} {:>11.1}",
             p.transfer,
             p.matching,
             p.join_widen,
@@ -188,6 +231,7 @@ fn phase_breakdown(rows: &[(String, Sampled<ProfiledRun>)]) {
             p.stored.peak_live,
             p.stored.approx_bytes,
             run.matrix_copies,
+            run.allocations_per_step(),
         );
     }
     println!();
@@ -245,7 +289,7 @@ fn scaling(profiler: &mut Profiler) {
     for k in [1usize, 4, 16, 32] {
         let label = format!("repeated_exchanges({k})");
         let row = profiler.run(&label, &corpus::repeated_exchanges(k), Client::Simple);
-        let steps = row.median().1.result.steps;
+        let steps = row.median().1.steps;
         println!("{label:<24} {steps:>6} {}", time_cells(&row));
     }
     println!();
@@ -295,7 +339,7 @@ fn ablations(profiler: &mut Profiler) {
     ] {
         for client in [Client::Simple, Client::Cartesian] {
             let row = profiler.run(&format!("{} {client:?}", prog.name), &prog, client);
-            let steps = row.median().1.result.steps;
+            let steps = row.median().1.steps;
             let client = format!("{client:?}");
             println!(
                 "{:<24} {client:<9} {steps:>6} {}",
@@ -342,7 +386,9 @@ fn main() {
     println!("times are per call: median, min and IQR over the samples\n");
 
     let mut profiler = Profiler::default();
-    let rows = closure_profile(&mut profiler);
+    let mut rows = closure_profile(&mut profiler);
+    let hot = profiler.run_set("hot-set", &hot_set(), Client::Cartesian);
+    rows.push(("hot-set".to_owned(), hot));
     phase_breakdown(&rows);
     scaling(&mut profiler);
     if ablation {
@@ -357,8 +403,18 @@ fn main() {
         if profiler.drifted.is_empty() {
             println!("counter check: every sample of every row reports the same counters ok");
         }
-        if !(phases_ok && profiler.drifted.is_empty()) {
-            eprintln!("profile --check failed: phases miss the loop or counters drift");
+        for label in &profiler.alloc_drifted {
+            println!("alloc check {label}: samples count different allocations FAIL");
+        }
+        if profiler.alloc_drifted.is_empty() {
+            println!(
+                "alloc check: every sample of every engine row counts the same allocations ok"
+            );
+        }
+        if !(phases_ok && profiler.drifted.is_empty() && profiler.alloc_drifted.is_empty()) {
+            eprintln!(
+                "profile --check failed: phases miss the loop, or counters or allocations drift"
+            );
             std::process::exit(1);
         }
     }

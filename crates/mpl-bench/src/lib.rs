@@ -14,14 +14,69 @@
 //! [`sample`] is the one timing loop `profile` uses and [`profiled_run`]
 //! is one instrumented engine run. End-to-end timings of the `mpl`
 //! binary (serving, batches) belong to `mpl-benchmark`.
+//!
+//! This crate installs a counting global allocator, so its binaries and
+//! tests can report how many heap allocations a run makes
+//! ([`allocations`]). The `mpl` binary keeps the plain system allocator.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::iter::Sum;
 use std::time::{Duration, Instant};
 
 use mpl_cfg::Cfg;
-use mpl_core::{
-    analyze_cfg_with, AnalysisConfig, AnalysisResult, Client, EngineProfile, StatsObserver,
-};
+use mpl_core::{analyze_cfg_with, AnalysisConfig, Client, EngineProfile, StatsObserver};
 use mpl_domains::{stats, ClosureStats};
+
+thread_local! {
+    /// Heap allocations made on this thread (see [`allocations`]).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting every `alloc`, `alloc_zeroed` and
+/// `realloc` on the calling thread.
+struct CountingAlloc;
+
+fn count_allocation() {
+    // A const-initialized `Cell` has no destructor and never allocates;
+    // `try_with` only fails while the thread is being torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; counting touches
+// only a thread-local integer.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_allocation();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Heap allocations (each `alloc`, `alloc_zeroed` and `realloc`) the
+/// calling thread has made so far. A run's count is the difference of
+/// two readings; it does not depend on timing, so it repeats exactly
+/// from run to run once the run's names are interned.
+#[must_use]
+pub fn allocations() -> u64 {
+    ALLOCATIONS.try_with(Cell::get).unwrap_or(0)
+}
 
 /// Samples [`sample`] takes of every row.
 pub const SAMPLES: usize = 5;
@@ -92,15 +147,18 @@ pub fn sample<T>(mut f: impl FnMut() -> T) -> Sampled<T> {
     Sampled { samples }
 }
 
-/// One instrumented engine run.
-#[derive(Debug, Clone)]
+/// One instrumented engine run, or the sum of several (see the [`Sum`]
+/// impl).
+#[derive(Debug, Clone, Default)]
 pub struct ProfiledRun {
-    /// The analysis result.
-    pub result: AnalysisResult,
+    /// Engine steps.
+    pub steps: u64,
     /// Closure counters accumulated during the run.
     pub closure: ClosureStats,
     /// Bound matrices the run copied on write.
     pub matrix_copies: u64,
+    /// Heap allocations the run made on its thread.
+    pub allocations: u64,
     /// Per-phase breakdown of the worklist loop and store footprint
     /// (E18), timed by the engine's own clock.
     pub profile: EngineProfile,
@@ -116,6 +174,8 @@ pub struct RunCounters {
     closure: ClosureStats,
     /// Bound matrices copied on write.
     matrix_copies: u64,
+    /// Heap allocations.
+    allocations: u64,
     /// Locations the store held over the run.
     stored_locations: usize,
     /// Most locations the store held at once.
@@ -133,19 +193,58 @@ impl ProfiledRun {
         self.closure.closure_time().as_secs_f64() / self.profile.total.as_secs_f64()
     }
 
+    /// Heap allocations per engine step.
+    #[must_use]
+    pub fn allocations_per_step(&self) -> f64 {
+        self.allocations as f64 / self.steps.max(1) as f64
+    }
+
     /// The run's timing-independent counters.
     #[must_use]
     pub fn counters(&self) -> RunCounters {
         RunCounters {
-            steps: self.result.steps,
+            steps: self.steps,
             closure: ClosureStats {
                 closure_nanos: 0,
                 ..self.closure
             },
             matrix_copies: self.matrix_copies,
+            allocations: self.allocations,
             stored_locations: self.profile.stored.locations,
             stored_peak_live: self.profile.stored.peak_live,
         }
+    }
+}
+
+/// Sums runs over a program set: every counter and phase timer adds up,
+/// except the store's high-water mark and the widest frontier, which are
+/// the largest of the runs'.
+impl Sum for ProfiledRun {
+    fn sum<I: Iterator<Item = ProfiledRun>>(runs: I) -> ProfiledRun {
+        runs.fold(ProfiledRun::default(), |mut acc, run| {
+            acc.steps += run.steps;
+            let (c, d) = (&mut acc.closure, run.closure);
+            c.full_closures += d.full_closures;
+            c.full_closure_vars += d.full_closure_vars;
+            c.incremental_closures += d.incremental_closures;
+            c.incremental_closure_vars += d.incremental_closure_vars;
+            c.closure_nanos += d.closure_nanos;
+            acc.matrix_copies += run.matrix_copies;
+            acc.allocations += run.allocations;
+            let (p, q) = (&mut acc.profile, run.profile);
+            p.transfer += q.transfer;
+            p.matching += q.matching;
+            p.join_widen += q.join_widen;
+            p.admission += q.admission;
+            p.total += q.total;
+            p.stored.locations += q.stored.locations;
+            p.stored.peak_live = p.stored.peak_live.max(q.stored.peak_live);
+            p.stored.approx_bytes += q.stored.approx_bytes;
+            p.rounds += q.rounds;
+            p.frontier_total += q.frontier_total;
+            p.frontier_peak = p.frontier_peak.max(q.frontier_peak);
+            acc
+        })
     }
 }
 
@@ -153,11 +252,13 @@ impl ProfiledRun {
 /// instrumentation.
 ///
 /// The closure counters are the engine's per-run delta
-/// ([`AnalysisResult::closure_stats`]) and the matrix copies a delta of
-/// the thread's counter, so earlier work on the thread never needs a
-/// reset.
+/// ([`mpl_core::AnalysisResult::closure_stats`]); the matrix copies and
+/// allocations are deltas of the thread's counters, so earlier work on
+/// the thread never needs a reset. The allocations span the whole
+/// analysis, configuration and result included, but not building `cfg`.
 #[must_use]
 pub fn profiled_run(cfg: &Cfg, client: Client) -> ProfiledRun {
+    let allocations_before = allocations();
     let config = AnalysisConfig::builder()
         .client(client)
         .build()
@@ -171,10 +272,11 @@ pub fn profiled_run(cfg: &Cfg, client: Client) -> ProfiledRun {
         .copied()
         .expect("StatsObserver captures the engine profile on completion");
     ProfiledRun {
+        steps: result.steps,
         closure: result.closure_stats,
-        result,
         matrix_copies,
         profile,
+        allocations: allocations() - allocations_before,
     }
 }
 
@@ -187,10 +289,14 @@ mod tests {
     fn repeated_runs_on_one_thread_report_equal_counters() {
         for prog in [corpus::fig2_exchange(), corpus::repeated_exchanges(64)] {
             let cfg = Cfg::build(&prog.program);
+            // The first run interns the program's variable names, which
+            // allocates once per process.
+            let _ = profiled_run(&cfg, Client::Simple);
             let first = profiled_run(&cfg, Client::Simple).counters();
             let second = profiled_run(&cfg, Client::Simple).counters();
             assert_eq!(first, second, "{}", prog.name);
             assert!(first.steps > 0 && first.stored_peak_live > 0, "{first:?}");
+            assert!(first.allocations > 0, "{first:?}");
         }
     }
 }

@@ -113,6 +113,24 @@ end
 }
 
 #[test]
+fn binary_rejects_deep_nesting_as_a_parse_error() {
+    // Both once aborted the process with a stack overflow (exit 134).
+    let parens = format!("x := {}1{};\n", "(".repeat(10_000), ")".repeat(10_000));
+    let ifs = format!(
+        "{}skip;\n{}",
+        "if id = 0 then\n".repeat(20_000),
+        "end\n".repeat(20_000)
+    );
+    for source in [parens, ifs] {
+        for cmd in ["check", "analyze"] {
+            let (_, stderr, code) = run_mpl(&[cmd], &source);
+            assert_eq!(code, 2, "{cmd}: {stderr}");
+            assert!(stderr.contains("nesting deeper than"), "{cmd}: {stderr}");
+        }
+    }
+}
+
+#[test]
 fn binary_reports_missing_file() {
     let out = Command::new(env!("CARGO_BIN_EXE_mpl"))
         .args(["analyze", "/nonexistent/path.mpl"])

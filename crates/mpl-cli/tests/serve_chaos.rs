@@ -1,7 +1,8 @@
 //! Chaos tests for `mpl serve`: `kill -9` mid-stream with restart
 //! recovery, torn journal tails, graceful drain under load, oversized
-//! request lines, and slow/half-open clients. Everything the daemon
-//! must survive without corrupting state or wedging.
+//! request lines, deeply nested programs, and slow/half-open clients.
+//! Everything the daemon must survive without corrupting state or
+//! wedging.
 
 use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::os::unix::net::UnixStream;
@@ -347,6 +348,24 @@ fn oversized_line_gets_structured_error_and_daemon_stays_up() {
         "{\"v\":1,\"type\":\"pong\"}"
     );
 
+    shutdown_clean(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn deeply_nested_program_gets_parse_error_and_daemon_stays_up() {
+    let dir = scratch("deep-source");
+    let daemon = spawn_daemon(&dir, &[]);
+    // 10 000 nested parentheses once overflowed a connection thread's
+    // stack and aborted the daemon. Past the source nesting cap the
+    // request is answered with an ordinary `parse-error` record, and
+    // the daemon then answers `ping`.
+    let source = format!("x := {}1{};\n", "(".repeat(10_000), ")".repeat(10_000));
+    let reply = round_trip(&daemon.sock, &analyze_request(&source));
+    assert!(reply.contains("\"code\":\"parse-error\""), "{reply}");
+    assert!(reply.contains("nesting deeper than"), "{reply}");
+    let pong = round_trip(&daemon.sock, "{\"op\":\"ping\"}");
+    assert_eq!(pong, "{\"v\":1,\"type\":\"pong\"}");
     shutdown_clean(daemon);
     let _ = std::fs::remove_dir_all(&dir);
 }

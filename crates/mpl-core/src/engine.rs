@@ -785,11 +785,7 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
         let sanitize = |st: &mut AnalysisState, r: &ProcRange| -> ProcRange {
             let keep = |b: &mpl_procset::Bound| {
                 mpl_procset::Bound::from_exprs(
-                    b.exprs()
-                        .iter()
-                        .filter(|e| e.var != Some(stale))
-                        .cloned()
-                        .collect(),
+                    b.exprs().iter().filter(|e| e.var != Some(stale)).copied(),
                 )
             };
             let mut out = ProcRange::new(keep(&r.lb), keep(&r.ub));
@@ -921,14 +917,13 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
         // Re-saturate range bounds against the current facts so
         // loop-invariant aliases (e.g. a wavefront's own `id`)
         // are present before widening intersects alias sets.
-        for i in 0..s.psets.len() {
-            let mut range = s.psets[i].range.clone();
-            range.saturate(&mut s.cg);
-            s.psets[i].range = range;
-        }
+        s.resaturate_ranges();
         // Close once more so the state is admitted transitively closed:
         // equal states then share one fingerprint (the O(1) dedup path),
-        // and later match probes against it are read-only — no CoW copy.
+        // and later match probes against it only read the bound matrix —
+        // no matrix copy. A probe's first `&mut st.cg` still unshares
+        // the graph through `Shared::deref_mut`, cloning its `vars` and
+        // `index` (the matrix itself stays shared).
         s.cg.close();
         true
     }

@@ -702,14 +702,9 @@ fn uniform_vars(
                 SymPoly::constant(c)
             } else {
                 // Try np + c or input + c aliases.
-                let mut found = None;
-                for alias in st.cg.equalities_of(&v) {
-                    if let Some(p) = NormCtx::linexpr_to_poly(&alias) {
-                        found = Some(p);
-                        break;
-                    }
-                }
-                found?
+                let mut aliases = Vec::new();
+                st.cg.equalities_of(&v, &mut aliases);
+                aliases.iter().find_map(NormCtx::linexpr_to_poly)?
             }
         };
         out.insert(name.to_owned(), poly);

@@ -13,9 +13,9 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 
 use mpl_cfg::CfgNodeId;
-use mpl_domains::{ConstEnv, ConstraintGraph, LinExpr, NsVar, PsetId, VarId};
+use mpl_domains::{ConstEnv, ConstraintGraph, NsVar, PsetId, VarId};
 use mpl_lang::ast::Expr;
-use mpl_procset::ProcRange;
+use mpl_procset::{Bound, ProcRange};
 
 use crate::matchset::MatchSet;
 use crate::share::Shared;
@@ -152,11 +152,19 @@ impl AnalysisState {
     /// constraint graph. Must be called *before* facts are destroyed
     /// (namespace drops, reassignments) so each bound retains at least
     /// one surviving alias.
+    ///
+    /// A set whose range the graph adds no alias to keeps its
+    /// copy-on-write handle shared.
     pub fn resaturate_ranges(&mut self) {
-        for i in 0..self.psets.len() {
-            let mut r = self.psets[i].range.clone();
-            r.saturate(&mut self.cg);
-            self.psets[i].range = r;
+        for p in &mut self.psets {
+            let lb = p.range.lb.saturated(&mut self.cg);
+            let ub = p.range.ub.saturated(&mut self.cg);
+            if let Some(lb) = lb {
+                p.range.lb = lb;
+            }
+            if let Some(ub) = ub {
+                p.range.ub = ub;
+            }
         }
     }
 
@@ -191,14 +199,7 @@ impl AnalysisState {
             self.uniform.retain(|&v| !dead(v));
         }
         for p in &mut self.psets {
-            let mentions = p
-                .range
-                .lb
-                .exprs()
-                .iter()
-                .chain(p.range.ub.exprs())
-                .any(|e| e.var.is_some_and(&dead));
-            if mentions {
+            if p.range.mentions(&dead) {
                 p.range = strip_range(&p.range, &dead);
             }
         }
@@ -207,10 +208,14 @@ impl AnalysisState {
     /// Rewrites range-bound aliases after an assignment in namespace `p`:
     /// a shift `x := x + c` translates aliases of `x`; any other write to
     /// `x` invalidates them. Call *before* mutating the constraint graph
-    /// when possible so lost aliases can be re-derived.
+    /// when possible so lost aliases can be re-derived. Sets whose bounds
+    /// do not mention `var` keep their copy-on-write handle shared.
     pub fn rewrite_aliases_on_assign(&mut self, var: impl Into<VarId>, shift: Option<i64>) {
         let var = var.into();
         for p in &mut self.psets {
+            if !p.range.mentions(|v| v == var) {
+                continue;
+            }
             p.range = match shift {
                 Some(c) => shift_range(&p.range, var, c),
                 None => strip_range(&p.range, |v| v == var),
@@ -342,13 +347,18 @@ impl AnalysisState {
     }
 
     /// Renumbers process sets into canonical order (sorted by CFG node,
-    /// then by a textual rendering of the range) with sequential ids —
-    /// required so recurring pCFG locations compare equal across loop
-    /// iterations.
+    /// then by a textual rendering of the range, then pending sends
+    /// last) with sequential ids — required so recurring pCFG locations
+    /// compare equal across loop iterations.
     pub fn renumber_canonical(&mut self) {
-        // Cached keys: each range is rendered once, not O(p log p) times.
-        self.psets
-            .sort_by_cached_key(|p| (p.node, p.range.to_string(), p.pending.is_some()));
+        // Sets at different nodes order by node alone: ranges are
+        // rendered only to break a tie between two sets at one node.
+        self.psets.sort_by(|p, q| {
+            p.node
+                .cmp(&q.node)
+                .then_with(|| p.range.to_string().cmp(&q.range.to_string()))
+                .then_with(|| p.pending.is_some().cmp(&q.pending.is_some()))
+        });
         // Already canonical (the steady state once the analysis reaches a
         // loop's fixpoint): every rename below would be the identity, so
         // skip the two O(p) rename sweeps over graph, consts and ranges.
@@ -386,13 +396,7 @@ impl AnalysisState {
         self.uniform = renamed.into();
         for p in &mut self.psets {
             // Skip untouched sets so their `Shared` handle stays shared.
-            let touches = p.id == from
-                || p.range
-                    .lb
-                    .exprs()
-                    .iter()
-                    .chain(p.range.ub.exprs())
-                    .any(|e| e.var.is_some_and(|v| v.namespace() == Some(from)));
+            let touches = p.id == from || p.range.mentions(|v| v.namespace() == Some(from));
             if !touches {
                 continue;
             }
@@ -599,7 +603,8 @@ impl AnalysisState {
         for p in &self.psets {
             if seen.insert(Shared::heap_id(p)) {
                 total += std::mem::size_of::<PsetState>()
-                    + (p.range.lb.exprs().len() + p.range.ub.exprs().len()) * BTREE_ENTRY;
+                    + p.range.lb.heap_bytes()
+                    + p.range.ub.heap_bytes();
             }
         }
         total
@@ -620,43 +625,30 @@ impl AnalysisState {
 }
 
 fn strip_range(r: &ProcRange, dead: impl Fn(VarId) -> bool) -> ProcRange {
-    let keep = |b: &mpl_procset::Bound| {
-        let exprs: BTreeSet<LinExpr> = b
-            .exprs()
-            .iter()
-            .filter(|e| e.var.is_none_or(|v| !dead(v)))
-            .copied()
-            .collect();
-        bound_from_set(exprs)
+    let keep = |b: &Bound| {
+        Bound::from_exprs(
+            b.exprs()
+                .iter()
+                .filter(|e| e.var.is_none_or(|v| !dead(v)))
+                .copied(),
+        )
     };
     ProcRange::new(keep(&r.lb), keep(&r.ub))
 }
 
 fn shift_range(r: &ProcRange, var: VarId, c: i64) -> ProcRange {
-    let fix = |b: &mpl_procset::Bound| {
-        let exprs: BTreeSet<LinExpr> = b
-            .exprs()
-            .iter()
-            .map(|e| {
-                if e.var == Some(var) {
-                    // The variable's value grew by c, so the alias must
-                    // shrink by c to denote the same bound value.
-                    LinExpr {
-                        var: e.var,
-                        offset: e.offset - c,
-                    }
-                } else {
-                    *e
-                }
-            })
-            .collect();
-        bound_from_set(exprs)
+    let fix = |b: &Bound| {
+        Bound::from_exprs(b.exprs().iter().map(|e| {
+            if e.var == Some(var) {
+                // The variable's value grew by c, so the alias must
+                // shrink by c to denote the same bound value.
+                e.plus(-c)
+            } else {
+                *e
+            }
+        }))
     };
     ProcRange::new(fix(&r.lb), fix(&r.ub))
-}
-
-fn bound_from_set(exprs: BTreeSet<LinExpr>) -> mpl_procset::Bound {
-    mpl_procset::Bound::from_exprs(exprs)
 }
 
 impl fmt::Display for AnalysisState {
@@ -802,6 +794,50 @@ mod tests {
         // Constraints moved with the renaming.
         let mut cg = st.cg.clone();
         assert!(cg.implies_le(NsVar::id_of(PsetId(0)), &NsVar::Zero, 1));
+    }
+
+    /// Sets at one CFG node order by their rendered ranges — as text, so
+    /// `[10..np-1]` sorts before `[2..9]` — and a pending send breaks a
+    /// tie between equal ranges.
+    #[test]
+    fn renumber_canonical_breaks_node_ties_by_rendered_range() {
+        let mut st = initial();
+        let range = |lo, hi| ProcRange::from_exprs(LinExpr::constant(lo), LinExpr::constant(hi));
+        let tail = ProcRange::from_exprs(LinExpr::constant(10), LinExpr::var_plus(NsVar::Np, -1));
+        st.split_pset(
+            0,
+            vec![
+                (range(0, 1), CfgNodeId(7), true),
+                (range(2, 9), CfgNodeId(7), false),
+                (range(0, 1), CfgNodeId(7), false),
+                (tail, CfgNodeId(7), false),
+                (range(0, 1), CfgNodeId(3), false),
+            ],
+        );
+        st.psets[0].pending = Some(PendingSend {
+            node: CfgNodeId(2),
+            value: Expr::Int(1),
+            dest: Expr::Int(0),
+        });
+        st.renumber_canonical();
+        let order: Vec<(CfgNodeId, String, bool)> = st
+            .psets
+            .iter()
+            .map(|p| (p.node, p.range.to_string(), p.pending.is_some()))
+            .collect();
+        let at7 = |r: &str, pending| (CfgNodeId(7), r.to_owned(), pending);
+        assert_eq!(
+            order,
+            vec![
+                (CfgNodeId(3), "[0..1]".to_owned(), false),
+                at7("[0..1]", false),
+                at7("[0..1]", true),
+                at7("[10..np-1]", false),
+                at7("[2..9]", false),
+            ]
+        );
+        let ids: Vec<u32> = st.psets.iter().map(|p| p.id.0).collect();
+        assert_eq!(ids, [0, 1, 2, 3, 4]);
     }
 
     #[test]

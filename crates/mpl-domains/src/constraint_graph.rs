@@ -594,22 +594,24 @@ impl ConstraintGraph {
         self.eq_offset(x.into(), VarId::ZERO)
     }
 
-    /// Every expression `y + c` (with `y ≠ x`) that provably equals `x`,
-    /// including `Zero + c` for constants. This powers the paper's
-    /// multi-expression process-set bounds (Fig 5's `[1,i..1,i]`). A
-    /// single scan of `x`'s row/column of the closed matrix — no clones,
-    /// no per-pair lookups.
-    pub fn equalities_of(&mut self, x: impl Into<VarId>) -> Vec<LinExpr> {
+    /// Appends to `out`, sorted, every expression `y + c` (with `y ≠ x`)
+    /// that provably equals `x`, including `Zero + c` for constants. This
+    /// powers the paper's multi-expression process-set bounds (Fig 5's
+    /// `[1,i..1,i]`). A single scan of `x`'s row/column of the closed
+    /// matrix — no clones, no per-pair lookups — into the caller's
+    /// buffer, so a caller scanning several classes reuses one
+    /// allocation. Entries already in `out` are left alone.
+    pub fn equalities_of(&mut self, x: impl Into<VarId>, out: &mut Vec<LinExpr>) {
         let x = x.into();
         if self.infeasible || !self.has_var(x) {
-            return Vec::new();
+            return;
         }
         self.ensure_closed();
         if self.infeasible {
-            return Vec::new();
+            return;
         }
         let i = self.index[&x];
-        let mut out = Vec::new();
+        let start = out.len();
         for j in 0..self.n() {
             if j == i {
                 continue;
@@ -625,8 +627,8 @@ impl ConstraintGraph {
                 }
             }
         }
-        out.sort();
-        out
+        // One entry per variable, so no two are equal.
+        out[start..].sort_unstable();
     }
 
     /// Evaluates a linear expression to a constant if possible.
@@ -1354,9 +1356,12 @@ mod tests {
         let mut g = ConstraintGraph::new();
         g.assert_eq_const(v("i"), 1);
         g.assert_eq_const(v("one"), 1);
-        let eqs = g.equalities_of(v("i"));
-        assert!(eqs.contains(&LinExpr::constant(1)));
-        assert!(eqs.contains(&LinExpr::of_var(v("one"))));
+        let mut eqs = vec![LinExpr::constant(-9)];
+        g.equalities_of(v("i"), &mut eqs);
+        assert_eq!(eqs[0], LinExpr::constant(-9), "entries already there stay");
+        assert!(eqs[1..].contains(&LinExpr::constant(1)));
+        assert!(eqs[1..].contains(&LinExpr::of_var(v("one"))));
+        assert!(eqs[1..].is_sorted());
     }
 
     #[test]
@@ -1552,7 +1557,9 @@ mod edge_case_tests {
         g.close();
         assert!(g.is_bottom());
         assert_eq!(g.const_of(v("a")), None);
-        assert!(g.equalities_of(v("a")).is_empty());
+        let mut eqs = Vec::new();
+        g.equalities_of(v("a"), &mut eqs);
+        assert!(eqs.is_empty());
     }
 
     #[test]

@@ -60,9 +60,26 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// Deepest nesting [`parse_program`] accepts. A statement block, a
+/// parenthesized group, a unary operator and a binary operator each nest
+/// what they enclose one level deeper, so an operand of the chain
+/// `a + b + c` sits as deep as the expression tree puts it (`a` two
+/// levels down). The token that would open level `MAX_DEPTH + 1` is a
+/// [`ParseError`] at its offset. The cap bounds the parser's recursion
+/// and every recursive walk of the tree it builds — the CFG build, the
+/// analyses, `Display` and `Drop` — so no source can overflow the stack.
+pub const MAX_DEPTH: usize = 256;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels open above the token being parsed.
+    depth: usize,
+    /// The height of the expression the last expression parser returned:
+    /// how many levels (see [`MAX_DEPTH`]) it nests below its root. Kept
+    /// here rather than returned beside the expression so that each level
+    /// of a deeply nested expression costs the least stack.
+    height: usize,
 }
 
 impl Parser {
@@ -126,6 +143,27 @@ impl Parser {
         }
     }
 
+    /// The error for the token at `span` opening level `MAX_DEPTH + 1`.
+    fn too_deep(span: Span) -> ParseError {
+        ParseError {
+            span,
+            message: format!("nesting deeper than {MAX_DEPTH} levels"),
+        }
+    }
+
+    /// Opens one more level, unless that would be level `MAX_DEPTH + 1`
+    /// (then false). The caller closes it with `self.depth -= 1` once its
+    /// construct parsed; an error ends the whole parse, so error paths
+    /// leave it open. (Plain code rather than a `Result` or a closure
+    /// keeps each level's stack frames few and small.)
+    fn enter(&mut self) -> bool {
+        if self.depth == MAX_DEPTH {
+            return false;
+        }
+        self.depth += 1;
+        true
+    }
+
     fn parse_program(&mut self) -> Result<Program, ParseError> {
         let stmts = self.parse_block(&[TokenKind::Eof])?;
         self.expect(&TokenKind::Eof)?;
@@ -142,60 +180,90 @@ impl Parser {
         Ok(stmts)
     }
 
+    /// Parses the body of the compound statement whose keyword is at
+    /// `keyword`, one level deeper.
+    fn parse_body(&mut self, keyword: Span, stop: &[TokenKind]) -> Result<Vec<Stmt>, ParseError> {
+        if !self.enter() {
+            return Err(Self::too_deep(keyword));
+        }
+        let body = self.parse_block(stop)?;
+        self.depth -= 1;
+        Ok(body)
+    }
+
     fn parse_stmt(&mut self) -> Result<Stmt, ParseError> {
         let start = self.peek().span;
+        // Each compound statement parses in a function of its own, so the
+        // recursion through nested blocks carries only its frame.
+        let kind = match self.peek().kind {
+            TokenKind::If => self.parse_if(),
+            TokenKind::While => self.parse_while(),
+            TokenKind::For => self.parse_for(),
+            _ => self.parse_simple(),
+        }?;
+        let end = self.tokens[self.pos.saturating_sub(1)].span;
+        Ok(Stmt {
+            kind,
+            span: start.merge(end),
+        })
+    }
+
+    fn parse_if(&mut self) -> Result<StmtKind, ParseError> {
+        let keyword = self.bump().span;
+        let cond = self.parse_expr()?;
+        self.expect(&TokenKind::Then)?;
+        let then_branch = self.parse_body(keyword, &[TokenKind::Else, TokenKind::End])?;
+        let else_branch = if self.eat(&TokenKind::Else) {
+            self.parse_body(keyword, &[TokenKind::End])?
+        } else {
+            Vec::new()
+        };
+        self.expect(&TokenKind::End)?;
+        Ok(StmtKind::If {
+            cond,
+            then_branch,
+            else_branch,
+        })
+    }
+
+    fn parse_while(&mut self) -> Result<StmtKind, ParseError> {
+        let keyword = self.bump().span;
+        let cond = self.parse_expr()?;
+        self.expect(&TokenKind::Do)?;
+        let body = self.parse_body(keyword, &[TokenKind::End])?;
+        self.expect(&TokenKind::End)?;
+        Ok(StmtKind::While { cond, body })
+    }
+
+    fn parse_for(&mut self) -> Result<StmtKind, ParseError> {
+        let keyword = self.bump().span;
+        let (var, _) = self.expect_ident()?;
+        // Accept both `:=` and `=` in for headers.
+        if !self.eat(&TokenKind::Assign) {
+            self.expect(&TokenKind::Eq)?;
+        }
+        let from = self.parse_expr()?;
+        self.expect(&TokenKind::To)?;
+        let to = self.parse_expr()?;
+        self.expect(&TokenKind::Do)?;
+        let body = self.parse_body(keyword, &[TokenKind::End])?;
+        self.expect(&TokenKind::End)?;
+        Ok(StmtKind::For {
+            var,
+            from,
+            to,
+            body,
+        })
+    }
+
+    /// Every statement without a body.
+    fn parse_simple(&mut self) -> Result<StmtKind, ParseError> {
         let kind = match self.peek().kind.clone() {
-            TokenKind::If => {
-                self.bump();
-                let cond = self.parse_expr()?;
-                self.expect(&TokenKind::Then)?;
-                let then_branch = self.parse_block(&[TokenKind::Else, TokenKind::End])?;
-                let else_branch = if self.eat(&TokenKind::Else) {
-                    self.parse_block(&[TokenKind::End])?
-                } else {
-                    Vec::new()
-                };
-                self.expect(&TokenKind::End)?;
-                StmtKind::If {
-                    cond,
-                    then_branch,
-                    else_branch,
-                }
-            }
-            TokenKind::While => {
-                self.bump();
-                let cond = self.parse_expr()?;
-                self.expect(&TokenKind::Do)?;
-                let body = self.parse_block(&[TokenKind::End])?;
-                self.expect(&TokenKind::End)?;
-                StmtKind::While { cond, body }
-            }
-            TokenKind::For => {
-                self.bump();
-                let (var, _) = self.expect_ident()?;
-                // Accept both `:=` and `=` in for headers.
-                if !self.eat(&TokenKind::Assign) {
-                    self.expect(&TokenKind::Eq)?;
-                }
-                let from = self.parse_expr()?;
-                self.expect(&TokenKind::To)?;
-                let to = self.parse_expr()?;
-                self.expect(&TokenKind::Do)?;
-                let body = self.parse_block(&[TokenKind::End])?;
-                self.expect(&TokenKind::End)?;
-                StmtKind::For {
-                    var,
-                    from,
-                    to,
-                    body,
-                }
-            }
             TokenKind::Send => {
                 self.bump();
                 let value = self.parse_expr()?;
                 self.expect(&TokenKind::Arrow)?;
                 let dest = self.parse_expr()?;
-                self.expect(&TokenKind::Semi)?;
                 StmtKind::Send { value, dest }
             }
             TokenKind::Recv => {
@@ -203,31 +271,24 @@ impl Parser {
                 let (var, _) = self.expect_ident()?;
                 self.expect(&TokenKind::BackArrow)?;
                 let src = self.parse_expr()?;
-                self.expect(&TokenKind::Semi)?;
                 StmtKind::Recv { var, src }
             }
             TokenKind::Print => {
                 self.bump();
-                let e = self.parse_expr()?;
-                self.expect(&TokenKind::Semi)?;
-                StmtKind::Print(e)
+                StmtKind::Print(self.parse_expr()?)
             }
             TokenKind::Assume => {
                 self.bump();
-                let e = self.parse_expr()?;
-                self.expect(&TokenKind::Semi)?;
-                StmtKind::Assume(e)
+                StmtKind::Assume(self.parse_expr()?)
             }
             TokenKind::Skip => {
                 self.bump();
-                self.expect(&TokenKind::Semi)?;
                 StmtKind::Skip
             }
             TokenKind::Ident(_) => {
                 let (name, _) = self.expect_ident()?;
                 self.expect(&TokenKind::Assign)?;
                 let value = self.parse_expr()?;
-                self.expect(&TokenKind::Semi)?;
                 StmtKind::Assign { name, value }
             }
             other => {
@@ -236,21 +297,39 @@ impl Parser {
                 )
             }
         };
-        let end = self.tokens[self.pos.saturating_sub(1)].span;
-        Ok(Stmt {
-            kind,
-            span: start.merge(end),
-        })
+        self.expect(&TokenKind::Semi)?;
+        Ok(kind)
     }
 
     fn parse_expr(&mut self) -> Result<Expr, ParseError> {
         self.parse_or()
     }
 
+    /// Accounts for a binary operator over an operand of height
+    /// `lhs_height` and the operand just parsed. False if that nests an
+    /// operand below level `MAX_DEPTH`. (A plain `bool`, unlike a
+    /// `Result` and `?`, adds next to nothing to the frames of the
+    /// recursive expression parsers.)
+    fn grow(&mut self, lhs_height: usize) -> bool {
+        self.height = lhs_height.max(self.height) + 1;
+        self.depth + self.height <= MAX_DEPTH
+    }
+
+    /// The error for the token at index `at` opening level
+    /// `MAX_DEPTH + 1`.
+    fn too_deep_at(&self, at: usize) -> ParseError {
+        Self::too_deep(self.tokens[at].span)
+    }
+
     fn parse_or(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.parse_and()?;
-        while self.eat(&TokenKind::Or) {
+        while self.at(&TokenKind::Or) {
+            let (at, lhs_height) = (self.pos, self.height);
+            self.bump();
             let rhs = self.parse_and()?;
+            if !self.grow(lhs_height) {
+                return Err(self.too_deep_at(at));
+            }
             lhs = Expr::binary(BinOp::Or, lhs, rhs);
         }
         Ok(lhs)
@@ -258,20 +337,30 @@ impl Parser {
 
     fn parse_and(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.parse_not()?;
-        while self.eat(&TokenKind::And) {
+        while self.at(&TokenKind::And) {
+            let (at, lhs_height) = (self.pos, self.height);
+            self.bump();
             let rhs = self.parse_not()?;
+            if !self.grow(lhs_height) {
+                return Err(self.too_deep_at(at));
+            }
             lhs = Expr::binary(BinOp::And, lhs, rhs);
         }
         Ok(lhs)
     }
 
     fn parse_not(&mut self) -> Result<Expr, ParseError> {
-        if self.eat(&TokenKind::Not) {
-            let e = self.parse_not()?;
-            Ok(Expr::Unary(UnOp::Not, Box::new(e)))
-        } else {
-            self.parse_cmp()
+        if !self.at(&TokenKind::Not) {
+            return self.parse_cmp();
         }
+        let opener = self.bump().span;
+        if !self.enter() {
+            return Err(Self::too_deep(opener));
+        }
+        let e = self.parse_not()?;
+        self.depth -= 1;
+        self.height += 1;
+        Ok(Expr::Unary(UnOp::Not, Box::new(e)))
     }
 
     fn parse_cmp(&mut self) -> Result<Expr, ParseError> {
@@ -285,8 +374,12 @@ impl Parser {
             TokenKind::Ge => BinOp::Ge,
             _ => return Ok(lhs),
         };
+        let (at, lhs_height) = (self.pos, self.height);
         self.bump();
         let rhs = self.parse_sum()?;
+        if !self.grow(lhs_height) {
+            return Err(self.too_deep_at(at));
+        }
         Ok(Expr::binary(op, lhs, rhs))
     }
 
@@ -298,8 +391,12 @@ impl Parser {
                 TokenKind::Minus => BinOp::Sub,
                 _ => return Ok(lhs),
             };
+            let (at, lhs_height) = (self.pos, self.height);
             self.bump();
             let rhs = self.parse_term()?;
+            if !self.grow(lhs_height) {
+                return Err(self.too_deep_at(at));
+            }
             lhs = Expr::binary(op, lhs, rhs);
         }
     }
@@ -313,62 +410,66 @@ impl Parser {
                 TokenKind::Percent => BinOp::Mod,
                 _ => return Ok(lhs),
             };
+            let (at, lhs_height) = (self.pos, self.height);
             self.bump();
             let rhs = self.parse_unary()?;
+            if !self.grow(lhs_height) {
+                return Err(self.too_deep_at(at));
+            }
             lhs = Expr::binary(op, lhs, rhs);
         }
     }
 
     fn parse_unary(&mut self) -> Result<Expr, ParseError> {
-        if self.eat(&TokenKind::Minus) {
-            let e = self.parse_unary()?;
-            // Constant-fold negative literals so `-1` is `Int(-1)`.
-            if let Expr::Int(n) = e {
-                return Ok(Expr::Int(-n));
-            }
-            Ok(Expr::Unary(UnOp::Neg, Box::new(e)))
-        } else {
-            self.parse_atom()
+        if !self.at(&TokenKind::Minus) {
+            return self.parse_atom();
         }
+        let opener = self.bump().span;
+        if !self.enter() {
+            return Err(Self::too_deep(opener));
+        }
+        let e = self.parse_unary()?;
+        self.depth -= 1;
+        self.height += 1;
+        // Constant-fold negative literals so `-1` is `Int(-1)`.
+        if let Expr::Int(n) = e {
+            return Ok(Expr::Int(-n));
+        }
+        Ok(Expr::Unary(UnOp::Neg, Box::new(e)))
     }
 
     fn parse_atom(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().kind.clone() {
-            TokenKind::Int(n) => {
-                self.bump();
-                Ok(Expr::Int(n))
-            }
-            TokenKind::True => {
-                self.bump();
-                Ok(Expr::Bool(true))
-            }
-            TokenKind::False => {
-                self.bump();
-                Ok(Expr::Bool(false))
-            }
-            TokenKind::Ident(name) => {
-                self.bump();
-                Ok(Expr::Var(name))
-            }
-            TokenKind::Id => {
-                self.bump();
-                Ok(Expr::Id)
-            }
-            TokenKind::Np => {
-                self.bump();
-                Ok(Expr::Np)
-            }
-            TokenKind::LParen => {
-                self.bump();
-                let e = self.parse_expr()?;
-                self.expect(&TokenKind::RParen)?;
-                Ok(e)
-            }
-            other => Err(self.error_here(&format!(
-                "expected an expression, found {}",
-                other.describe()
-            ))),
+        if self.at(&TokenKind::LParen) {
+            return self.parse_group();
         }
+        let e = match &self.peek().kind {
+            TokenKind::Int(n) => Expr::Int(*n),
+            TokenKind::True => Expr::Bool(true),
+            TokenKind::False => Expr::Bool(false),
+            TokenKind::Ident(name) => Expr::Var(name.clone()),
+            TokenKind::Id => Expr::Id,
+            TokenKind::Np => Expr::Np,
+            other => {
+                let msg = format!("expected an expression, found {}", other.describe());
+                return Err(self.error_here(&msg));
+            }
+        };
+        self.bump();
+        self.height = 0;
+        Ok(e)
+    }
+
+    /// `( expr )`, one level deeper.
+    fn parse_group(&mut self) -> Result<Expr, ParseError> {
+        let opener = self.bump().span;
+        if !self.enter() {
+            return Err(Self::too_deep(opener));
+        }
+        let e = self.parse_expr()?;
+        self.expect(&TokenKind::RParen)?;
+        self.depth -= 1;
+        self.height += 1;
+        Ok(e)
     }
 }
 
@@ -377,7 +478,7 @@ impl Parser {
 /// # Errors
 ///
 /// Returns a [`ParseError`] (with line/column information) on malformed
-/// input.
+/// input, and on nesting deeper than [`MAX_DEPTH`].
 ///
 /// ```
 /// let p = mpl_lang::parse_program("x := np - 1; send x -> (id + 1) % np;")?;
@@ -386,7 +487,12 @@ impl Parser {
 /// ```
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     let tokens = tokenize(src)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+        height: 0,
+    };
     parser.parse_program()
 }
 
@@ -550,6 +656,58 @@ mod tests {
     #[test]
     fn empty_program_parses() {
         assert!(parse_program("").unwrap().is_empty());
+    }
+
+    /// `MAX_DEPTH` levels of each nesting construct parse; one more is an
+    /// error at the token that opens it. The deepest accepted sources run
+    /// the whole pipeline on a small stack in `tests/nesting_cap.rs`.
+    #[test]
+    fn one_level_past_max_depth_is_an_error_at_its_opening_token() {
+        // Each shape at `n` levels, with the byte offset of its first
+        // opener and the bytes between openers.
+        let shapes = |n: usize| {
+            [
+                (format!("x := {}1{};", "(".repeat(n), ")".repeat(n)), 5, 1),
+                (
+                    format!("{}skip;{}", "if c then ".repeat(n), " end".repeat(n)),
+                    0,
+                    10,
+                ),
+                (format!("x := 1{};", "+1".repeat(n)), 6, 2),
+                (format!("x := {}y;", "-".repeat(n)), 5, 1),
+                (format!("assume {}c;", "not ".repeat(n)), 7, 4),
+            ]
+        };
+        let message = format!("nesting deeper than {MAX_DEPTH} levels");
+        for ((deepest, ..), (over, first, stride)) in
+            shapes(MAX_DEPTH).into_iter().zip(shapes(MAX_DEPTH + 1))
+        {
+            assert!(parse_program(&deepest).is_ok(), "{deepest}");
+            let err = parse_program(&over).unwrap_err();
+            assert_eq!(err.message, message, "{deepest}");
+            assert_eq!(err.span.start, first + stride * MAX_DEPTH, "{deepest}");
+        }
+    }
+
+    /// Blocks and expressions count against one cap: an expression inside
+    /// `MAX_DEPTH - 1` blocks has one level left.
+    #[test]
+    fn blocks_and_expressions_share_the_depth_cap() {
+        let nest = |inner: &str| {
+            let n = MAX_DEPTH - 1;
+            format!(
+                "{}x := {inner};{}",
+                "while c do ".repeat(n),
+                " end".repeat(n)
+            )
+        };
+        assert!(parse_program(&nest("(1)")).is_ok());
+        assert!(parse_program(&nest("1 + 1")).is_ok());
+        let x = "while c do ".len() * (MAX_DEPTH - 1);
+        let err = parse_program(&nest("((1))")).unwrap_err();
+        assert_eq!(err.span.start, x + "x := (".len());
+        let err = parse_program(&nest("1 + 1 + 1")).unwrap_err();
+        assert_eq!(err.span.start, x + "x := 1 + 1 ".len());
     }
 }
 

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use mpl_domains::{ConstraintGraph, LinExpr, PsetId};
+use mpl_domains::{ConstraintGraph, LinExpr, PsetId, VarId};
 
 use crate::bound::Bound;
 
@@ -60,6 +60,16 @@ impl ProcRange {
         self.ub.saturate(cg);
     }
 
+    /// True if an alias of either bound has a base variable `pred`
+    /// selects.
+    pub fn mentions(&self, pred: impl Fn(VarId) -> bool) -> bool {
+        self.lb
+            .exprs()
+            .iter()
+            .chain(self.ub.exprs())
+            .any(|e| e.var.is_some_and(&pred))
+    }
+
     /// True if either bound lost all its aliases (unrepresentable).
     #[must_use]
     pub fn is_vacant(&self) -> bool {
@@ -97,7 +107,7 @@ impl ProcRange {
     /// (`other.lb = self.ub + 1`) — the merge condition for adjacent
     /// ranges.
     pub fn provably_adjacent_before(&self, cg: &mut ConstraintGraph, other: &ProcRange) -> bool {
-        self.ub.plus(1).provably_eq(cg, &other.lb)
+        self.ub.compare_shifted(1, cg, &other.lb) == Some(std::cmp::Ordering::Equal)
     }
 
     /// Merges `self ∪ other` when `other` is provably adjacent after

@@ -92,7 +92,7 @@ echo "== profile and tables smoke (E1-E12, E18) =="
 # (|transfer+match+join/widen+admission - loop| <= 10% of loop).
 # `tables` regenerates the untimed figures and must not panic.
 cargo build -q --release -p mpl-bench --offline
-target/release/profile --check | grep -E '^(phase|counter) check'
+target/release/profile --check | grep -E '^(phase|counter|alloc) check'
 target/release/tables >/dev/null
 
 echo "== serve daemon smoke (cache + byte-identity) =="

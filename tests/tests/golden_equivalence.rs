@@ -1,8 +1,8 @@
 //! Golden equivalence suite for the analysis engine: runs the full
 //! corpus through both clients and compares a semantic snapshot —
 //! verdict shape, matched site pairs (the static topology), pattern
-//! classification, print facts, leaks and match-event kinds — against
-//! `golden_corpus.txt`.
+//! classification, print facts, leaks, match-event kinds and the rendered
+//! match events with their symbolic ranges — against `golden_corpus.txt`.
 //!
 //! The snapshot was captured from the String-keyed (`NsVar`-indexed)
 //! constraint-graph representation and pins the interned `VarId`
@@ -73,6 +73,12 @@ fn render_run(out: &mut String, name: &str, client: Client) {
         .collect();
     kinds.sort();
     let _ = writeln!(out, "  events: [{}]", kinds.join(", "));
+
+    // The rendered match events pin each event's symbolic ranges and
+    // their order, not only the site pairs above.
+    for line in topo.to_string().lines() {
+        let _ = writeln!(out, "  {line}");
+    }
 }
 
 fn render_all() -> String {
