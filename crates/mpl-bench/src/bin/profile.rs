@@ -32,7 +32,9 @@ use std::time::Duration;
 use mpl_bench::{profiled_run, sample, ProfiledRun, Sampled, SAMPLES};
 use mpl_cfg::Cfg;
 use mpl_core::Client;
-use mpl_domains::{set_force_full_closure, ClosureStats, ConstraintGraph, NsVar, PsetId};
+use mpl_domains::{
+    intern_name, set_force_full_closure, ClosureStats, ConstraintGraph, PsetId, VarId,
+};
 use mpl_lang::corpus::{self, CorpusProgram, GridDims};
 
 /// A row's median, min and IQR, under the header `   median       min       IQR`.
@@ -239,13 +241,13 @@ fn phase_breakdown(rows: &[(String, Sampled<ProfiledRun>)]) {
 
 /// A chain plus some cross edges over `vs`: representative of the
 /// per-namespace structure the analysis builds (id/loop-var relations).
-fn seed_graph(vs: &[NsVar]) -> ConstraintGraph {
+fn seed_graph(vs: &[VarId]) -> ConstraintGraph {
     let mut g = ConstraintGraph::new();
     for w in vs.windows(2) {
-        g.assert_le(&w[0], &w[1], 1);
+        g.assert_le(w[0], w[1], 1);
     }
-    for (i, v) in vs.iter().enumerate().step_by(5) {
-        g.assert_le(v, &vs[(i * 3 + 1) % vs.len()], 4);
+    for (i, &v) in vs.iter().enumerate().step_by(5) {
+        g.assert_le(v, vs[(i * 3 + 1) % vs.len()], 4);
     }
     g
 }
@@ -258,8 +260,8 @@ fn scaling(profiler: &mut Profiler) {
         "vars    full med  full min  full IQR  incr med  incr min  incr IQR   ratio",
     );
     for n in [8usize, 16, 32, 52, 64, 96] {
-        let vs: Vec<NsVar> = (0..n)
-            .map(|i| NsVar::pset(PsetId((i % 7) as u32), format!("v{i}")))
+        let vs: Vec<VarId> = (0..n)
+            .map(|i| VarId::pset_var(PsetId((i % 7) as u32), intern_name(&format!("v{i}"))))
             .collect();
         let full = profiler.closures(&format!("full closure n={n}"), || {
             let mut g = seed_graph(&vs);
@@ -270,7 +272,7 @@ fn scaling(profiler: &mut Profiler) {
         base.close();
         let incremental = profiler.closures(&format!("incremental update n={n}"), || {
             let mut g = base.clone();
-            g.assert_le(&vs[n - 1], &vs[0], -1);
+            g.assert_le(vs[n - 1], vs[0], -1);
             std::hint::black_box(g.is_bottom());
         });
         println!(

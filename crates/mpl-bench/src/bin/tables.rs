@@ -223,10 +223,10 @@ fn figures_e1_to_e4() {
     for (prog, client, note) in entries {
         let result = mpl_core::analyze(
             &prog.program,
-            &AnalysisConfig::builder()
-                .client(client)
-                .build()
-                .expect("valid config"),
+            &AnalysisConfig {
+                client,
+                ..AnalysisConfig::default()
+            },
         );
         let verdict = match &result.verdict {
             Verdict::Exact => "exact",

@@ -259,10 +259,10 @@ impl Sum for ProfiledRun {
 #[must_use]
 pub fn profiled_run(cfg: &Cfg, client: Client) -> ProfiledRun {
     let allocations_before = allocations();
-    let config = AnalysisConfig::builder()
-        .client(client)
-        .build()
-        .expect("default-based config is valid");
+    let config = AnalysisConfig {
+        client,
+        ..AnalysisConfig::default()
+    };
     let mut observer = StatsObserver::new();
     let copies_before = stats::matrix_copies();
     let result = analyze_cfg_with(cfg, &config, &mut observer);

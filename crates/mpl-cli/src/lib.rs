@@ -220,8 +220,11 @@ fn cmd_analyze(
     // part of the request/response wire contract).
     let request = AnalysisRequest::builder()
         .program(program.clone())
-        .client(client)
-        .min_np(min_np)
+        .config(AnalysisConfig {
+            client,
+            min_np,
+            ..AnalysisConfig::default()
+        })
         .build()?;
     if json {
         // The exact bytes the daemon serves (and caches) for this
@@ -360,8 +363,11 @@ fn cmd_analyze_corpus(args: &[String]) -> Result<CmdOutput, String> {
                 .clone()
                 .name(prog.name)
                 .program(prog.program)
-                .client(client)
-                .min_np(min_np.max(i64::try_from(prog.min_procs).unwrap_or(i64::MAX)))
+                .config(AnalysisConfig {
+                    client,
+                    min_np: min_np.max(i64::try_from(prog.min_procs).unwrap_or(i64::MAX)),
+                    ..AnalysisConfig::default()
+                })
                 .build()
                 .map_err(|e| e.to_string())?;
             batch.push(request);
@@ -404,11 +410,12 @@ fn push_corpus_dir(
     }
     // Knob validation happens once, up front — a bad `--min-np` aborts
     // the run instead of failing every file individually.
-    let defaults = AnalysisConfig::builder()
-        .client(client)
-        .min_np(min_np)
-        .build()
-        .map_err(|e| e.to_string())?;
+    let defaults = AnalysisConfig {
+        client,
+        min_np,
+        ..AnalysisConfig::default()
+    };
+    defaults.validate().map_err(|e| e.to_string())?;
     for path in paths {
         let name = path.file_stem().map_or_else(
             || path.display().to_string(),

@@ -149,11 +149,12 @@ fn transport_flags(flags: &Flags) -> Result<(Option<String>, Option<String>), St
 fn service_config(flags: &Flags) -> Result<ServiceConfig, String> {
     let client = parse_client(flags)?;
     let min_np: i64 = flags.parse_value("--min-np", AnalysisConfig::default().min_np)?;
-    let defaults = AnalysisConfig::builder()
-        .client(client)
-        .min_np(min_np)
-        .build()
-        .map_err(|e| e.to_string())?;
+    let defaults = AnalysisConfig {
+        client,
+        min_np,
+        ..AnalysisConfig::default()
+    };
+    defaults.validate().map_err(|e| e.to_string())?;
     let timeout_ms: u64 = flags.parse_value("--timeout-ms", 0)?;
     let mut config = ServiceConfig::default();
     config.defaults = defaults;

@@ -190,6 +190,28 @@ fn binary_rejects_unknown_flags_with_exit_2() {
         "{stderr}"
     );
 
+    // An out-of-range knob gets the same message on every entry point
+    // that takes it: `analyze`, `analyze-corpus --dir` and `serve`.
+    let (_, stderr, code) = run_mpl(&["analyze", "--min-np", "0"], EXCHANGE);
+    assert_eq!(code, 2);
+    assert_eq!(stderr, "error: min_np must be >= 1 (got 0)\n");
+    let dir = std::env::temp_dir().join(format!("mpl-cli-test-{}-min-np", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create corpus dir");
+    std::fs::write(dir.join("p.mpl"), EXCHANGE).expect("write corpus program");
+    let out = Command::new(env!("CARGO_BIN_EXE_mpl"))
+        .arg("analyze-corpus")
+        .arg("--dir")
+        .arg(&dir)
+        .args(["--min-np", "0"])
+        .output()
+        .expect("spawn mpl");
+    std::fs::remove_dir_all(&dir).expect("remove corpus dir");
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "error: min_np must be >= 1 (got 0)\n"
+    );
+
     let out = Command::new(env!("CARGO_BIN_EXE_mpl"))
         .args(["analyze-corpus", "--jobs", "-3"])
         .output()
@@ -317,6 +339,10 @@ fn binary_serve_flag_parsing_is_strict() {
         stderr.contains("invalid value `0` for `--max-in-flight`"),
         "{stderr}"
     );
+
+    let (stderr, code) = serve(&["--tcp", "127.0.0.1:0", "--min-np", "0"]);
+    assert_eq!(code, 2);
+    assert_eq!(stderr, "error: min_np must be >= 1 (got 0)\n");
 }
 
 #[test]

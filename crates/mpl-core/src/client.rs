@@ -15,9 +15,9 @@
 //! assignment, assume refinement, cross-process value propagation) and
 //! the default split/merge/rename hooks; they differ only in the
 //! message-expression abstraction reached through
-//! [`ClientDomain::matcher`]. The [`Client`] enum remains as a thin
-//! compat constructor — [`Client::domain`] is the single place a client
-//! tag is dispatched.
+//! [`ClientDomain::matcher`]. The [`Client`] enum is the value configs,
+//! requests and the wire format carry; [`Client::domain`] is the single
+//! place it is dispatched to a trait object.
 
 use std::fmt;
 
@@ -29,11 +29,8 @@ use crate::matcher::{CartesianMatcher, MatchStrategy, RecvSite, SendSite, Simple
 use crate::norm::NormCtx;
 use crate::state::AnalysisState;
 
-/// Which client analysis instantiates the framework.
-///
-/// A thin compat constructor over the [`ClientDomain`] trait: existing
-/// code keeps selecting clients by enum value, and [`Client::domain`]
-/// resolves to the trait object the engine actually runs.
+/// Which client analysis instantiates the framework: a plain value,
+/// resolved by [`Client::domain`] to the trait object the engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum Client {
@@ -75,14 +72,11 @@ impl Client {
 ///
 /// Default method bodies implement the shared symbolic behaviour over
 /// the interned constraint-graph state; a client must provide only its
-/// identity (name/tag) and its message-expression abstraction (the
-/// [`MatchStrategy`]). Everything is overridable so future domains
-/// (e.g. transducer-based abstractions) can replace transfer functions
-/// or widening wholesale without touching the engine.
+/// tag and its message-expression abstraction (the [`MatchStrategy`]).
+/// Everything is overridable so future domains (e.g. transducer-based
+/// abstractions) can replace transfer functions or widening wholesale
+/// without touching the engine.
 pub trait ClientDomain: fmt::Debug + Sync {
-    /// A descriptive name for reports.
-    fn name(&self) -> &'static str;
-
     /// The stable machine-readable tag (kebab-case, never localized).
     fn tag(&self) -> &'static str;
 
@@ -142,7 +136,6 @@ pub trait ClientDomain: fmt::Debug + Sync {
                     None => {
                         let cval = lin.as_constant().or_else(|| {
                             lin.var
-                                .as_ref()
                                 .and_then(|v| st.consts.const_of(v))
                                 .map(|c| c + lin.offset)
                         });
@@ -183,7 +176,7 @@ pub trait ClientDomain: fmt::Debug + Sync {
                     norm.linearize(a, pset),
                     norm.eval_const(b, pset, &st.consts),
                 ) {
-                    if let Some(v) = &lin.var {
+                    if let Some(v) = lin.var {
                         st.cg.assert_eq_const(v, c - lin.offset);
                     }
                 }
@@ -237,8 +230,8 @@ pub trait ClientDomain: fmt::Debug + Sync {
             // plain cross-namespace equality would claim *every* receiver
             // equals *every* sender and bottom the graph after splits.
             let id_s = VarId::id_of(sender_id);
-            let id_offset = match &lin.var {
-                Some(v) if *v == id_s => Some(lin.offset),
+            let id_offset = match lin.var {
+                Some(v) if v == id_s => Some(lin.offset),
                 Some(v) => st.cg.eq_offset(v, id_s).map(|k| k + lin.offset),
                 None => None,
             };
@@ -354,34 +347,6 @@ pub trait ClientDomain: fmt::Debug + Sync {
             _ => None,
         }
     }
-
-    /// The image of the sender subset `senders` under `send`'s
-    /// destination expression, in this client's message-expression
-    /// abstraction (`None` = not representable).
-    fn msg_image(
-        &self,
-        st: &mut AnalysisState,
-        norm: &NormCtx,
-        send: &SendSite,
-        senders: &ProcRange,
-    ) -> Option<ProcRange> {
-        self.matcher().image(st, norm, send, senders)
-    }
-
-    /// Whether `recv.src ∘ send.dest` is provably the identity on
-    /// `senders` (`None` = not provable either way).
-    fn msg_composes_to_identity(
-        &self,
-        st: &mut AnalysisState,
-        norm: &NormCtx,
-        send: &SendSite,
-        recv: &RecvSite,
-        senders: &ProcRange,
-        assumes: &[Expr],
-    ) -> Option<bool> {
-        self.matcher()
-            .composes_to_identity(st, send, recv, norm, senders, assumes)
-    }
 }
 
 /// Splits `range` by `id = e`.
@@ -447,10 +412,6 @@ fn split_le(
 pub struct SymbolicClient;
 
 impl ClientDomain for SymbolicClient {
-    fn name(&self) -> &'static str {
-        "simple-symbolic"
-    }
-
     fn tag(&self) -> &'static str {
         "simple"
     }
@@ -466,10 +427,6 @@ impl ClientDomain for SymbolicClient {
 pub struct CartesianClient;
 
 impl ClientDomain for CartesianClient {
-    fn name(&self) -> &'static str {
-        "cartesian-hsm"
-    }
-
     fn tag(&self) -> &'static str {
         "cartesian"
     }
@@ -494,10 +451,17 @@ mod tests {
 
     #[test]
     fn domains_report_their_matchers() {
-        assert_eq!(Client::Simple.domain().name(), "simple-symbolic");
-        assert_eq!(Client::Simple.domain().matcher().name(), "simple-symbolic");
-        assert_eq!(Client::Cartesian.domain().name(), "cartesian-hsm");
-        assert_eq!(Client::Cartesian.domain().matcher().name(), "cartesian-hsm");
+        // Only the §VIII domain's matcher proves the transpose's
+        // whole-set self-exchange.
+        let prog = mpl_lang::corpus::nas_cg_transpose_square(mpl_lang::corpus::GridDims::Symbolic);
+        for (client, exact) in [(Client::Simple, false), (Client::Cartesian, true)] {
+            let config = crate::config::AnalysisConfig {
+                client,
+                ..crate::config::AnalysisConfig::default()
+            };
+            let result = crate::engine::analyze(&prog.program, &config);
+            assert_eq!(result.is_exact(), exact, "{}", client.tag());
+        }
     }
 }
 

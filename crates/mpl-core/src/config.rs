@@ -1,5 +1,5 @@
-//! Engine configuration: the validated knob set shared by every entry
-//! point (`analyze`, the batch runtime, the CLI).
+//! Engine configuration: the knob set shared by every entry point
+//! (`analyze`, the request API, the CLI and `mpl serve`).
 //!
 //! Configuration is deliberately separate from the engine loop: the
 //! knobs are plain data consumed by the [`crate::scheduler`] (budgets,
@@ -13,15 +13,24 @@ use mpl_runtime::CancelToken;
 
 use crate::client::Client;
 
-/// Engine configuration.
+/// Engine configuration: plain data. Start from
+/// [`AnalysisConfig::default`] and override fields with struct-update
+/// syntax; entry points that take knobs from users check them with
+/// [`AnalysisConfig::validate`].
 ///
-/// Construct through [`AnalysisConfig::builder`] (which validates the
-/// knobs) or start from [`AnalysisConfig::default`]. The struct is
-/// `#[non_exhaustive]`: fields stay readable everywhere, but literal
-/// construction is reserved to this crate so knobs can be added without
-/// breaking downstream code.
+/// ```
+/// use mpl_core::{AnalysisConfig, Client, ConfigError};
+///
+/// let config = AnalysisConfig {
+///     client: Client::Simple,
+///     min_np: 8,
+///     ..AnalysisConfig::default()
+/// };
+/// assert_eq!(config.validate(), Ok(()));
+/// let zero = AnalysisConfig { max_steps: 0, ..config };
+/// assert_eq!(zero.validate(), Err(ConfigError::ZeroStepBudget));
+/// ```
 #[derive(Debug, Clone)]
-#[non_exhaustive]
 pub struct AnalysisConfig {
     /// The client analysis.
     pub client: Client,
@@ -69,16 +78,31 @@ impl Default for AnalysisConfig {
 }
 
 impl AnalysisConfig {
-    /// A builder seeded with the defaults.
-    #[must_use]
-    pub fn builder() -> AnalysisConfigBuilder {
-        AnalysisConfigBuilder {
-            config: AnalysisConfig::default(),
+    /// Checks every knob's range.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first failing check as a [`ConfigError`], in this
+    /// order: zero step budget, zero pset budget, `min_np < 1`, unsorted
+    /// thresholds.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.max_steps == 0 {
+            return Err(ConfigError::ZeroStepBudget);
         }
+        if self.max_psets == 0 {
+            return Err(ConfigError::ZeroPsetBudget);
+        }
+        if self.min_np < 1 {
+            return Err(ConfigError::MinNpTooSmall { got: self.min_np });
+        }
+        if self.widen_thresholds.windows(2).any(|w| w[0] > w[1]) {
+            return Err(ConfigError::UnsortedThresholds);
+        }
+        Ok(())
     }
 }
 
-/// A rejected [`AnalysisConfigBuilder`] knob combination.
+/// A knob out of range, reported by [`AnalysisConfig::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ConfigError {
@@ -116,115 +140,6 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Typed, validating constructor for [`AnalysisConfig`] — the supported
-/// way to configure the engine from other crates.
-///
-/// ```
-/// use mpl_core::{AnalysisConfig, Client};
-/// let config = AnalysisConfig::builder()
-///     .client(Client::Simple)
-///     .min_np(8)
-///     .build()
-///     .expect("valid config");
-/// assert_eq!(config.min_np, 8);
-/// assert!(AnalysisConfig::builder().max_steps(0).build().is_err());
-/// ```
-#[derive(Debug, Clone)]
-pub struct AnalysisConfigBuilder {
-    config: AnalysisConfig,
-}
-
-impl AnalysisConfigBuilder {
-    /// A builder seeded from an existing configuration (the request API
-    /// uses this to layer per-request overrides onto server defaults and
-    /// still route through [`Self::build`]'s validation).
-    #[must_use]
-    pub fn from_config(config: AnalysisConfig) -> AnalysisConfigBuilder {
-        AnalysisConfigBuilder { config }
-    }
-
-    /// Sets the client analysis.
-    #[must_use]
-    pub fn client(mut self, client: Client) -> Self {
-        self.config.client = client;
-        self
-    }
-
-    /// Sets the assumed lower bound on `np`.
-    #[must_use]
-    pub fn min_np(mut self, min_np: i64) -> Self {
-        self.config.min_np = min_np;
-        self
-    }
-
-    /// Sets the engine step budget.
-    #[must_use]
-    pub fn max_steps(mut self, max_steps: u64) -> Self {
-        self.config.max_steps = max_steps;
-        self
-    }
-
-    /// Sets the pCFG node-width budget (the paper's parameter `p`).
-    #[must_use]
-    pub fn max_psets(mut self, max_psets: usize) -> Self {
-        self.config.max_psets = max_psets;
-        self
-    }
-
-    /// Enables or disables depth-1 send buffering (§X aggregation).
-    #[must_use]
-    pub fn allow_pending_sends(mut self, allow: bool) -> Self {
-        self.config.allow_pending_sends = allow;
-        self
-    }
-
-    /// Sets the number of exact visits before widening kicks in.
-    #[must_use]
-    pub fn widen_delay(mut self, widen_delay: u32) -> Self {
-        self.config.widen_delay = widen_delay;
-        self
-    }
-
-    /// Sets the widening threshold ladder (must be sorted ascending).
-    #[must_use]
-    pub fn widen_thresholds(mut self, thresholds: Vec<i64>) -> Self {
-        self.config.widen_thresholds = thresholds;
-        self
-    }
-
-    /// Attaches a cooperative cancellation token (deadline support). The
-    /// engine polls it every few worklist steps and returns a sound ⊤
-    /// ([`crate::result::TopReason::Deadline`]) once it fires.
-    #[must_use]
-    pub fn cancel_token(mut self, token: CancelToken) -> Self {
-        self.config.cancel = Some(token);
-        self
-    }
-
-    /// Validates and produces the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] when a knob is out of range (zero
-    /// budgets, `min_np < 1`, unsorted thresholds).
-    pub fn build(self) -> Result<AnalysisConfig, ConfigError> {
-        let c = self.config;
-        if c.max_steps == 0 {
-            return Err(ConfigError::ZeroStepBudget);
-        }
-        if c.max_psets == 0 {
-            return Err(ConfigError::ZeroPsetBudget);
-        }
-        if c.min_np < 1 {
-            return Err(ConfigError::MinNpTooSmall { got: c.min_np });
-        }
-        if c.widen_thresholds.windows(2).any(|w| w[0] > w[1]) {
-            return Err(ConfigError::UnsortedThresholds);
-        }
-        Ok(c)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,6 +147,25 @@ mod tests {
     use crate::result::Verdict;
     use mpl_cfg::CfgNodeId;
     use mpl_lang::corpus;
+
+    #[test]
+    fn validate_rejects_an_unsorted_threshold_ladder() {
+        let unsorted = AnalysisConfig {
+            widen_thresholds: vec![-8, 0, 16, 4],
+            ..AnalysisConfig::default()
+        };
+        let err = unsorted.validate().unwrap_err();
+        assert_eq!(err, ConfigError::UnsortedThresholds);
+        assert_eq!(err.to_string(), "widen_thresholds must be sorted ascending");
+        // Repeated thresholds are still ascending, and so is no ladder.
+        for ladder in [vec![0, 0, 4], Vec::new()] {
+            let config = AnalysisConfig {
+                widen_thresholds: ladder,
+                ..AnalysisConfig::default()
+            };
+            assert_eq!(config.validate(), Ok(()));
+        }
+    }
 
     #[test]
     fn transpose_requires_pending_sends() {

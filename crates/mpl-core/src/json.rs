@@ -71,15 +71,6 @@ impl JsonValue {
             _ => None,
         }
     }
-
-    /// The boolean payload, if this is a boolean.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 /// A JSON syntax error with a byte offset into the input line.

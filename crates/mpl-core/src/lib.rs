@@ -68,7 +68,7 @@ pub mod topology;
 
 pub use cache::{CacheStats, ResultCache};
 pub use client::{CartesianClient, Client, ClientDomain, SymbolicClient};
-pub use config::{AnalysisConfig, AnalysisConfigBuilder, ConfigError};
+pub use config::{AnalysisConfig, ConfigError};
 pub use engine::{analyze, analyze_cfg, analyze_cfg_with};
 pub use infoflow::{info_flow, info_flow_with_pairs, InfoFlow};
 pub use json::{json_escape, parse as parse_json, JsonError, JsonValue};

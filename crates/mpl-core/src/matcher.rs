@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 
 use mpl_cfg::CfgNodeId;
-use mpl_domains::{NsVar, PsetId, VarId};
+use mpl_domains::{intern_name, PsetId, VarId};
 use mpl_hsm::{compose_exprs, AssumptionCtx, Hsm, SymPoly};
 use mpl_lang::ast::{BinOp, Expr};
 use mpl_procset::{Bound, ProcRange};
@@ -88,9 +88,6 @@ pub struct MatchOutcome {
 
 /// A pluggable `matchSendsRecvs` implementation.
 pub trait MatchStrategy {
-    /// A short name for reports.
-    fn name(&self) -> &'static str;
-
     /// Attempts to match `send` against `recv` in `st`. On success
     /// returns the matched subsets; `None` means "not provably matched".
     fn try_match(
@@ -116,56 +113,6 @@ pub trait MatchStrategy {
     ) -> Option<(mpl_domains::LinExpr, mpl_domains::LinExpr)> {
         None
     }
-
-    /// The image of the sender subset `senders` under `send`'s
-    /// destination expression — the paper's `image` operation of the
-    /// message-expression abstraction. `None` means the expression is
-    /// not representable in this strategy's abstraction.
-    fn image(
-        &self,
-        _st: &mut AnalysisState,
-        _norm: &NormCtx,
-        _send: &SendSite,
-        _senders: &ProcRange,
-    ) -> Option<ProcRange> {
-        None
-    }
-
-    /// Whether `recv.src ∘ send.dest` is provably the identity on
-    /// `senders` — the paper's `compose`/`is-identity` condition.
-    /// `Some(b)` is a proof either way; `None` means undecidable in this
-    /// strategy's abstraction.
-    fn composes_to_identity(
-        &self,
-        _st: &mut AnalysisState,
-        _send: &SendSite,
-        _recv: &RecvSite,
-        _norm: &NormCtx,
-        _senders: &ProcRange,
-        _assumes: &[Expr],
-    ) -> Option<bool> {
-        None
-    }
-}
-
-/// The image of `senders` under a linearized destination expression: a
-/// per-process `id + c` shifts the whole subset, a set-uniform
-/// expression collapses it to the one targeted rank. Shared by every
-/// arm of the simple matcher (the four arms differ only in which side
-/// is singled out, never in how the image is formed).
-fn image_of(
-    st: &mut AnalysisState,
-    dest: &mpl_domains::LinExpr,
-    id_s: VarId,
-    senders: &ProcRange,
-) -> ProcRange {
-    let mut out = if dest.var == Some(id_s) {
-        senders.plus(dest.offset)
-    } else {
-        ProcRange::singleton(*dest)
-    };
-    out.saturate(&mut st.cg);
-    out
 }
 
 /// The §VII client: `var + c` message expressions.
@@ -173,10 +120,6 @@ fn image_of(
 pub struct SimpleMatcher;
 
 impl MatchStrategy for SimpleMatcher {
-    fn name(&self) -> &'static str {
-        "simple-symbolic"
-    }
-
     fn try_match(
         &self,
         st: &mut AnalysisState,
@@ -249,7 +192,15 @@ impl MatchStrategy for SimpleMatcher {
         if check_r && !s_range.provably_contains(&mut st.cg, &s_procs) {
             return None;
         }
-        let r_procs = image_of(st, &dest, id_s, &s_procs);
+        // The receivers are the senders' image under the destination: a
+        // per-process `id + c` shifts them, a set-uniform expression
+        // collapses them to the one targeted rank.
+        let mut r_procs = if dest_uses_id {
+            s_procs.plus(dest.offset)
+        } else {
+            ProcRange::singleton(dest)
+        };
+        r_procs.saturate(&mut st.cg);
         if check_r && !r_range.provably_contains(&mut st.cg, &r_procs) {
             return None;
         }
@@ -334,44 +285,6 @@ impl MatchStrategy for SimpleMatcher {
                 })
             }
         }
-    }
-
-    fn image(
-        &self,
-        st: &mut AnalysisState,
-        norm: &NormCtx,
-        send: &SendSite,
-        senders: &ProcRange,
-    ) -> Option<ProcRange> {
-        let ps = st.psets[send.pset_idx].id;
-        let consts = st.consts.clone();
-        let dest = norm.linearize_resolved(&send.dest, ps, &consts, &mut st.cg)?;
-        Some(image_of(st, &dest, VarId::id_of(ps), senders))
-    }
-
-    fn composes_to_identity(
-        &self,
-        st: &mut AnalysisState,
-        send: &SendSite,
-        recv: &RecvSite,
-        norm: &NormCtx,
-        _senders: &ProcRange,
-        _assumes: &[Expr],
-    ) -> Option<bool> {
-        if send.pset_idx == recv.pset_idx {
-            return None;
-        }
-        let ps = st.psets[send.pset_idx].id;
-        let pr = st.psets[recv.pset_idx].id;
-        let consts = st.consts.clone();
-        let dest = norm.linearize_resolved(&send.dest, ps, &consts, &mut st.cg)?;
-        let src = norm.linearize_resolved(&recv.src, pr, &consts, &mut st.cg)?;
-        // Only the shift form is decidable by offset algebra; the
-        // singleton cases are decided by containment, not composition.
-        if dest.var == Some(VarId::id_of(ps)) && src.var == Some(VarId::id_of(pr)) {
-            return Some(dest.composes_to_identity_with(&src));
-        }
-        None
     }
 }
 
@@ -469,63 +382,7 @@ impl CartesianMatcher {
     }
 }
 
-/// The send and composed (recv ∘ send) HSMs for a whole-set pair, with
-/// the sender/receiver set polynomials — the shared §VIII pipeline
-/// behind both full matching and the bare identity query.
-struct HsmComposition {
-    ctx: AssumptionCtx,
-    s_lb: SymPoly,
-    s_n: SymPoly,
-    r_lb: SymPoly,
-    r_n: SymPoly,
-    h_send: Hsm,
-    composed: Hsm,
-}
-
-/// Builds the HSM composition for `send`/`recv` over the given sender
-/// and receiver ranges. `None` when either range or expression leaves
-/// the HSM fragment.
-fn hsm_composition(
-    st: &mut AnalysisState,
-    norm: &NormCtx,
-    send: &SendSite,
-    recv: &RecvSite,
-    s_range: &ProcRange,
-    r_range: &ProcRange,
-    assumes: &[Expr],
-) -> Option<HsmComposition> {
-    let ctx = build_assumption_ctx(st, norm, assumes);
-    let ps = st.psets[send.pset_idx].id;
-    let pr = st.psets[recv.pset_idx].id;
-
-    let (s_lb, s_n) = range_to_polys(st, s_range, &ctx)?;
-    let (r_lb, r_n) = range_to_polys(st, r_range, &ctx)?;
-    if !ctx.pos(&s_n) || !ctx.pos(&r_n) {
-        return None;
-    }
-
-    let vars_s = uniform_vars(st, norm, &send.dest, ps)?;
-    let vars_r = uniform_vars(st, norm, &recv.src, pr)?;
-
-    let id_s = Hsm::range(s_lb.clone(), s_n.clone());
-    let (h_send, composed) =
-        compose_exprs(&send.dest, &recv.src, &id_s, &vars_s, &vars_r, &ctx).ok()?;
-    Some(HsmComposition {
-        ctx,
-        s_lb,
-        s_n,
-        r_lb,
-        r_n,
-        h_send,
-        composed,
-    })
-}
-
 impl MatchStrategy for CartesianMatcher {
-    fn name(&self) -> &'static str {
-        "cartesian-hsm"
-    }
-
     fn try_match(
         &self,
         st: &mut AnalysisState,
@@ -541,13 +398,23 @@ impl MatchStrategy for CartesianMatcher {
         // matched in full.
         let s_range = st.psets[send.pset_idx].range.clone();
         let r_range = st.psets[recv.pset_idx].range.clone();
-        let c = hsm_composition(st, norm, send, recv, &s_range, &r_range, assumes)?;
+        let ctx = build_assumption_ctx(st, norm, assumes);
+        let (s_lb, s_n) = range_to_polys(st, &s_range, &ctx)?;
+        let (r_lb, r_n) = range_to_polys(st, &r_range, &ctx)?;
+        if !ctx.pos(&s_n) || !ctx.pos(&r_n) {
+            return None;
+        }
+        let vars_s = uniform_vars(st, norm, &send.dest, st.psets[send.pset_idx].id)?;
+        let vars_r = uniform_vars(st, norm, &recv.src, st.psets[recv.pset_idx].id)?;
+        let id_s = Hsm::range(s_lb.clone(), s_n.clone());
+        let (h_send, composed) =
+            compose_exprs(&send.dest, &recv.src, &id_s, &vars_s, &vars_r, &ctx).ok()?;
         // Surjection of the send expression onto the receiver set.
-        if !c.h_send.is_surjection_onto(&c.r_lb, &c.r_n, &c.ctx) {
+        if !h_send.is_surjection_onto(&r_lb, &r_n, &ctx) {
             return None;
         }
         // Composition (recv ∘ send) must be the identity on the senders.
-        if !c.composed.is_identity_on(&c.s_lb, &c.s_n, &c.ctx) {
+        if !composed.is_identity_on(&s_lb, &s_n, &ctx) {
             return None;
         }
         Some(MatchOutcome {
@@ -565,40 +432,6 @@ impl MatchStrategy for CartesianMatcher {
         norm: &NormCtx,
     ) -> Option<(mpl_domains::LinExpr, mpl_domains::LinExpr)> {
         self.base().split_hint(st, send, recv, norm)
-    }
-
-    fn image(
-        &self,
-        st: &mut AnalysisState,
-        norm: &NormCtx,
-        send: &SendSite,
-        senders: &ProcRange,
-    ) -> Option<ProcRange> {
-        self.base().image(st, norm, send, senders)
-    }
-
-    fn composes_to_identity(
-        &self,
-        st: &mut AnalysisState,
-        send: &SendSite,
-        recv: &RecvSite,
-        norm: &NormCtx,
-        senders: &ProcRange,
-        assumes: &[Expr],
-    ) -> Option<bool> {
-        if let Some(b) = self
-            .base()
-            .composes_to_identity(st, send, recv, norm, senders, assumes)
-        {
-            return Some(b);
-        }
-        // HSM proof of identity over the sender subset (a proof only —
-        // a failed HSM identity is "undecidable", not "false").
-        let senders = senders.clone();
-        let c = hsm_composition(st, norm, send, recv, &senders, &senders, assumes)?;
-        c.composed
-            .is_identity_on(&c.s_lb, &c.s_n, &c.ctx)
-            .then_some(true)
     }
 }
 
@@ -638,7 +471,7 @@ fn expr_to_poly(e: &Expr, norm: &NormCtx, st: &mut AnalysisState) -> Option<SymP
         Expr::Var(v) => {
             // Assigned variable: usable only if uniform across all psets,
             // i.e. pinned to one constant in every namespace it exists in.
-            let name_idx = mpl_domains::intern_name(v);
+            let name_idx = intern_name(v);
             let ids: Vec<PsetId> = st.psets.iter().map(|p| p.id).collect();
             let mut val: Option<i64> = None;
             for id in ids {
@@ -697,13 +530,13 @@ fn uniform_vars(
         let poly = if norm.is_input(name) {
             SymPoly::sym(name)
         } else {
-            let v = NsVar::pset(pset, name);
-            if let Some(c) = st.cg.const_of(&v) {
+            let v = VarId::pset_var(pset, intern_name(name));
+            if let Some(c) = st.cg.const_of(v) {
                 SymPoly::constant(c)
             } else {
                 // Try np + c or input + c aliases.
                 let mut aliases = Vec::new();
-                st.cg.equalities_of(&v, &mut aliases);
+                st.cg.equalities_of(v, &mut aliases);
                 aliases.iter().find_map(NormCtx::linexpr_to_poly)?
             }
         };
@@ -758,7 +591,7 @@ mod tests {
     /// Splits the initial all-procs set into [0..0] and [1..np-1].
     fn split_root(st: &mut AnalysisState, root_node: CfgNodeId, rest_node: CfgNodeId) {
         let root = ProcRange::from_exprs(LinExpr::constant(0), LinExpr::constant(0));
-        let rest = ProcRange::from_exprs(LinExpr::constant(1), LinExpr::var_plus(NsVar::Np, -1));
+        let rest = ProcRange::from_exprs(LinExpr::constant(1), LinExpr::var_plus(VarId::NP, -1));
         st.split_pset(0, vec![(root, root_node, false), (rest, rest_node, false)]);
     }
 
@@ -809,7 +642,7 @@ mod tests {
         let (_, norm, mut st) = setup("i := 1;");
         split_root(&mut st, CfgNodeId(10), CfgNodeId(11));
         let root = st.psets[0].id;
-        let iv = VarId::from(NsVar::pset(root, "i"));
+        let iv = VarId::pset_var(root, intern_name("i"));
         st.cg.assert_le(VarId::ZERO, iv, -1); // i >= 1
         st.cg.assert_le(iv, VarId::NP, -1); // i <= np-1
         let out = SimpleMatcher

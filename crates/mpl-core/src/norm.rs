@@ -409,7 +409,6 @@ impl RelOp {
 mod tests {
     use super::*;
     use mpl_cfg::Cfg;
-    use mpl_domains::NsVar;
     use mpl_lang::parse_program;
 
     fn ctx_of(src: &str) -> NormCtx {
@@ -433,11 +432,8 @@ mod tests {
         assert!(!ctx.is_input("x"));
         assert!(!ctx.is_input("y"));
         assert!(ctx.is_input("nrows"));
-        assert_eq!(ctx.var(P, "x"), VarId::from(NsVar::pset(P, "x")));
-        assert_eq!(
-            ctx.var(P, "nrows"),
-            VarId::from(NsVar::Global("nrows".into()))
-        );
+        assert_eq!(ctx.var(P, "x"), VarId::pset_var(P, intern_name("x")));
+        assert_eq!(ctx.var(P, "nrows"), VarId::global(intern_name("nrows")));
     }
 
     #[test]
@@ -446,15 +442,15 @@ mod tests {
         assert_eq!(ctx.linearize(&expr("7"), P), Some(LinExpr::constant(7)));
         assert_eq!(
             ctx.linearize(&expr("id + 1"), P),
-            Some(LinExpr::var_plus(NsVar::id_of(P), 1))
+            Some(LinExpr::var_plus(VarId::id_of(P), 1))
         );
         assert_eq!(
             ctx.linearize(&expr("np - 1"), P),
-            Some(LinExpr::var_plus(NsVar::Np, -1))
+            Some(LinExpr::var_plus(VarId::NP, -1))
         );
         assert_eq!(
             ctx.linearize(&expr("x + 2"), P),
-            Some(LinExpr::var_plus(NsVar::pset(P, "x"), 2))
+            Some(LinExpr::var_plus(VarId::pset_var(P, intern_name("x")), 2))
         );
         assert_eq!(
             ctx.linearize(&expr("2 * 3 + 1"), P),
@@ -476,7 +472,7 @@ mod tests {
         let ctx = ctx_of("x := 1;");
         assert_eq!(
             ctx.linearize(&expr("1 * id"), P),
-            Some(LinExpr::of_var(NsVar::id_of(P)))
+            Some(LinExpr::of_var(VarId::id_of(P)))
         );
         assert_eq!(
             ctx.linearize(&expr("id * 0"), P),
@@ -484,7 +480,7 @@ mod tests {
         );
         assert_eq!(
             ctx.linearize(&expr("x / 1"), P),
-            Some(LinExpr::of_var(NsVar::pset(P, "x")))
+            Some(LinExpr::of_var(VarId::pset_var(P, intern_name("x"))))
         );
     }
 
@@ -496,8 +492,8 @@ mod tests {
         assert_eq!(refs.len(), 2);
         let mut cg = ConstraintGraph::new();
         ctx.apply_refinements(&mut cg, &refs);
-        assert!(cg.implies_le(NsVar::id_of(P), &NsVar::Np, -1));
-        assert!(cg.implies_le(&NsVar::Zero, NsVar::id_of(P), -1));
+        assert!(cg.implies_le(VarId::id_of(P), VarId::NP, -1));
+        assert!(cg.implies_le(VarId::ZERO, VarId::id_of(P), -1));
     }
 
     #[test]
@@ -507,7 +503,7 @@ mod tests {
         let refs = ctx.refinements(&expr("id <= 5"), P, true);
         let mut cg = ConstraintGraph::new();
         ctx.apply_refinements(&mut cg, &refs);
-        assert!(cg.implies_le(&NsVar::Zero, NsVar::id_of(P), -6));
+        assert!(cg.implies_le(VarId::ZERO, VarId::id_of(P), -6));
         // ¬(id = 5) carries nothing for a DBM.
         assert!(ctx.refinements(&expr("id = 5"), P, true).is_empty());
     }
@@ -516,7 +512,7 @@ mod tests {
     fn eval_const_uses_environment() {
         let ctx = ctx_of("x := 1; y := 2;");
         let mut consts = ConstEnv::new();
-        consts.set_const(NsVar::pset(P, "x"), 6);
+        consts.set_const(VarId::pset_var(P, intern_name("x")), 6);
         assert_eq!(ctx.eval_const(&expr("x * x + 1"), P, &consts), Some(37));
         assert_eq!(ctx.eval_const(&expr("x / 0"), P, &consts), None);
         assert_eq!(ctx.eval_const(&expr("y"), P, &consts), None);
@@ -526,7 +522,7 @@ mod tests {
     #[test]
     fn linexpr_to_poly_forms() {
         assert_eq!(
-            NormCtx::linexpr_to_poly(&LinExpr::var_plus(NsVar::Np, -1)),
+            NormCtx::linexpr_to_poly(&LinExpr::var_plus(VarId::NP, -1)),
             Some(SymPoly::sym("np") - SymPoly::constant(1))
         );
         assert_eq!(
@@ -534,11 +530,11 @@ mod tests {
             Some(SymPoly::constant(4))
         );
         assert_eq!(
-            NormCtx::linexpr_to_poly(&LinExpr::of_var(NsVar::Global("nrows".into()))),
+            NormCtx::linexpr_to_poly(&LinExpr::of_var(VarId::global(intern_name("nrows")))),
             Some(SymPoly::sym("nrows"))
         );
         assert_eq!(
-            NormCtx::linexpr_to_poly(&LinExpr::of_var(NsVar::pset(P, "i"))),
+            NormCtx::linexpr_to_poly(&LinExpr::of_var(VarId::pset_var(P, intern_name("i")))),
             None
         );
     }

@@ -79,7 +79,7 @@ use mpl_lang::parse_program;
 use mpl_runtime::CancelToken;
 
 use crate::client::Client;
-use crate::config::{AnalysisConfig, AnalysisConfigBuilder, ConfigError};
+use crate::config::{AnalysisConfig, ConfigError};
 use crate::engine::analyze;
 use crate::json::json_escape;
 use crate::result::{AnalysisResult, TopReason, Verdict};
@@ -94,7 +94,7 @@ pub const PROTOCOL_VERSION: i64 = 1;
 /// any response byte for the same request: a journal written by an
 /// older engine then misses once, instead of replaying its stale bodies
 /// under a check string the new engine would also produce.
-const ENGINE_REVISION: u32 = 2;
+const ENGINE_REVISION: u32 = 3;
 
 /// The deepest level of the degradation ladder ([`degrade`]). Every
 /// attempt past `MAX_LEVEL + 1` would rerun an identical configuration,
@@ -409,11 +409,12 @@ impl AnalysisRequest {
 
 /// The degradation ladder: attempt 1 is the requested configuration;
 /// every later attempt widens sooner (halved delay), snaps through half
-/// as many thresholds, and burns a quarter of the step budget — so a
+/// as many thresholds, and burns a quarter of the step budget, floored
+/// at 1 000 steps or the requested budget if that is smaller — so a
 /// request that timed out converges (or fails fast with a sound
-/// budget-⊤) instead of timing out again. A pure function of
-/// `(config, attempt)`, so retries are deterministic; it bottoms out at
-/// level [`MAX_LEVEL`].
+/// budget-⊤) instead of timing out again, and no retry gets more steps
+/// than the request asked for. A pure function of `(config, attempt)`,
+/// so retries are deterministic; it bottoms out at level [`MAX_LEVEL`].
 fn degrade(config: &AnalysisConfig, attempt: u32) -> AnalysisConfig {
     let mut coarse = config.clone();
     if attempt <= 1 {
@@ -423,7 +424,8 @@ fn degrade(config: &AnalysisConfig, attempt: u32) -> AnalysisConfig {
     coarse.widen_delay >>= level;
     let keep = coarse.widen_thresholds.len() >> level;
     coarse.widen_thresholds.truncate(keep);
-    coarse.max_steps = (coarse.max_steps >> (2 * u64::from(level)).min(63)).max(1_000);
+    let floor = coarse.max_steps.min(1_000);
+    coarse.max_steps = (coarse.max_steps >> (2 * u64::from(level)).min(63)).max(floor);
     coarse
 }
 
@@ -452,12 +454,15 @@ fn answered(attempt: u32, result: AnalysisResult) -> (JobOutcome, Option<Analysi
 /// Validating builder for [`AnalysisRequest`].
 ///
 /// ```
-/// use mpl_core::{AnalysisRequest, Client};
+/// use mpl_core::{AnalysisConfig, AnalysisRequest, Client};
 ///
 /// let request = AnalysisRequest::builder()
 ///     .source("x := 1;")
-///     .client(Client::Simple)
-///     .min_np(8)
+///     .config(AnalysisConfig {
+///         client: Client::Simple,
+///         min_np: 8,
+///         ..AnalysisConfig::default()
+///     })
 ///     .build()
 ///     .expect("valid request");
 /// assert_eq!(request.config.min_np, 8);
@@ -468,13 +473,8 @@ pub struct AnalysisRequestBuilder {
     name: Option<String>,
     source: Option<String>,
     program: Option<Program>,
-    base: Option<AnalysisConfig>,
-    client: Option<Client>,
+    config: AnalysisConfig,
     client_tag: Option<String>,
-    min_np: Option<i64>,
-    max_steps: Option<u64>,
-    max_psets: Option<usize>,
-    widen_delay: Option<u32>,
     timeout: Option<Duration>,
     retries: u32,
     fault: Option<Fault>,
@@ -507,55 +507,19 @@ impl AnalysisRequestBuilder {
         self
     }
 
-    /// Seeds the configuration from an existing [`AnalysisConfig`]
-    /// instead of the defaults (the daemon's server-side defaults, for
-    /// example). Per-knob setters below still override it.
+    /// Replaces the whole configuration (the defaults until set), which
+    /// [`Self::build`] validates.
     #[must_use]
     pub fn config(mut self, config: AnalysisConfig) -> Self {
-        self.base = Some(config);
+        self.config = config;
         self
     }
 
-    /// Sets the client analysis.
-    #[must_use]
-    pub fn client(mut self, client: Client) -> Self {
-        self.client = Some(client);
-        self
-    }
-
-    /// Sets the client analysis by its wire tag (`simple` /
-    /// `cartesian`), validated at build time.
+    /// Sets the configuration's client by its wire tag (`simple` /
+    /// `cartesian`), resolved at build time.
     #[must_use]
     pub fn client_tag(mut self, tag: impl Into<String>) -> Self {
         self.client_tag = Some(tag.into());
-        self
-    }
-
-    /// Sets the assumed lower bound on `np`.
-    #[must_use]
-    pub fn min_np(mut self, min_np: i64) -> Self {
-        self.min_np = Some(min_np);
-        self
-    }
-
-    /// Sets the engine step budget.
-    #[must_use]
-    pub fn max_steps(mut self, max_steps: u64) -> Self {
-        self.max_steps = Some(max_steps);
-        self
-    }
-
-    /// Sets the pCFG node-width budget.
-    #[must_use]
-    pub fn max_psets(mut self, max_psets: usize) -> Self {
-        self.max_psets = Some(max_psets);
-        self
-    }
-
-    /// Sets the widening delay.
-    #[must_use]
-    pub fn widen_delay(mut self, widen_delay: u32) -> Self {
-        self.widen_delay = Some(widen_delay);
         self
     }
 
@@ -604,9 +568,9 @@ impl AnalysisRequestBuilder {
     /// [`RequestError::MissingProgram`] when neither program nor source
     /// was given, [`RequestError::Parse`] on bad source,
     /// [`RequestError::UnknownClient`] on a bad client tag, and
-    /// [`RequestError::Config`] when the knob combination fails
-    /// [`AnalysisConfigBuilder::build`].
-    pub fn build(self) -> Result<AnalysisRequest, RequestError> {
+    /// [`RequestError::Config`] when a knob fails
+    /// [`AnalysisConfig::validate`].
+    pub fn build(mut self) -> Result<AnalysisRequest, RequestError> {
         let program = match (self.program, &self.source) {
             (Some(program), _) => program,
             (None, Some(source)) => parse_program(source).map_err(|e| RequestError::Parse {
@@ -614,30 +578,11 @@ impl AnalysisRequestBuilder {
             })?,
             (None, None) => return Err(RequestError::MissingProgram),
         };
-        let client = match (self.client, self.client_tag) {
-            (Some(client), _) => Some(client),
-            (None, Some(tag)) => {
-                Some(Client::from_tag(&tag).ok_or(RequestError::UnknownClient { tag })?)
-            }
-            (None, None) => None,
-        };
-        let mut cb = AnalysisConfigBuilder::from_config(self.base.unwrap_or_default());
-        if let Some(client) = client {
-            cb = cb.client(client);
+        if let Some(tag) = self.client_tag {
+            self.config.client =
+                Client::from_tag(&tag).ok_or(RequestError::UnknownClient { tag })?;
         }
-        if let Some(min_np) = self.min_np {
-            cb = cb.min_np(min_np);
-        }
-        if let Some(max_steps) = self.max_steps {
-            cb = cb.max_steps(max_steps);
-        }
-        if let Some(max_psets) = self.max_psets {
-            cb = cb.max_psets(max_psets);
-        }
-        if let Some(widen_delay) = self.widen_delay {
-            cb = cb.widen_delay(widen_delay);
-        }
-        let config = cb.build()?;
+        self.config.validate()?;
         let fault = self.fault.or_else(|| {
             if self.honor_fault_directive {
                 self.source.as_deref().and_then(Fault::from_directive)
@@ -648,7 +593,7 @@ impl AnalysisRequestBuilder {
         Ok(AnalysisRequest {
             name: self.name.filter(|name| !name.is_empty()),
             program,
-            config,
+            config: self.config,
             timeout: self.timeout,
             retries: self.retries,
             fault,
@@ -1160,10 +1105,17 @@ mod tests {
     use super::*;
     use mpl_lang::corpus;
 
+    fn simple() -> AnalysisConfig {
+        AnalysisConfig {
+            client: Client::Simple,
+            ..AnalysisConfig::default()
+        }
+    }
+
     fn fig2_request() -> AnalysisRequest {
         AnalysisRequest::builder()
             .source(corpus::fig2_exchange().source)
-            .client(Client::Simple)
+            .config(simple())
             .build()
             .expect("valid request")
     }
@@ -1188,7 +1140,10 @@ mod tests {
         assert!(matches!(
             AnalysisRequest::builder()
                 .source("x := 1;")
-                .max_steps(0)
+                .config(AnalysisConfig {
+                    max_steps: 0,
+                    ..AnalysisConfig::default()
+                })
                 .build(),
             Err(RequestError::Config(ConfigError::ZeroStepBudget))
         ));
@@ -1210,7 +1165,10 @@ mod tests {
 
         let c = AnalysisRequest::builder()
             .source("x := 1;\nsend x -> 0;")
-            .min_np(9)
+            .config(AnalysisConfig {
+                min_np: 9,
+                ..AnalysisConfig::default()
+            })
             .build()
             .unwrap();
         assert_ne!(a.fingerprint(), c.fingerprint());
@@ -1230,7 +1188,7 @@ mod tests {
         let fig2 = || {
             AnalysisRequest::builder()
                 .source(corpus::fig2_exchange().source)
-                .client(Client::Simple)
+                .config(simple())
         };
         let cases = [
             fig2(),
@@ -1239,7 +1197,10 @@ mod tests {
             fig2().fault(Fault::TopOnce).retries(1),
             AnalysisRequest::builder()
                 .program(corpus::nearest_neighbor_shift().program)
-                .max_psets(1)
+                .config(AnalysisConfig {
+                    max_psets: 1,
+                    ..AnalysisConfig::default()
+                })
                 .retries(2),
         ]
         .map(|builder| builder.build().expect("valid request"));
@@ -1284,7 +1245,7 @@ mod tests {
     fn named_request_renders_name_field() {
         let request = AnalysisRequest::builder()
             .source(corpus::fig2_exchange().source)
-            .client(Client::Simple)
+            .config(simple())
             .name("fig2")
             .build()
             .unwrap();
@@ -1294,7 +1255,7 @@ mod tests {
         // request whose cache identity it shares.
         let empty = AnalysisRequest::builder()
             .source(corpus::fig2_exchange().source)
-            .client(Client::Simple)
+            .config(simple())
             .name("")
             .build()
             .unwrap();
@@ -1570,7 +1531,10 @@ mod tests {
         // carry the attempt-1 result (budget ⊤ under max_psets=1),
         // outcome Completed, not Degraded.
         let cramped = named("cramped", corpus::nearest_neighbor_shift().program)
-            .max_psets(1)
+            .config(AnalysisConfig {
+                max_psets: 1,
+                ..AnalysisConfig::default()
+            })
             .retries(2);
         let response = run_alone(cramped);
         assert_eq!(response.outcome, JobOutcome::Completed);
@@ -1580,6 +1544,42 @@ mod tests {
                 reason: TopReason::PsetBudget { max: 1 }
             }
         ));
+    }
+
+    #[test]
+    fn retries_never_raise_a_small_step_budget() {
+        // Attempt 1 exhausts its 5 steps; the retry runs under the same
+        // budget (the ladder never raises it), so it ⊤s too and the
+        // response is the attempt-1 ⊤, completed.
+        let source = "if id = 0 then\n  x := 5;\n  send x -> 1;\nelse\n  \
+                      if id = 1 then\n    recv y <- 0;\n    print y;\n  end\nend\n";
+        let tight = AnalysisConfig {
+            max_steps: 5,
+            ..AnalysisConfig::default()
+        };
+        let alone = AnalysisRequest::builder()
+            .source(source)
+            .config(tight.clone())
+            .build()
+            .unwrap()
+            .execute();
+        let retried = AnalysisRequest::builder()
+            .source(source)
+            .config(tight)
+            .retries(1)
+            .build()
+            .unwrap()
+            .execute();
+        assert_eq!(retried.outcome, JobOutcome::Completed);
+        let result = retried.result.as_ref().unwrap();
+        assert!(matches!(
+            result.verdict,
+            Verdict::Top {
+                reason: TopReason::StepBudget
+            }
+        ));
+        assert_eq!(result.steps, alone.result.as_ref().unwrap().steps);
+        assert_eq!(retried.json_line(false), alone.json_line(false));
     }
 
     #[test]
@@ -1660,7 +1660,7 @@ mod tests {
             .build()
             .unwrap()
             .cache_check();
-        assert!(check.contains(";engine=2;"), "{check}");
+        assert!(check.contains(";engine=3;"), "{check}");
     }
 
     #[test]
@@ -1688,6 +1688,20 @@ mod tests {
         let last = degrade(&slow, MAX_LEVEL + 1);
         assert_eq!(last.widen_delay, degrade(&slow, u32::MAX).widen_delay);
         assert_ne!(last.widen_delay, degrade(&slow, MAX_LEVEL).widen_delay);
+        // A budget below the 1 000-step floor is never raised on retry.
+        for requested in [1, 5, 999, 1_000, 4_000] {
+            let small = AnalysisConfig {
+                max_steps: requested,
+                ..AnalysisConfig::default()
+            };
+            let mut previous = requested;
+            for attempt in 1..=MAX_LEVEL + 2 {
+                let steps = degrade(&small, attempt).max_steps;
+                assert!(steps <= previous, "{requested}: attempt {attempt}");
+                assert!(steps >= requested.min(1_000));
+                previous = steps;
+            }
+        }
     }
 
     #[test]

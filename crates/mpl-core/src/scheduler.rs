@@ -383,10 +383,10 @@ mod cancel_tests {
         let prog = corpus::exchange_with_root();
         let token = mpl_runtime::CancelToken::new();
         token.cancel();
-        let config = AnalysisConfig::builder()
-            .cancel_token(token)
-            .build()
-            .expect("valid config");
+        let config = AnalysisConfig {
+            cancel: Some(token),
+            ..AnalysisConfig::default()
+        };
         let result = analyze(&prog.program, &config);
         assert!(
             matches!(
@@ -412,10 +412,10 @@ mod cancel_tests {
     fn uncancelled_token_does_not_perturb_the_analysis() {
         let prog = corpus::exchange_with_root();
         let plain = analyze(&prog.program, &AnalysisConfig::default());
-        let config = AnalysisConfig::builder()
-            .cancel_token(mpl_runtime::CancelToken::new())
-            .build()
-            .expect("valid config");
+        let config = AnalysisConfig {
+            cancel: Some(mpl_runtime::CancelToken::new()),
+            ..AnalysisConfig::default()
+        };
         let tokened = analyze(&prog.program, &config);
         assert_eq!(plain.verdict, tokened.verdict);
         assert_eq!(plain.matches, tokened.matches);

@@ -562,9 +562,9 @@ impl AnalysisService {
             Some(None) => return Err(error_line("bad-request", "`program` must be a string")),
             None => return Err(error_line("bad-request", "missing `program` field")),
         };
+        let mut config = self.defaults.clone();
         let mut builder = AnalysisRequest::builder()
             .source(program)
-            .config(self.defaults.clone())
             .honor_fault_directive(true)
             .retries(self.default_retries);
         if let Some(timeout) = self.default_timeout {
@@ -583,13 +583,13 @@ impl AnalysisService {
             builder = builder.client_tag(tag);
         }
         if let Some(min_np) = int_field(value, "min_np")? {
-            builder = builder.min_np(min_np);
+            config.min_np = min_np;
         }
         if let Some(max_steps) = uint_field(value, "max_steps")? {
-            builder = builder.max_steps(max_steps);
+            config.max_steps = max_steps;
         }
         if let Some(max_psets) = uint_field(value, "max_psets")? {
-            builder = builder.max_psets(max_psets as usize);
+            config.max_psets = max_psets as usize;
         }
         if let Some(timeout_ms) = uint_field(value, "timeout_ms")? {
             // 0 switches the deadline off, mirroring `--timeout-ms 0`.
@@ -606,6 +606,7 @@ impl AnalysisService {
             builder = builder.retries(retries);
         }
         builder
+            .config(config)
             .build()
             .map_err(|e| error_line(e.code(), &e.to_string()))
     }
@@ -773,20 +774,44 @@ mod tests {
             reply.line().contains("\"code\":\"unknown-client\""),
             "{reply:?}"
         );
-        let reply = svc.handle_line("{\"op\":\"analyze\",\"program\":\"x := 1;\",\"max_steps\":0}");
-        assert!(
-            reply.line().contains("\"code\":\"bad-config\""),
-            "{reply:?}"
-        );
+        for (knob, message) in [
+            ("\"max_steps\":0", "max_steps must be >= 1"),
+            ("\"min_np\":0", "min_np must be >= 1 (got 0)"),
+            ("\"max_psets\":0", "max_psets must be >= 1"),
+        ] {
+            let reply = svc.handle_line(&format!(
+                "{{\"op\":\"analyze\",\"program\":\"x := 1;\",{knob}}}"
+            ));
+            assert_eq!(
+                reply.line(),
+                format!("{{\"v\":1,\"type\":\"error\",\"code\":\"bad-config\",\"message\":\"{message}\"}}")
+            );
+        }
         let reply =
             svc.handle_line("{\"op\":\"analyze\",\"program\":\"x := 1;\",\"min_np\":\"four\"}");
         assert!(reply.line().contains("must be an integer"), "{reply:?}");
+        // Precedence: a parse error beats an unknown client, which beats
+        // a bad knob.
+        let reply = svc.handle_line(
+            "{\"op\":\"analyze\",\"program\":\"x := ;\",\"client\":\"quantum\",\"max_steps\":0}",
+        );
+        assert!(
+            reply.line().contains("\"code\":\"parse-error\""),
+            "{reply:?}"
+        );
+        let reply = svc.handle_line(
+            "{\"op\":\"analyze\",\"program\":\"x := 1;\",\"client\":\"quantum\",\"max_steps\":0}",
+        );
+        assert!(
+            reply.line().contains("\"code\":\"unknown-client\""),
+            "{reply:?}"
+        );
         // Validation failures count as invalid, not as cache traffic.
         assert_eq!(svc.cache_stats().misses, 0);
         assert!(svc
             .handle_line("{\"op\":\"stats\"}")
             .line()
-            .contains("\"invalid\":5"));
+            .contains("\"invalid\":9"));
     }
 
     #[test]

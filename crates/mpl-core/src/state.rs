@@ -13,7 +13,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 
 use mpl_cfg::CfgNodeId;
-use mpl_domains::{ConstEnv, ConstraintGraph, NsVar, PsetId, VarId};
+use mpl_domains::{ConstEnv, ConstraintGraph, PsetId, VarId};
 use mpl_lang::ast::Expr;
 use mpl_procset::{Bound, ProcRange};
 
@@ -76,11 +76,11 @@ impl AnalysisState {
     #[must_use]
     pub fn initial(entry: CfgNodeId, min_np: i64) -> AnalysisState {
         let mut cg = ConstraintGraph::new();
-        cg.assert_le(&NsVar::Zero, &NsVar::Np, -min_np); // np >= min_np
+        cg.assert_le(VarId::ZERO, VarId::NP, -min_np); // np >= min_np
         let p0 = PsetId(0);
-        let id0 = NsVar::id_of(p0);
-        cg.assert_le(&NsVar::Zero, &id0, 0); // id >= 0
-        cg.assert_le(&id0, &NsVar::Np, -1); // id <= np-1
+        let id0 = VarId::id_of(p0);
+        cg.assert_le(VarId::ZERO, id0, 0); // id >= 0
+        cg.assert_le(id0, VarId::NP, -1); // id <= np-1
         AnalysisState {
             cg: cg.into(),
             consts: Shared::new(ConstEnv::new()),
@@ -210,8 +210,7 @@ impl AnalysisState {
     /// `x` invalidates them. Call *before* mutating the constraint graph
     /// when possible so lost aliases can be re-derived. Sets whose bounds
     /// do not mention `var` keep their copy-on-write handle shared.
-    pub fn rewrite_aliases_on_assign(&mut self, var: impl Into<VarId>, shift: Option<i64>) {
-        let var = var.into();
+    pub fn rewrite_aliases_on_assign(&mut self, var: VarId, shift: Option<i64>) {
         for p in &mut self.psets {
             if !p.range.mentions(|v| v == var) {
                 continue;
@@ -419,16 +418,10 @@ impl AnalysisState {
     }
 
     /// Widens `self` (the stored state) with `newer` (same location key):
-    /// constraint-graph widening, range-bound alias intersection,
-    /// constant-env join, match-set union.
-    #[must_use]
-    pub fn widen_with(&self, newer: &AnalysisState) -> AnalysisState {
-        self.widen_with_thresholds(newer, &mpl_domains::DEFAULT_WIDEN_THRESHOLDS)
-    }
-
-    /// [`AnalysisState::widen_with`] with an explicit threshold ladder for
-    /// the constraint-graph widening (see
-    /// [`mpl_domains::ConstraintGraph::widen_with_thresholds`]).
+    /// constraint-graph widening over the `thresholds` ladder (see
+    /// [`mpl_domains::ConstraintGraph::widen_with_thresholds`]),
+    /// range-bound alias intersection, constant-env join, match-set
+    /// union.
     #[must_use]
     pub fn widen_with_thresholds(
         &self,
@@ -668,7 +661,7 @@ impl fmt::Display for AnalysisState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpl_domains::LinExpr;
+    use mpl_domains::{intern_name, LinExpr};
 
     fn initial() -> AnalysisState {
         AnalysisState::initial(CfgNodeId(0), 4)
@@ -678,20 +671,20 @@ mod tests {
     fn initial_state_has_all_procs_with_id_bounds() {
         let mut st = initial();
         assert_eq!(st.psets.len(), 1);
-        let id0 = NsVar::id_of(st.psets[0].id);
-        assert!(st.cg.implies_le(&NsVar::Zero, &id0, 0)); // id >= 0
-        assert!(st.cg.implies_le(&id0, &NsVar::Np, -1)); // id <= np-1
-        assert!(st.cg.implies_le(&NsVar::Zero, &NsVar::Np, -4)); // np >= 4
+        let id0 = VarId::id_of(st.psets[0].id);
+        assert!(st.cg.implies_le(VarId::ZERO, id0, 0)); // id >= 0
+        assert!(st.cg.implies_le(id0, VarId::NP, -1)); // id <= np-1
+        assert!(st.cg.implies_le(VarId::ZERO, VarId::NP, -4)); // np >= 4
         assert_eq!(st.psets[0].range.is_empty(&mut st.cg), Some(false));
     }
 
     #[test]
     fn split_pset_clones_namespace_and_bounds() {
         let mut st = initial();
-        let x = NsVar::pset(st.psets[0].id, "x");
-        st.cg.assert_eq_const(&x, 9);
+        let x = VarId::pset_var(st.psets[0].id, intern_name("x"));
+        st.cg.assert_eq_const(x, 9);
         let root = ProcRange::from_exprs(LinExpr::constant(0), LinExpr::constant(0));
-        let rest = ProcRange::from_exprs(LinExpr::constant(1), LinExpr::var_plus(NsVar::Np, -1));
+        let rest = ProcRange::from_exprs(LinExpr::constant(1), LinExpr::var_plus(VarId::NP, -1));
         st.split_pset(
             0,
             vec![(root, CfgNodeId(5), false), (rest, CfgNodeId(6), false)],
@@ -699,21 +692,24 @@ mod tests {
         assert_eq!(st.psets.len(), 2);
         for p in st.psets.clone() {
             // Each part inherited x = 9 in its own namespace.
-            assert_eq!(st.cg.const_of(NsVar::pset(p.id, "x")), Some(9));
+            assert_eq!(
+                st.cg.const_of(VarId::pset_var(p.id, intern_name("x"))),
+                Some(9)
+            );
         }
         // The singleton part's id is pinned to 0.
         let root_pset = st.psets.iter().find(|p| p.node == CfgNodeId(5)).unwrap().id;
-        assert_eq!(st.cg.const_of(NsVar::id_of(root_pset)), Some(0));
+        assert_eq!(st.cg.const_of(VarId::id_of(root_pset)), Some(0));
     }
 
     #[test]
     fn split_pset_skips_bounds_of_possibly_empty_parts() {
         let mut st = initial();
         // [i .. np-1] with i unconstrained: emptiness unknown.
-        let i = NsVar::pset(st.psets[0].id, "i");
-        st.cg.ensure_var(&i);
+        let i = VarId::pset_var(st.psets[0].id, intern_name("i"));
+        st.cg.ensure_var(i);
         let maybe_empty =
-            ProcRange::from_exprs(LinExpr::of_var(i.clone()), LinExpr::var_plus(NsVar::Np, -1));
+            ProcRange::from_exprs(LinExpr::of_var(i), LinExpr::var_plus(VarId::NP, -1));
         let rest = ProcRange::from_exprs(LinExpr::constant(0), LinExpr::constant(0));
         st.split_pset(
             0,
@@ -724,7 +720,7 @@ mod tests {
         );
         // The shared graph must not have been poisoned with i <= np-1.
         let mut cg = st.cg.clone();
-        assert!(!cg.implies_le(i.renamed(PsetId(0), PsetId(1)), &NsVar::Np, -1));
+        assert!(!cg.implies_le(i.renamed(PsetId(0), PsetId(1)), VarId::NP, -1));
         assert!(!st.cg.is_bottom());
     }
 
@@ -732,7 +728,7 @@ mod tests {
     fn merge_psets_joins_adjacent_at_same_node() {
         let mut st = initial();
         let a = ProcRange::from_exprs(LinExpr::constant(0), LinExpr::constant(3));
-        let b = ProcRange::from_exprs(LinExpr::constant(4), LinExpr::var_plus(NsVar::Np, -1));
+        let b = ProcRange::from_exprs(LinExpr::constant(4), LinExpr::var_plus(VarId::NP, -1));
         st.split_pset(0, vec![(a, CfgNodeId(7), false), (b, CfgNodeId(7), false)]);
         st.merge_psets();
         assert_eq!(st.psets.len(), 1);
@@ -750,25 +746,36 @@ mod tests {
         st.split_pset(0, vec![(a, CfgNodeId(7), false), (b, CfgNodeId(7), false)]);
         // Give the two parts different values of y, same value of z.
         let (p0, p1) = (st.psets[0].id, st.psets[1].id);
-        st.cg.assign(NsVar::pset(p0, "y"), &LinExpr::constant(1));
-        st.cg.assign(NsVar::pset(p1, "y"), &LinExpr::constant(2));
-        st.cg.assign(NsVar::pset(p0, "z"), &LinExpr::constant(5));
-        st.cg.assign(NsVar::pset(p1, "z"), &LinExpr::constant(5));
+        st.cg
+            .assign(VarId::pset_var(p0, intern_name("y")), &LinExpr::constant(1));
+        st.cg
+            .assign(VarId::pset_var(p1, intern_name("y")), &LinExpr::constant(2));
+        st.cg
+            .assign(VarId::pset_var(p0, intern_name("z")), &LinExpr::constant(5));
+        st.cg
+            .assign(VarId::pset_var(p1, intern_name("z")), &LinExpr::constant(5));
         st.merge_psets();
         assert_eq!(st.psets.len(), 1);
         let m = st.psets[0].id;
-        assert_eq!(st.cg.const_of(NsVar::pset(m, "y")), None);
-        assert_eq!(st.cg.const_of(NsVar::pset(m, "z")), Some(5));
+        assert_eq!(st.cg.const_of(VarId::pset_var(m, intern_name("y"))), None);
+        assert_eq!(
+            st.cg.const_of(VarId::pset_var(m, intern_name("z"))),
+            Some(5)
+        );
         // Bounds survive: y in [1..2].
-        assert!(st.cg.implies_le(NsVar::pset(m, "y"), &NsVar::Zero, 2));
-        assert!(st.cg.implies_le(&NsVar::Zero, NsVar::pset(m, "y"), -1));
+        assert!(st
+            .cg
+            .implies_le(VarId::pset_var(m, intern_name("y")), VarId::ZERO, 2));
+        assert!(st
+            .cg
+            .implies_le(VarId::ZERO, VarId::pset_var(m, intern_name("y")), -1));
     }
 
     #[test]
     fn drop_empty_removes_provably_empty() {
         let mut st = initial();
         let empty =
-            ProcRange::from_exprs(LinExpr::of_var(NsVar::Np), LinExpr::var_plus(NsVar::Np, -1));
+            ProcRange::from_exprs(LinExpr::of_var(VarId::NP), LinExpr::var_plus(VarId::NP, -1));
         let rest = ProcRange::all_procs();
         st.split_pset(
             0,
@@ -784,7 +791,7 @@ mod tests {
     fn renumber_canonical_sorts_and_compacts_ids() {
         let mut st = initial();
         let a = ProcRange::from_exprs(LinExpr::constant(0), LinExpr::constant(1));
-        let b = ProcRange::from_exprs(LinExpr::constant(2), LinExpr::var_plus(NsVar::Np, -1));
+        let b = ProcRange::from_exprs(LinExpr::constant(2), LinExpr::var_plus(VarId::NP, -1));
         st.split_pset(0, vec![(b, CfgNodeId(9), false), (a, CfgNodeId(3), false)]);
         st.renumber_canonical();
         // Sorted by CFG node: node 3 first, ids sequential from 0.
@@ -793,7 +800,7 @@ mod tests {
         assert_eq!(st.psets[1].id, PsetId(1));
         // Constraints moved with the renaming.
         let mut cg = st.cg.clone();
-        assert!(cg.implies_le(NsVar::id_of(PsetId(0)), &NsVar::Zero, 1));
+        assert!(cg.implies_le(VarId::id_of(PsetId(0)), VarId::ZERO, 1));
     }
 
     /// Sets at one CFG node order by their rendered ranges — as text, so
@@ -803,7 +810,7 @@ mod tests {
     fn renumber_canonical_breaks_node_ties_by_rendered_range() {
         let mut st = initial();
         let range = |lo, hi| ProcRange::from_exprs(LinExpr::constant(lo), LinExpr::constant(hi));
-        let tail = ProcRange::from_exprs(LinExpr::constant(10), LinExpr::var_plus(NsVar::Np, -1));
+        let tail = ProcRange::from_exprs(LinExpr::constant(10), LinExpr::var_plus(VarId::NP, -1));
         st.split_pset(
             0,
             vec![
@@ -844,7 +851,7 @@ mod tests {
     fn merge_psets_is_idempotent() {
         let mut st = initial();
         let a = ProcRange::from_exprs(LinExpr::constant(0), LinExpr::constant(3));
-        let b = ProcRange::from_exprs(LinExpr::constant(4), LinExpr::var_plus(NsVar::Np, -1));
+        let b = ProcRange::from_exprs(LinExpr::constant(4), LinExpr::var_plus(VarId::NP, -1));
         st.split_pset(0, vec![(a, CfgNodeId(7), false), (b, CfgNodeId(7), false)]);
         st.merge_psets();
         let once = st.clone();
@@ -857,7 +864,7 @@ mod tests {
     fn renumber_canonical_is_idempotent() {
         let mut st = initial();
         let a = ProcRange::from_exprs(LinExpr::constant(0), LinExpr::constant(1));
-        let b = ProcRange::from_exprs(LinExpr::constant(2), LinExpr::var_plus(NsVar::Np, -1));
+        let b = ProcRange::from_exprs(LinExpr::constant(2), LinExpr::var_plus(VarId::NP, -1));
         st.split_pset(0, vec![(b, CfgNodeId(9), false), (a, CfgNodeId(3), false)]);
         st.renumber_canonical();
         let once = st.clone();
@@ -886,24 +893,24 @@ mod tests {
         let mut st = initial();
         st.renumber_canonical();
         st.resaturate_ranges();
-        let w = st.widen_with(&st.clone());
+        let w = st.widen_with_thresholds(&st.clone(), &mpl_domains::DEFAULT_WIDEN_THRESHOLDS);
         assert!(w.same_as(&st));
     }
 
     #[test]
     fn rewrite_aliases_shift_and_strip() {
         let mut st = initial();
-        let i = NsVar::pset(st.psets[0].id, "i");
-        st.cg.assert_eq_const(&i, 1);
+        let i = VarId::pset_var(st.psets[0].id, intern_name("i"));
+        st.cg.assert_eq_const(i, 1);
         // Install a range whose ub mentions i.
-        st.psets[0].range = ProcRange::from_exprs(LinExpr::constant(0), LinExpr::of_var(i.clone()));
-        st.rewrite_aliases_on_assign(&i, Some(1)); // i := i + 1
+        st.psets[0].range = ProcRange::from_exprs(LinExpr::constant(0), LinExpr::of_var(i));
+        st.rewrite_aliases_on_assign(i, Some(1)); // i := i + 1
         assert!(st.psets[0]
             .range
             .ub
             .exprs()
-            .contains(&LinExpr::var_plus(i.clone(), -1)));
-        st.rewrite_aliases_on_assign(&i, None); // arbitrary overwrite
+            .contains(&LinExpr::var_plus(i, -1)));
+        st.rewrite_aliases_on_assign(i, None); // arbitrary overwrite
         assert!(st.psets[0].range.ub.is_vacant());
         assert!(st.any_vacant_range());
     }
@@ -912,12 +919,16 @@ mod tests {
     fn remove_pset_preserves_other_namespaces() {
         let mut st = initial();
         let a = ProcRange::from_exprs(LinExpr::constant(0), LinExpr::constant(0));
-        let b = ProcRange::from_exprs(LinExpr::constant(1), LinExpr::var_plus(NsVar::Np, -1));
+        let b = ProcRange::from_exprs(LinExpr::constant(1), LinExpr::var_plus(VarId::NP, -1));
         st.split_pset(0, vec![(a, CfgNodeId(5), false), (b, CfgNodeId(6), false)]);
         let keep = st.psets[1].id;
-        st.cg.assert_eq_const(NsVar::pset(keep, "v"), 3);
+        st.cg
+            .assert_eq_const(VarId::pset_var(keep, intern_name("v")), 3);
         st.remove_pset(0);
         assert_eq!(st.psets.len(), 1);
-        assert_eq!(st.cg.const_of(NsVar::pset(keep, "v")), Some(3));
+        assert_eq!(
+            st.cg.const_of(VarId::pset_var(keep, intern_name("v"))),
+            Some(3)
+        );
     }
 }

@@ -36,19 +36,19 @@ impl ConstEnv {
     }
 
     /// Sets `v` to a known constant.
-    pub fn set_const(&mut self, v: impl Into<VarId>, c: i64) {
-        self.vals.insert(v.into(), ConstVal::Known(c));
+    pub fn set_const(&mut self, v: VarId, c: i64) {
+        self.vals.insert(v, ConstVal::Known(c));
     }
 
     /// Sets `v` to unknown.
-    pub fn set_unknown(&mut self, v: impl Into<VarId>) {
-        self.vals.insert(v.into(), ConstVal::Unknown);
+    pub fn set_unknown(&mut self, v: VarId) {
+        self.vals.insert(v, ConstVal::Unknown);
     }
 
     /// The constant value of `v`, if known.
     #[must_use]
-    pub fn const_of(&self, v: impl Into<VarId>) -> Option<i64> {
-        match self.vals.get(&v.into()) {
+    pub fn const_of(&self, v: VarId) -> Option<i64> {
+        match self.vals.get(&v) {
             Some(ConstVal::Known(c)) => Some(*c),
             _ => None,
         }
@@ -56,8 +56,8 @@ impl ConstEnv {
 
     /// The lattice value of `v` (`None` = never assigned).
     #[must_use]
-    pub fn get(&self, v: impl Into<VarId>) -> Option<ConstVal> {
-        self.vals.get(&v.into()).copied()
+    pub fn get(&self, v: VarId) -> Option<ConstVal> {
+        self.vals.get(&v).copied()
     }
 
     /// Number of tracked variables.
@@ -168,10 +168,10 @@ impl fmt::Display for ConstEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::var::NsVar;
+    use crate::var::intern_name;
 
-    fn v(p: u32, name: &str) -> NsVar {
-        NsVar::pset(PsetId(p), name)
+    fn v(p: u32, name: &str) -> VarId {
+        VarId::pset_var(PsetId(p), intern_name(name))
     }
 
     #[test]

@@ -108,21 +108,17 @@ thread_local! {
 /// `x ≤ Zero + 5`). An inconsistent conjunction (negative cycle) is the
 /// explicit bottom element, reported by [`ConstraintGraph::is_bottom`].
 ///
-/// Every variable-taking method accepts `impl Into<VarId>`, so call sites
-/// may pass a packed [`VarId`] or a rich [`crate::NsVar`] (by value or
-/// reference) interchangeably.
-///
 /// # Example
 ///
 /// ```
-/// use mpl_domains::{ConstraintGraph, NsVar, PsetId};
+/// use mpl_domains::{intern_name, ConstraintGraph, PsetId, VarId};
 ///
 /// let mut g = ConstraintGraph::new();
-/// let i = NsVar::pset(PsetId(0), "i");
-/// g.assert_eq_const(&i, 1);                 // i = 1
-/// g.assert_le(&i, &NsVar::Np, -1);          // i <= np - 1
-/// assert_eq!(g.const_of(&i), Some(1));
-/// assert!(g.implies_le(&NsVar::Zero, &NsVar::Np, -2)); // 0 <= np - 2
+/// let i = VarId::pset_var(PsetId(0), intern_name("i"));
+/// g.assert_eq_const(i, 1);                 // i = 1
+/// g.assert_le(i, VarId::NP, -1);           // i <= np - 1
+/// assert_eq!(g.const_of(i), Some(1));
+/// assert!(g.implies_le(VarId::ZERO, VarId::NP, -2)); // 0 <= np - 2
 /// ```
 #[derive(Clone)]
 pub struct ConstraintGraph {
@@ -191,12 +187,6 @@ impl ConstraintGraph {
         self.infeasible
     }
 
-    /// Number of tracked variables (including `Zero`).
-    #[must_use]
-    pub fn var_count(&self) -> usize {
-        self.vars.len()
-    }
-
     /// All tracked variables.
     #[must_use]
     pub fn variables(&self) -> &[VarId] {
@@ -205,8 +195,8 @@ impl ConstraintGraph {
 
     /// True if `v` is tracked.
     #[must_use]
-    pub fn has_var(&self, v: impl Into<VarId>) -> bool {
-        self.index.contains_key(&v.into())
+    pub fn has_var(&self, v: VarId) -> bool {
+        self.index.contains_key(&v)
     }
 
     fn n(&self) -> usize {
@@ -350,8 +340,7 @@ impl ConstraintGraph {
     }
 
     /// Adds `v` (unconstrained) if missing; returns its index.
-    pub fn ensure_var(&mut self, v: impl Into<VarId>) -> usize {
-        let v = v.into();
+    pub fn ensure_var(&mut self, v: VarId) -> usize {
         if let Some(&i) = self.index.get(&v) {
             return i;
         }
@@ -489,12 +478,12 @@ impl ConstraintGraph {
     /// deferred to the next query or explicit [`ConstraintGraph::close`];
     /// only a direct contradiction (`y ≤ x + c'` with `c + c' < 0`) is
     /// detected immediately.
-    pub fn assert_le(&mut self, x: impl Into<VarId>, y: impl Into<VarId>, c: i64) {
+    pub fn assert_le(&mut self, x: VarId, y: VarId, c: i64) {
         if self.infeasible {
             return;
         }
-        let i = self.ensure_var(x.into());
-        let j = self.ensure_var(y.into());
+        let i = self.ensure_var(x);
+        let j = self.ensure_var(y);
         if i == j {
             if c < 0 {
                 self.infeasible = true;
@@ -524,40 +513,38 @@ impl ConstraintGraph {
     }
 
     /// Asserts `x = y + c`.
-    pub fn assert_eq_offset(&mut self, x: impl Into<VarId>, y: impl Into<VarId>, c: i64) {
-        let (x, y) = (x.into(), y.into());
+    pub fn assert_eq_offset(&mut self, x: VarId, y: VarId, c: i64) {
         self.assert_le(x, y, c);
         self.assert_le(y, x, -c);
     }
 
     /// Asserts `x = c`.
-    pub fn assert_eq_const(&mut self, x: impl Into<VarId>, c: i64) {
-        self.assert_eq_offset(x.into(), VarId::ZERO, c);
+    pub fn assert_eq_const(&mut self, x: VarId, c: i64) {
+        self.assert_eq_offset(x, VarId::ZERO, c);
     }
 
     /// Asserts `x = e` for a linear expression.
-    pub fn assert_eq_expr(&mut self, x: impl Into<VarId>, e: &LinExpr) {
+    pub fn assert_eq_expr(&mut self, x: VarId, e: &LinExpr) {
         match e.var {
-            Some(v) => self.assert_eq_offset(x.into(), v, e.offset),
-            None => self.assert_eq_const(x.into(), e.offset),
+            Some(v) => self.assert_eq_offset(x, v, e.offset),
+            None => self.assert_eq_const(x, e.offset),
         }
     }
 
     /// Asserts `x ≤ e`.
-    pub fn assert_le_expr(&mut self, x: impl Into<VarId>, e: &LinExpr) {
-        self.assert_le(x.into(), e.var.unwrap_or(VarId::ZERO), e.offset);
+    pub fn assert_le_expr(&mut self, x: VarId, e: &LinExpr) {
+        self.assert_le(x, e.var.unwrap_or(VarId::ZERO), e.offset);
     }
 
     /// Asserts `e ≤ x`.
-    pub fn assert_ge_expr(&mut self, x: impl Into<VarId>, e: &LinExpr) {
-        self.assert_le(e.var.unwrap_or(VarId::ZERO), x.into(), -e.offset);
+    pub fn assert_ge_expr(&mut self, x: VarId, e: &LinExpr) {
+        self.assert_le(e.var.unwrap_or(VarId::ZERO), x, -e.offset);
     }
 
     /// The tightest known `c` with `x ≤ y + c`, or `None` if unconstrained
     /// (or either variable is untracked).
     #[must_use = "returns the bound without modifying the graph"]
-    pub fn le_bound(&mut self, x: impl Into<VarId>, y: impl Into<VarId>) -> Option<i64> {
-        let (x, y) = (x.into(), y.into());
+    pub fn le_bound(&mut self, x: VarId, y: VarId) -> Option<i64> {
         self.ensure_closed();
         if self.infeasible {
             return Some(i64::MIN / 4); // Bottom entails everything.
@@ -569,8 +556,8 @@ impl ConstraintGraph {
     }
 
     /// True if the constraints imply `x ≤ y + c`.
-    pub fn implies_le(&mut self, x: impl Into<VarId>, y: impl Into<VarId>, c: i64) -> bool {
-        match self.le_bound(x.into(), y.into()) {
+    pub fn implies_le(&mut self, x: VarId, y: VarId, c: i64) -> bool {
+        match self.le_bound(x, y) {
             Some(b) => b <= c,
             None => false,
         }
@@ -578,8 +565,7 @@ impl ConstraintGraph {
 
     /// `Some(c)` if the constraints imply `x = y + c`. Returns `None` on
     /// bottom (an unreachable state pins nothing down usefully).
-    pub fn eq_offset(&mut self, x: impl Into<VarId>, y: impl Into<VarId>) -> Option<i64> {
-        let (x, y) = (x.into(), y.into());
+    pub fn eq_offset(&mut self, x: VarId, y: VarId) -> Option<i64> {
         self.ensure_closed();
         if self.infeasible {
             return None;
@@ -590,8 +576,8 @@ impl ConstraintGraph {
     }
 
     /// The constant value of `x` if the constraints pin it down.
-    pub fn const_of(&mut self, x: impl Into<VarId>) -> Option<i64> {
-        self.eq_offset(x.into(), VarId::ZERO)
+    pub fn const_of(&mut self, x: VarId) -> Option<i64> {
+        self.eq_offset(x, VarId::ZERO)
     }
 
     /// Appends to `out`, sorted, every expression `y + c` (with `y ≠ x`)
@@ -601,8 +587,7 @@ impl ConstraintGraph {
     /// matrix — no clones, no per-pair lookups — into the caller's
     /// buffer, so a caller scanning several classes reuses one
     /// allocation. Entries already in `out` are left alone.
-    pub fn equalities_of(&mut self, x: impl Into<VarId>, out: &mut Vec<LinExpr>) {
-        let x = x.into();
+    pub fn equalities_of(&mut self, x: VarId, out: &mut Vec<LinExpr>) {
         if self.infeasible || !self.has_var(x) {
             return;
         }
@@ -676,8 +661,7 @@ impl ConstraintGraph {
 
     /// Removes all constraints mentioning `x` (keeping consequences
     /// routed through it), leaving `x` tracked but unconstrained.
-    pub fn havoc(&mut self, x: impl Into<VarId>) {
-        let x = x.into();
+    pub fn havoc(&mut self, x: VarId) {
         if self.infeasible {
             return;
         }
@@ -696,8 +680,7 @@ impl ConstraintGraph {
 
     /// Assigns `x := e`. Handles the self-referential case `x := x + c`
     /// by translating `x`'s constraints.
-    pub fn assign(&mut self, x: impl Into<VarId>, e: &LinExpr) {
-        let x = x.into();
+    pub fn assign(&mut self, x: VarId, e: &LinExpr) {
         if self.infeasible {
             return;
         }
@@ -727,8 +710,8 @@ impl ConstraintGraph {
     }
 
     /// Assigns `x` a completely unknown value.
-    pub fn assign_unknown(&mut self, x: impl Into<VarId>) {
-        self.havoc(x.into());
+    pub fn assign_unknown(&mut self, x: VarId) {
+        self.havoc(x);
     }
 
     /// Compacts the matrix in place onto the (ascending) kept indices.
@@ -772,8 +755,7 @@ impl ConstraintGraph {
     }
 
     /// Removes `x` entirely (projecting the constraints onto the rest).
-    pub fn remove_var(&mut self, x: impl Into<VarId>) {
-        let x = x.into();
+    pub fn remove_var(&mut self, x: VarId) {
         self.retain_vars(|v| v != x);
     }
 
@@ -1136,10 +1118,10 @@ impl fmt::Display for ConstraintGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::var::NsVar;
+    use crate::var::intern_name;
 
-    fn v(name: &str) -> NsVar {
-        NsVar::pset(PsetId(0), name)
+    fn v(name: &str) -> VarId {
+        VarId::pset_var(PsetId(0), intern_name(name))
     }
 
     #[test]
@@ -1217,9 +1199,9 @@ mod tests {
     #[test]
     fn assign_self_preserves_relations_to_others() {
         let mut g = ConstraintGraph::new();
-        g.assert_eq_offset(v("i"), &NsVar::Np, -3); // i = np - 3
+        g.assert_eq_offset(v("i"), VarId::NP, -3); // i = np - 3
         g.assign(v("i"), &LinExpr::var_plus(v("i"), 1));
-        assert_eq!(g.eq_offset(v("i"), &NsVar::Np), Some(-2));
+        assert_eq!(g.eq_offset(v("i"), VarId::NP), Some(-2));
     }
 
     #[test]
@@ -1240,8 +1222,8 @@ mod tests {
         g2.assert_eq_const(v("x"), 3);
         let mut j = g1.join(&g2);
         assert_eq!(j.const_of(v("x")), None);
-        assert_eq!(j.le_bound(v("x"), &NsVar::Zero), Some(3)); // x <= 3
-        assert_eq!(j.le_bound(&NsVar::Zero, v("x")), Some(-1)); // x >= 1
+        assert_eq!(j.le_bound(v("x"), VarId::ZERO), Some(3)); // x <= 3
+        assert_eq!(j.le_bound(VarId::ZERO, v("x")), Some(-1)); // x >= 1
     }
 
     #[test]
@@ -1268,36 +1250,36 @@ mod tests {
         // i = 1 widened with i = 2 under i <= np-1 in both.
         let mut g1 = ConstraintGraph::new();
         g1.assert_eq_const(v("i"), 1);
-        g1.assert_le(v("i"), &NsVar::Np, -1);
-        g1.assert_le(&NsVar::Zero, &NsVar::Np, -2); // np >= 2
+        g1.assert_le(v("i"), VarId::NP, -1);
+        g1.assert_le(VarId::ZERO, VarId::NP, -2); // np >= 2
         let mut g2 = ConstraintGraph::new();
         g2.assert_eq_const(v("i"), 2);
-        g2.assert_le(v("i"), &NsVar::Np, -1);
-        g2.assert_le(&NsVar::Zero, &NsVar::Np, -2);
+        g2.assert_le(v("i"), VarId::NP, -1);
+        g2.assert_le(VarId::ZERO, VarId::NP, -2);
         let mut w = g1.widen(&g2);
         // Upper bound by constant grew 1 -> 2: snapped to the threshold 2
         // (widening with thresholds). Lower bound (i >= 1) held.
         // Relation i <= np - 1 held.
-        assert_eq!(w.le_bound(v("i"), &NsVar::Zero), Some(2));
-        assert_eq!(w.le_bound(&NsVar::Zero, v("i")), Some(-1));
-        assert!(w.implies_le(v("i"), &NsVar::Np, -1));
+        assert_eq!(w.le_bound(v("i"), VarId::ZERO), Some(2));
+        assert_eq!(w.le_bound(VarId::ZERO, v("i")), Some(-1));
+        assert!(w.implies_le(v("i"), VarId::NP, -1));
         // Repeated widening eventually drops the growing bound entirely.
         let mut g3 = ConstraintGraph::new();
         g3.assert_eq_const(v("i"), 100);
         let mut w2 = w.widen(&g3);
-        assert_eq!(w2.le_bound(v("i"), &NsVar::Zero), None);
+        assert_eq!(w2.le_bound(v("i"), VarId::ZERO), None);
     }
 
     #[test]
     fn widen_with_custom_thresholds() {
         let mut g1 = ConstraintGraph::new();
-        g1.assert_le(v("i"), &NsVar::Zero, 1);
+        g1.assert_le(v("i"), VarId::ZERO, 1);
         let mut g2 = ConstraintGraph::new();
-        g2.assert_le(v("i"), &NsVar::Zero, 9);
+        g2.assert_le(v("i"), VarId::ZERO, 9);
         let mut w = g1.widen_with_thresholds(&g2, &[0, 16, 64]);
-        assert_eq!(w.le_bound(v("i"), &NsVar::Zero), Some(16));
+        assert_eq!(w.le_bound(v("i"), VarId::ZERO), Some(16));
         let mut dropped = g1.widen_with_thresholds(&g2, &[0, 4]);
-        assert_eq!(dropped.le_bound(v("i"), &NsVar::Zero), None);
+        assert_eq!(dropped.le_bound(v("i"), VarId::ZERO), None);
     }
 
     #[test]
@@ -1307,7 +1289,7 @@ mod tests {
         let snapshot = g1.clone();
         assert!(g1.entails(&snapshot));
         let mut weaker = ConstraintGraph::new();
-        weaker.assert_le(v("x"), &NsVar::Zero, 10);
+        weaker.assert_le(v("x"), VarId::ZERO, 10);
         assert!(g1.entails(&weaker));
         let mut wk = weaker.clone();
         assert!(!wk.entails(&g1.clone()));
@@ -1316,39 +1298,45 @@ mod tests {
     #[test]
     fn clone_namespace_copies_internal_and_external_constraints() {
         let mut g = ConstraintGraph::new();
-        let x0 = NsVar::pset(PsetId(0), "x");
-        let id0 = NsVar::id_of(PsetId(0));
-        g.assert_eq_offset(&x0, &id0, 3); // x = id + 3
-        g.assert_le(&id0, &NsVar::Np, -1); // id <= np - 1
+        let x0 = VarId::pset_var(PsetId(0), intern_name("x"));
+        let id0 = VarId::id_of(PsetId(0));
+        g.assert_eq_offset(x0, id0, 3); // x = id + 3
+        g.assert_le(id0, VarId::NP, -1); // id <= np - 1
         g.clone_namespace(PsetId(0), PsetId(1));
-        let x1 = NsVar::pset(PsetId(1), "x");
-        let id1 = NsVar::id_of(PsetId(1));
-        assert_eq!(g.eq_offset(&x1, &id1), Some(3));
-        assert!(g.implies_le(&id1, &NsVar::Np, -1));
+        let x1 = VarId::pset_var(PsetId(1), intern_name("x"));
+        let id1 = VarId::id_of(PsetId(1));
+        assert_eq!(g.eq_offset(x1, id1), Some(3));
+        assert!(g.implies_le(id1, VarId::NP, -1));
         // The copies are not spuriously equated with the originals.
-        assert_eq!(g.eq_offset(&id0, &id1), None);
+        assert_eq!(g.eq_offset(id0, id1), None);
         // Originals unchanged.
-        assert_eq!(g.eq_offset(&x0, &id0), Some(3));
+        assert_eq!(g.eq_offset(x0, id0), Some(3));
     }
 
     #[test]
     fn rename_namespace_moves_constraints() {
         let mut g = ConstraintGraph::new();
-        g.assert_eq_const(NsVar::pset(PsetId(2), "k"), 9);
+        g.assert_eq_const(VarId::pset_var(PsetId(2), intern_name("k")), 9);
         g.rename_namespace(PsetId(2), PsetId(5));
-        assert_eq!(g.const_of(NsVar::pset(PsetId(5), "k")), Some(9));
-        assert!(!g.has_var(NsVar::pset(PsetId(2), "k")));
+        assert_eq!(
+            g.const_of(VarId::pset_var(PsetId(5), intern_name("k"))),
+            Some(9)
+        );
+        assert!(!g.has_var(VarId::pset_var(PsetId(2), intern_name("k"))));
     }
 
     #[test]
     fn drop_namespace_removes_all_set_vars() {
         let mut g = ConstraintGraph::new();
-        g.assert_eq_const(NsVar::pset(PsetId(1), "a"), 1);
-        g.assert_eq_const(NsVar::pset(PsetId(1), "b"), 2);
-        g.assert_eq_const(NsVar::pset(PsetId(2), "c"), 3);
+        g.assert_eq_const(VarId::pset_var(PsetId(1), intern_name("a")), 1);
+        g.assert_eq_const(VarId::pset_var(PsetId(1), intern_name("b")), 2);
+        g.assert_eq_const(VarId::pset_var(PsetId(2), intern_name("c")), 3);
         g.drop_namespace(PsetId(1));
-        assert!(!g.has_var(NsVar::pset(PsetId(1), "a")));
-        assert_eq!(g.const_of(NsVar::pset(PsetId(2), "c")), Some(3));
+        assert!(!g.has_var(VarId::pset_var(PsetId(1), intern_name("a"))));
+        assert_eq!(
+            g.const_of(VarId::pset_var(PsetId(2), intern_name("c"))),
+            Some(3)
+        );
     }
 
     #[test]
@@ -1367,13 +1355,13 @@ mod tests {
     #[test]
     fn proves_le_and_eq_on_expressions() {
         let mut g = ConstraintGraph::new();
-        g.assert_eq_offset(v("i"), &NsVar::Np, 0); // i = np
+        g.assert_eq_offset(v("i"), VarId::NP, 0); // i = np
         assert!(g.proves_eq(
             &LinExpr::var_plus(v("i"), -1),
-            &LinExpr::var_plus(NsVar::Np, -1)
+            &LinExpr::var_plus(VarId::NP, -1)
         ));
-        assert!(g.proves_le(&LinExpr::var_plus(v("i"), -1), &LinExpr::of_var(NsVar::Np)));
-        assert!(!g.proves_le(&LinExpr::var_plus(v("i"), 1), &LinExpr::of_var(NsVar::Np)));
+        assert!(g.proves_le(&LinExpr::var_plus(v("i"), -1), &LinExpr::of_var(VarId::NP)));
+        assert!(!g.proves_le(&LinExpr::var_plus(v("i"), 1), &LinExpr::of_var(VarId::NP)));
     }
 
     #[test]
@@ -1510,7 +1498,7 @@ mod tests {
     fn large_dirty_set_falls_back_to_full_closure() {
         let mut g = ConstraintGraph::new();
         for (k, name) in ["a", "b", "c"].iter().enumerate() {
-            g.assert_le(v(name), &NsVar::Zero, k as i64);
+            g.assert_le(v(name), VarId::ZERO, k as i64);
         }
         crate::stats::ClosureStats::reset();
         g.close(); // 3 dirty edges vs n = 4 (2*3 >= 4): full fallback
@@ -1524,18 +1512,18 @@ mod tests {
 mod edge_case_tests {
     use super::*;
     use crate::stats;
-    use crate::var::NsVar;
+    use crate::var::intern_name;
 
-    fn v(name: &str) -> NsVar {
-        NsVar::pset(PsetId(0), name)
+    fn v(name: &str) -> VarId {
+        VarId::pset_var(PsetId(0), intern_name(name))
     }
 
     #[test]
     #[should_panic(expected = "rename collision")]
     fn rename_collision_panics() {
         let mut g = ConstraintGraph::new();
-        g.ensure_var(NsVar::pset(PsetId(0), "x"));
-        g.ensure_var(NsVar::pset(PsetId(1), "x"));
+        g.ensure_var(VarId::pset_var(PsetId(0), intern_name("x")));
+        g.ensure_var(VarId::pset_var(PsetId(1), intern_name("x")));
         g.rename_namespace(PsetId(0), PsetId(1));
     }
 
@@ -1543,8 +1531,8 @@ mod edge_case_tests {
     #[should_panic(expected = "not empty")]
     fn clone_into_occupied_namespace_panics() {
         let mut g = ConstraintGraph::new();
-        g.ensure_var(NsVar::pset(PsetId(0), "x"));
-        g.ensure_var(NsVar::pset(PsetId(1), "y"));
+        g.ensure_var(VarId::pset_var(PsetId(0), intern_name("x")));
+        g.ensure_var(VarId::pset_var(PsetId(1), intern_name("y")));
         g.clone_namespace(PsetId(0), PsetId(1));
     }
 
@@ -1567,14 +1555,14 @@ mod edge_case_tests {
         // An ever-growing bound must pass through the threshold ladder
         // and reach "no constraint" in finitely many widenings.
         let mut cur = ConstraintGraph::new();
-        cur.assert_le(v("x"), &NsVar::Zero, -10);
+        cur.assert_le(v("x"), VarId::ZERO, -10);
         let mut steps = 0;
         loop {
             let mut next = ConstraintGraph::new();
-            next.assert_le(v("x"), &NsVar::Zero, -10 + steps * 7);
+            next.assert_le(v("x"), VarId::ZERO, -10 + steps * 7);
             let w = cur.widen(&next);
             let mut probe = w.clone();
-            if probe.le_bound(v("x"), &NsVar::Zero).is_none() {
+            if probe.le_bound(v("x"), VarId::ZERO).is_none() {
                 break; // Reached top for this bound.
             }
             cur = w;
@@ -1613,7 +1601,7 @@ mod edge_case_tests {
         assert!(!j.has_var(v("only_left")));
         assert!(!j.has_var(v("only_right")));
         assert!(!j.is_bottom());
-        assert_eq!(j.le_bound(&NsVar::Zero, &NsVar::Zero), Some(0));
+        assert_eq!(j.le_bound(VarId::ZERO, VarId::ZERO), Some(0));
     }
 
     #[test]
@@ -1688,15 +1676,21 @@ mod edge_case_tests {
             let mut g = ConstraintGraph::new();
             let mut cloned_into = 3u32;
             for _ in 0..30 {
-                let x = NsVar::pset(PsetId((next() % 2) as u32), names[(next() % 5) as usize]);
-                let y = NsVar::pset(PsetId((next() % 2) as u32), names[(next() % 5) as usize]);
+                let x = VarId::pset_var(
+                    PsetId((next() % 2) as u32),
+                    intern_name(names[(next() % 5) as usize]),
+                );
+                let y = VarId::pset_var(
+                    PsetId((next() % 2) as u32),
+                    intern_name(names[(next() % 5) as usize]),
+                );
                 let c = (next() % 13) as i64 - 4;
                 match next() % 10 {
-                    0..=3 => g.assert_le(&x, &y, c),
-                    4 => g.assert_eq_const(&x, c),
+                    0..=3 => g.assert_le(x, y, c),
+                    4 => g.assert_eq_const(x, c),
                     5 => g.close(),
-                    6 => g.havoc(&x),
-                    7 => g.remove_var(&x),
+                    6 => g.havoc(x),
+                    7 => g.remove_var(x),
                     8 => {
                         // Round-trip through a fresh namespace: two
                         // rename delta scans, net structural no-op.

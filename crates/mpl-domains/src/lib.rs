@@ -17,8 +17,8 @@
 //! (closure counts, average variable counts, share of runtime).
 //!
 //! The crate also provides [`constenv::ConstEnv`], a flat
-//! constant-propagation lattice used by the Fig 2 client and by the
-//! "simpler dataflow state" ablation the paper's §IX roadmap calls for.
+//! constant-propagation lattice that the engine keeps next to the graph
+//! (the Fig 2 client's constants).
 
 pub mod constenv;
 pub mod constraint_graph;
@@ -31,5 +31,5 @@ pub use constraint_graph::{splitmix64, ConstraintGraph, DEFAULT_WIDEN_THRESHOLDS
 pub use linexpr::LinExpr;
 pub use stats::{force_full_closure, set_force_full_closure, ClosureStats};
 pub use var::{
-    intern_name, reset_table, with_table, NsVar, PsetId, VarId, VarKind, VarTable, MAX_PSET_ID,
+    intern_name, reset_table, with_table, PsetId, VarId, VarKind, VarTable, MAX_PSET_ID,
 };

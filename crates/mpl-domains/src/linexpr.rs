@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use crate::var::{NsVar, PsetId, VarId};
+use crate::var::{PsetId, VarId};
 
 /// A linear expression of the form `var + offset` or a bare constant
 /// (`var` absent). The base variable is an interned [`VarId`], making the
@@ -29,18 +29,18 @@ impl LinExpr {
 
     /// `var + 0`.
     #[must_use]
-    pub fn of_var(var: impl Into<VarId>) -> LinExpr {
+    pub fn of_var(var: VarId) -> LinExpr {
         LinExpr {
-            var: Some(var.into()),
+            var: Some(var),
             offset: 0,
         }
     }
 
     /// `var + c`.
     #[must_use]
-    pub fn var_plus(var: impl Into<VarId>, c: i64) -> LinExpr {
+    pub fn var_plus(var: VarId, c: i64) -> LinExpr {
         LinExpr {
-            var: Some(var.into()),
+            var: Some(var),
             offset: c,
         }
     }
@@ -111,12 +111,6 @@ impl From<i64> for LinExpr {
     }
 }
 
-impl From<NsVar> for LinExpr {
-    fn from(v: NsVar) -> LinExpr {
-        LinExpr::of_var(v)
-    }
-}
-
 impl From<VarId> for LinExpr {
     fn from(v: VarId) -> LinExpr {
         LinExpr::of_var(v)
@@ -126,31 +120,36 @@ impl From<VarId> for LinExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::var::intern_name;
+
+    fn pvar(p: u32, name: &str) -> VarId {
+        VarId::pset_var(PsetId(p), intern_name(name))
+    }
 
     #[test]
     fn constructors_and_accessors() {
         let c = LinExpr::constant(5);
         assert!(c.is_constant());
         assert_eq!(c.as_constant(), Some(5));
-        let v = LinExpr::var_plus(NsVar::Np, -1);
+        let v = LinExpr::var_plus(VarId::NP, -1);
         assert!(!v.is_constant());
         assert_eq!(v.as_constant(), None);
-        assert_eq!(v.plus(1), LinExpr::of_var(NsVar::Np));
+        assert_eq!(v.plus(1), LinExpr::of_var(VarId::NP));
         assert_eq!(v.var, Some(VarId::NP));
     }
 
     #[test]
     fn display_forms() {
         assert_eq!(LinExpr::constant(-3).to_string(), "-3");
-        assert_eq!(LinExpr::var_plus(NsVar::Np, -1).to_string(), "np-1");
-        assert_eq!(LinExpr::var_plus(NsVar::Np, 2).to_string(), "np+2");
-        assert_eq!(LinExpr::of_var(NsVar::Np).to_string(), "np");
+        assert_eq!(LinExpr::var_plus(VarId::NP, -1).to_string(), "np-1");
+        assert_eq!(LinExpr::var_plus(VarId::NP, 2).to_string(), "np+2");
+        assert_eq!(LinExpr::of_var(VarId::NP).to_string(), "np");
     }
 
     #[test]
     fn diff_requires_same_base() {
-        let a = LinExpr::var_plus(NsVar::Np, 3);
-        let b = LinExpr::var_plus(NsVar::Np, 1);
+        let a = LinExpr::var_plus(VarId::NP, 3);
+        let b = LinExpr::var_plus(VarId::NP, 1);
         assert_eq!(a.diff_if_comparable(&b), Some(2));
         let c = LinExpr::constant(3);
         assert_eq!(a.diff_if_comparable(&c), None);
@@ -163,21 +162,19 @@ mod tests {
     #[test]
     fn composition_identity_is_offset_cancellation() {
         // dest = id + 1 composed with src = id - 1 is the identity…
-        let dest = LinExpr::var_plus(NsVar::pset(PsetId(0), "id"), 1);
-        let src = LinExpr::var_plus(NsVar::pset(PsetId(1), "id"), -1);
+        let dest = LinExpr::var_plus(VarId::id_of(PsetId(0)), 1);
+        let src = LinExpr::var_plus(VarId::id_of(PsetId(1)), -1);
         assert!(dest.composes_to_identity_with(&src));
         // …and the relation is symmetric; mismatched offsets are not.
         assert!(src.composes_to_identity_with(&dest));
-        assert!(
-            !dest.composes_to_identity_with(&LinExpr::var_plus(NsVar::pset(PsetId(1), "id"), -2))
-        );
+        assert!(!dest.composes_to_identity_with(&LinExpr::var_plus(VarId::id_of(PsetId(1)), -2)));
     }
 
     #[test]
     fn renamed_rewrites_base() {
-        let x = LinExpr::var_plus(NsVar::pset(PsetId(0), "i"), 1);
+        let x = LinExpr::var_plus(pvar(0, "i"), 1);
         let y = x.renamed(PsetId(0), PsetId(9));
-        assert_eq!(y.var, Some(VarId::from(NsVar::pset(PsetId(9), "i"))));
+        assert_eq!(y.var, Some(pvar(9, "i")));
         assert_eq!(y.offset, 1);
     }
 }

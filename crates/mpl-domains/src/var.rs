@@ -1,14 +1,10 @@
 //! Namespaced variables: the paper's per-process-set variable copies.
 //!
-//! Two representations coexist:
-//!
-//! * [`NsVar`] — the rich, self-describing form (owns its name string).
-//!   Convenient at API boundaries and in tests.
-//! * [`VarId`] — a bit-packed `u32` handle interned through a
-//!   [`VarTable`]. This is what the constraint graph, the constant
-//!   environment and the process-set bounds are keyed by: namespace
-//!   queries, renames and the distinguished per-set `id` variable are all
-//!   pure bit arithmetic, with no string hashing or allocation.
+//! A variable is a [`VarId`], a bit-packed `u32` handle whose names are
+//! interned through a [`VarTable`]. The constraint graph, the constant
+//! environment and the process-set bounds are all keyed by it: namespace
+//! queries, renames and the distinguished per-set `id` variable are pure
+//! bit arithmetic, with no string hashing or allocation.
 //!
 //! Packing layout (`u32`, tag in the top two bits):
 //!
@@ -20,8 +16,8 @@
 //!
 //! The name `"id"` is pre-interned at index 0, so `VarId::id_of(p)` and
 //! [`VarId::is_rank_id`] need no table access at all. The derived `Ord`
-//! on the raw word preserves the `NsVar` variant order
-//! (`Zero < Np < Global < Pset`, psets major within `Pset`).
+//! on the raw word orders `Zero < Np < Global < Pset`, psets major
+//! within `Pset`.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -36,66 +32,6 @@ pub struct PsetId(pub u32);
 impl fmt::Display for PsetId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "P{}", self.0)
-    }
-}
-
-/// A variable in the analysis state.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum NsVar {
-    /// The distinguished constant-zero anchor: `v ≤ Zero + c` encodes
-    /// `v ≤ c`.
-    Zero,
-    /// The global process count `np` (identical on every process).
-    Np,
-    /// A global symbolic parameter shared by all processes (e.g. the
-    /// `nrows`/`ncols` grid dimensions once proven uniform).
-    Global(String),
-    /// A per-process-set variable. The name `"id"` is the set's copy of
-    /// the rank variable.
-    Pset(PsetId, String),
-}
-
-impl NsVar {
-    /// The per-set rank variable.
-    #[must_use]
-    pub fn id_of(pset: PsetId) -> NsVar {
-        NsVar::Pset(pset, "id".to_owned())
-    }
-
-    /// A per-set user variable.
-    #[must_use]
-    pub fn pset(pset: PsetId, name: impl Into<String>) -> NsVar {
-        NsVar::Pset(pset, name.into())
-    }
-
-    /// The process set owning this variable, if any.
-    #[must_use]
-    pub fn namespace(&self) -> Option<PsetId> {
-        match self {
-            NsVar::Pset(p, _) => Some(*p),
-            _ => None,
-        }
-    }
-
-    /// Re-homes a per-set variable into namespace `to` (identity for
-    /// globals).
-    #[must_use]
-    pub fn renamed(&self, from: PsetId, to: PsetId) -> NsVar {
-        match self {
-            NsVar::Pset(p, name) if *p == from => NsVar::Pset(to, name.clone()),
-            other => other.clone(),
-        }
-    }
-}
-
-impl fmt::Display for NsVar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            NsVar::Zero => f.write_str("0"),
-            NsVar::Np => f.write_str("np"),
-            NsVar::Global(name) => write!(f, "{name}"),
-            NsVar::Pset(p, name) => write!(f, "{p}.{name}"),
-        }
     }
 }
 
@@ -122,9 +58,8 @@ pub const ID_NAME: u32 = 0;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VarId(u32);
 
-/// The unpacked shape of a [`VarId`] — what `match`es on [`NsVar`]
-/// variants become after interning. Name components are indices into the
-/// owning [`VarTable`].
+/// The unpacked shape of a [`VarId`]. Name components are indices into
+/// the owning [`VarTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VarKind {
     /// The constant-zero anchor.
@@ -224,12 +159,6 @@ impl VarId {
         }
     }
 
-    /// The rich form, resolved through the thread-local [`VarTable`].
-    #[must_use]
-    pub fn resolve(self) -> NsVar {
-        with_table(|t| t.resolve(self))
-    }
-
     /// The packed bit representation — fingerprint mixing within the
     /// crate only.
     #[must_use]
@@ -249,27 +178,9 @@ impl fmt::Display for VarId {
     }
 }
 
-impl From<&NsVar> for VarId {
-    fn from(v: &NsVar) -> VarId {
-        with_table(|t| t.intern(v))
-    }
-}
-
-impl From<NsVar> for VarId {
-    fn from(v: NsVar) -> VarId {
-        VarId::from(&v)
-    }
-}
-
-impl From<&VarId> for VarId {
-    fn from(v: &VarId) -> VarId {
-        *v
-    }
-}
-
 /// The variable-name interner backing [`VarId`]. A pure value type so it
 /// can be unit-tested directly; analysis code uses the thread-local
-/// instance through [`with_table`] (or the `From` conversions).
+/// instance through [`with_table`] and [`intern_name`].
 #[derive(Debug, Clone)]
 pub struct VarTable {
     names: Vec<String>,
@@ -328,31 +239,10 @@ impl VarTable {
         self.names.len() <= 1
     }
 
-    /// Packs an [`NsVar`] into its [`VarId`], interning the name.
-    pub fn intern(&mut self, v: &NsVar) -> VarId {
-        match v {
-            NsVar::Zero => VarId::ZERO,
-            NsVar::Np => VarId::NP,
-            NsVar::Global(name) => VarId::global(self.intern_name(name)),
-            NsVar::Pset(p, name) => VarId::pset_var(*p, self.intern_name(name)),
-        }
-    }
-
     /// Clears every interned name except the pre-interned `"id"`,
     /// restoring the fresh-table state.
     pub fn reset(&mut self) {
         *self = VarTable::new();
-    }
-
-    /// Unpacks a [`VarId`] back into its rich form.
-    #[must_use]
-    pub fn resolve(&self, v: VarId) -> NsVar {
-        match v.kind() {
-            VarKind::Zero => NsVar::Zero,
-            VarKind::Np => NsVar::Np,
-            VarKind::Global(n) => NsVar::Global(self.name(n).to_owned()),
-            VarKind::Pset(p, n) => NsVar::Pset(p, self.name(n).to_owned()),
-        }
     }
 }
 
@@ -392,52 +282,60 @@ pub fn reset_table() {
 mod tests {
     use super::*;
 
+    fn pvar(t: &mut VarTable, p: u32, name: &str) -> VarId {
+        VarId::pset_var(PsetId(p), t.intern_name(name))
+    }
+
     #[test]
     fn namespace_extraction() {
-        assert_eq!(NsVar::Zero.namespace(), None);
-        assert_eq!(NsVar::Np.namespace(), None);
-        assert_eq!(NsVar::pset(PsetId(3), "x").namespace(), Some(PsetId(3)));
+        let mut t = VarTable::new();
+        assert_eq!(VarId::ZERO.namespace(), None);
+        assert_eq!(VarId::NP.namespace(), None);
+        assert_eq!(pvar(&mut t, 3, "x").namespace(), Some(PsetId(3)));
     }
 
     #[test]
     fn renamed_moves_only_matching_namespace() {
-        let x = NsVar::pset(PsetId(1), "x");
-        assert_eq!(x.renamed(PsetId(1), PsetId(2)), NsVar::pset(PsetId(2), "x"));
+        let mut t = VarTable::new();
+        let x = pvar(&mut t, 1, "x");
+        assert_eq!(x.renamed(PsetId(1), PsetId(2)), pvar(&mut t, 2, "x"));
         assert_eq!(x.renamed(PsetId(3), PsetId(2)), x);
-        assert_eq!(NsVar::Np.renamed(PsetId(1), PsetId(2)), NsVar::Np);
+        assert_eq!(VarId::NP.renamed(PsetId(1), PsetId(2)), VarId::NP);
     }
 
     #[test]
     fn display_forms() {
-        assert_eq!(NsVar::id_of(PsetId(0)).to_string(), "P0.id");
-        assert_eq!(NsVar::Global("nrows".into()).to_string(), "nrows");
-        assert_eq!(NsVar::Zero.to_string(), "0");
+        assert_eq!(VarId::id_of(PsetId(0)).to_string(), "P0.id");
+        assert_eq!(VarId::global(intern_name("nrows")).to_string(), "nrows");
+        assert_eq!(VarId::ZERO.to_string(), "0");
     }
 
     #[test]
     fn intern_round_trips_every_variant() {
         let mut t = VarTable::new();
-        for v in [
-            NsVar::Zero,
-            NsVar::Np,
-            NsVar::Global("nrows".into()),
-            NsVar::pset(PsetId(0), "x"),
-            NsVar::pset(PsetId(7), "x"),
-            NsVar::id_of(PsetId(3)),
+        let x = t.intern_name("x");
+        let nrows = t.intern_name("nrows");
+        for (id, kind) in [
+            (VarId::ZERO, VarKind::Zero),
+            (VarId::NP, VarKind::Np),
+            (VarId::global(nrows), VarKind::Global(nrows)),
+            (VarId::pset_var(PsetId(0), x), VarKind::Pset(PsetId(0), x)),
+            (VarId::pset_var(PsetId(7), x), VarKind::Pset(PsetId(7), x)),
+            (VarId::id_of(PsetId(3)), VarKind::Pset(PsetId(3), ID_NAME)),
         ] {
-            let id = t.intern(&v);
-            assert_eq!(t.resolve(id), v, "round trip for {v}");
-            // Interning is idempotent.
-            assert_eq!(t.intern(&v), id);
+            assert_eq!(id.kind(), kind, "round trip for {id:?}");
         }
+        // Interning is idempotent.
+        assert_eq!(t.intern_name("x"), x);
+        assert_eq!(t.name(nrows), "nrows");
     }
 
     #[test]
     fn interning_shares_names_across_namespaces() {
         let mut t = VarTable::new();
-        let a = t.intern(&NsVar::pset(PsetId(0), "x"));
-        let b = t.intern(&NsVar::pset(PsetId(1), "x"));
-        let g = t.intern(&NsVar::Global("x".into()));
+        let a = pvar(&mut t, 0, "x");
+        let b = pvar(&mut t, 1, "x");
+        let g = VarId::global(t.intern_name("x"));
         assert_eq!(a.name_index(), b.name_index());
         assert_eq!(a.name_index(), g.name_index());
         assert_ne!(a, b);
@@ -448,26 +346,26 @@ mod tests {
     fn rank_id_is_pure_bit_math() {
         let mut t = VarTable::new();
         let id3 = VarId::id_of(PsetId(3));
-        // Agrees with interning the rich form.
-        assert_eq!(t.intern(&NsVar::id_of(PsetId(3))), id3);
+        // Agrees with interning the name.
+        assert_eq!(pvar(&mut t, 3, "id"), id3);
         assert!(id3.is_rank_id());
-        assert!(!t.intern(&NsVar::pset(PsetId(3), "x")).is_rank_id());
+        assert!(!pvar(&mut t, 3, "x").is_rank_id());
         assert!(!VarId::NP.is_rank_id());
         assert!(!VarId::ZERO.is_rank_id());
-        assert!(!t.intern(&NsVar::Global("id".into())).is_rank_id());
+        assert!(!VarId::global(t.intern_name("id")).is_rank_id());
     }
 
     #[test]
     fn namespace_and_rename_on_packed_ids() {
         let mut t = VarTable::new();
-        let x1 = t.intern(&NsVar::pset(PsetId(1), "x"));
+        let x1 = pvar(&mut t, 1, "x");
         assert_eq!(x1.namespace(), Some(PsetId(1)));
         assert_eq!(VarId::ZERO.namespace(), None);
         assert_eq!(VarId::NP.namespace(), None);
-        assert_eq!(t.intern(&NsVar::Global("g".into())).namespace(), None);
+        assert_eq!(VarId::global(t.intern_name("g")).namespace(), None);
 
         let x2 = x1.renamed(PsetId(1), PsetId(2));
-        assert_eq!(t.resolve(x2), NsVar::pset(PsetId(2), "x"));
+        assert_eq!(x2, pvar(&mut t, 2, "x"));
         assert_eq!(x1.renamed(PsetId(3), PsetId(2)), x1);
         assert_eq!(VarId::NP.renamed(PsetId(1), PsetId(2)), VarId::NP);
         // Rename round trip is the identity.
@@ -477,9 +375,9 @@ mod tests {
     #[test]
     fn packed_order_matches_variant_order() {
         let mut t = VarTable::new();
-        let g = t.intern(&NsVar::Global("a".into()));
-        let p0 = t.intern(&NsVar::pset(PsetId(0), "a"));
-        let p1 = t.intern(&NsVar::pset(PsetId(1), "a"));
+        let g = VarId::global(t.intern_name("a"));
+        let p0 = pvar(&mut t, 0, "a");
+        let p1 = pvar(&mut t, 1, "a");
         assert!(VarId::ZERO < VarId::NP);
         assert!(VarId::NP < g);
         assert!(g < p0);
@@ -488,9 +386,8 @@ mod tests {
 
     #[test]
     fn thread_local_conversions_and_display() {
-        let v = NsVar::pset(PsetId(2), "count");
-        let id: VarId = (&v).into();
-        assert_eq!(id.resolve(), v);
+        let id = VarId::pset_var(PsetId(2), intern_name("count"));
+        assert_eq!(id, VarId::pset_var(PsetId(2), intern_name("count")));
         assert_eq!(id.to_string(), "P2.count");
         assert_eq!(VarId::ZERO.to_string(), "0");
         assert_eq!(VarId::NP.to_string(), "np");

@@ -432,20 +432,6 @@ impl Bound {
     pub fn provably_lt(&self, cg: &mut ConstraintGraph, other: &Bound) -> bool {
         self.compare(cg, other) == Some(Ordering::Less) || self.le_shifted(1, cg, other)
     }
-
-    /// When [`Bound::compare`] is inconclusive, a representative pair of
-    /// expressions whose relation would decide it — used by the engine to
-    /// case-split an ambiguous match.
-    pub fn compare_hint(
-        &self,
-        cg: &mut ConstraintGraph,
-        other: &Bound,
-    ) -> Option<(LinExpr, LinExpr)> {
-        if self.is_vacant() || other.is_vacant() || self.compare(cg, other).is_some() {
-            return None;
-        }
-        Some((*self.rep(), *other.rep()))
-    }
 }
 
 impl fmt::Display for Bound {
@@ -469,10 +455,10 @@ impl fmt::Display for Bound {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpl_domains::NsVar;
+    use mpl_domains::{intern_name, VarId};
 
-    fn var(name: &str) -> NsVar {
-        NsVar::pset(PsetId(0), name)
+    fn var(name: &str) -> VarId {
+        VarId::pset_var(PsetId(0), intern_name(name))
     }
 
     #[test]
@@ -489,8 +475,8 @@ mod tests {
     #[test]
     fn same_base_compares_by_offset() {
         let mut cg = ConstraintGraph::new();
-        let a = Bound::of(LinExpr::var_plus(NsVar::Np, -1));
-        let b = Bound::of(LinExpr::of_var(NsVar::Np));
+        let a = Bound::of(LinExpr::var_plus(VarId::NP, -1));
+        let b = Bound::of(LinExpr::of_var(VarId::NP));
         assert_eq!(a.compare(&mut cg, &b), Some(Ordering::Less));
     }
 
@@ -569,9 +555,10 @@ mod tests {
     fn renamed_rewrites_namespaced_bases() {
         let b = Bound::of(LinExpr::of_var(var("i")));
         let r = b.renamed(PsetId(0), PsetId(4));
-        assert!(r
-            .exprs()
-            .contains(&LinExpr::of_var(NsVar::pset(PsetId(4), "i"))));
+        assert!(r.exprs().contains(&LinExpr::of_var(VarId::pset_var(
+            PsetId(4),
+            intern_name("i")
+        ))));
     }
 
     #[test]

@@ -42,10 +42,7 @@ impl ProcRange {
     /// The full process range `[0 .. np-1]`.
     #[must_use]
     pub fn all_procs() -> ProcRange {
-        ProcRange::from_exprs(
-            LinExpr::constant(0),
-            LinExpr::var_plus(mpl_domains::NsVar::Np, -1),
-        )
+        ProcRange::from_exprs(LinExpr::constant(0), LinExpr::var_plus(VarId::NP, -1))
     }
 
     /// A singleton `[e..e]`.
@@ -146,14 +143,14 @@ impl ProcRange {
     /// Fig 5 proving `[np..np-1]` empty).
     ///
     /// ```
-    /// use mpl_domains::{ConstraintGraph, LinExpr, NsVar};
+    /// use mpl_domains::{ConstraintGraph, LinExpr, VarId};
     /// use mpl_procset::{ProcRange, SubtractOutcome};
     ///
     /// let mut cg = ConstraintGraph::new();
-    /// cg.assert_le(&NsVar::Zero, &NsVar::Np, -4); // np >= 4
+    /// cg.assert_le(VarId::ZERO, VarId::NP, -4); // np >= 4
     /// let receivers = ProcRange::from_exprs(
     ///     LinExpr::constant(1),
-    ///     LinExpr::var_plus(NsVar::Np, -1),
+    ///     LinExpr::var_plus(VarId::NP, -1),
     /// );
     /// let matched = ProcRange::from_exprs(LinExpr::constant(1), LinExpr::constant(1));
     /// let SubtractOutcome::One(rest) = receivers.subtract(&mut cg, &matched).unwrap()
@@ -201,20 +198,20 @@ impl fmt::Display for ProcRange {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpl_domains::NsVar;
+    use mpl_domains::intern_name;
 
-    fn var(name: &str) -> NsVar {
-        NsVar::pset(PsetId(0), name)
+    fn var(name: &str) -> VarId {
+        VarId::pset_var(PsetId(0), intern_name(name))
     }
 
     fn np_minus(c: i64) -> LinExpr {
-        LinExpr::var_plus(NsVar::Np, -c)
+        LinExpr::var_plus(VarId::NP, -c)
     }
 
     /// A graph knowing np >= 2.
     fn cg_np(min_np: i64) -> ConstraintGraph {
         let mut cg = ConstraintGraph::new();
-        cg.assert_le(&NsVar::Zero, &NsVar::Np, -min_np);
+        cg.assert_le(VarId::ZERO, VarId::NP, -min_np);
         cg
     }
 
@@ -229,7 +226,7 @@ mod tests {
     fn emptiness_of_tail_range() {
         // [np..np-1] is provably empty.
         let mut cg = cg_np(1);
-        let r = ProcRange::from_exprs(LinExpr::of_var(NsVar::Np), np_minus(1));
+        let r = ProcRange::from_exprs(LinExpr::of_var(VarId::NP), np_minus(1));
         assert_eq!(r.is_empty(&mut cg), Some(true));
     }
 
@@ -364,7 +361,7 @@ mod tests {
     #[test]
     fn size_if_constant() {
         let mut cg = ConstraintGraph::new();
-        cg.assert_eq_const(&NsVar::Np, 8);
+        cg.assert_eq_const(VarId::NP, 8);
         let r = ProcRange::all_procs();
         assert_eq!(r.size_if_constant(&mut cg), Some(8));
         let mut cg2 = ConstraintGraph::new();
@@ -387,6 +384,9 @@ mod tests {
         assert!(renamed
             .lb
             .exprs()
-            .contains(&LinExpr::of_var(NsVar::pset(PsetId(3), "i"))));
+            .contains(&LinExpr::of_var(VarId::pset_var(
+                PsetId(3),
+                intern_name("i")
+            ))));
     }
 }

@@ -8,7 +8,7 @@
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
-use mpl_domains::{splitmix64, ConstraintGraph, LinExpr, NsVar, PsetId, VarId};
+use mpl_domains::{intern_name, splitmix64, ConstraintGraph, LinExpr, PsetId, VarId};
 use mpl_procset::Bound;
 
 type Model = BTreeSet<LinExpr>;
@@ -37,7 +37,7 @@ impl Rng {
             2 => Some(VarId::id_of(self.pset())),
             _ => {
                 let name = ["a", "b"][self.below(2)];
-                Some(VarId::from(NsVar::pset(self.pset(), name)))
+                Some(VarId::pset_var(self.pset(), intern_name(name)))
             }
         }
     }

@@ -19,10 +19,10 @@ fn main() {
     println!("=== program ({}) ===\n{}", prog.paper_ref, prog.source);
     let cfg = Cfg::build(&prog.program);
 
-    let config = AnalysisConfig::builder()
-        .client(Client::Simple) // §VII suffices for this pattern
-        .build()
-        .expect("valid config");
+    let config = AnalysisConfig {
+        client: Client::Simple, // §VII suffices for this pattern
+        ..AnalysisConfig::default()
+    };
     let mut tracer = TraceObserver::new();
     let result = analyze_cfg_with(&cfg, &config, &mut tracer);
     let trace = tracer.into_lines();

@@ -72,10 +72,10 @@ fn main() {
         }
         let simple = analyze(
             &prog.program,
-            &AnalysisConfig::builder()
-                .client(Client::Simple)
-                .build()
-                .expect("valid config"),
+            &AnalysisConfig {
+                client: Client::Simple,
+                ..AnalysisConfig::default()
+            },
         );
         println!("simple (§VII) client verdict:     {:?}", simple.verdict);
         assert!(cart.is_exact());

@@ -18,10 +18,10 @@ fn main() {
         let cfg = Cfg::build(&prog.program);
         let result = analyze_cfg(
             &cfg,
-            &AnalysisConfig::builder()
-                .client(Client::Simple)
-                .build()
-                .expect("valid config"),
+            &AnalysisConfig {
+                client: Client::Simple,
+                ..AnalysisConfig::default()
+            },
         );
         println!("verdict: {:?}", result.verdict);
         let topo = StaticTopology::from_result(&result);
@@ -54,10 +54,10 @@ fn main() {
     let cfg = Cfg::build(&prog.program);
     let result = analyze_cfg(
         &cfg,
-        &AnalysisConfig::builder()
-            .client(Client::Simple)
-            .build()
-            .expect("valid config"),
+        &AnalysisConfig {
+            client: Client::Simple,
+            ..AnalysisConfig::default()
+        },
     );
     println!("verdict: {:?}", result.verdict);
     for e in &result.events {

@@ -95,6 +95,15 @@ cargo build -q --release -p mpl-bench --offline
 target/release/profile --check | grep -E '^(phase|counter|alloc) check'
 target/release/tables >/dev/null
 
+echo "== examples (each binary asserts its paper claims) =="
+# Every `[[bin]]` of examples/Cargo.toml, run from the repository root;
+# an assertion failure is a nonzero exit.
+cargo build -q --release -p mpl-examples --offline
+examples=$(awk '/^\[\[bin\]\]/ { bin = 1 } bin && /^name = / { gsub(/"/, "", $3); print $3; bin = 0 }' examples/Cargo.toml)
+for example in $examples; do
+  "target/release/$example" >/dev/null || { echo "example $example failed"; exit 1; }
+done
+
 echo "== serve daemon smoke (cache + byte-identity) =="
 # Start a daemon, fire concurrent requests at it, and hold it to the
 # protocol's core contract: every served response is byte-identical to

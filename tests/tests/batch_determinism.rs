@@ -3,7 +3,7 @@
 //! match events must be byte-identical no matter how many workers run the
 //! batch. Also pins the `--json` output schema.
 
-use mpl_core::{AnalysisRequest, BatchResponse, Client, RequestBatch};
+use mpl_core::{AnalysisConfig, AnalysisRequest, BatchResponse, Client, RequestBatch};
 use mpl_lang::corpus;
 
 /// Renders closure counters without `closure_nanos` (wall time — the one
@@ -69,7 +69,10 @@ fn corpus_batch(workers: usize, client: Client) -> BatchResponse {
         let request = AnalysisRequest::builder()
             .name(prog.name)
             .program(prog.program)
-            .client(client);
+            .config(AnalysisConfig {
+                client,
+                ..AnalysisConfig::default()
+            });
         batch.push(request.build().expect("valid request"));
     }
     batch.run()
@@ -99,9 +102,12 @@ fn mixed_config_batch_is_deterministic() {
             let request = AnalysisRequest::builder()
                 .name(prog.name)
                 .program(prog.program)
-                .client(client)
-                .min_np(4 + (i as i64 % 3))
-                .max_steps(10_000);
+                .config(AnalysisConfig {
+                    client,
+                    min_np: 4 + (i as i64 % 3),
+                    max_steps: 10_000,
+                    ..AnalysisConfig::default()
+                });
             batch.push(request.build().expect("valid request"));
         }
         batch.run()

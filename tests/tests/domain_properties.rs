@@ -5,12 +5,12 @@
 
 use std::collections::BTreeMap;
 
-use mpl_domains::{ConstraintGraph, LinExpr, NsVar, PsetId};
+use mpl_domains::{intern_name, ConstraintGraph, LinExpr, PsetId, VarId};
 use mpl_hsm::{AssumptionCtx, Hsm, SymPoly};
 use mpl_rng::Rng64;
 
-fn var(i: usize) -> NsVar {
-    NsVar::pset(PsetId(0), format!("v{i}"))
+fn var(i: usize) -> VarId {
+    VarId::pset_var(PsetId(0), intern_name(&format!("v{i}")))
 }
 
 fn random_edges(
@@ -214,8 +214,8 @@ fn procrange_emptiness_sound() {
         let lo = rng.i64_in(0, 6);
         let hi_off = rng.i64_in(-3, 3);
         let mut cg = ConstraintGraph::new();
-        cg.assert_eq_const(&NsVar::Np, np);
-        let r = ProcRange::from_exprs(LinExpr::constant(lo), LinExpr::var_plus(NsVar::Np, hi_off));
+        cg.assert_eq_const(VarId::NP, np);
+        let r = ProcRange::from_exprs(LinExpr::constant(lo), LinExpr::var_plus(VarId::NP, hi_off));
         let concrete_empty = lo > np + hi_off;
         // Unknown (`None`) is always acceptable.
         if let Some(b) = r.is_empty(&mut cg) {

@@ -81,10 +81,10 @@ fn cancelled_engine_stops_within_the_polling_interval() {
     let token = CancelToken::new();
     token.cancel();
     let prog = corpus::mdcask_full();
-    let config = AnalysisConfig::builder()
-        .cancel_token(token)
-        .build()
-        .expect("valid config");
+    let config = AnalysisConfig {
+        cancel: Some(token),
+        ..AnalysisConfig::default()
+    };
     let result = analyze(&prog.program, &config);
     assert!(matches!(
         result.verdict,

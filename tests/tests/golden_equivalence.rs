@@ -4,10 +4,8 @@
 //! classification, print facts, leaks, match-event kinds and the rendered
 //! match events with their symbolic ranges — against `golden_corpus.txt`.
 //!
-//! The snapshot was captured from the String-keyed (`NsVar`-indexed)
-//! constraint-graph representation and pins the interned `VarId`
-//! representation to byte-identical results. To regenerate after an
-//! *intentional* behavior change:
+//! The snapshot pins every engine change to byte-identical results. To
+//! regenerate after an *intentional* behavior change:
 //!
 //! ```text
 //! GOLDEN_REGEN=1 cargo test -p integration-tests --test golden_equivalence
@@ -21,10 +19,10 @@ use mpl_lang::corpus;
 /// Renders one corpus program under one client as stable text lines.
 fn render_run(out: &mut String, name: &str, client: Client) {
     let prog = corpus::all().into_iter().find(|p| p.name == name).unwrap();
-    let config = AnalysisConfig::builder()
-        .client(client)
-        .build()
-        .expect("valid config");
+    let config = AnalysisConfig {
+        client,
+        ..AnalysisConfig::default()
+    };
     let result = analyze(&prog.program, &config);
 
     let verdict = match &result.verdict {
@@ -134,10 +132,10 @@ fn headline_shapes_hold() {
     ];
     for &(name, client, want_matches) in cases {
         let prog = corpus::all().into_iter().find(|p| p.name == name).unwrap();
-        let config = AnalysisConfig::builder()
-            .client(client)
-            .build()
-            .expect("valid config");
+        let config = AnalysisConfig {
+            client,
+            ..AnalysisConfig::default()
+        };
         let result = analyze(&prog.program, &config);
         assert!(result.is_exact(), "{name}: {:?}", result.verdict);
         assert_eq!(result.matches.len(), want_matches, "{name}");

@@ -65,7 +65,10 @@ fn deepest_accepted_sources_run_end_to_end_on_a_2_mib_stack() {
                 assert!(!printed.is_empty(), "{shape}");
                 let cfg = Cfg::build(&program);
                 for client in [Client::Simple, Client::Cartesian] {
-                    let config = AnalysisConfig::builder().client(client).build().unwrap();
+                    let config = AnalysisConfig {
+                        client,
+                        ..AnalysisConfig::default()
+                    };
                     let result = analyze_cfg(&cfg, &config);
                     let rendered = format!(
                         "{:?} {}",

@@ -24,10 +24,10 @@ fn observers_do_not_perturb_any_corpus_verdict() {
     for prog in corpus::all() {
         let cfg = Cfg::build(&prog.program);
         for client in [Client::Simple, Client::Cartesian] {
-            let config = AnalysisConfig::builder()
-                .client(client)
-                .build()
-                .expect("valid config");
+            let config = AnalysisConfig {
+                client,
+                ..AnalysisConfig::default()
+            };
             let plain = analyze_cfg(&cfg, &config);
 
             let mut tracer = TraceObserver::new();

@@ -12,10 +12,10 @@ fn check_covers_runtime(prog: &CorpusProgram, client: Client, nps: &[u64]) -> St
     let cfg = Cfg::build(&prog.program);
     let result = analyze_cfg(
         &cfg,
-        &AnalysisConfig::builder()
-            .client(client)
-            .build()
-            .expect("valid config"),
+        &AnalysisConfig {
+            client,
+            ..AnalysisConfig::default()
+        },
     );
     assert!(
         result.is_exact(),
@@ -102,10 +102,10 @@ fn e3_fig6_transpose_square_symbolic() {
     // for HSMs.
     let simple = mpl_core::analyze(
         &prog.program,
-        &AnalysisConfig::builder()
-            .client(Client::Simple)
-            .build()
-            .expect("valid config"),
+        &AnalysisConfig {
+            client: Client::Simple,
+            ..AnalysisConfig::default()
+        },
     );
     assert!(matches!(simple.verdict, Verdict::Top { .. }));
 }
@@ -168,10 +168,10 @@ fn e4_stencil_2d_concrete() {
         let cfg = Cfg::build(&prog.program);
         let result = analyze_cfg(
             &cfg,
-            &AnalysisConfig::builder()
-                .client(Client::Simple)
-                .build()
-                .expect("valid config"),
+            &AnalysisConfig {
+                client: Client::Simple,
+                ..AnalysisConfig::default()
+            },
         );
         assert!(result.is_exact(), "{nrows}x{ncols}: {:?}", result.verdict);
         let topo = StaticTopology::from_result(&result);

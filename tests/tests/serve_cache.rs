@@ -4,7 +4,9 @@
 //! collision must fall back to recomputation (never a wrong answer), and
 //! a saturated admission gate must reject — not hang.
 
-use mpl_core::{json_escape, AnalysisRequest, AnalysisService, ResultCache, ServiceConfig};
+use mpl_core::{
+    json_escape, AnalysisConfig, AnalysisRequest, AnalysisService, ResultCache, ServiceConfig,
+};
 use mpl_lang::corpus;
 
 fn analyze_line(source: &str) -> String {
@@ -135,7 +137,10 @@ fn distinct_configs_never_share_a_cache_entry() {
         .expect("valid request");
     let tweaked = AnalysisRequest::builder()
         .source(&prog.source)
-        .min_np(5)
+        .config(AnalysisConfig {
+            min_np: 5,
+            ..AnalysisConfig::default()
+        })
         .build()
         .expect("valid request");
     assert_ne!(base.cache_check(), tweaked.cache_check());

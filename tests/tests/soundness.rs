@@ -160,10 +160,10 @@ fn verdicts_partition() {
         // one on this corpus: if simple succeeds, cartesian does too.
         let simple = mpl_core::analyze(
             &prog.program,
-            &AnalysisConfig::builder()
-                .client(Client::Simple)
-                .build()
-                .expect("valid config"),
+            &AnalysisConfig {
+                client: Client::Simple,
+                ..AnalysisConfig::default()
+            },
         );
         if simple.is_exact() {
             assert!(

@@ -25,7 +25,7 @@ use mpl_core::{
     analyze_cfg, analyze_cfg_with, AnalysisConfig, AnalysisObserver, AnalysisResult, AnalysisState,
     Client, Shared,
 };
-use mpl_domains::{ConstraintGraph, LinExpr, NsVar, PsetId};
+use mpl_domains::{intern_name, ConstraintGraph, LinExpr, PsetId, VarId};
 use mpl_lang::corpus;
 use mpl_rng::Rng64;
 
@@ -41,10 +41,10 @@ fn corpus_results_are_identical_across_repeat_runs() {
     for prog in corpus::all() {
         let cfg = Cfg::build(&prog.program);
         for client in [Client::Simple, Client::Cartesian] {
-            let config = AnalysisConfig::builder()
-                .client(client)
-                .build()
-                .expect("valid config");
+            let config = AnalysisConfig {
+                client,
+                ..AnalysisConfig::default()
+            };
             let first = sans_timing(analyze_cfg(&cfg, &config));
             let second = sans_timing(analyze_cfg(&cfg, &config));
             assert_eq!(
@@ -109,14 +109,14 @@ fn cloned_state_mutations_stay_isolated() {
     assert_eq!(copy.fingerprint(), original.fingerprint());
 
     // Mutating the clone's graph unshares only the graph.
-    let x = NsVar::pset(copy.psets[0].id, "x");
-    copy.cg.assert_eq_const(&x, 7);
+    let x = VarId::pset_var(copy.psets[0].id, intern_name("x"));
+    copy.cg.assert_eq_const(x, 7);
     assert!(!Shared::ptr_eq(&copy.cg, &original.cg));
     assert!(
         Shared::ptr_eq(&copy.consts, &original.consts),
         "consts were untouched"
     );
-    assert!(!original.cg.has_var(x.clone()));
+    assert!(!original.cg.has_var(x));
     assert_ne!(copy.fingerprint(), original.fingerprint());
     assert!(!copy.same_as(&original));
 
@@ -128,8 +128,8 @@ fn cloned_state_mutations_stay_isolated() {
     assert_eq!(copy.fingerprint(), original.fingerprint());
 }
 
-fn pvar(i: usize) -> NsVar {
-    NsVar::pset(PsetId(0), format!("v{i}"))
+fn pvar(i: usize) -> VarId {
+    VarId::pset_var(PsetId(0), intern_name(&format!("v{i}")))
 }
 
 /// One random mutation against `g`; the same (rng, op) stream applied to
