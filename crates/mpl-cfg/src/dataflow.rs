@@ -89,131 +89,18 @@ fn solve<A: DataflowAnalysis>(
 mod tests {
     use super::*;
     use crate::graph::CfgNode;
-    use mpl_lang::ast::Expr;
+    use crate::seq_constprop::{ConstFact, SeqConstProp};
     use mpl_lang::parse_program;
-    use std::collections::BTreeMap;
 
-    /// A tiny constant-propagation lattice for testing the solver: maps
-    /// variable names to `Some(value)` (constant) or `None` (unknown).
-    /// Missing variables are "unreached" (treated as constant-anything,
-    /// i.e. bottom).
-    #[derive(Clone, PartialEq, Debug, Default)]
-    struct ConstMap {
-        reachable: bool,
-        vars: BTreeMap<String, Option<i64>>,
-    }
+    // `solve_forward` on sequential constant propagation.
 
-    impl JoinSemiLattice for ConstMap {
-        fn join(&mut self, other: &Self) -> bool {
-            if !other.reachable {
-                return false;
-            }
-            if !self.reachable {
-                *self = other.clone();
-                return true;
-            }
-            let mut changed = false;
-            for (k, v) in &other.vars {
-                match self.vars.get(k) {
-                    None => {
-                        self.vars.insert(k.clone(), *v);
-                        changed = true;
-                    }
-                    Some(cur) if cur != v && cur.is_some() => {
-                        self.vars.insert(k.clone(), None);
-                        changed = true;
-                    }
-                    _ => {}
-                }
-            }
-            // Variables known here but not in `other` become unknown.
-            for (k, v) in self.vars.clone() {
-                if v.is_some() && !other.vars.contains_key(&k) {
-                    self.vars.insert(k, None);
-                    changed = true;
-                }
-            }
-            changed
-        }
-    }
-
-    struct SeqConstProp;
-
-    fn eval(e: &Expr, env: &BTreeMap<String, Option<i64>>) -> Option<i64> {
-        use mpl_lang::ast::BinOp;
-        match e {
-            Expr::Int(n) => Some(*n),
-            Expr::Bool(b) => Some(i64::from(*b)),
-            Expr::Var(v) => env.get(v).copied().flatten(),
-            Expr::Id | Expr::Np => None,
-            Expr::Unary(mpl_lang::ast::UnOp::Neg, e) => eval(e, env).map(|v| -v),
-            Expr::Unary(mpl_lang::ast::UnOp::Not, e) => eval(e, env).map(|v| i64::from(v == 0)),
-            Expr::Binary(op, l, r) => {
-                let (l, r) = (eval(l, env)?, eval(r, env)?);
-                match op {
-                    BinOp::Add => Some(l + r),
-                    BinOp::Sub => Some(l - r),
-                    BinOp::Mul => Some(l * r),
-                    BinOp::Div => (r != 0).then(|| l.div_euclid(r)),
-                    BinOp::Mod => (r != 0).then(|| l.rem_euclid(r)),
-                    BinOp::Eq => Some(i64::from(l == r)),
-                    BinOp::Ne => Some(i64::from(l != r)),
-                    BinOp::Lt => Some(i64::from(l < r)),
-                    BinOp::Le => Some(i64::from(l <= r)),
-                    BinOp::Gt => Some(i64::from(l > r)),
-                    BinOp::Ge => Some(i64::from(l >= r)),
-                    BinOp::And => Some(i64::from(l != 0 && r != 0)),
-                    BinOp::Or => Some(i64::from(l != 0 || r != 0)),
-                }
-            }
-        }
-    }
-
-    impl DataflowAnalysis for SeqConstProp {
-        type Fact = ConstMap;
-
-        fn boundary(&self) -> ConstMap {
-            ConstMap {
-                reachable: true,
-                vars: BTreeMap::new(),
-            }
-        }
-
-        fn bottom(&self) -> ConstMap {
-            ConstMap::default()
-        }
-
-        fn transfer(
-            &self,
-            cfg: &Cfg,
-            node: CfgNodeId,
-            _kind: EdgeKind,
-            fact: &ConstMap,
-        ) -> ConstMap {
-            let mut out = fact.clone();
-            match cfg.node(node) {
-                CfgNode::Assign { name, value } => {
-                    let v = eval(value, &fact.vars);
-                    out.vars.insert(name.clone(), v);
-                }
-                // Sequential analysis cannot see through communication:
-                // a received value is unknown.
-                CfgNode::Recv { var, .. } => {
-                    out.vars.insert(var.clone(), None);
-                }
-                _ => {}
-            }
-            out
-        }
-    }
-
-    fn solve(src: &str) -> (Cfg, Vec<ConstMap>) {
+    fn solve(src: &str) -> (Cfg, Vec<ConstFact>) {
         let cfg = Cfg::build(&parse_program(src).unwrap());
         let facts = solve_forward(&cfg, &SeqConstProp);
         (cfg, facts)
     }
 
-    fn fact_at_print<'a>(cfg: &Cfg, facts: &'a [ConstMap]) -> &'a ConstMap {
+    fn fact_at_print<'a>(cfg: &Cfg, facts: &'a [ConstFact]) -> &'a ConstFact {
         let print = cfg
             .node_ids()
             .find(|&id| matches!(cfg.node(id), CfgNode::Print(_)))
@@ -225,21 +112,21 @@ mod tests {
     fn straight_line_constant_folds() {
         let (cfg, facts) = solve("x := 2; y := x * 3; print y;");
         let f = fact_at_print(&cfg, &facts);
-        assert_eq!(f.vars["y"], Some(6));
+        assert_eq!(f.const_of("y"), Some(6));
     }
 
     #[test]
     fn join_of_different_constants_is_unknown() {
         let (cfg, facts) = solve("if id = 0 then x := 1; else x := 2; end print x;");
         let f = fact_at_print(&cfg, &facts);
-        assert_eq!(f.vars["x"], None);
+        assert_eq!(f.const_of("x"), None);
     }
 
     #[test]
     fn join_of_equal_constants_stays_constant() {
         let (cfg, facts) = solve("if id = 0 then x := 7; else x := 7; end print x;");
         let f = fact_at_print(&cfg, &facts);
-        assert_eq!(f.vars["x"], Some(7));
+        assert_eq!(f.const_of("x"), Some(7));
     }
 
     #[test]
@@ -248,7 +135,7 @@ mod tests {
         let f = fact_at_print(&cfg, &facts);
         // x is not constant at the print (it varies over iterations when
         // observed at the loop head join).
-        assert_eq!(f.vars["x"], None);
+        assert_eq!(f.const_of("x"), None);
     }
 
     #[test]
@@ -257,22 +144,22 @@ mod tests {
         // unknown even though the parallel analysis can prove it is 5.
         let (cfg, facts) = solve("x := 5; send x -> 1; recv y <- 1; print y;");
         let f = fact_at_print(&cfg, &facts);
-        assert_eq!(f.vars["x"], Some(5));
-        assert_eq!(f.vars["y"], None);
+        assert_eq!(f.const_of("x"), Some(5));
+        assert_eq!(f.const_of("y"), None);
     }
 
     #[test]
     fn unreachable_code_contributes_nothing() {
         let (cfg, facts) = solve("x := 1; if true then y := 2; end print x;");
         let f = fact_at_print(&cfg, &facts);
-        assert_eq!(f.vars["x"], Some(1));
-        assert!(f.reachable);
+        assert_eq!(f.const_of("x"), Some(1));
+        assert!(f.is_reachable());
     }
 
     #[test]
     fn exit_fact_is_reachable() {
         let (cfg, facts) = solve("x := 1;");
-        assert!(facts[cfg.exit().0 as usize].reachable);
+        assert!(facts[cfg.exit().0 as usize].is_reachable());
     }
 
     // `solve_backward` on the liveness lattice: each fact is the set of

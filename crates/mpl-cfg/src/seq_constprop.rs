@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use mpl_lang::ast::{BinOp, Expr, UnOp};
+use mpl_lang::ast::Expr;
 
 use crate::dataflow::{solve_forward, DataflowAnalysis, JoinSemiLattice};
 use crate::graph::{Cfg, CfgNode, CfgNodeId, EdgeKind};
@@ -79,26 +79,8 @@ fn eval(e: &Expr, env: &BTreeMap<String, Option<i64>>) -> Option<i64> {
         Expr::Bool(b) => Some(i64::from(*b)),
         Expr::Var(v) => env.get(v).copied().flatten(),
         Expr::Id | Expr::Np => None,
-        Expr::Unary(UnOp::Neg, e) => eval(e, env).map(|v| -v),
-        Expr::Unary(UnOp::Not, e) => eval(e, env).map(|v| i64::from(v == 0)),
-        Expr::Binary(op, l, r) => {
-            let (l, r) = (eval(l, env)?, eval(r, env)?);
-            match op {
-                BinOp::Add => Some(l + r),
-                BinOp::Sub => Some(l - r),
-                BinOp::Mul => Some(l * r),
-                BinOp::Div => (r != 0).then(|| l.div_euclid(r)),
-                BinOp::Mod => (r != 0).then(|| l.rem_euclid(r)),
-                BinOp::Eq => Some(i64::from(l == r)),
-                BinOp::Ne => Some(i64::from(l != r)),
-                BinOp::Lt => Some(i64::from(l < r)),
-                BinOp::Le => Some(i64::from(l <= r)),
-                BinOp::Gt => Some(i64::from(l > r)),
-                BinOp::Ge => Some(i64::from(l >= r)),
-                BinOp::And => Some(i64::from(l != 0 && r != 0)),
-                BinOp::Or => Some(i64::from(l != 0 || r != 0)),
-            }
-        }
+        Expr::Unary(op, e) => eval(e, env).map(|v| op.eval(v)),
+        Expr::Binary(op, l, r) => op.eval(eval(l, env)?, eval(r, env)?),
     }
 }
 

@@ -124,39 +124,12 @@ pub trait ClientDomain: fmt::Debug + Sync {
                 let shift = (lin.var.as_ref() == Some(&var)).then_some(lin.offset);
                 st.cg.assign(var, &lin);
                 st.rewrite_aliases_on_assign(var, shift);
-                // Flat constant environment.
-                match shift {
-                    Some(c) => {
-                        if let Some(old) = st.consts.const_of(var) {
-                            st.consts.set_const(var, old + c);
-                        } else {
-                            st.consts.set_unknown(var);
-                        }
-                    }
-                    None => {
-                        let cval = lin.as_constant().or_else(|| {
-                            lin.var
-                                .and_then(|v| st.consts.const_of(v))
-                                .map(|c| c + lin.offset)
-                        });
-                        match cval {
-                            Some(c) => st.consts.set_const(var, c),
-                            None => st.consts.set_unknown(var),
-                        }
-                    }
-                }
             }
             None => {
                 // Non-linear: fall back to constant evaluation.
-                match norm.eval_const(value, pset, &st.consts) {
-                    Some(c) => {
-                        st.cg.assign(var, &LinExpr::constant(c));
-                        st.consts.set_const(var, c);
-                    }
-                    None => {
-                        st.cg.assign_unknown(var);
-                        st.consts.set_unknown(var);
-                    }
+                match norm.eval_const(value, pset, &mut st.cg) {
+                    Some(c) => st.cg.assign(var, &LinExpr::constant(c)),
+                    None => st.cg.assign_unknown(var),
                 }
                 st.rewrite_aliases_on_assign(var, None);
             }
@@ -174,7 +147,7 @@ pub trait ClientDomain: fmt::Debug + Sync {
             for (a, b) in [(l, r), (r, l)] {
                 if let (Some(lin), Some(c)) = (
                     norm.linearize(a, pset),
-                    norm.eval_const(b, pset, &st.consts),
+                    norm.eval_const(b, pset, &mut st.cg),
                 ) {
                     if let Some(v) = lin.var {
                         st.cg.assert_eq_const(v, c - lin.offset);
@@ -204,23 +177,17 @@ pub trait ClientDomain: fmt::Debug + Sync {
         // Received values are uniform only when pinned to one constant.
         st.uniform.remove(&var);
 
-        // Constant value through the flat environment.
-        let cval = norm.eval_const(&send.value, sender_id, &st.consts);
-        match cval {
-            Some(c) => {
-                st.consts.set_const(var, c);
-                st.cg.assign(var, &LinExpr::constant(c));
-                st.uniform.insert(var);
-                return;
-            }
-            None => st.consts.set_unknown(var),
+        // A constant value: every receiver holds it.
+        if let Some(c) = norm.eval_const(&send.value, sender_id, &mut st.cg) {
+            st.cg.assign(var, &LinExpr::constant(c));
+            st.uniform.insert(var);
+            return;
         }
 
         // Relational value through the constraint graph.
         if let Some(lin) = norm.linearize(&send.value, sender_id) {
             if let Some(c) = st.cg.eval_expr(&lin) {
                 st.cg.assign(var, &LinExpr::constant(c));
-                st.consts.set_const(var, c);
                 st.uniform.insert(var);
                 return;
             }
@@ -308,10 +275,9 @@ pub trait ClientDomain: fmt::Debug + Sync {
             Expr::Binary(op, l, r) if op.is_boolean() => (*op, l.as_ref(), r.as_ref()),
             _ => return None,
         };
-        let consts = st.consts.clone();
         let (le, re) = (
-            norm.linearize_resolved(l, pset, &consts, &mut st.cg)?,
-            norm.linearize_resolved(r, pset, &consts, &mut st.cg)?,
+            norm.linearize_resolved(l, pset, &mut st.cg)?,
+            norm.linearize_resolved(r, pset, &mut st.cg)?,
         );
         let idv = VarId::id_of(pset);
         // Normalize to `id REL e`.

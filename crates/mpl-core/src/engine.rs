@@ -365,7 +365,7 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
     /// table: a conflicting value demotes the fact to "not constant".
     fn record_print(&mut self, st: &mut AnalysisState, idx: usize, node: CfgNodeId, e: &Expr) {
         let pset = st.psets[idx].id;
-        let value = self.norm.eval_const(e, pset, &st.consts).or_else(|| {
+        let value = self.norm.eval_const(e, pset, &mut st.cg).or_else(|| {
             self.norm
                 .linearize(e, pset)
                 .and_then(|lin| st.cg.eval_expr(&lin))
@@ -514,7 +514,8 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
 
     /// Decides a set-uniform condition when provable.
     fn decide(&self, st: &AnalysisState, pset: mpl_domains::PsetId, cond: &Expr) -> Option<bool> {
-        if let Some(c) = self.norm.eval_const(cond, pset, &st.consts) {
+        let mut cg = st.cg.clone();
+        if let Some(c) = self.norm.eval_const(cond, pset, &mut cg) {
             return Some(c != 0);
         }
         // Single comparison decidable from the constraint graph.
@@ -525,10 +526,9 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
             }
             _ => return None,
         };
-        let mut cg = st.cg.clone();
         let (le, re) = (
-            self.norm.linearize_resolved(l, pset, &st.consts, &mut cg)?,
-            self.norm.linearize_resolved(r, pset, &st.consts, &mut cg)?,
+            self.norm.linearize_resolved(l, pset, &mut cg)?,
+            self.norm.linearize_resolved(r, pset, &mut cg)?,
         );
         let cmp = cg.compare_exprs(&le, &re);
         use std::cmp::Ordering::{Equal, Greater, Less};
@@ -779,13 +779,21 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
         // The receiver-side value propagation reassigned `recv.var`, so
         // any alias mentioning it inside the matched ranges is stale and
         // would corrupt bound comparisons (e.g. falsely proving the
-        // matched senders empty). Strip those aliases and re-saturate
-        // against the updated facts.
+        // matched senders empty). A receiver split also dropped the
+        // receiving set's old namespace, whose aliases the matched
+        // ranges (saturated before the split) still carry; asserting
+        // bounds against one would revive a variable no set owns. Strip
+        // both kinds and re-saturate against the updated facts.
         let stale = VarId::pset_var(assigned_ns, mpl_domains::intern_name(&recv.var));
         let sanitize = |st: &mut AnalysisState, r: &ProcRange| -> ProcRange {
+            let fresh =
+                |v: VarId| v != stale && v.namespace().is_none_or(|ns| st.index_of(ns).is_some());
             let keep = |b: &mpl_procset::Bound| {
                 mpl_procset::Bound::from_exprs(
-                    b.exprs().iter().filter(|e| e.var != Some(stale)).copied(),
+                    b.exprs()
+                        .iter()
+                        .filter(|e| e.var.is_none_or(fresh))
+                        .copied(),
                 )
             };
             let mut out = ProcRange::new(keep(&r.lb), keep(&r.ub));
@@ -913,6 +921,10 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
             return false;
         }
         self.project_dead_vars(s);
+        #[cfg(debug_assertions)]
+        if let Some(v) = s.orphan_var() {
+            panic!("{v} outlived its process set: {s}");
+        }
         self.domain.rename(s);
         // Re-saturate range bounds against the current facts so
         // loop-invariant aliases (e.g. a wavefront's own `id`)
@@ -959,7 +971,6 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
             s.cg.variables()
                 .iter()
                 .copied()
-                .chain(s.consts.iter().map(|(&v, _)| v))
                 .chain(s.uniform.iter().copied())
                 .filter(|&v| is_dead(v))
                 .collect();

@@ -27,8 +27,9 @@
 //! message expressions of the form `var + c`) and the **cartesian
 //! topology client** (§VIII, [`matcher::CartesianMatcher`], which adds
 //! HSM-based matching for grid patterns such as the NAS-CG transpose).
-//! Constant propagation (Fig 2) runs alongside either client via
-//! [`mpl_domains::ConstEnv`].
+//! Constant propagation (Fig 2) runs inside either client: a constant is
+//! a pair of bounds in the constraint graph
+//! ([`mpl_domains::ConstraintGraph::const_of`]).
 //!
 //! ```
 //! use mpl_core::{analyze, AnalysisConfig, Client};

@@ -134,9 +134,8 @@ impl MatchStrategy for SimpleMatcher {
             // Self-exchanges need the HSM client.
             return None;
         }
-        let consts = st.consts.clone();
-        let dest = norm.linearize_resolved(&send.dest, ps, &consts, &mut st.cg)?;
-        let src = norm.linearize_resolved(&recv.src, pr, &consts, &mut st.cg)?;
+        let dest = norm.linearize_resolved(&send.dest, ps, &mut st.cg)?;
+        let src = norm.linearize_resolved(&recv.src, pr, &mut st.cg)?;
         let s_range = st.psets[send.pset_idx].range.clone();
         let r_range = st.psets[recv.pset_idx].range.clone();
         if s_range.is_vacant() || r_range.is_vacant() {
@@ -232,9 +231,8 @@ impl MatchStrategy for SimpleMatcher {
         }
         let ps = st.psets[send.pset_idx].id;
         let pr = st.psets[recv.pset_idx].id;
-        let consts = st.consts.clone();
-        let dest = norm.linearize_resolved(&send.dest, ps, &consts, &mut st.cg)?;
-        let src = norm.linearize_resolved(&recv.src, pr, &consts, &mut st.cg)?;
+        let dest = norm.linearize_resolved(&send.dest, ps, &mut st.cg)?;
+        let src = norm.linearize_resolved(&recv.src, pr, &mut st.cg)?;
         let s_range = st.psets[send.pset_idx].range.clone();
         let r_range = st.psets[recv.pset_idx].range.clone();
         let id_s = VarId::id_of(ps);

@@ -5,9 +5,21 @@
 use std::collections::{BTreeSet, HashSet};
 
 use mpl_cfg::{Cfg, CfgNode, CfgNodeId};
-use mpl_domains::{intern_name, ConstEnv, ConstraintGraph, LinExpr, PsetId, VarId, VarKind};
+use mpl_domains::{intern_name, ConstraintGraph, LinExpr, PsetId, VarId, VarKind};
 use mpl_hsm::SymPoly;
 use mpl_lang::ast::{BinOp, Expr, UnOp};
+
+/// The largest constant magnitude the analysis admits. A literal or
+/// folded constant beyond it counts as not linear and not constant —
+/// sound, since it only forgets a fact — so every offset entering the
+/// constraint graph stays far from `i64` overflow in its bound
+/// arithmetic (2^40, about 10^12; MPL ranks and loop bounds are tiny).
+pub const MAX_CONST: i64 = 1 << 40;
+
+/// `c` if it is within [`MAX_CONST`].
+fn admitted(c: i64) -> Option<i64> {
+    (-MAX_CONST..=MAX_CONST).contains(&c).then_some(c)
+}
 
 /// Static context shared by all transfer functions: which variable names
 /// are ever assigned (assigned → per-process-set variable; never assigned
@@ -86,84 +98,56 @@ impl NormCtx {
     #[must_use]
     pub fn linearize(&self, expr: &Expr, pset: PsetId) -> Option<LinExpr> {
         match expr {
-            Expr::Int(c) => Some(LinExpr::constant(*c)),
+            Expr::Int(c) => admitted(*c).map(LinExpr::constant),
             Expr::Bool(b) => Some(LinExpr::constant(i64::from(*b))),
             Expr::Id => Some(LinExpr::of_var(VarId::id_of(pset))),
             Expr::Np => Some(LinExpr::of_var(VarId::NP)),
             Expr::Var(name) => Some(LinExpr::of_var(self.var(pset, name))),
-            Expr::Unary(UnOp::Neg, e) => {
-                let le = self.linearize(e, pset)?;
-                le.as_constant().map(|c| LinExpr::constant(-c))
+            Expr::Unary(op @ UnOp::Neg, e) => {
+                let c = self.linearize(e, pset)?.as_constant()?;
+                Some(LinExpr::constant(op.eval(c)))
             }
             Expr::Unary(UnOp::Not, _) => None,
             Expr::Binary(op, l, r) => {
                 let (l, r) = (self.linearize(l, pset)?, self.linearize(r, pset)?);
-                match op {
-                    BinOp::Add => match (l.as_constant(), r.as_constant()) {
-                        (_, Some(c)) => Some(l.plus(c)),
-                        (Some(c), _) => Some(r.plus(c)),
-                        _ => None,
-                    },
-                    BinOp::Sub => match (l.as_constant(), r.as_constant()) {
-                        // c - (v + d) is not var+c form; only a constant
-                        // subtrahend keeps the expression linear.
-                        (_, Some(c)) => Some(l.plus(-c)),
-                        _ => None,
-                    },
-                    BinOp::Mul => match (l.as_constant(), r.as_constant()) {
-                        (Some(a), Some(b)) => Some(LinExpr::constant(a * b)),
-                        (Some(1), _) => Some(r),
-                        (_, Some(1)) => Some(l),
-                        (Some(0), _) | (_, Some(0)) => Some(LinExpr::constant(0)),
-                        _ => None,
-                    },
-                    BinOp::Div => match (l.as_constant(), r.as_constant()) {
-                        (Some(a), Some(b)) if b != 0 => Some(LinExpr::constant(a.div_euclid(b))),
-                        (_, Some(1)) => Some(l),
-                        _ => None,
-                    },
-                    BinOp::Mod => match (l.as_constant(), r.as_constant()) {
-                        (Some(a), Some(b)) if b != 0 => Some(LinExpr::constant(a.rem_euclid(b))),
-                        _ => None,
-                    },
-                    _ => None,
-                }
+                let lin = match (op, l.as_constant(), r.as_constant()) {
+                    (op, Some(a), Some(b)) if !op.is_boolean() => LinExpr::constant(op.eval(a, b)?),
+                    (BinOp::Add, _, Some(c)) => l.plus(c),
+                    (BinOp::Add, Some(c), _) => r.plus(c),
+                    // c - (v + d) is not var+c form; only a constant
+                    // subtrahend keeps the expression linear.
+                    (BinOp::Sub, _, Some(c)) => l.plus(-c),
+                    (BinOp::Mul, Some(1), _) => r,
+                    (BinOp::Mul | BinOp::Div, _, Some(1)) => l,
+                    (BinOp::Mul, Some(0), _) | (BinOp::Mul, _, Some(0)) => LinExpr::constant(0),
+                    _ => return None,
+                };
+                admitted(lin.offset).map(|_| lin)
             }
         }
     }
 
-    /// Replaces every variable (and `np`) whose value the state pins to a
+    /// Replaces every variable (and `np`) whose value the graph pins to a
     /// constant by that constant, so syntactically non-linear expressions
     /// like `id + ncols` or `np - ncols` become linear once the grid
     /// dimensions are concrete.
     #[must_use]
-    pub fn resolve_consts(
-        &self,
-        expr: &Expr,
-        pset: PsetId,
-        consts: &ConstEnv,
-        cg: &mut ConstraintGraph,
-    ) -> Expr {
+    pub fn resolve_consts(&self, expr: &Expr, pset: PsetId, cg: &mut ConstraintGraph) -> Expr {
         match expr {
-            Expr::Var(name) => {
-                let v = self.var(pset, name);
-                match consts.const_of(v).or_else(|| cg.const_of(v)) {
-                    Some(c) => Expr::Int(c),
-                    None => expr.clone(),
-                }
-            }
+            Expr::Var(name) => match cg.const_of(self.var(pset, name)) {
+                Some(c) => Expr::Int(c),
+                None => expr.clone(),
+            },
             Expr::Np => match cg.const_of(VarId::NP) {
                 Some(c) => Expr::Int(c),
                 None => Expr::Np,
             },
             Expr::Binary(op, l, r) => Expr::binary(
                 *op,
-                self.resolve_consts(l, pset, consts, cg),
-                self.resolve_consts(r, pset, consts, cg),
+                self.resolve_consts(l, pset, cg),
+                self.resolve_consts(r, pset, cg),
             ),
-            Expr::Unary(op, e) => {
-                Expr::Unary(*op, Box::new(self.resolve_consts(e, pset, consts, cg)))
-            }
+            Expr::Unary(op, e) => Expr::Unary(*op, Box::new(self.resolve_consts(e, pset, cg))),
             _ => expr.clone(),
         }
     }
@@ -174,49 +158,28 @@ impl NormCtx {
         &self,
         expr: &Expr,
         pset: PsetId,
-        consts: &ConstEnv,
         cg: &mut ConstraintGraph,
     ) -> Option<LinExpr> {
-        let resolved = self.resolve_consts(expr, pset, consts, cg);
+        let resolved = self.resolve_consts(expr, pset, cg);
         self.linearize(&resolved, pset)
     }
 
-    /// Evaluates `expr` to a constant using the flat constant
-    /// environment (the cheap evaluator used by the constant-propagation
-    /// client).
+    /// Evaluates `expr` (as process set `pset` sees it) to a constant,
+    /// reading variables the graph pins and folding operators through
+    /// [`BinOp::eval`]/[`UnOp::eval`]. `id` and `np` count as unknown,
+    /// and so does any value beyond [`MAX_CONST`].
     #[must_use]
-    pub fn eval_const(&self, expr: &Expr, pset: PsetId, consts: &ConstEnv) -> Option<i64> {
-        match expr {
-            Expr::Int(c) => Some(*c),
-            Expr::Bool(b) => Some(i64::from(*b)),
-            Expr::Id | Expr::Np => None,
-            Expr::Var(name) => consts.const_of(self.var(pset, name)),
-            Expr::Unary(UnOp::Neg, e) => self.eval_const(e, pset, consts).map(|v| -v),
-            Expr::Unary(UnOp::Not, e) => {
-                self.eval_const(e, pset, consts).map(|v| i64::from(v == 0))
-            }
+    pub fn eval_const(&self, expr: &Expr, pset: PsetId, cg: &mut ConstraintGraph) -> Option<i64> {
+        admitted(match expr {
+            Expr::Int(c) => *c,
+            Expr::Bool(b) => i64::from(*b),
+            Expr::Id | Expr::Np => return None,
+            Expr::Var(name) => cg.const_of(self.var(pset, name))?,
+            Expr::Unary(op, e) => op.eval(self.eval_const(e, pset, cg)?),
             Expr::Binary(op, l, r) => {
-                let (l, r) = (
-                    self.eval_const(l, pset, consts)?,
-                    self.eval_const(r, pset, consts)?,
-                );
-                match op {
-                    BinOp::Add => Some(l + r),
-                    BinOp::Sub => Some(l - r),
-                    BinOp::Mul => Some(l * r),
-                    BinOp::Div => (r != 0).then(|| l.div_euclid(r)),
-                    BinOp::Mod => (r != 0).then(|| l.rem_euclid(r)),
-                    BinOp::Eq => Some(i64::from(l == r)),
-                    BinOp::Ne => Some(i64::from(l != r)),
-                    BinOp::Lt => Some(i64::from(l < r)),
-                    BinOp::Le => Some(i64::from(l <= r)),
-                    BinOp::Gt => Some(i64::from(l > r)),
-                    BinOp::Ge => Some(i64::from(l >= r)),
-                    BinOp::And => Some(i64::from(l != 0 && r != 0)),
-                    BinOp::Or => Some(i64::from(l != 0 || r != 0)),
-                }
+                op.eval(self.eval_const(l, pset, cg)?, self.eval_const(r, pset, cg)?)?
             }
-        }
+        })
     }
 
     /// Extracts the atomic linear comparisons implied by `cond` holding
@@ -511,12 +474,12 @@ mod tests {
     #[test]
     fn eval_const_uses_environment() {
         let ctx = ctx_of("x := 1; y := 2;");
-        let mut consts = ConstEnv::new();
-        consts.set_const(VarId::pset_var(P, intern_name("x")), 6);
-        assert_eq!(ctx.eval_const(&expr("x * x + 1"), P, &consts), Some(37));
-        assert_eq!(ctx.eval_const(&expr("x / 0"), P, &consts), None);
-        assert_eq!(ctx.eval_const(&expr("y"), P, &consts), None);
-        assert_eq!(ctx.eval_const(&expr("id"), P, &consts), None);
+        let mut cg = ConstraintGraph::new();
+        cg.assert_eq_const(VarId::pset_var(P, intern_name("x")), 6);
+        assert_eq!(ctx.eval_const(&expr("x * x + 1"), P, &mut cg), Some(37));
+        assert_eq!(ctx.eval_const(&expr("x / 0"), P, &mut cg), None);
+        assert_eq!(ctx.eval_const(&expr("y"), P, &mut cg), None);
+        assert_eq!(ctx.eval_const(&expr("id"), P, &mut cg), None);
     }
 
     #[test]

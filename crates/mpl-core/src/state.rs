@@ -13,7 +13,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 
 use mpl_cfg::CfgNodeId;
-use mpl_domains::{ConstEnv, ConstraintGraph, PsetId, VarId};
+use mpl_domains::{ConstraintGraph, PsetId, VarId};
 use mpl_lang::ast::Expr;
 use mpl_procset::{Bound, ProcRange};
 
@@ -53,10 +53,10 @@ pub struct PsetState {
 /// the `Shared` fields transparently unshares just the touched component.
 #[derive(Debug, Clone)]
 pub struct AnalysisState {
-    /// The constraint-graph dataflow state (per-set namespaces).
+    /// The constraint-graph dataflow state (per-set namespaces). A
+    /// constant is the pair of bounds `x − 0 ≤ c`, `0 − x ≤ −c`
+    /// ([`ConstraintGraph::const_of`]).
     pub cg: Shared<ConstraintGraph>,
-    /// The flat constant environment (constant-propagation client).
-    pub consts: Shared<ConstEnv>,
     /// Variables proven *uniform* across their process set (every
     /// process of the set holds the same value). Needed for soundness:
     /// only a uniform condition may steer a whole set through one branch
@@ -83,7 +83,6 @@ impl AnalysisState {
         cg.assert_le(id0, VarId::NP, -1); // id <= np-1
         AnalysisState {
             cg: cg.into(),
-            consts: Shared::new(ConstEnv::new()),
             uniform: Shared::new(BTreeSet::new()),
             psets: vec![Shared::new(PsetState {
                 id: p0,
@@ -113,7 +112,6 @@ impl AnalysisState {
         for (range, node, keep_pending) in parts {
             let nid = self.fresh_id();
             self.cg.clone_namespace(old.id, nid);
-            self.consts.clone_namespace(old.id, nid);
             let copies: Vec<VarId> = self
                 .uniform
                 .iter()
@@ -184,16 +182,13 @@ impl AnalysisState {
     }
 
     /// Projects the variables `dead` selects out of the constraint graph
-    /// (exactly, see [`ConstraintGraph::retain_vars`]), the constant
-    /// environment and the uniform set, and strips their aliases from
-    /// every range bound. A component that holds none of them is left
-    /// untouched, so its copy-on-write handle stays shared.
+    /// (exactly, see [`ConstraintGraph::retain_vars`]) and the uniform
+    /// set, and strips their aliases from every range bound. A component
+    /// that holds none of them is left untouched, so its copy-on-write
+    /// handle stays shared.
     pub fn project_out(&mut self, dead: impl Fn(VarId) -> bool) {
         if self.cg.variables().iter().any(|&v| dead(v)) {
             self.cg.retain_vars(|v| !dead(v));
-        }
-        if self.consts.iter().any(|(&v, _)| dead(v)) {
-            self.consts.retain(|v| !dead(v));
         }
         if self.uniform.iter().any(|&v| dead(v)) {
             self.uniform.retain(|&v| !dead(v));
@@ -279,28 +274,9 @@ impl AnalysisState {
         let (a, b) = (self.psets[i].id, self.psets[j].id);
         let node = self.psets[i].node;
         let m = self.fresh_id();
-        // Per-variable join of the two namespaces: project each side down
-        // to one namespace renamed to `m`, then join pointwise.
-        let mut a_side = self.cg.clone();
-        a_side.drop_namespace(b);
-        a_side.rename_namespace(a, m);
-        let mut b_side = self.cg.clone();
-        b_side.drop_namespace(a);
-        b_side.rename_namespace(b, m);
-        self.cg = a_side.join(&b_side).into();
-        let mut ca = {
-            let mut c = (*self.consts).clone();
-            c.drop_namespace(b);
-            c.rename_namespace(a, m)
-        };
-        let cb = {
-            let mut c = (*self.consts).clone();
-            c.drop_namespace(a);
-            c.rename_namespace(b, m)
-        };
-        ca = ca.join(&cb);
         // Uniformity across the merged set: both halves uniform and
-        // pinned to the same constant.
+        // pinned to the same constant (read before the join forgets it).
+        let cg = &mut *self.cg;
         let merged_uniform: Vec<VarId> = self
             .uniform
             .iter()
@@ -310,12 +286,20 @@ impl AnalysisState {
                 if !self.uniform.contains(&vb) {
                     return None;
                 }
-                let cva = self.consts.const_of(v)?;
-                let cvb = self.consts.const_of(vb)?;
+                let cva = cg.const_of(v)?;
+                let cvb = cg.const_of(vb)?;
                 (cva == cvb).then(|| v.renamed(a, m))
             })
             .collect();
-        self.consts = ca.into();
+        // Per-variable join of the two namespaces: project each side down
+        // to one namespace renamed to `m`, then join pointwise.
+        let mut a_side = self.cg.clone();
+        a_side.drop_namespace(b);
+        a_side.rename_namespace(a, m);
+        let mut b_side = self.cg.clone();
+        b_side.drop_namespace(a);
+        b_side.rename_namespace(b, m);
+        self.cg = a_side.join(&b_side).into();
         self.uniform
             .retain(|v| v.namespace() != Some(a) && v.namespace() != Some(b));
         self.uniform.extend(merged_uniform);
@@ -360,7 +344,8 @@ impl AnalysisState {
         });
         // Already canonical (the steady state once the analysis reaches a
         // loop's fixpoint): every rename below would be the identity, so
-        // skip the two O(p) rename sweeps over graph, consts and ranges.
+        // skip the two O(p) rename sweeps over graph, uniform set and
+        // ranges.
         if self
             .psets
             .iter()
@@ -390,7 +375,6 @@ impl AnalysisState {
 
     fn rename_everywhere(&mut self, from: PsetId, to: PsetId) {
         self.cg.rename_namespace(from, to);
-        self.consts = self.consts.rename_namespace(from, to).into();
         let renamed: BTreeSet<VarId> = self.uniform.iter().map(|v| v.renamed(from, to)).collect();
         self.uniform = renamed.into();
         for p in &mut self.psets {
@@ -420,8 +404,7 @@ impl AnalysisState {
     /// Widens `self` (the stored state) with `newer` (same location key):
     /// constraint-graph widening over the `thresholds` ladder (see
     /// [`mpl_domains::ConstraintGraph::widen_with_thresholds`]),
-    /// range-bound alias intersection, constant-env join, match-set
-    /// union.
+    /// uniform-set and range-bound alias intersection, match-set union.
     #[must_use]
     pub fn widen_with_thresholds(
         &self,
@@ -431,7 +414,6 @@ impl AnalysisState {
         debug_assert_eq!(self.location_key(), newer.location_key());
         let mut out = self.clone();
         out.cg = self.cg.widen_with_thresholds(&newer.cg, thresholds).into();
-        out.consts = self.consts.join(&newer.consts).into();
         let uniform: BTreeSet<VarId> = self.uniform.intersection(&newer.uniform).cloned().collect();
         out.uniform = uniform.into();
         for (p, q) in out.psets.iter_mut().zip(&newer.psets) {
@@ -472,10 +454,7 @@ impl AnalysisState {
     /// oracle for the fast path.
     #[must_use]
     pub fn same_as_slow(&self, other: &AnalysisState) -> bool {
-        if self.matches != other.matches
-            || self.consts != other.consts
-            || self.uniform != other.uniform
-        {
+        if self.matches != other.matches || self.uniform != other.uniform {
             return false;
         }
         if self.psets.len() != other.psets.len() {
@@ -495,9 +474,8 @@ impl AnalysisState {
         a.entails(&other.cg) && b.entails(&self.cg)
     }
 
-    /// A 64-bit structural fingerprint of the whole state, chaining the
-    /// component fingerprints ([`ConstraintGraph::fingerprint`],
-    /// [`ConstEnv::fingerprint`]) with the uniform set, process sets
+    /// A 64-bit structural fingerprint of the whole state, chaining
+    /// [`ConstraintGraph::fingerprint`] with the uniform set, process sets
     /// (id, node, range-bound alias sets, pending send) and the match
     /// set's cached length and [`MatchSet::fingerprint`].
     ///
@@ -509,7 +487,6 @@ impl AnalysisState {
     pub fn fingerprint(&self) -> u64 {
         let mut h = DefaultHasher::new();
         self.cg.fingerprint().hash(&mut h);
-        self.consts.fingerprint().hash(&mut h);
         self.uniform.len().hash(&mut h);
         for v in self.uniform.iter() {
             v.hash(&mut h);
@@ -557,7 +534,6 @@ impl AnalysisState {
     #[must_use]
     pub fn structurally_eq(&self, other: &AnalysisState) -> bool {
         self.matches == other.matches
-            && self.consts == other.consts
             && self.uniform == other.uniform
             && self.psets.len() == other.psets.len()
             && self.psets.iter().zip(&other.psets).all(|(p, q)| {
@@ -585,9 +561,6 @@ impl AnalysisState {
                 total += matrix_bytes;
             }
         }
-        if seen.insert(Shared::heap_id(&self.consts)) {
-            total += std::mem::size_of::<ConstEnv>() + self.consts.len() * BTREE_ENTRY;
-        }
         if seen.insert(Shared::heap_id(&self.uniform)) {
             total += self.uniform.len() * BTREE_ENTRY;
         }
@@ -608,6 +581,29 @@ impl AnalysisState {
     #[must_use]
     pub fn any_vacant_range(&self) -> bool {
         self.psets.iter().any(|p| p.range.is_vacant())
+    }
+
+    /// The first variable that breaks namespace hygiene, if any: a
+    /// per-set variable of the graph or the uniform set whose set is
+    /// gone, or a range-bound alias the graph does not hold.
+    /// [`AnalysisState::renumber_canonical`] needs a state without one,
+    /// or a rename lands on a stale namespace's leftovers; the engine
+    /// debug-asserts it on every successor.
+    #[must_use]
+    pub fn orphan_var(&self) -> Option<VarId> {
+        let owned = |v: &VarId| v.namespace().is_none_or(|ns| self.index_of(ns).is_some());
+        let mut aliases = self
+            .psets
+            .iter()
+            .flat_map(|p| p.range.lb.exprs().iter().chain(p.range.ub.exprs()))
+            .filter_map(|e| e.var);
+        self.cg
+            .variables()
+            .iter()
+            .chain(self.uniform.iter())
+            .find(|v| !owned(v))
+            .copied()
+            .or_else(|| aliases.find(|&v| !self.cg.has_var(v)))
     }
 
     /// The index of the pset with namespace `id`.

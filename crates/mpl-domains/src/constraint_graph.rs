@@ -66,8 +66,7 @@ const BOTTOM_FP: u64 = 0x0B07_70B0_0B07_70B0;
 
 /// SplitMix64 finalizer — the mixing behind the structural fingerprint.
 /// Public because every fingerprint in the workspace (DBM structure,
-/// constant environments, analysis-request content hashes) draws from
-/// this one mixing function.
+/// analysis-request content hashes) draws from this one mixing function.
 #[must_use]
 pub fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -86,12 +85,6 @@ fn edge_mix(x: VarId, y: VarId, c: i64) -> u64 {
 /// The fingerprint contribution of tracking variable `x` at all.
 fn var_mix(x: VarId) -> u64 {
     mix64(u64::from(x.raw()) ^ 0xD6E8_FEB8_6659_FD93)
-}
-
-/// The crate's shared fingerprint mixer — [`crate::ConstEnv`] reuses it
-/// so all structural fingerprints draw from one mixing function.
-pub(crate) fn mix_for_fingerprint(z: u64) -> u64 {
-    mix64(z)
 }
 
 thread_local! {

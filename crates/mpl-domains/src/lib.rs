@@ -16,17 +16,15 @@
 //! is how `mpl-bench`'s `profile` binary reproduces the §IX profile
 //! (closure counts, average variable counts, share of runtime).
 //!
-//! The crate also provides [`constenv::ConstEnv`], a flat
-//! constant-propagation lattice that the engine keeps next to the graph
-//! (the Fig 2 client's constants).
+//! A constant is not a separate domain: `x = c` is the bound pair
+//! `x − 0 ≤ c`, `0 − x ≤ −c`, read back by
+//! [`ConstraintGraph::const_of`] (the Fig 2 client's constants).
 
-pub mod constenv;
 pub mod constraint_graph;
 pub mod linexpr;
 pub mod stats;
 pub mod var;
 
-pub use constenv::{ConstEnv, ConstVal};
 pub use constraint_graph::{splitmix64, ConstraintGraph, DEFAULT_WIDEN_THRESHOLDS};
 pub use linexpr::LinExpr;
 pub use stats::{force_full_closure, set_force_full_closure, ClosureStats};

@@ -10,11 +10,10 @@ pub enum BinOp {
     Add,
     Sub,
     Mul,
-    /// Integer division truncating toward negative infinity (Euclidean-style
-    /// flooring for non-negative operands; MPL programs divide non-negative
-    /// ranks, matching the paper's examples).
+    /// Euclidean integer division: the remainder [`BinOp::Mod`] leaves is
+    /// never negative (flooring for a positive divisor).
     Div,
-    /// Remainder consistent with [`BinOp::Div`].
+    /// The Euclidean remainder, consistent with [`BinOp::Div`].
     Mod,
     Eq,
     Ne,
@@ -41,6 +40,32 @@ impl BinOp {
                 | BinOp::And
                 | BinOp::Or
         )
+    }
+
+    /// Applies the operator to two values: the one definition of MPL
+    /// integer arithmetic, shared by the simulator and every analysis.
+    /// Arithmetic wraps (two's complement) and `/`, `%` are Euclidean;
+    /// booleans are `0`/`1`, and any nonzero operand counts as true.
+    /// `None` means a zero divisor and nothing else.
+    #[must_use]
+    pub fn eval(self, l: i64, r: i64) -> Option<i64> {
+        Some(match self {
+            BinOp::Add => l.wrapping_add(r),
+            BinOp::Sub => l.wrapping_sub(r),
+            BinOp::Mul => l.wrapping_mul(r),
+            BinOp::Div if r == 0 => return None,
+            BinOp::Div => l.wrapping_div_euclid(r),
+            BinOp::Mod if r == 0 => return None,
+            BinOp::Mod => l.wrapping_rem_euclid(r),
+            BinOp::Eq => i64::from(l == r),
+            BinOp::Ne => i64::from(l != r),
+            BinOp::Lt => i64::from(l < r),
+            BinOp::Le => i64::from(l <= r),
+            BinOp::Gt => i64::from(l > r),
+            BinOp::Ge => i64::from(l >= r),
+            BinOp::And => i64::from(l != 0 && r != 0),
+            BinOp::Or => i64::from(l != 0 || r != 0),
+        })
     }
 }
 
@@ -72,6 +97,19 @@ pub enum UnOp {
     Neg,
     /// Logical negation.
     Not,
+}
+
+impl UnOp {
+    /// Applies the operator to a value, with [`BinOp::eval`]'s
+    /// conventions: negation wraps, and `not` maps zero to `1` and any
+    /// other value to `0`.
+    #[must_use]
+    pub fn eval(self, v: i64) -> i64 {
+        match self {
+            UnOp::Neg => v.wrapping_neg(),
+            UnOp::Not => i64::from(v == 0),
+        }
+    }
 }
 
 impl fmt::Display for UnOp {
@@ -315,6 +353,28 @@ impl fmt::Display for Program {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn operator_table_wraps_and_divides_euclidean() {
+        const MIN: i64 = i64::MIN;
+        assert_eq!(BinOp::Div.eval(MIN, -1), Some(MIN));
+        assert_eq!(BinOp::Mod.eval(MIN, -1), Some(0));
+        assert_eq!(BinOp::Div.eval(7, 0), None);
+        assert_eq!(BinOp::Mod.eval(7, 0), None);
+        assert_eq!(BinOp::Div.eval(-7, 2), Some(-4));
+        assert_eq!(BinOp::Mod.eval(-7, 2), Some(1));
+        assert_eq!(BinOp::Div.eval(-7, -2), Some(4));
+        assert_eq!(BinOp::Mod.eval(-7, -2), Some(1));
+        assert_eq!(BinOp::Add.eval(i64::MAX, 1), Some(MIN));
+        assert_eq!(BinOp::Sub.eval(MIN, 1), Some(i64::MAX));
+        assert_eq!(BinOp::Mul.eval(MIN, -1), Some(MIN));
+        assert_eq!(BinOp::Lt.eval(2, 3), Some(1));
+        assert_eq!(BinOp::And.eval(2, 0), Some(0));
+        assert_eq!(BinOp::Or.eval(0, -5), Some(1));
+        assert_eq!(UnOp::Neg.eval(MIN), MIN);
+        assert_eq!(UnOp::Not.eval(0), 1);
+        assert_eq!(UnOp::Not.eval(-3), 0);
+    }
 
     #[test]
     fn mentions_id_detects_nested_use() {

@@ -5,7 +5,7 @@ use std::error::Error;
 use std::fmt;
 
 use mpl_cfg::{Cfg, CfgNode, CfgNodeId, EdgeKind};
-use mpl_lang::ast::{BinOp, Expr, Program, UnOp};
+use mpl_lang::ast::{Expr, Program};
 use mpl_rng::Rng64;
 
 /// How `send` behaves (paper §III).
@@ -497,36 +497,11 @@ impl Simulator {
                         name: name.clone(),
                     })?
             }
-            Expr::Unary(UnOp::Neg, e) => -self.eval(rank, e, store)?,
-            Expr::Unary(UnOp::Not, e) => i64::from(self.eval(rank, e, store)? == 0),
+            Expr::Unary(op, e) => op.eval(self.eval(rank, e, store)?),
             Expr::Binary(op, l, r) => {
                 let l = self.eval(rank, l, store)?;
                 let r = self.eval(rank, r, store)?;
-                match op {
-                    BinOp::Add => l.wrapping_add(r),
-                    BinOp::Sub => l.wrapping_sub(r),
-                    BinOp::Mul => l.wrapping_mul(r),
-                    BinOp::Div => {
-                        if r == 0 {
-                            return Err(ExecError::DivisionByZero { rank });
-                        }
-                        l.div_euclid(r)
-                    }
-                    BinOp::Mod => {
-                        if r == 0 {
-                            return Err(ExecError::DivisionByZero { rank });
-                        }
-                        l.rem_euclid(r)
-                    }
-                    BinOp::Eq => i64::from(l == r),
-                    BinOp::Ne => i64::from(l != r),
-                    BinOp::Lt => i64::from(l < r),
-                    BinOp::Le => i64::from(l <= r),
-                    BinOp::Gt => i64::from(l > r),
-                    BinOp::Ge => i64::from(l >= r),
-                    BinOp::And => i64::from(l != 0 && r != 0),
-                    BinOp::Or => i64::from(l != 0 || r != 0),
-                }
+                op.eval(l, r).ok_or(ExecError::DivisionByZero { rank })?
             }
         })
     }

@@ -85,6 +85,63 @@ if "$MPL" analyze-corpus --dir "$smoke_dir" --jobs 4 --timeout-ms 200 >/dev/null
   echo "expected nonzero exit without --keep-going"; exit 1
 fi
 
+echo "== release mpl on robustness inputs (no panic) =="
+# Overflow checks differ between the two builds: `cargo test` and the
+# steps above run the debug `mpl`, while users and mpl-benchmark run the
+# release one. Under the release build, each program must analyze under
+# both clients, check, and run on 4 ranks with exit 0 or 1 and no panic:
+# communication inside a time-step loop (the guarded halo shift and the
+# paper's Fig 7 shift), and `i64::MIN / -1`.
+cargo build -q --release -p mpl-cli --offline
+cat > "$smoke_dir/robust_guarded_loop.mpl" <<'MPL'
+j := 0;
+while j < 2 do
+  if id < np - 1 then
+    send 7 -> id + 1;
+  end
+  if id > 0 then
+    recv y <- id - 1;
+  end
+  j := j + 1;
+end
+MPL
+cat > "$smoke_dir/robust_fig7_loop.mpl" <<'MPL'
+for t = 1 to 3 do
+  x := id;
+  if id = 0 then
+    send x -> id + 1;
+  else
+    if id = np - 1 then
+      recv y <- id - 1;
+    else
+      recv y <- id - 1;
+      send x -> id + 1;
+    end
+  end
+end
+MPL
+cat > "$smoke_dir/robust_min_div.mpl" <<'MPL'
+m := 0 - 9223372036854775807 - 1;
+q := m / (0 - 1);
+print q;
+MPL
+robust_run() { # robust_run PROGRAM COMMAND [FLAGS...]
+  local prog=$1 cmd=$2 out code=0
+  shift 2
+  out=$(target/release/mpl "$cmd" "$prog" "$@" 2>&1) || code=$?
+  if [ "$code" -gt 1 ] || grep -q panicked <<< "$out"; then
+    echo "release mpl $cmd $* on $(basename "$prog") exited $code:"
+    printf '%s\n' "$out"
+    exit 1
+  fi
+}
+for prog in "$smoke_dir"/robust_*.mpl; do
+  robust_run "$prog" analyze --client simple
+  robust_run "$prog" analyze --client cartesian
+  robust_run "$prog" check
+  robust_run "$prog" run --np 4
+done
+
 echo "== profile and tables smoke (E1-E12, E18) =="
 # `profile --check` exits nonzero unless every sample of a row reports
 # the same counters and, on every program out of timer noise, the four

@@ -1,6 +1,7 @@
 //! Randomized end-to-end soundness (seeded, in-tree RNG): generate
 //! structured MPL programs (random local computation wrapped around
-//! randomly-parameterized communication skeletons), then check that
+//! randomly-parameterized communication skeletons, straight-line or
+//! inside a time-step loop), then check that
 //!
 //! * the simulator completes and is schedule-oblivious,
 //! * whenever the analysis answers "exact", its topology covers every
@@ -8,7 +9,7 @@
 //! * exact verdicts never hide runtime leaks or deadlocks.
 
 use mpl_cfg::Cfg;
-use mpl_core::{analyze_cfg, AnalysisConfig, StaticTopology};
+use mpl_core::{analyze_cfg, AnalysisConfig, Client, StaticTopology};
 use mpl_lang::parse_program;
 use mpl_rng::Rng64;
 use mpl_sim::{Schedule, SimConfig, Simulator};
@@ -64,43 +65,74 @@ fn skeleton(kind: u8, payload: &str) -> String {
     }
 }
 
-#[test]
-fn random_programs_are_sound_and_oblivious() {
-    let mut rng = Rng64::seed_from_u64(0xF022);
-    for _ in 0..48 {
-        let (prologue, vars) = gen_prologue(&mut rng, 4);
-        let kind = rng.index(4) as u8;
-        let payload = rng.pick(&vars).clone();
-        let np = rng.u64_in(4, 9);
-        let seed = rng.u64_in(0, 1000);
-        let src = format!("{prologue}{}", skeleton(kind, &payload));
-        let program = parse_program(&src).unwrap_or_else(|e| panic!("{e}\n{src}"));
-        let cfg = Cfg::build(&program);
+/// A loop body: one communication phase of a time-step loop, sending
+/// `payload`.
+fn loop_body(kind: usize, payload: &str) -> String {
+    match kind % 5 {
+        // Guarded halo shift, right and left.
+        0 => format!(
+            "if id < np - 1 then\n  send {payload} -> id + 1;\nend\n\
+             if id > 0 then\n  recv y <- id - 1;\nend\n"
+        ),
+        1 => format!(
+            "if id > 0 then\n  send {payload} -> id - 1;\nend\n\
+             if id < np - 1 then\n  recv y <- id + 1;\nend\n"
+        ),
+        // The paper's Fig 7 shift.
+        2 => format!(
+            "if id = 0 then\n  send {payload} -> id + 1;\nelse\n  if id = np - 1 then\n    \
+             recv y <- id - 1;\n  else\n    recv y <- id - 1;\n    send {payload} -> id + 1;\n  \
+             end\nend\n"
+        ),
+        // Exchange-with-root and fan-out.
+        3 => format!(
+            "if id = 0 then\n  for i = 1 to np - 1 do\n    send {payload} -> i;\n    recv y <- i;\n  end\n\
+             else\n  recv y <- 0;\n  send {payload} -> 0;\nend\n"
+        ),
+        _ => format!(
+            "if id = 0 then\n  for i = 1 to np - 1 do\n    send {payload} -> i;\n  end\n\
+             else\n  recv y <- 0;\nend\n"
+        ),
+    }
+}
 
-        // Concrete baseline run.
-        let base = Simulator::from_cfg(Cfg::build(&program), np)
-            .run()
-            .unwrap_or_else(|e| panic!("{e}\n{src}"));
-        assert!(
-            base.is_complete(),
-            "skeleton programs always complete:\n{src}"
-        );
-        assert!(base.leaks.is_empty());
+/// Runs `src` on `np` ranks in program order and under a random
+/// schedule, then analyzes it under each client: the simulator must
+/// complete leak-free and schedule-obliviously, and an exact verdict
+/// must cover the runtime site pairs and report no leak.
+fn check_program(src: &str, np: u64, seed: u64, clients: &[Client]) {
+    let program = parse_program(src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+    let cfg = Cfg::build(&program);
 
-        // Schedule independence.
-        let alt = Simulator::from_cfg(Cfg::build(&program), np)
-            .with_config(SimConfig {
-                schedule: Schedule::Random { seed },
-                ..SimConfig::default()
-            })
-            .run()
-            .unwrap();
-        assert_eq!(&base.stores, &alt.stores);
-        assert_eq!(&base.topology, &alt.topology);
-        assert_eq!(&base.clocks, &alt.clocks);
+    // Concrete baseline run.
+    let base = Simulator::from_cfg(Cfg::build(&program), np)
+        .run()
+        .unwrap_or_else(|e| panic!("{e}\n{src}"));
+    assert!(
+        base.is_complete(),
+        "skeleton programs always complete:\n{src}"
+    );
+    assert!(base.leaks.is_empty());
 
-        // Analysis soundness (exact verdicts only promise coverage).
-        let result = analyze_cfg(&cfg, &AnalysisConfig::default());
+    // Schedule independence.
+    let alt = Simulator::from_cfg(Cfg::build(&program), np)
+        .with_config(SimConfig {
+            schedule: Schedule::Random { seed },
+            ..SimConfig::default()
+        })
+        .run()
+        .unwrap();
+    assert_eq!(&base.stores, &alt.stores);
+    assert_eq!(&base.topology, &alt.topology);
+    assert_eq!(&base.clocks, &alt.clocks);
+
+    // Analysis soundness (exact verdicts only promise coverage).
+    for &client in clients {
+        let config = AnalysisConfig {
+            client,
+            ..AnalysisConfig::default()
+        };
+        let result = analyze_cfg(&cfg, &config);
         if result.is_exact() {
             let topo = StaticTopology::from_result(&result);
             assert!(
@@ -114,6 +146,37 @@ fn random_programs_are_sound_and_oblivious() {
                 "exact verdict reported a leak on a leak-free program"
             );
         }
+    }
+}
+
+#[test]
+fn random_programs_are_sound_and_oblivious() {
+    let mut rng = Rng64::seed_from_u64(0xF022);
+    for _ in 0..48 {
+        let (prologue, vars) = gen_prologue(&mut rng, 4);
+        let kind = rng.index(4) as u8;
+        let payload = rng.pick(&vars).clone();
+        let np = rng.u64_in(4, 9);
+        let seed = rng.u64_in(0, 1000);
+        let src = format!("{prologue}{}", skeleton(kind, &payload));
+        check_program(&src, np, seed, &[Client::default()]);
+    }
+    // Communication inside a time-step loop, under both clients.
+    let mut rng = Rng64::seed_from_u64(0xF024);
+    for _ in 0..48 {
+        let (prologue, vars) = gen_prologue(&mut rng, 4);
+        let kind = rng.index(5);
+        let payload = rng.pick(&vars).clone();
+        let body = loop_body(kind, &payload);
+        let k = rng.i64_in(2, 5);
+        let np = rng.u64_in(4, 9);
+        let seed = rng.u64_in(0, 1000);
+        let src = if rng.flip() {
+            format!("{prologue}j := 0;\nwhile j < {k} do\n{body}j := j + 1;\nend\n")
+        } else {
+            format!("{prologue}for t = 1 to {k} do\n{body}end\n")
+        };
+        check_program(&src, np, seed, &[Client::Simple, Client::Cartesian]);
     }
 }
 

@@ -175,3 +175,94 @@ fn verdicts_partition() {
         }
     }
 }
+
+/// Communication inside a time-step loop, as stencil codes iterate it:
+/// the guarded halo shift, and the paper's Fig 7 shift inside `for t = 1
+/// to 3`. Both once panicked with a rename collision on a dropped set's
+/// namespace. Under both clients they now give up honestly, and the
+/// simulator confirms the programs themselves complete.
+#[test]
+fn looped_shifts_give_up_without_panicking() {
+    let guarded = "\
+        j := 0;\n\
+        while j < 2 do\n\
+          if id < np - 1 then\n    send 7 -> id + 1;\n  end\n\
+          if id > 0 then\n    recv y <- id - 1;\n  end\n\
+          j := j + 1;\n\
+        end\n";
+    let fig7 = format!(
+        "for t = 1 to 3 do\n{}end\n",
+        corpus::nearest_neighbor_shift().source
+    );
+    for (src, expected) in [
+        (guarded, "abstraction-loss"),
+        (fig7.as_str(), "non-uniform-condition"),
+    ] {
+        let program = parse_program(src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+        for client in [Client::Simple, Client::Cartesian] {
+            let config = AnalysisConfig {
+                client,
+                ..AnalysisConfig::default()
+            };
+            let result = analyze_cfg(&Cfg::build(&program), &config);
+            let Verdict::Top { reason } = &result.verdict else {
+                panic!(
+                    "{}: expected ⊤, got {:?}\n{src}",
+                    client.tag(),
+                    result.verdict
+                );
+            };
+            assert_eq!(reason.code(), expected, "{}\n{src}", client.tag());
+        }
+        for np in 4..=9 {
+            let outcome = Simulator::new(&program, np).run().unwrap();
+            assert!(outcome.is_complete(), "np={np}\n{src}");
+        }
+    }
+}
+
+/// Integer edge cases: `i64::MIN / -1`, a sum past `i64::MAX`, a
+/// difference past `i64::MIN`, the negation of `i64::MIN`, and a
+/// product that wraps to zero. The simulator wraps (two's complement);
+/// the analysis, `check` and `run` must not panic in any build, and any
+/// constant the analysis claims for a print is what every rank prints.
+#[test]
+fn overflowing_arithmetic_never_panics_and_agrees_with_the_simulator() {
+    let min = "m := 0 - 9223372036854775807 - 1;\n";
+    let programs = [
+        format!("{min}q := m / (0 - 1);\nprint q;\n"),
+        "x := 9223372036854775807 + 1;\nprint x;\n".to_owned(),
+        "x := 0 - 9223372036854775807;\ny := x - 9223372036854775807;\nprint y;\n".to_owned(),
+        format!("{min}q := 0 - m;\nprint q;\n"),
+        "x := 1099511627776 * 1099511627776;\nprint x;\n".to_owned(),
+    ];
+    let cli = |args: &[&str], src: &str| {
+        let args: Vec<String> = args.iter().map(|a| (*a).to_owned()).collect();
+        mpl_cli::run_command(&args, src).expect("command runs")
+    };
+    for src in &programs {
+        let program = parse_program(src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+        let runs: Vec<_> = (2..=4)
+            .map(|np| Simulator::new(&program, np).run().unwrap())
+            .collect();
+        for client in [Client::Simple, Client::Cartesian] {
+            let config = AnalysisConfig {
+                client,
+                ..AnalysisConfig::default()
+            };
+            let result = analyze_cfg(&Cfg::build(&program), &config);
+            for c in result.prints.iter().filter_map(|p| p.value) {
+                for out in &runs {
+                    assert!(
+                        out.prints.iter().flatten().all(|&v| v == c),
+                        "{}: analysis claims {c}, runtime printed {:?}\n{src}",
+                        client.tag(),
+                        out.prints
+                    );
+                }
+            }
+        }
+        assert!(cli(&["check", "f.mpl"], src).code <= 1, "{src}");
+        assert_eq!(cli(&["run", "f.mpl", "--np", "4"], src).code, 0, "{src}");
+    }
+}

@@ -104,7 +104,7 @@ fn cloned_state_mutations_stay_isolated() {
     // A fresh clone is all sharing and compares equal through the
     // fingerprint fast path.
     assert!(Shared::ptr_eq(&copy.cg, &original.cg));
-    assert!(Shared::ptr_eq(&copy.consts, &original.consts));
+    assert!(Shared::ptr_eq(&copy.uniform, &original.uniform));
     assert!(copy.same_as(&original));
     assert_eq!(copy.fingerprint(), original.fingerprint());
 
@@ -113,8 +113,8 @@ fn cloned_state_mutations_stay_isolated() {
     copy.cg.assert_eq_const(x, 7);
     assert!(!Shared::ptr_eq(&copy.cg, &original.cg));
     assert!(
-        Shared::ptr_eq(&copy.consts, &original.consts),
-        "consts were untouched"
+        Shared::ptr_eq(&copy.uniform, &original.uniform),
+        "the uniform set was untouched"
     );
     assert!(!original.cg.has_var(x));
     assert_ne!(copy.fingerprint(), original.fingerprint());
