@@ -1,8 +1,10 @@
 //! Golden equivalence suite for the analysis engine: runs the full
 //! corpus through both clients and compares a semantic snapshot —
 //! verdict shape, matched site pairs (the static topology), pattern
-//! classification, print facts, leaks, match-event kinds and the rendered
-//! match events with their symbolic ranges — against `golden_corpus.txt`.
+//! classification, print facts, leaks, match-event kinds, the engine's
+//! event counts (steps, matches, splits, merges, widenings, promotions,
+//! terminals, ⊤) and the rendered match events with their symbolic
+//! ranges — against `golden_corpus.txt`.
 //!
 //! The snapshot pins every engine change to byte-identical results. To
 //! regenerate after an *intentional* behavior change:
@@ -13,7 +15,11 @@
 
 use std::fmt::Write as _;
 
-use mpl_core::{analyze, classify, AnalysisConfig, Client, StaticTopology, Verdict};
+use mpl_cfg::Cfg;
+use mpl_core::{
+    analyze, analyze_cfg_with, classify, AnalysisConfig, Client, StaticTopology, StatsObserver,
+    Verdict,
+};
 use mpl_lang::corpus;
 
 /// Renders one corpus program under one client as stable text lines.
@@ -23,7 +29,8 @@ fn render_run(out: &mut String, name: &str, client: Client) {
         client,
         ..AnalysisConfig::default()
     };
-    let result = analyze(&prog.program, &config);
+    let mut stats = StatsObserver::new();
+    let result = analyze_cfg_with(&Cfg::build(&prog.program), &config, &mut stats);
 
     let verdict = match &result.verdict {
         Verdict::Exact => "exact".to_owned(),
@@ -36,6 +43,7 @@ fn render_run(out: &mut String, name: &str, client: Client) {
     };
     let _ = writeln!(out, "{name} / {client:?}");
     let _ = writeln!(out, "  verdict: {verdict}");
+    let _ = writeln!(out, "  engine: {}", stats.stats());
 
     let topo = StaticTopology::from_result(&result);
     let pairs: Vec<String> = topo
