@@ -562,17 +562,10 @@ mod branch_split_tests {
     fn ne_branch_swaps_split_sides() {
         // `id != 0` sends the singleton down the FALSE edge.
         let src = "\
-            if id != 0 then\n  send 1 -> 0;\n\
-            else\n  recv y <- np - 1;\nend\n";
-        // Workers [1..np-1] all send to 0; root receives from np-1 only:
-        // exactly one match, everything else unreceived -> leak... avoid
-        // leaks: match only one sender. Use a clean variant instead:
-        let _ = src;
-        let clean = "\
             if id != 0 then\n  skip;\n\
             else\n  x := 1;\nend\n\
             print 3;\n";
-        let result = analyze_src(clean);
+        let result = analyze_src(src);
         assert!(result.is_exact(), "{:?}", result.verdict);
         // Both sides reach the print; value constant 3 on all.
         assert!(result.prints.iter().all(|p| p.value == Some(3)));

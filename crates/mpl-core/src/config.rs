@@ -43,9 +43,6 @@ pub struct AnalysisConfig {
     /// Abort (⊤) if more than this many process sets coexist — the
     /// paper's parameter `p` bounding pCFG node width.
     pub max_psets: usize,
-    /// Allow a blocked send to be buffered (depth 1) so the set can
-    /// advance — the §X aggregation needed for self-exchange patterns.
-    pub allow_pending_sends: bool,
     /// Number of visits to a recurring pCFG location explored exactly
     /// before widening kicks in (delayed widening). Lets bounded concrete
     /// chains (e.g. a 4-block stencil on a 4x4 grid) finish without
@@ -69,7 +66,6 @@ impl Default for AnalysisConfig {
             min_np: 4,
             max_steps: 20_000,
             max_psets: 12,
-            allow_pending_sends: true,
             widen_delay: 6,
             widen_thresholds: mpl_domains::DEFAULT_WIDEN_THRESHOLDS.to_vec(),
             cancel: None,
@@ -165,27 +161,6 @@ mod tests {
             };
             assert_eq!(config.validate(), Ok(()));
         }
-    }
-
-    #[test]
-    fn transpose_requires_pending_sends() {
-        // With strictly blocking sends (no §X aggregation) the whole set
-        // blocks at the send forever: the framework must give up.
-        let prog = corpus::nas_cg_transpose_square(corpus::GridDims::Symbolic);
-        let config = AnalysisConfig {
-            allow_pending_sends: false,
-            ..AnalysisConfig::default()
-        };
-        let result = analyze(&prog.program, &config);
-        assert!(
-            matches!(result.verdict, Verdict::Top { .. }),
-            "{:?}",
-            result.verdict
-        );
-        // Rendezvous-compatible patterns still work without aggregation.
-        let prog = corpus::exchange_with_root();
-        let result = analyze(&prog.program, &config);
-        assert!(result.is_exact(), "{:?}", result.verdict);
     }
 
     #[test]

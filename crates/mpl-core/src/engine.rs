@@ -29,11 +29,11 @@ use std::time::Instant;
 use mpl_cfg::{Cfg, CfgNode, CfgNodeId, EdgeKind};
 use mpl_domains::{ClosureStats, LinExpr, PsetId, VarId};
 use mpl_lang::ast::{BinOp, Expr, Program, UnOp};
-use mpl_procset::{ProcRange, SubtractOutcome};
+use mpl_procset::ProcRange;
 
 use crate::client::ClientDomain;
 use crate::config::AnalysisConfig;
-use crate::matcher::{MatchOutcome, RecvSite, SendSite};
+use crate::matcher::{MatchOutcome, Probe, RecvSite, SendSite};
 use crate::matchset::MatchSet;
 use crate::norm::{LiveNames, NormCtx};
 use crate::observer::{AnalysisObserver, EngineProfile, NoopObserver};
@@ -236,36 +236,31 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
         if let Some(idx) = unblocked {
             return self.advance(st, idx);
         }
-        // 2. All blocked: match sends to receives.
-        if let Some(next) = self.match_step(&st) {
-            return vec![next];
+        // 2. All blocked: match sends to receives, or fork the state on
+        //    an undecidable match comparison (the §VI split driven by
+        //    partially-matched subsets).
+        if let Some(next) = self.match_step(&st, depth) {
+            return next;
         }
-        // 3. Fork the state on an undecidable match comparison (the §VI
-        //    split driven by partially-matched subsets).
-        if let Some(states) = self.ambiguity_split(&st, depth) {
-            return states;
-        }
-        // 4. Buffer a send (depth-1 aggregation).
-        if self.config.allow_pending_sends {
-            let promotable = st.psets.iter().position(|p| {
-                matches!(self.cfg.node(p.node), CfgNode::Send { .. }) && p.pending.is_none()
+        // 3. Buffer a send (depth-1 aggregation, §X).
+        let promotable = st.psets.iter().position(|p| {
+            matches!(self.cfg.node(p.node), CfgNode::Send { .. }) && p.pending.is_none()
+        });
+        if let Some(idx) = promotable {
+            self.observer.on_promote(idx, &st);
+            let mut s = st;
+            let CfgNode::Send { value, dest } = self.cfg.node(s.psets[idx].node).clone() else {
+                unreachable!()
+            };
+            s.psets[idx].pending = Some(PendingSend {
+                node: s.psets[idx].node,
+                value,
+                dest,
             });
-            if let Some(idx) = promotable {
-                self.observer.on_promote(idx, &st);
-                let mut s = st;
-                let CfgNode::Send { value, dest } = self.cfg.node(s.psets[idx].node).clone() else {
-                    unreachable!()
-                };
-                s.psets[idx].pending = Some(PendingSend {
-                    node: s.psets[idx].node,
-                    value,
-                    dest,
-                });
-                s.psets[idx].node = self.cfg.sole_succ(s.psets[idx].node);
-                return vec![s];
-            }
+            s.psets[idx].node = self.cfg.sole_succ(s.psets[idx].node);
+            return vec![s];
         }
-        // 5. Stuck. Pending sends at exit are leaks; receives that can
+        // 4. Stuck. Pending sends at exit are leaks; receives that can
         //    never be satisfied are a deadlock; anything else is ⊤.
         let any_comm_blocked = st.psets.iter().any(|p| {
             matches!(
@@ -621,64 +616,54 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
         (sends, recvs)
     }
 
-    /// Attempts one send–receive match; returns the successor state.
-    fn match_step(&mut self, st: &AnalysisState) -> Option<AnalysisState> {
+    /// Probes every (send, recv) pair once (`matchSendsRecvs`, §VI).
+    /// The first match that applies gives the one successor. Failing
+    /// that, the state forks on the first comparison a probe could not
+    /// decide, and each branch steps again with it decided. `None` when
+    /// nothing matched and nothing is left to split on.
+    fn match_step(&mut self, st: &AnalysisState, depth: u32) -> Option<Vec<AnalysisState>> {
         let matcher = self.domain.matcher();
         let (sends, recvs) = self.comm_sites(st);
+        let mut split = None;
         for send in &sends {
             for recv in &recvs {
                 let mut s = st.clone();
-                if let Some(outcome) =
-                    matcher.try_match(&mut s, send, recv, &self.norm, &self.assumes)
-                {
-                    match self.apply_match(s, send, recv, &outcome) {
-                        Some(next) => return Some(next),
-                        None => self.observer.on_match_rejected(),
-                    }
-                }
+                let undecided =
+                    match matcher.try_match(&mut s, send, recv, &self.norm, &self.assumes) {
+                        Probe::Match(outcome) => {
+                            if let Some(next) = self.apply_match(s, send, recv, &outcome) {
+                                return Some(vec![next]);
+                            }
+                            self.observer.on_match_rejected();
+                            outcome.split
+                        }
+                        Probe::Split(a, b) => Some((a, b)),
+                        Probe::NoMatch => None,
+                    };
+                split = split.or(undecided);
             }
         }
-        None
-    }
-
-    /// Forks the state on the first undecidable comparison blocking a
-    /// match, then advances each branch (the comparison is decided in
-    /// each, so the match proceeds one way or the other).
-    fn ambiguity_split(&mut self, st: &AnalysisState, depth: u32) -> Option<Vec<AnalysisState>> {
         if depth > 8 {
             self.give_up(TopReason::SplitDepthExceeded);
             return Some(Vec::new());
         }
-        let matcher = self.domain.matcher();
-        let (sends, recvs) = self.comm_sites(st);
-        for send in &sends {
-            for recv in &recvs {
-                let mut probe = st.clone();
-                let Some((a, b)) = matcher.split_hint(&mut probe, send, recv, &self.norm) else {
-                    continue;
-                };
-                self.observer.on_split(&a, &b);
-                let mut out = Vec::new();
-                let av = a.var.unwrap_or(VarId::ZERO);
-                let bv = b.var.unwrap_or(VarId::ZERO);
-                // Branch 1: a <= b.
-                let mut s1 = st.clone();
-                s1.cg.assert_le(av, bv, b.offset - a.offset);
-                s1.cg.close();
-                if !s1.cg.is_bottom() {
-                    out.extend(self.step(s1, depth + 1));
-                }
-                // Branch 2: b <= a - 1.
-                let mut s2 = st.clone();
-                s2.cg.assert_le(bv, av, a.offset - b.offset - 1);
-                s2.cg.close();
-                if !s2.cg.is_bottom() {
-                    out.extend(self.step(s2, depth + 1));
-                }
-                return Some(out);
+        let (a, b) = split?;
+        self.observer.on_split(&a, &b);
+        let (av, bv) = (a.var.unwrap_or(VarId::ZERO), b.var.unwrap_or(VarId::ZERO));
+        let mut out = Vec::new();
+        // a ≤ b, then b ≤ a - 1.
+        for (x, y, c) in [
+            (av, bv, b.offset - a.offset),
+            (bv, av, a.offset - b.offset - 1),
+        ] {
+            let mut branch = st.clone();
+            branch.cg.assert_le(x, y, c);
+            branch.cg.close();
+            if !branch.cg.is_bottom() {
+                out.extend(self.step(branch, depth + 1));
             }
         }
-        None
+        Some(out)
     }
 
     /// Applies a successful match: splits/releases the participating
@@ -691,6 +676,7 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
         outcome: &MatchOutcome,
     ) -> Option<AnalysisState> {
         let recv_succ = self.cfg.sole_succ(recv.node);
+        let sender_id = st.psets[send.pset_idx].id;
         st.matches.insert((send.node, recv.node));
         // Capture the event now (the constants are provable in the
         // pre-release state), but only *record* it once the match has
@@ -724,7 +710,14 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
             if !send.pending {
                 return None; // A set cannot be at send and recv at once.
             }
-            self.propagate_value(&mut st, send, recv, recv.pset_idx);
+            self.domain.propagate_received(
+                &self.norm,
+                &mut st,
+                send,
+                recv,
+                sender_id,
+                recv.pset_idx,
+            );
             st.psets[recv.pset_idx].pending = None;
             st.psets[recv.pset_idx].node = recv_succ;
             self.record_match_event(event);
@@ -736,45 +729,23 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
             let range = st.psets[recv.pset_idx].range.clone();
             outcome.r_procs.provably_eq(&mut st.cg, &range)
         };
-        let assigned_ns;
-        if r_full {
-            assigned_ns = st.psets[recv.pset_idx].id;
-            self.propagate_value(&mut st, send, recv, recv.pset_idx);
+        let recv_idx = if r_full {
             st.psets[recv.pset_idx].node = recv_succ;
+            recv.pset_idx
         } else {
-            let range = st.psets[recv.pset_idx].range.clone();
-            let remainder = range.subtract(&mut st.cg, &outcome.r_procs)?;
-            let mut parts: Vec<(ProcRange, CfgNodeId, bool)> =
-                vec![(outcome.r_procs.clone(), recv_succ, true)];
-            match remainder {
-                SubtractOutcome::Empty => {}
-                SubtractOutcome::One(r) => parts.push((r, recv.node, true)),
-                SubtractOutcome::Two(a, b) => {
-                    parts.push((a, recv.node, true));
-                    parts.push((b, recv.node, true));
-                }
-            }
-            let sender_id = st.psets[send.pset_idx].id;
-            st.split_pset(recv.pset_idx, parts);
-            // After split_pset the new psets are appended at the end; the
-            // matched part is the one at recv_succ (first pushed).
-            let receiver_new_idx = st
-                .psets
+            release(&mut st, recv.pset_idx, &outcome.r_procs, recv_succ, true)?;
+            // split_pset appends the new psets at the end; the matched
+            // part is the one at recv_succ (first pushed).
+            st.psets
                 .iter()
                 .position(|p| {
                     p.node == recv_succ && p.range.lb.exprs() == outcome.r_procs.lb.exprs()
                 })
-                .unwrap_or(st.psets.len() - 1);
-            assigned_ns = st.psets[receiver_new_idx].id;
-            self.domain.propagate_received(
-                &self.norm,
-                &mut st,
-                send,
-                recv,
-                sender_id,
-                receiver_new_idx,
-            );
-        }
+                .unwrap_or(st.psets.len() - 1)
+        };
+        self.domain
+            .propagate_received(&self.norm, &mut st, send, recv, sender_id, recv_idx);
+        let assigned_ns = st.psets[recv_idx].id;
 
         // The receiver-side value propagation reassigned `recv.var`, so
         // any alias mentioning it inside the matched ranges is stale and
@@ -813,53 +784,25 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
                 p.node == send.node
             }
         })?;
+        // The matched senders move on: a pending send is cleared where
+        // the set stands, a blocked one steps past its send.
         let s_range = st.psets[send_idx].range.clone();
-        let s_full = s_procs.provably_eq(&mut st.cg, &s_range);
-        if s_full {
+        if s_procs.provably_eq(&mut st.cg, &s_range) {
             if send.pending {
                 st.psets[send_idx].pending = None;
             } else {
                 st.psets[send_idx].node = self.cfg.sole_succ(send.node);
             }
         } else {
-            let remainder = s_range.subtract(&mut st.cg, &s_procs)?;
             let released_node = if send.pending {
                 st.psets[send_idx].node
             } else {
                 self.cfg.sole_succ(send.node)
             };
-            let mut parts: Vec<(ProcRange, CfgNodeId, bool)> = Vec::new();
-            // Matched part: pending cleared (if pending) or advanced.
-            parts.push((s_procs.clone(), released_node, false));
-            match remainder {
-                SubtractOutcome::Empty => {}
-                SubtractOutcome::One(r) => parts.push((r, st.psets[send_idx].node, true)),
-                SubtractOutcome::Two(a, b) => {
-                    parts.push((a, st.psets[send_idx].node, true));
-                    parts.push((b, st.psets[send_idx].node, true));
-                }
-            }
-            // For a non-pending sender the "keep pending" flag is
-            // irrelevant (no pending exists); for a pending sender the
-            // matched part released its pending while the rest keeps it.
-            st.split_pset(send_idx, parts);
+            release(&mut st, send_idx, &s_procs, released_node, false)?;
         }
         self.record_match_event(event);
         Some(st)
-    }
-
-    /// Propagates the sent value into the receiver's variable (Fig 2's
-    /// cross-process constant propagation).
-    fn propagate_value(
-        &self,
-        st: &mut AnalysisState,
-        send: &SendSite,
-        recv: &RecvSite,
-        recv_idx: usize,
-    ) {
-        let sender_id = st.psets[send.pset_idx].id;
-        self.domain
-            .propagate_received(&self.norm, st, send, recv, sender_id, recv_idx);
     }
 
     /// Folds a normalized successor's new matches into the result, then
@@ -898,12 +841,9 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
         if s.cg.is_bottom() || s.psets.is_empty() {
             return false; // Infeasible path.
         }
-        if !s.drop_empty_psets() {
-            // A possibly-empty set would make matching unsound.
-            // Keep going only if it never participates in a
-            // match; conservatively we continue (matching demands
-            // provable non-emptiness anyway).
-        }
+        // A possibly-empty set survives this: it would make matching
+        // unsound, but matching demands provable non-emptiness anyway.
+        s.drop_empty_psets();
         let before = s.psets.len();
         self.domain.join(s);
         s.drop_empty_psets();
@@ -1012,4 +952,29 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
         self.observer.on_match(&event);
         self.events.insert(event.to_string(), event);
     }
+}
+
+/// Splits set `idx` of `st` around `matched`, the subset a match
+/// released: `matched` moves to `node` (keeping its pending send only if
+/// `keep_pending`), while the remainders below and above it stay where
+/// the set stands, pending send included. `None` when the subtraction
+/// is not provable.
+fn release(
+    st: &mut AnalysisState,
+    idx: usize,
+    matched: &ProcRange,
+    node: CfgNodeId,
+    keep_pending: bool,
+) -> Option<()> {
+    let (below, above) = st.psets[idx].range.subtract(&mut st.cg, matched)?;
+    let stay = st.psets[idx].node;
+    let mut parts = vec![(matched.clone(), node, keep_pending)];
+    parts.extend(
+        [below, above]
+            .into_iter()
+            .flatten()
+            .map(|r| (r, stay, true)),
+    );
+    st.split_pset(idx, parts);
+    Some(())
 }

@@ -73,7 +73,7 @@ pub use config::{AnalysisConfig, ConfigError};
 pub use engine::{analyze, analyze_cfg, analyze_cfg_with};
 pub use infoflow::{info_flow, info_flow_with_pairs, InfoFlow};
 pub use json::{json_escape, parse as parse_json, JsonError, JsonValue};
-pub use matcher::{CartesianMatcher, MatchOutcome, MatchStrategy, SimpleMatcher};
+pub use matcher::{CartesianMatcher, MatchOutcome, MatchStrategy, Probe, SimpleMatcher};
 pub use matchset::{MatchPair, MatchSet};
 pub use mpicfg::{mpi_cfg_topology, MpiCfgTopology};
 pub use mpl_runtime::{AdmissionGate, CancelToken, ClientQuotas, QuotaPolicy};

@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 
 use mpl_cfg::CfgNodeId;
-use mpl_domains::{intern_name, PsetId, VarId};
+use mpl_domains::{intern_name, ConstraintGraph, LinExpr, PsetId, VarId};
 use mpl_hsm::{compose_exprs, AssumptionCtx, Hsm, SymPoly};
 use mpl_lang::ast::{BinOp, Expr};
 use mpl_procset::{Bound, ProcRange};
@@ -84,12 +84,30 @@ pub struct MatchOutcome {
     pub r_procs: ProcRange,
     /// The shape of the match.
     pub kind: MatchKind,
+    /// The comparison to fork on should the engine fail to release the
+    /// matched subsets: the first containment of a matched subset in
+    /// its set that the state cannot decide (for an HSM match, the
+    /// §VII probe's [`Probe::Split`]).
+    pub split: Option<(LinExpr, LinExpr)>,
+}
+
+/// What probing one (send, recv) pair found: the paper's one
+/// `matchSendsRecvs` decision (§VI).
+#[derive(Debug, Clone)]
+pub enum Probe {
+    /// The pair provably matches.
+    Match(Box<MatchOutcome>),
+    /// The match hinges on a comparison `a ≤ b` the state cannot
+    /// decide. The engine forks the state on it, "because one subset's
+    /// send or receive gets matched and the other's does not".
+    Split(LinExpr, LinExpr),
+    /// Not provably matched, and no split would change that.
+    NoMatch,
 }
 
 /// A pluggable `matchSendsRecvs` implementation.
 pub trait MatchStrategy {
-    /// Attempts to match `send` against `recv` in `st`. On success
-    /// returns the matched subsets; `None` means "not provably matched".
+    /// Probes `send` against `recv` in `st`.
     fn try_match(
         &self,
         st: &mut AnalysisState,
@@ -97,22 +115,17 @@ pub trait MatchStrategy {
         recv: &RecvSite,
         norm: &NormCtx,
         assumes: &[Expr],
-    ) -> Option<MatchOutcome>;
+    ) -> Probe;
+}
 
-    /// When `try_match` failed *only* because a bound comparison was
-    /// undecidable, returns the expression pair whose relation would
-    /// decide it. The engine then forks the analysis state on that
-    /// comparison — realizing the paper's §VI split "because one subset's
-    /// send or receive gets matched and the other's does not".
-    fn split_hint(
-        &self,
-        _st: &mut AnalysisState,
-        _send: &SendSite,
-        _recv: &RecvSite,
-        _norm: &NormCtx,
-    ) -> Option<(mpl_domains::LinExpr, mpl_domains::LinExpr)> {
-        None
-    }
+/// A condition a match needs: `Ok` when the state proves it,
+/// `Err(Some((a, b)))` when only a fork on `a ≤ b` could decide it, and
+/// `Err(None)` when the state refutes it.
+type Proof = Result<(), Option<(LinExpr, LinExpr)>>;
+
+/// The comparison the first undecided condition of `proofs` forks on.
+fn first_split(proofs: impl IntoIterator<Item = Proof>) -> Option<(LinExpr, LinExpr)> {
+    proofs.into_iter().find_map(|p| p.err().flatten())
 }
 
 /// The §VII client: `var + c` message expressions.
@@ -127,70 +140,62 @@ impl MatchStrategy for SimpleMatcher {
         recv: &RecvSite,
         norm: &NormCtx,
         _assumes: &[Expr],
-    ) -> Option<MatchOutcome> {
-        let ps = st.psets[send.pset_idx].id;
-        let pr = st.psets[recv.pset_idx].id;
+    ) -> Probe {
         if send.pset_idx == recv.pset_idx {
             // Self-exchanges need the HSM client.
-            return None;
+            return Probe::NoMatch;
         }
-        let dest = norm.linearize_resolved(&send.dest, ps, &mut st.cg)?;
-        let src = norm.linearize_resolved(&recv.src, pr, &mut st.cg)?;
+        let ps = st.psets[send.pset_idx].id;
+        let pr = st.psets[recv.pset_idx].id;
+        let Some(dest) = norm.linearize_resolved(&send.dest, ps, &mut st.cg) else {
+            return Probe::NoMatch;
+        };
+        let Some(src) = norm.linearize_resolved(&recv.src, pr, &mut st.cg) else {
+            return Probe::NoMatch;
+        };
         let s_range = st.psets[send.pset_idx].range.clone();
         let r_range = st.psets[recv.pset_idx].range.clone();
         if s_range.is_vacant() || r_range.is_vacant() {
-            return None;
+            return Probe::NoMatch;
         }
 
-        let id_s = VarId::id_of(ps);
-        let id_r = VarId::id_of(pr);
-        let dest_uses_id = dest.var == Some(id_s);
-        let src_uses_id = src.var == Some(id_r);
+        let dest_uses_id = dest.var == Some(VarId::id_of(ps));
+        let src_uses_id = src.var == Some(VarId::id_of(pr));
 
         // Each case singles out the matched senders; the receivers are
         // always their image under the destination expression.
-        let (s_procs, kind, check_r) = match (dest_uses_id, src_uses_id) {
+        let (mut s_procs, kind) = match (dest_uses_id, src_uses_id) {
             (true, true) => {
                 // dest = id + c, src = id + d: composition is the
                 // identity iff d = -c.
                 if !dest.composes_to_identity_with(&src) {
-                    return None;
+                    return Probe::NoMatch;
                 }
                 // Maximal matched senders: S ∩ (R - c).
                 let shifted_r = r_range.plus(-dest.offset);
-                let mut s_procs = intersect(st, &s_range, &shifted_r).ok()?;
-                s_procs.saturate(&mut st.cg);
-                // The intersection construction already bounds the image
-                // inside R; no containment check needed.
-                (
-                    s_procs,
-                    MatchKind::Shift {
-                        offset: dest.offset,
-                    },
-                    false,
-                )
+                match intersect(st, &s_range, &shifted_r) {
+                    Ok(s_procs) => (
+                        s_procs,
+                        MatchKind::Shift {
+                            offset: dest.offset,
+                        },
+                    ),
+                    Err((a, b)) => return Probe::Split(a, b),
+                }
             }
-            (false, true) => {
-                // dest uniform t, src = id + d: the receiver at rank t
-                // expects sender t + d; only that sender matches.
-                let mut s_procs = ProcRange::singleton(dest.plus(src.offset));
-                s_procs.saturate(&mut st.cg);
-                (s_procs, MatchKind::UniformPair, true)
-            }
-            (true, false) | (false, false) => {
-                // src uniform m: only sender m matches, landing on
-                // receiver m + c (per-process dest) or the uniform t.
-                // The (false, false) identity condition dest(m) = t with
-                // src(t) = m holds by construction once both singletons
-                // lie in their sets.
-                let mut s_procs = ProcRange::singleton(src);
-                s_procs.saturate(&mut st.cg);
-                (s_procs, MatchKind::UniformPair, true)
-            }
+            // dest uniform t, src = id + d: the receiver at rank t
+            // expects sender t + d; only that sender matches.
+            (false, true) => (
+                ProcRange::singleton(dest.plus(src.offset)),
+                MatchKind::UniformPair,
+            ),
+            // src uniform m: only sender m matches, landing on receiver
+            // m + c (per-process dest) or the uniform t. The (false,
+            // false) identity condition dest(m) = t with src(t) = m holds
+            // by construction once both singletons lie in their sets.
+            (true, false) | (false, false) => (ProcRange::singleton(src), MatchKind::UniformPair),
         };
-        if check_r && !s_range.provably_contains(&mut st.cg, &s_procs) {
-            return None;
-        }
+        s_procs.saturate(&mut st.cg);
         // The receivers are the senders' image under the destination: a
         // per-process `id + c` shifts them, a set-uniform expression
         // collapses them to the one targeted rank.
@@ -200,133 +205,86 @@ impl MatchStrategy for SimpleMatcher {
             ProcRange::singleton(dest)
         };
         r_procs.saturate(&mut st.cg);
-        if check_r && !r_range.provably_contains(&mut st.cg, &r_procs) {
-            return None;
-        }
-        let outcome = MatchOutcome {
-            s_procs,
-            r_procs,
-            kind,
-        };
 
-        // The matched subsets must be provably non-empty.
-        let mut st_cg = st.cg.clone();
-        if outcome.s_procs.is_empty(&mut st_cg) != Some(false)
-            || outcome.r_procs.is_empty(&mut st_cg) != Some(false)
-        {
-            return None;
+        let cg = &mut *st.cg;
+        let senders_inside = contained(cg, &s_range, &s_procs);
+        let receivers_inside = contained(cg, &r_range, &r_procs);
+        if let MatchKind::Shift { .. } = kind {
+            // The intersection lies inside both sets by construction, so
+            // the match needs only provably non-empty subsets. Releasing
+            // them re-checks their containment.
+            let nonempty = [non_empty(cg, &s_procs), non_empty(cg, &r_procs)];
+            if nonempty == [Ok(()), Ok(())] {
+                let split = first_split([senders_inside, receivers_inside]);
+                return Probe::Match(Box::new(MatchOutcome {
+                    s_procs,
+                    r_procs,
+                    kind,
+                    split,
+                }));
+            }
+            let all = nonempty
+                .into_iter()
+                .chain([senders_inside, receivers_inside]);
+            return split_or_no_match(first_split(all));
         }
-        Some(outcome)
-    }
-
-    fn split_hint(
-        &self,
-        st: &mut AnalysisState,
-        send: &SendSite,
-        recv: &RecvSite,
-        norm: &NormCtx,
-    ) -> Option<(mpl_domains::LinExpr, mpl_domains::LinExpr)> {
-        if send.pset_idx == recv.pset_idx {
-            return None;
+        if senders_inside.is_ok() && receivers_inside.is_ok() {
+            if non_empty(cg, &s_procs).is_ok() && non_empty(cg, &r_procs).is_ok() {
+                return Probe::Match(Box::new(MatchOutcome {
+                    s_procs,
+                    r_procs,
+                    kind,
+                    split: None,
+                }));
+            }
+            return Probe::NoMatch;
         }
-        let ps = st.psets[send.pset_idx].id;
-        let pr = st.psets[recv.pset_idx].id;
-        let dest = norm.linearize_resolved(&send.dest, ps, &mut st.cg)?;
-        let src = norm.linearize_resolved(&recv.src, pr, &mut st.cg)?;
-        let s_range = st.psets[send.pset_idx].range.clone();
-        let r_range = st.psets[recv.pset_idx].range.clone();
-        let id_s = VarId::id_of(ps);
-        let id_r = VarId::id_of(pr);
-        match (dest.var == Some(id_s), src.var == Some(id_r)) {
-            (true, true) => {
-                if dest.offset + src.offset != 0 {
-                    return None;
-                }
-                // The comparison intersect() could not decide — or, once
-                // the matched subsets exist, an undecidable emptiness or
-                // the containment comparison the releasing subtraction
-                // needs.
-                let shifted = r_range.plus(-dest.offset);
-                match intersect(st, &s_range, &shifted) {
-                    Err(hint) => Some(hint),
-                    Ok(s_procs) => {
-                        let mut r_procs = s_procs.plus(dest.offset);
-                        r_procs.saturate(&mut st.cg);
-                        emptiness_hint(st, &s_procs)
-                            .or_else(|| emptiness_hint(st, &r_procs))
-                            .or_else(|| containment_hint(st, &s_range, &s_procs))
-                            .or_else(|| containment_hint(st, &r_range, &r_procs))
-                    }
-                }
-            }
-            (false, true) => {
-                let mut r_procs = ProcRange::singleton(dest);
-                r_procs.saturate(&mut st.cg);
-                containment_hint(st, &r_range, &r_procs)
-            }
-            (true, false) => {
-                let mut s_procs = ProcRange::singleton(src);
-                s_procs.saturate(&mut st.cg);
-                containment_hint(st, &s_range, &s_procs).or_else(|| {
-                    let mut r_procs = ProcRange::singleton(src.plus(dest.offset));
-                    r_procs.saturate(&mut st.cg);
-                    containment_hint(st, &r_range, &r_procs)
-                })
-            }
-            (false, false) => {
-                let mut s_procs = ProcRange::singleton(src);
-                s_procs.saturate(&mut st.cg);
-                containment_hint(st, &s_range, &s_procs).or_else(|| {
-                    let mut r_procs = ProcRange::singleton(dest);
-                    r_procs.saturate(&mut st.cg);
-                    containment_hint(st, &r_range, &r_procs)
-                })
-            }
-        }
+        // A uniform destination forks only on where its receiver lies, a
+        // uniform source first on where its sender lies.
+        split_or_no_match(if src_uses_id {
+            first_split([receivers_inside])
+        } else {
+            first_split([senders_inside, receivers_inside])
+        })
     }
 }
 
-/// The bound pair whose relation decides whether `r` is empty, when
-/// undecidable.
-fn emptiness_hint(
-    st: &mut AnalysisState,
-    r: &ProcRange,
-) -> Option<(mpl_domains::LinExpr, mpl_domains::LinExpr)> {
-    if r.is_empty(&mut st.cg).is_some() || r.is_vacant() {
-        return None;
+/// `Split` on the comparison, if there is one.
+fn split_or_no_match(split: Option<(LinExpr, LinExpr)>) -> Probe {
+    match split {
+        Some((a, b)) => Probe::Split(a, b),
+        None => Probe::NoMatch,
     }
-    Some((*r.lb.rep(), *r.ub.rep()))
 }
 
-/// The first undecidable comparison preventing `outer ⊇ inner` — `None`
-/// both when containment holds and when it provably fails (splitting
-/// would not help either way).
-fn containment_hint(
-    st: &mut AnalysisState,
-    outer: &ProcRange,
-    inner: &ProcRange,
-) -> Option<(mpl_domains::LinExpr, mpl_domains::LinExpr)> {
-    if !outer.lb.provably_le(&mut st.cg, &inner.lb) {
-        if inner.lb.provably_lt(&mut st.cg, &outer.lb) {
-            return None; // Provably outside: no split helps.
-        }
-        return Some((*outer.lb.rep(), *inner.lb.rep()));
+/// Whether `r` is provably non-empty; undecided, a fork on `lb ≤ ub`
+/// decides it.
+fn non_empty(cg: &mut ConstraintGraph, r: &ProcRange) -> Proof {
+    match r.is_empty(cg) {
+        Some(false) => Ok(()),
+        Some(true) => Err(None),
+        None => Err((!r.is_vacant()).then(|| (*r.lb.rep(), *r.ub.rep()))),
     }
-    if !inner.ub.provably_le(&mut st.cg, &outer.ub) {
-        if outer.ub.provably_lt(&mut st.cg, &inner.ub) {
-            return None;
-        }
-        return Some((*inner.ub.rep(), *outer.ub.rep()));
-    }
-    None
 }
 
-/// The larger of two bounds, or the undecided pair as a split hint.
-fn max_bound(
-    st: &mut AnalysisState,
-    a: &Bound,
-    b: &Bound,
-) -> Result<Bound, (mpl_domains::LinExpr, mpl_domains::LinExpr)> {
+/// Whether `outer ⊇ inner` is provable; undecided, the first bound
+/// comparison that would decide it.
+fn contained(cg: &mut ConstraintGraph, outer: &ProcRange, inner: &ProcRange) -> Proof {
+    if !outer.lb.provably_le(cg, &inner.lb) {
+        return Err(
+            (!inner.lb.provably_lt(cg, &outer.lb)).then(|| (*outer.lb.rep(), *inner.lb.rep()))
+        );
+    }
+    if !inner.ub.provably_le(cg, &outer.ub) {
+        return Err(
+            (!outer.ub.provably_lt(cg, &inner.ub)).then(|| (*inner.ub.rep(), *outer.ub.rep()))
+        );
+    }
+    Ok(())
+}
+
+/// The larger of two bounds, or the undecided pair as a split.
+fn max_bound(st: &mut AnalysisState, a: &Bound, b: &Bound) -> Result<Bound, (LinExpr, LinExpr)> {
     if b.provably_le(&mut st.cg, a) {
         Ok(a.clone())
     } else if a.provably_le(&mut st.cg, b) {
@@ -336,12 +294,8 @@ fn max_bound(
     }
 }
 
-/// The smaller of two bounds, or the undecided pair as a split hint.
-fn min_bound(
-    st: &mut AnalysisState,
-    a: &Bound,
-    b: &Bound,
-) -> Result<Bound, (mpl_domains::LinExpr, mpl_domains::LinExpr)> {
+/// The smaller of two bounds, or the undecided pair as a split.
+fn min_bound(st: &mut AnalysisState, a: &Bound, b: &Bound) -> Result<Bound, (LinExpr, LinExpr)> {
     if a.provably_le(&mut st.cg, b) {
         Ok(a.clone())
     } else if b.provably_le(&mut st.cg, a) {
@@ -352,13 +306,12 @@ fn min_bound(
 }
 
 /// Intersection of two ranges when the bound order is provable; `Err`
-/// carries the undecided comparison as a split hint.
-#[allow(clippy::type_complexity)]
+/// carries the undecided comparison as a split.
 fn intersect(
     st: &mut AnalysisState,
     a: &ProcRange,
     b: &ProcRange,
-) -> Result<ProcRange, (mpl_domains::LinExpr, mpl_domains::LinExpr)> {
+) -> Result<ProcRange, (LinExpr, LinExpr)> {
     let lb = max_bound(st, &a.lb, &b.lb)?;
     let ub = min_bound(st, &a.ub, &b.ub)?;
     let mut r = ProcRange::new(lb, ub);
@@ -371,15 +324,6 @@ fn intersect(
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CartesianMatcher;
 
-impl CartesianMatcher {
-    /// The §VII strategy this one extends: everything outside the HSM
-    /// fragment is delegated here, so the simple matching rules live in
-    /// exactly one place.
-    pub(crate) const fn base(&self) -> &'static SimpleMatcher {
-        &SimpleMatcher
-    }
-}
-
 impl MatchStrategy for CartesianMatcher {
     fn try_match(
         &self,
@@ -388,49 +332,53 @@ impl MatchStrategy for CartesianMatcher {
         recv: &RecvSite,
         norm: &NormCtx,
         assumes: &[Expr],
-    ) -> Option<MatchOutcome> {
-        if let Some(out) = self.base().try_match(st, send, recv, norm, assumes) {
-            return Some(out);
+    ) -> Probe {
+        // Everything outside the HSM fragment is the §VII strategy's, so
+        // the simple matching rules live in exactly one place.
+        let simple = SimpleMatcher.try_match(st, send, recv, norm, assumes);
+        let split = match simple {
+            Probe::Match(_) => return simple,
+            Probe::Split(a, b) => Some((a, b)),
+            Probe::NoMatch => None,
+        };
+        match hsm_match(st, send, recv, norm, assumes) {
+            Some((s_procs, r_procs)) => Probe::Match(Box::new(MatchOutcome {
+                s_procs,
+                r_procs,
+                kind: MatchKind::SelfPermutation,
+                split,
+            })),
+            None => split_or_no_match(split),
         }
-        // Whole-set HSM matching (the transpose pattern): both sets are
-        // matched in full.
-        let s_range = st.psets[send.pset_idx].range.clone();
-        let r_range = st.psets[recv.pset_idx].range.clone();
-        let ctx = build_assumption_ctx(st, norm, assumes);
-        let (s_lb, s_n) = range_to_polys(st, &s_range, &ctx)?;
-        let (r_lb, r_n) = range_to_polys(st, &r_range, &ctx)?;
-        if !ctx.pos(&s_n) || !ctx.pos(&r_n) {
-            return None;
-        }
-        let vars_s = uniform_vars(st, norm, &send.dest, st.psets[send.pset_idx].id)?;
-        let vars_r = uniform_vars(st, norm, &recv.src, st.psets[recv.pset_idx].id)?;
-        let id_s = Hsm::range(s_lb.clone(), s_n.clone());
-        let (h_send, composed) =
-            compose_exprs(&send.dest, &recv.src, &id_s, &vars_s, &vars_r, &ctx).ok()?;
-        // Surjection of the send expression onto the receiver set.
-        if !h_send.is_surjection_onto(&r_lb, &r_n, &ctx) {
-            return None;
-        }
-        // Composition (recv ∘ send) must be the identity on the senders.
-        if !composed.is_identity_on(&s_lb, &s_n, &ctx) {
-            return None;
-        }
-        Some(MatchOutcome {
-            s_procs: s_range,
-            r_procs: r_range,
-            kind: MatchKind::SelfPermutation,
-        })
     }
+}
 
-    fn split_hint(
-        &self,
-        st: &mut AnalysisState,
-        send: &SendSite,
-        recv: &RecvSite,
-        norm: &NormCtx,
-    ) -> Option<(mpl_domains::LinExpr, mpl_domains::LinExpr)> {
-        self.base().split_hint(st, send, recv, norm)
+/// Whole-set HSM matching (the transpose pattern): both sets are matched
+/// in full, so the result is the two sets' ranges.
+fn hsm_match(
+    st: &mut AnalysisState,
+    send: &SendSite,
+    recv: &RecvSite,
+    norm: &NormCtx,
+    assumes: &[Expr],
+) -> Option<(ProcRange, ProcRange)> {
+    let s_range = st.psets[send.pset_idx].range.clone();
+    let r_range = st.psets[recv.pset_idx].range.clone();
+    let ctx = build_assumption_ctx(st, norm, assumes);
+    let (s_lb, s_n) = range_to_polys(&s_range, &ctx)?;
+    let (r_lb, r_n) = range_to_polys(&r_range, &ctx)?;
+    if !ctx.pos(&s_n) || !ctx.pos(&r_n) {
+        return None;
     }
+    let vars_s = uniform_vars(st, norm, &send.dest, st.psets[send.pset_idx].id)?;
+    let vars_r = uniform_vars(st, norm, &recv.src, st.psets[recv.pset_idx].id)?;
+    let id_s = Hsm::range(s_lb.clone(), s_n.clone());
+    let (h_send, composed) =
+        compose_exprs(&send.dest, &recv.src, &id_s, &vars_s, &vars_r, &ctx).ok()?;
+    // Surjection of the send expression onto the receiver set, and the
+    // composition (recv ∘ send) must be the identity on the senders.
+    (h_send.is_surjection_onto(&r_lb, &r_n, &ctx) && composed.is_identity_on(&s_lb, &s_n, &ctx))
+        .then_some((s_range, r_range))
 }
 
 /// Builds the HSM assumption context from the program's `assume`
@@ -498,15 +446,10 @@ fn expr_to_poly(e: &Expr, norm: &NormCtx, st: &mut AnalysisState) -> Option<SymP
 
 /// Converts a range's bounds to `(lb, size)` polynomials, trying each
 /// bound alias.
-fn range_to_polys(
-    st: &mut AnalysisState,
-    r: &ProcRange,
-    ctx: &AssumptionCtx,
-) -> Option<(SymPoly, SymPoly)> {
+fn range_to_polys(r: &ProcRange, ctx: &AssumptionCtx) -> Option<(SymPoly, SymPoly)> {
     let lb = bound_to_poly(&r.lb)?;
     let ub = bound_to_poly(&r.ub)?;
     let n = ctx.normalize(&(ub - lb.clone() + SymPoly::constant(1)));
-    let _ = st;
     Some((ctx.normalize(&lb), n))
 }
 
@@ -586,6 +529,14 @@ mod tests {
         }
     }
 
+    /// The outcome of a probe that must match.
+    fn matched(probe: Probe) -> MatchOutcome {
+        match probe {
+            Probe::Match(out) => *out,
+            other => panic!("expected a match, got {other:?}"),
+        }
+    }
+
     /// Splits the initial all-procs set into [0..0] and [1..np-1].
     fn split_root(st: &mut AnalysisState, root_node: CfgNodeId, rest_node: CfgNodeId) {
         let root = ProcRange::from_exprs(LinExpr::constant(0), LinExpr::constant(0));
@@ -598,15 +549,13 @@ mod tests {
         // Senders [0..0] with dest id+1; receivers [1..np-1] with src id-1.
         let (_, norm, mut st) = setup("x := 1;");
         split_root(&mut st, CfgNodeId(10), CfgNodeId(11));
-        let out = SimpleMatcher
-            .try_match(
-                &mut st,
-                &send_site(0, "id + 1"),
-                &recv_site(1, "id - 1"),
-                &norm,
-                &[],
-            )
-            .expect("should match");
+        let out = matched(SimpleMatcher.try_match(
+            &mut st,
+            &send_site(0, "id + 1"),
+            &recv_site(1, "id - 1"),
+            &norm,
+            &[],
+        ));
         // Senders [0..0] map onto receivers [1..1].
         assert!(out.s_procs.provably_eq(
             &mut st.cg,
@@ -622,15 +571,14 @@ mod tests {
     fn shift_mismatched_offsets_do_not_match() {
         let (_, norm, mut st) = setup("x := 1;");
         split_root(&mut st, CfgNodeId(10), CfgNodeId(11));
-        assert!(SimpleMatcher
-            .try_match(
-                &mut st,
-                &send_site(0, "id + 1"),
-                &recv_site(1, "id - 2"),
-                &norm,
-                &[]
-            )
-            .is_none());
+        let probe = SimpleMatcher.try_match(
+            &mut st,
+            &send_site(0, "id + 1"),
+            &recv_site(1, "id - 2"),
+            &norm,
+            &[],
+        );
+        assert!(matches!(probe, Probe::NoMatch), "{probe:?}");
     }
 
     #[test]
@@ -643,9 +591,13 @@ mod tests {
         let iv = VarId::pset_var(root, intern_name("i"));
         st.cg.assert_le(VarId::ZERO, iv, -1); // i >= 1
         st.cg.assert_le(iv, VarId::NP, -1); // i <= np-1
-        let out = SimpleMatcher
-            .try_match(&mut st, &send_site(0, "i"), &recv_site(1, "0"), &norm, &[])
-            .expect("should match");
+        let out = matched(SimpleMatcher.try_match(
+            &mut st,
+            &send_site(0, "i"),
+            &recv_site(1, "0"),
+            &norm,
+            &[],
+        ));
         assert!(out.s_procs.is_singleton(&mut st.cg));
         assert!(out.r_procs.is_singleton(&mut st.cg));
         // The receiver bound carries the symbolic alias i.
@@ -654,12 +606,18 @@ mod tests {
 
     #[test]
     fn broadcast_requires_receiver_in_range() {
-        // i unconstrained: [i..i] ⊆ [1..np-1] is not provable.
+        // i unconstrained: [i..i] ⊆ [1..np-1] is not provable, so the
+        // state forks on 1 ≤ i.
         let (_, norm, mut st) = setup("i := 1;");
         split_root(&mut st, CfgNodeId(10), CfgNodeId(11));
-        assert!(SimpleMatcher
-            .try_match(&mut st, &send_site(0, "i"), &recv_site(1, "0"), &norm, &[])
-            .is_none());
+        let iv = VarId::pset_var(st.psets[0].id, intern_name("i"));
+        let probe =
+            SimpleMatcher.try_match(&mut st, &send_site(0, "i"), &recv_site(1, "0"), &norm, &[]);
+        let Probe::Split(a, b) = probe else {
+            panic!("expected a split, got {probe:?}")
+        };
+        assert_eq!((a, b), (LinExpr::constant(1), LinExpr::of_var(iv)));
+        assert_eq!(format!("{a} {b}"), "1 P1.i");
     }
 
     #[test]
@@ -668,20 +626,17 @@ mod tests {
         // sender 0 → receiver 1.
         let (_, norm, mut st) = setup("x := 1;");
         split_root(&mut st, CfgNodeId(10), CfgNodeId(11));
-        let out = SimpleMatcher
-            .try_match(
-                &mut st,
-                &send_site(0, "id + 1"),
-                &recv_site(1, "0"),
-                &norm,
-                &[],
-            )
-            .expect("should match");
+        let out = matched(SimpleMatcher.try_match(
+            &mut st,
+            &send_site(0, "id + 1"),
+            &recv_site(1, "0"),
+            &norm,
+            &[],
+        ));
         assert!(out.r_procs.provably_eq(
             &mut st.cg,
             &ProcRange::from_exprs(LinExpr::constant(1), LinExpr::constant(1))
         ));
-        let _ = out;
     }
 
     #[test]
@@ -694,9 +649,14 @@ mod tests {
             0,
             vec![(zero, CfgNodeId(10), false), (one, CfgNodeId(11), false)],
         );
-        let out = SimpleMatcher
-            .try_match(&mut st, &send_site(0, "1"), &recv_site(1, "0"), &norm, &[])
-            .expect("fig2 send must match");
+        let out = matched(SimpleMatcher.try_match(
+            &mut st,
+            &send_site(0, "1"),
+            &recv_site(1, "0"),
+            &norm,
+            &[],
+        ));
+        assert!(out.split.is_none());
         assert!(out.s_procs.is_singleton(&mut st.cg));
         assert!(out.r_procs.is_singleton(&mut st.cg));
     }
@@ -726,9 +686,7 @@ mod tests {
             pending: true,
         };
         let recv = recv_site(0, expr);
-        let out = CartesianMatcher
-            .try_match(&mut st, &send, &recv, &norm, &assumes)
-            .expect("transpose must match");
+        let out = matched(CartesianMatcher.try_match(&mut st, &send, &recv, &norm, &assumes));
         assert!(out.s_procs.provably_eq(&mut st.cg, &ProcRange::all_procs()));
         assert!(out.r_procs.provably_eq(&mut st.cg, &ProcRange::all_procs()));
     }
@@ -744,9 +702,8 @@ mod tests {
             pending: true,
         };
         let recv = recv_site(0, "(id + np - 1) % np");
-        assert!(CartesianMatcher
-            .try_match(&mut st, &send, &recv, &norm, &[])
-            .is_none());
+        let probe = CartesianMatcher.try_match(&mut st, &send, &recv, &norm, &[]);
+        assert!(matches!(probe, Probe::NoMatch), "{probe:?}");
     }
 
     fn parse_dest(src: &str) -> Expr {
@@ -761,14 +718,13 @@ mod tests {
     #[test]
     fn simple_matcher_rejects_self_pset() {
         let (_, norm, mut st) = setup("x := 1;");
-        assert!(SimpleMatcher
-            .try_match(
-                &mut st,
-                &send_site(0, "id + 1"),
-                &recv_site(0, "id - 1"),
-                &norm,
-                &[]
-            )
-            .is_none());
+        let probe = SimpleMatcher.try_match(
+            &mut st,
+            &send_site(0, "id + 1"),
+            &recv_site(0, "id - 1"),
+            &norm,
+            &[],
+        );
+        assert!(matches!(probe, Probe::NoMatch), "{probe:?}");
     }
 }

@@ -188,12 +188,6 @@ impl MpiCfgTopology {
     pub fn all_pairs(&self) -> usize {
         self.all_pairs
     }
-
-    /// How many pairs sequential pruning removed.
-    #[must_use]
-    pub fn pruned(&self) -> usize {
-        self.all_pairs - self.pairs.len()
-    }
 }
 
 impl fmt::Display for MpiCfgTopology {

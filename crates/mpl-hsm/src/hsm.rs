@@ -102,12 +102,6 @@ impl Hsm {
         ctx.normalize(&n)
     }
 
-    /// True if this is a single scalar.
-    #[must_use]
-    pub fn is_scalar(&self) -> bool {
-        self.levels.is_empty()
-    }
-
     /// Enumerates the concrete sequence under symbol bindings.
     /// Returns `None` if a symbol is unbound, a rep is non-positive, or
     /// the sequence exceeds `1 << 20` elements.
@@ -705,7 +699,6 @@ mod tests {
     fn len_multiplies_reps() {
         let h = Hsm::leaf(c(0)).repeat(s("a"), c(1)).repeat(s("b"), c(10));
         assert_eq!(h.len(&ctx()), s("a") * s("b"));
-        assert!(Hsm::leaf(c(3)).is_scalar());
         assert_eq!(Hsm::leaf(c(3)).len(&ctx()), c(1));
     }
 

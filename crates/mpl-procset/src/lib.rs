@@ -17,4 +17,4 @@ pub mod bound;
 pub mod range;
 
 pub use bound::Bound;
-pub use range::{ProcRange, SubtractOutcome};
+pub use range::ProcRange;

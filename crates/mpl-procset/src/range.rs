@@ -15,17 +15,6 @@ pub struct ProcRange {
     pub ub: Bound,
 }
 
-/// The result of subtracting one range from another (when decidable).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SubtractOutcome {
-    /// Nothing left: the subtrahend covers the whole range.
-    Empty,
-    /// A single contiguous remainder.
-    One(ProcRange),
-    /// The subtrahend sat strictly inside: two remainders (low, high).
-    Two(ProcRange, ProcRange),
-}
-
 impl ProcRange {
     /// `[lb..ub]` from bounds.
     #[must_use]
@@ -133,18 +122,18 @@ impl ProcRange {
         ProcRange::new(self.lb.widen(&newer.lb), self.ub.widen(&newer.ub))
     }
 
-    /// `self − sub`. Requires `sub` to be provably non-empty and
-    /// contained in `self`; the remainders
-    /// `[self.lb .. sub.lb-1]` and `[sub.ub+1 .. self.ub]` are then
-    /// correct *regardless of whether they are empty* (an empty symbolic
-    /// range simply denotes no processes), so only provably-empty
-    /// remainders are filtered out here — possibly-empty ones are
+    /// `self − sub`: the remainders `[self.lb .. sub.lb-1]` below `sub`
+    /// and `[sub.ub+1 .. self.ub]` above it. Requires `sub` to be
+    /// provably non-empty and contained in `self`; the remainders are
+    /// then correct *regardless of whether they are empty* (an empty
+    /// symbolic range simply denotes no processes), so only a
+    /// provably-empty remainder is `None` — a possibly-empty one is
     /// returned and resolved by later facts (e.g. the loop-exit edge of
     /// Fig 5 proving `[np..np-1]` empty).
     ///
     /// ```
     /// use mpl_domains::{ConstraintGraph, LinExpr, VarId};
-    /// use mpl_procset::{ProcRange, SubtractOutcome};
+    /// use mpl_procset::ProcRange;
     ///
     /// let mut cg = ConstraintGraph::new();
     /// cg.assert_le(VarId::ZERO, VarId::NP, -4); // np >= 4
@@ -153,26 +142,26 @@ impl ProcRange {
     ///     LinExpr::var_plus(VarId::NP, -1),
     /// );
     /// let matched = ProcRange::from_exprs(LinExpr::constant(1), LinExpr::constant(1));
-    /// let SubtractOutcome::One(rest) = receivers.subtract(&mut cg, &matched).unwrap()
-    /// else { unreachable!() };
-    /// assert_eq!(rest.to_string(), "[2..np-1]");
+    /// let (below, above) = receivers.subtract(&mut cg, &matched).unwrap();
+    /// assert!(below.is_none());
+    /// assert_eq!(above.unwrap().to_string(), "[2..np-1]");
     /// ```
-    pub fn subtract(&self, cg: &mut ConstraintGraph, sub: &ProcRange) -> Option<SubtractOutcome> {
+    pub fn subtract(
+        &self,
+        cg: &mut ConstraintGraph,
+        sub: &ProcRange,
+    ) -> Option<(Option<ProcRange>, Option<ProcRange>)> {
         if !self.provably_contains(cg, sub) || sub.is_empty(cg) != Some(false) {
             return None;
         }
-        let mut low = ProcRange::new(self.lb.clone(), sub.lb.plus(-1));
-        low.saturate(cg);
-        let mut high = ProcRange::new(sub.ub.plus(1), self.ub.clone());
-        high.saturate(cg);
-        let keep_low = low.is_empty(cg) != Some(true);
-        let keep_high = high.is_empty(cg) != Some(true);
-        Some(match (keep_low, keep_high) {
-            (false, false) => SubtractOutcome::Empty,
-            (true, false) => SubtractOutcome::One(low),
-            (false, true) => SubtractOutcome::One(high),
-            (true, true) => SubtractOutcome::Two(low, high),
-        })
+        let mut keep = |mut r: ProcRange| {
+            r.saturate(cg);
+            (r.is_empty(cg) != Some(true)).then_some(r)
+        };
+        Some((
+            keep(ProcRange::new(self.lb.clone(), sub.lb.plus(-1))),
+            keep(ProcRange::new(sub.ub.plus(1), self.ub.clone())),
+        ))
     }
 
     /// The concrete size of the range, when both bounds are constants.
@@ -277,9 +266,8 @@ mod tests {
         let receivers = ProcRange::from_exprs(LinExpr::constant(1), np_minus(1));
         let mut matched = ProcRange::singleton(LinExpr::of_var(var("i")));
         matched.saturate(&mut cg);
-        let out = receivers.subtract(&mut cg, &matched).unwrap();
-        let SubtractOutcome::One(rem) = out else {
-            panic!("expected one remainder")
+        let (None, Some(rem)) = receivers.subtract(&mut cg, &matched).unwrap() else {
+            panic!("expected one remainder, above")
         };
         assert!(rem.lb.provably_eq(&mut cg, &Bound::constant(2)));
         // The remainder's lower bound also carries the symbolic alias i+1.
@@ -290,10 +278,7 @@ mod tests {
     fn subtract_whole_is_empty() {
         let mut cg = cg_np(2);
         let r = ProcRange::from_exprs(LinExpr::constant(1), np_minus(1));
-        assert_eq!(
-            r.subtract(&mut cg, &r.clone()),
-            Some(SubtractOutcome::Empty)
-        );
+        assert_eq!(r.subtract(&mut cg, &r.clone()), Some((None, None)));
     }
 
     #[test]
@@ -301,7 +286,7 @@ mod tests {
         let mut cg = cg_np(4);
         let r = ProcRange::from_exprs(LinExpr::constant(0), LinExpr::constant(9));
         let sub = ProcRange::from_exprs(LinExpr::constant(5), LinExpr::constant(9));
-        let SubtractOutcome::One(rem) = r.subtract(&mut cg, &sub).unwrap() else {
+        let (Some(rem), None) = r.subtract(&mut cg, &sub).unwrap() else {
             panic!()
         };
         assert!(rem.lb.provably_eq(&mut cg, &Bound::constant(0)));
@@ -313,7 +298,7 @@ mod tests {
         let mut cg = ConstraintGraph::new();
         let r = ProcRange::from_exprs(LinExpr::constant(0), LinExpr::constant(9));
         let sub = ProcRange::from_exprs(LinExpr::constant(3), LinExpr::constant(5));
-        let SubtractOutcome::Two(lo, hi) = r.subtract(&mut cg, &sub).unwrap() else {
+        let (Some(lo), Some(hi)) = r.subtract(&mut cg, &sub).unwrap() else {
             panic!()
         };
         assert!(lo.ub.provably_eq(&mut cg, &Bound::constant(2)));

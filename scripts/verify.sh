@@ -19,21 +19,23 @@ RUSTDOCFLAGS="-D warnings --document-private-items" \
 echo "== cargo test --workspace =="
 cargo test --workspace --offline -q
 
-echo "== analyze-corpus determinism (jobs=1 vs jobs=4 and 64) =="
+echo "== analyze-corpus determinism (jobs=1 vs jobs=4 and 64, both clients) =="
 # The batch runtime must produce byte-identical output for any worker
 # count (wall times are only printed under --timing, which we omit).
 # 64 workers are more than the 19 corpus programs.
 cargo build -q -p mpl-cli --offline
 MPL=target/debug/mpl
-seq_out=$("$MPL" analyze-corpus --jobs 1)
-seq_json=$("$MPL" analyze-corpus --jobs 1 --json)
-for jobs in 4 64; do
-  par_out=$("$MPL" analyze-corpus --jobs "$jobs")
-  diff <(printf '%s\n' "$seq_out") <(printf '%s\n' "$par_out") \
-    || { echo "analyze-corpus output differs between jobs=1 and jobs=$jobs"; exit 1; }
-  par_json=$("$MPL" analyze-corpus --jobs "$jobs" --json)
-  diff <(printf '%s\n' "$seq_json") <(printf '%s\n' "$par_json") \
-    || { echo "analyze-corpus --json output differs between jobs=1 and jobs=$jobs"; exit 1; }
+for client in cartesian simple; do
+  seq_out=$("$MPL" analyze-corpus --client "$client" --jobs 1)
+  seq_json=$("$MPL" analyze-corpus --client "$client" --jobs 1 --json)
+  for jobs in 4 64; do
+    par_out=$("$MPL" analyze-corpus --client "$client" --jobs "$jobs")
+    diff <(printf '%s\n' "$seq_out") <(printf '%s\n' "$par_out") \
+      || { echo "analyze-corpus --client $client output differs between jobs=1 and jobs=$jobs"; exit 1; }
+    par_json=$("$MPL" analyze-corpus --client "$client" --jobs "$jobs" --json)
+    diff <(printf '%s\n' "$seq_json") <(printf '%s\n' "$par_json") \
+      || { echo "analyze-corpus --client $client --json output differs between jobs=1 and jobs=$jobs"; exit 1; }
+  done
 done
 
 echo "== analyze-corpus golden JSON (byte-identical) =="

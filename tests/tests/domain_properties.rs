@@ -267,7 +267,7 @@ fn hsm_equalities_are_sound() {
 /// remainders partition the original range.
 #[test]
 fn procrange_subtract_partitions() {
-    use mpl_procset::{ProcRange, SubtractOutcome};
+    use mpl_procset::ProcRange;
     let mut rng = Rng64::seed_from_u64(19);
     for _ in 0..64 {
         let lo = rng.i64_in(0, 10);
@@ -280,7 +280,7 @@ fn procrange_subtract_partitions() {
         let mut cg = ConstraintGraph::new();
         let range = ProcRange::from_exprs(LinExpr::constant(lo), LinExpr::constant(hi));
         let sub = ProcRange::from_exprs(LinExpr::constant(sub_lo), LinExpr::constant(sub_hi));
-        let Some(outcome) = range.subtract(&mut cg, &sub) else {
+        let Some((below, above)) = range.subtract(&mut cg, &sub) else {
             // Concrete contained non-empty subtrahends must succeed.
             panic!("subtract failed on [{lo}..{hi}] - [{sub_lo}..{sub_hi}]");
         };
@@ -291,13 +291,8 @@ fn procrange_subtract_partitions() {
             (a..=b).collect()
         };
         let mut rebuilt: Vec<i64> = (sub_lo..=sub_hi).collect();
-        match outcome {
-            SubtractOutcome::Empty => {}
-            SubtractOutcome::One(r) => rebuilt.extend(concrete(&r)),
-            SubtractOutcome::Two(r1, r2) => {
-                rebuilt.extend(concrete(&r1));
-                rebuilt.extend(concrete(&r2));
-            }
+        for r in [below, above].iter().flatten() {
+            rebuilt.extend(concrete(r));
         }
         rebuilt.sort_unstable();
         let want: Vec<i64> = (lo..=hi).collect();
