@@ -165,15 +165,17 @@ impl NormCtx {
     }
 
     /// Evaluates `expr` (as process set `pset` sees it) to a constant,
-    /// reading variables the graph pins and folding operators through
-    /// [`BinOp::eval`]/[`UnOp::eval`]. `id` and `np` count as unknown,
-    /// and so does any value beyond [`MAX_CONST`].
+    /// reading every name the graph pins — variables, the set's `id`
+    /// and `np` alike — and folding operators through
+    /// [`BinOp::eval`]/[`UnOp::eval`]. Any value beyond [`MAX_CONST`]
+    /// counts as unknown.
     #[must_use]
     pub fn eval_const(&self, expr: &Expr, pset: PsetId, cg: &mut ConstraintGraph) -> Option<i64> {
         admitted(match expr {
             Expr::Int(c) => *c,
             Expr::Bool(b) => i64::from(*b),
-            Expr::Id | Expr::Np => return None,
+            Expr::Id => cg.const_of(VarId::id_of(pset))?,
+            Expr::Np => cg.const_of(VarId::NP)?,
             Expr::Var(name) => cg.const_of(self.var(pset, name))?,
             Expr::Unary(op, e) => op.eval(self.eval_const(e, pset, cg)?),
             Expr::Binary(op, l, r) => {
@@ -480,6 +482,11 @@ mod tests {
         assert_eq!(ctx.eval_const(&expr("x / 0"), P, &mut cg), None);
         assert_eq!(ctx.eval_const(&expr("y"), P, &mut cg), None);
         assert_eq!(ctx.eval_const(&expr("id"), P, &mut cg), None);
+        // A pinned rank and `np` fold like any other name.
+        cg.assert_eq_const(VarId::id_of(P), 3);
+        assert_eq!(ctx.eval_const(&expr("id * 2 + np"), P, &mut cg), None);
+        cg.assert_eq_const(VarId::NP, 4);
+        assert_eq!(ctx.eval_const(&expr("id * 2 + np"), P, &mut cg), Some(10));
     }
 
     #[test]

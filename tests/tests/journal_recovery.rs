@@ -186,8 +186,8 @@ fn records_of_an_older_engine_replay_but_never_serve() {
     let (journal, replay) = CacheJournal::open(&dir).expect("reopen journal");
     drop(journal);
     let record = replay.entries.into_iter().next().expect("journaled record");
-    assert!(record.check.contains(";engine=4;"), "{}", record.check);
-    let old_check = record.check.replace(";engine=4;", ";");
+    assert!(record.check.contains(";engine=5;"), "{}", record.check);
+    let old_check = record.check.replace(";engine=5;", ";");
     let stale_body = record.body.replace("\"steps\":74", "\"steps\":78");
     assert_ne!(stale_body, record.body, "{}", record.body);
     std::fs::remove_dir_all(&dir).expect("clear journal");

@@ -266,3 +266,27 @@ fn overflowing_arithmetic_never_panics_and_agrees_with_the_simulator() {
         assert_eq!(cli(&["run", "f.mpl", "--np", "4"], src).code, 0, "{src}");
     }
 }
+
+/// A singleton set's rank is a constant, so an expression over it that
+/// is not linear still folds: on the root's branch, `z := id * 2` prints
+/// 0 just like `id`, under both clients, as every run prints.
+#[test]
+fn a_singleton_sets_rank_folds_into_print_constants() {
+    let src = "if id = 0 then\n  z := id * 2;\n  print z;\n  print id;\nend\n";
+    let program = parse_program(src).unwrap();
+    for np in 2..=4 {
+        let out = Simulator::new(&program, np).run().unwrap();
+        assert_eq!(out.prints[0], [0, 0], "np={np}");
+        assert!(out.prints[1..].iter().all(Vec::is_empty), "np={np}");
+    }
+    for client in [Client::Simple, Client::Cartesian] {
+        let config = AnalysisConfig {
+            client,
+            ..AnalysisConfig::default()
+        };
+        let result = analyze_cfg(&Cfg::build(&program), &config);
+        assert!(result.is_exact(), "{}: {:?}", client.tag(), result.verdict);
+        let values: Vec<Option<i64>> = result.prints.iter().map(|p| p.value).collect();
+        assert_eq!(values, [Some(0), Some(0)], "{}", client.tag());
+    }
+}
