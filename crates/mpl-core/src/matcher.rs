@@ -107,10 +107,11 @@ pub enum Probe {
 
 /// A pluggable `matchSendsRecvs` implementation.
 pub trait MatchStrategy {
-    /// Probes `send` against `recv` in `st`.
+    /// Probes `send` against `recv` in `st`. A probe only reads the
+    /// state, so the same state always gives the same answer.
     fn try_match(
         &self,
-        st: &mut AnalysisState,
+        st: &AnalysisState,
         send: &SendSite,
         recv: &RecvSite,
         norm: &NormCtx,
@@ -135,7 +136,7 @@ pub struct SimpleMatcher;
 impl MatchStrategy for SimpleMatcher {
     fn try_match(
         &self,
-        st: &mut AnalysisState,
+        st: &AnalysisState,
         send: &SendSite,
         recv: &RecvSite,
         norm: &NormCtx,
@@ -145,16 +146,17 @@ impl MatchStrategy for SimpleMatcher {
             // Self-exchanges need the HSM client.
             return Probe::NoMatch;
         }
+        let cg = &*st.cg;
         let ps = st.psets[send.pset_idx].id;
         let pr = st.psets[recv.pset_idx].id;
-        let Some(dest) = norm.linearize_resolved(&send.dest, ps, &mut st.cg) else {
+        let Some(dest) = norm.linearize_resolved(&send.dest, ps, cg) else {
             return Probe::NoMatch;
         };
-        let Some(src) = norm.linearize_resolved(&recv.src, pr, &mut st.cg) else {
+        let Some(src) = norm.linearize_resolved(&recv.src, pr, cg) else {
             return Probe::NoMatch;
         };
-        let s_range = st.psets[send.pset_idx].range.clone();
-        let r_range = st.psets[recv.pset_idx].range.clone();
+        let s_range = &st.psets[send.pset_idx].range;
+        let r_range = &st.psets[recv.pset_idx].range;
         if s_range.is_vacant() || r_range.is_vacant() {
             return Probe::NoMatch;
         }
@@ -173,7 +175,7 @@ impl MatchStrategy for SimpleMatcher {
                 }
                 // Maximal matched senders: S ∩ (R - c).
                 let shifted_r = r_range.plus(-dest.offset);
-                match intersect(st, &s_range, &shifted_r) {
+                match intersect(cg, s_range, &shifted_r) {
                     Ok(s_procs) => (
                         s_procs,
                         MatchKind::Shift {
@@ -195,7 +197,7 @@ impl MatchStrategy for SimpleMatcher {
             // by construction once both singletons lie in their sets.
             (true, false) | (false, false) => (ProcRange::singleton(src), MatchKind::UniformPair),
         };
-        s_procs.saturate(&mut st.cg);
+        s_procs.saturate(cg);
         // The receivers are the senders' image under the destination: a
         // per-process `id + c` shifts them, a set-uniform expression
         // collapses them to the one targeted rank.
@@ -204,11 +206,10 @@ impl MatchStrategy for SimpleMatcher {
         } else {
             ProcRange::singleton(dest)
         };
-        r_procs.saturate(&mut st.cg);
+        r_procs.saturate(cg);
 
-        let cg = &mut *st.cg;
-        let senders_inside = contained(cg, &s_range, &s_procs);
-        let receivers_inside = contained(cg, &r_range, &r_procs);
+        let senders_inside = contained(cg, s_range, &s_procs);
+        let receivers_inside = contained(cg, r_range, &r_procs);
         if let MatchKind::Shift { .. } = kind {
             // The intersection lies inside both sets by construction, so
             // the match needs only provably non-empty subsets. Releasing
@@ -259,7 +260,7 @@ fn split_or_no_match(split: Option<(LinExpr, LinExpr)>) -> Probe {
 
 /// Whether `r` is provably non-empty; undecided, a fork on `lb ≤ ub`
 /// decides it.
-fn non_empty(cg: &mut ConstraintGraph, r: &ProcRange) -> Proof {
+fn non_empty(cg: &ConstraintGraph, r: &ProcRange) -> Proof {
     match r.is_empty(cg) {
         Some(false) => Ok(()),
         Some(true) => Err(None),
@@ -269,7 +270,7 @@ fn non_empty(cg: &mut ConstraintGraph, r: &ProcRange) -> Proof {
 
 /// Whether `outer ⊇ inner` is provable; undecided, the first bound
 /// comparison that would decide it.
-fn contained(cg: &mut ConstraintGraph, outer: &ProcRange, inner: &ProcRange) -> Proof {
+fn contained(cg: &ConstraintGraph, outer: &ProcRange, inner: &ProcRange) -> Proof {
     if !outer.lb.provably_le(cg, &inner.lb) {
         return Err(
             (!inner.lb.provably_lt(cg, &outer.lb)).then(|| (*outer.lb.rep(), *inner.lb.rep()))
@@ -284,10 +285,10 @@ fn contained(cg: &mut ConstraintGraph, outer: &ProcRange, inner: &ProcRange) -> 
 }
 
 /// The larger of two bounds, or the undecided pair as a split.
-fn max_bound(st: &mut AnalysisState, a: &Bound, b: &Bound) -> Result<Bound, (LinExpr, LinExpr)> {
-    if b.provably_le(&mut st.cg, a) {
+fn max_bound(cg: &ConstraintGraph, a: &Bound, b: &Bound) -> Result<Bound, (LinExpr, LinExpr)> {
+    if b.provably_le(cg, a) {
         Ok(a.clone())
-    } else if a.provably_le(&mut st.cg, b) {
+    } else if a.provably_le(cg, b) {
         Ok(b.clone())
     } else {
         Err((*a.rep(), *b.rep()))
@@ -295,10 +296,10 @@ fn max_bound(st: &mut AnalysisState, a: &Bound, b: &Bound) -> Result<Bound, (Lin
 }
 
 /// The smaller of two bounds, or the undecided pair as a split.
-fn min_bound(st: &mut AnalysisState, a: &Bound, b: &Bound) -> Result<Bound, (LinExpr, LinExpr)> {
-    if a.provably_le(&mut st.cg, b) {
+fn min_bound(cg: &ConstraintGraph, a: &Bound, b: &Bound) -> Result<Bound, (LinExpr, LinExpr)> {
+    if a.provably_le(cg, b) {
         Ok(a.clone())
-    } else if b.provably_le(&mut st.cg, a) {
+    } else if b.provably_le(cg, a) {
         Ok(b.clone())
     } else {
         Err((*a.rep(), *b.rep()))
@@ -308,14 +309,14 @@ fn min_bound(st: &mut AnalysisState, a: &Bound, b: &Bound) -> Result<Bound, (Lin
 /// Intersection of two ranges when the bound order is provable; `Err`
 /// carries the undecided comparison as a split.
 fn intersect(
-    st: &mut AnalysisState,
+    cg: &ConstraintGraph,
     a: &ProcRange,
     b: &ProcRange,
 ) -> Result<ProcRange, (LinExpr, LinExpr)> {
-    let lb = max_bound(st, &a.lb, &b.lb)?;
-    let ub = min_bound(st, &a.ub, &b.ub)?;
+    let lb = max_bound(cg, &a.lb, &b.lb)?;
+    let ub = min_bound(cg, &a.ub, &b.ub)?;
     let mut r = ProcRange::new(lb, ub);
-    r.saturate(&mut st.cg);
+    r.saturate(cg);
     Ok(r)
 }
 
@@ -327,7 +328,7 @@ pub struct CartesianMatcher;
 impl MatchStrategy for CartesianMatcher {
     fn try_match(
         &self,
-        st: &mut AnalysisState,
+        st: &AnalysisState,
         send: &SendSite,
         recv: &RecvSite,
         norm: &NormCtx,
@@ -356,17 +357,17 @@ impl MatchStrategy for CartesianMatcher {
 /// Whole-set HSM matching (the transpose pattern): both sets are matched
 /// in full, so the result is the two sets' ranges.
 fn hsm_match(
-    st: &mut AnalysisState,
+    st: &AnalysisState,
     send: &SendSite,
     recv: &RecvSite,
     norm: &NormCtx,
     assumes: &[Expr],
 ) -> Option<(ProcRange, ProcRange)> {
-    let s_range = st.psets[send.pset_idx].range.clone();
-    let r_range = st.psets[recv.pset_idx].range.clone();
+    let s_range = &st.psets[send.pset_idx].range;
+    let r_range = &st.psets[recv.pset_idx].range;
     let ctx = build_assumption_ctx(st, norm, assumes);
-    let (s_lb, s_n) = range_to_polys(&s_range, &ctx)?;
-    let (r_lb, r_n) = range_to_polys(&r_range, &ctx)?;
+    let (s_lb, s_n) = range_to_polys(s_range, &ctx)?;
+    let (r_lb, r_n) = range_to_polys(r_range, &ctx)?;
     if !ctx.pos(&s_n) || !ctx.pos(&r_n) {
         return None;
     }
@@ -378,17 +379,13 @@ fn hsm_match(
     // Surjection of the send expression onto the receiver set, and the
     // composition (recv ∘ send) must be the identity on the senders.
     (h_send.is_surjection_onto(&r_lb, &r_n, &ctx) && composed.is_identity_on(&s_lb, &s_n, &ctx))
-        .then_some((s_range, r_range))
+        .then(|| (s_range.clone(), r_range.clone()))
 }
 
 /// Builds the HSM assumption context from the program's `assume`
 /// equalities, resolving variables through the current state (inputs
 /// become symbols; assigned variables must be known constants).
-pub fn build_assumption_ctx(
-    st: &mut AnalysisState,
-    norm: &NormCtx,
-    assumes: &[Expr],
-) -> AssumptionCtx {
+pub fn build_assumption_ctx(st: &AnalysisState, norm: &NormCtx, assumes: &[Expr]) -> AssumptionCtx {
     let mut ctx = AssumptionCtx::new();
     for e in assumes {
         let Expr::Binary(BinOp::Eq, lhs, rhs) = e else {
@@ -409,7 +406,7 @@ pub fn build_assumption_ctx(
 }
 
 /// Converts an expression over inputs/constants into a polynomial.
-fn expr_to_poly(e: &Expr, norm: &NormCtx, st: &mut AnalysisState) -> Option<SymPoly> {
+fn expr_to_poly(e: &Expr, norm: &NormCtx, st: &AnalysisState) -> Option<SymPoly> {
     match e {
         Expr::Int(c) => Some(SymPoly::constant(*c)),
         Expr::Np => Some(SymPoly::sym("np")),
@@ -418,10 +415,9 @@ fn expr_to_poly(e: &Expr, norm: &NormCtx, st: &mut AnalysisState) -> Option<SymP
             // Assigned variable: usable only if uniform across all psets,
             // i.e. pinned to one constant in every namespace it exists in.
             let name_idx = intern_name(v);
-            let ids: Vec<PsetId> = st.psets.iter().map(|p| p.id).collect();
             let mut val: Option<i64> = None;
-            for id in ids {
-                if let Some(c) = st.cg.const_of(VarId::pset_var(id, name_idx)) {
+            for p in &st.psets {
+                if let Some(c) = st.cg.const_of(VarId::pset_var(p.id, name_idx)) {
                     match val {
                         None => val = Some(c),
                         Some(prev) if prev == c => {}
@@ -461,7 +457,7 @@ fn bound_to_poly(b: &Bound) -> Option<SymPoly> {
 /// HSM conversion: inputs become symbols, assigned variables must be
 /// provably constant or offset from `np`/an input.
 fn uniform_vars(
-    st: &mut AnalysisState,
+    st: &AnalysisState,
     norm: &NormCtx,
     expr: &Expr,
     pset: PsetId,
@@ -550,7 +546,7 @@ mod tests {
         let (_, norm, mut st) = setup("x := 1;");
         split_root(&mut st, CfgNodeId(10), CfgNodeId(11));
         let out = matched(SimpleMatcher.try_match(
-            &mut st,
+            &st,
             &send_site(0, "id + 1"),
             &recv_site(1, "id - 1"),
             &norm,
@@ -558,11 +554,11 @@ mod tests {
         ));
         // Senders [0..0] map onto receivers [1..1].
         assert!(out.s_procs.provably_eq(
-            &mut st.cg,
+            &st.cg,
             &ProcRange::from_exprs(LinExpr::constant(0), LinExpr::constant(0))
         ));
         assert!(out.r_procs.provably_eq(
-            &mut st.cg,
+            &st.cg,
             &ProcRange::from_exprs(LinExpr::constant(1), LinExpr::constant(1))
         ));
     }
@@ -572,7 +568,7 @@ mod tests {
         let (_, norm, mut st) = setup("x := 1;");
         split_root(&mut st, CfgNodeId(10), CfgNodeId(11));
         let probe = SimpleMatcher.try_match(
-            &mut st,
+            &st,
             &send_site(0, "id + 1"),
             &recv_site(1, "id - 2"),
             &norm,
@@ -591,15 +587,16 @@ mod tests {
         let iv = VarId::pset_var(root, intern_name("i"));
         st.cg.assert_le(VarId::ZERO, iv, -1); // i >= 1
         st.cg.assert_le(iv, VarId::NP, -1); // i <= np-1
+        st.cg.close();
         let out = matched(SimpleMatcher.try_match(
-            &mut st,
+            &st,
             &send_site(0, "i"),
             &recv_site(1, "0"),
             &norm,
             &[],
         ));
-        assert!(out.s_procs.is_singleton(&mut st.cg));
-        assert!(out.r_procs.is_singleton(&mut st.cg));
+        assert!(out.s_procs.is_singleton(&st.cg));
+        assert!(out.r_procs.is_singleton(&st.cg));
         // The receiver bound carries the symbolic alias i.
         assert!(out.r_procs.lb.exprs().iter().any(|e| e.var == Some(iv)));
     }
@@ -612,7 +609,7 @@ mod tests {
         split_root(&mut st, CfgNodeId(10), CfgNodeId(11));
         let iv = VarId::pset_var(st.psets[0].id, intern_name("i"));
         let probe =
-            SimpleMatcher.try_match(&mut st, &send_site(0, "i"), &recv_site(1, "0"), &norm, &[]);
+            SimpleMatcher.try_match(&st, &send_site(0, "i"), &recv_site(1, "0"), &norm, &[]);
         let Probe::Split(a, b) = probe else {
             panic!("expected a split, got {probe:?}")
         };
@@ -627,14 +624,14 @@ mod tests {
         let (_, norm, mut st) = setup("x := 1;");
         split_root(&mut st, CfgNodeId(10), CfgNodeId(11));
         let out = matched(SimpleMatcher.try_match(
-            &mut st,
+            &st,
             &send_site(0, "id + 1"),
             &recv_site(1, "0"),
             &norm,
             &[],
         ));
         assert!(out.r_procs.provably_eq(
-            &mut st.cg,
+            &st.cg,
             &ProcRange::from_exprs(LinExpr::constant(1), LinExpr::constant(1))
         ));
     }
@@ -650,21 +647,21 @@ mod tests {
             vec![(zero, CfgNodeId(10), false), (one, CfgNodeId(11), false)],
         );
         let out = matched(SimpleMatcher.try_match(
-            &mut st,
+            &st,
             &send_site(0, "1"),
             &recv_site(1, "0"),
             &norm,
             &[],
         ));
         assert!(out.split.is_none());
-        assert!(out.s_procs.is_singleton(&mut st.cg));
-        assert!(out.r_procs.is_singleton(&mut st.cg));
+        assert!(out.s_procs.is_singleton(&st.cg));
+        assert!(out.r_procs.is_singleton(&st.cg));
     }
 
     #[test]
     fn cartesian_matches_square_transpose_self_exchange() {
         let src = "assume np = nrows * ncols; assume ncols = nrows; x := 1;";
-        let (_, norm, mut st) = setup(src);
+        let (_, norm, st) = setup(src);
         let assumes: Vec<Expr> = {
             use mpl_lang::ast::StmtKind;
             parse_program(src)
@@ -686,14 +683,14 @@ mod tests {
             pending: true,
         };
         let recv = recv_site(0, expr);
-        let out = matched(CartesianMatcher.try_match(&mut st, &send, &recv, &norm, &assumes));
-        assert!(out.s_procs.provably_eq(&mut st.cg, &ProcRange::all_procs()));
-        assert!(out.r_procs.provably_eq(&mut st.cg, &ProcRange::all_procs()));
+        let out = matched(CartesianMatcher.try_match(&st, &send, &recv, &norm, &assumes));
+        assert!(out.s_procs.provably_eq(&st.cg, &ProcRange::all_procs()));
+        assert!(out.r_procs.provably_eq(&st.cg, &ProcRange::all_procs()));
     }
 
     #[test]
     fn cartesian_rejects_wrapping_ring() {
-        let (_, norm, mut st) = setup("x := 1;");
+        let (_, norm, st) = setup("x := 1;");
         let send = SendSite {
             pset_idx: 0,
             node: CfgNodeId(90),
@@ -702,7 +699,7 @@ mod tests {
             pending: true,
         };
         let recv = recv_site(0, "(id + np - 1) % np");
-        let probe = CartesianMatcher.try_match(&mut st, &send, &recv, &norm, &[]);
+        let probe = CartesianMatcher.try_match(&st, &send, &recv, &norm, &[]);
         assert!(matches!(probe, Probe::NoMatch), "{probe:?}");
     }
 
@@ -717,9 +714,9 @@ mod tests {
 
     #[test]
     fn simple_matcher_rejects_self_pset() {
-        let (_, norm, mut st) = setup("x := 1;");
+        let (_, norm, st) = setup("x := 1;");
         let probe = SimpleMatcher.try_match(
-            &mut st,
+            &st,
             &send_site(0, "id + 1"),
             &recv_site(0, "id - 1"),
             &norm,

@@ -132,7 +132,7 @@ impl NormCtx {
     /// like `id + ncols` or `np - ncols` become linear once the grid
     /// dimensions are concrete.
     #[must_use]
-    pub fn resolve_consts(&self, expr: &Expr, pset: PsetId, cg: &mut ConstraintGraph) -> Expr {
+    pub fn resolve_consts(&self, expr: &Expr, pset: PsetId, cg: &ConstraintGraph) -> Expr {
         match expr {
             Expr::Var(name) => match cg.const_of(self.var(pset, name)) {
                 Some(c) => Expr::Int(c),
@@ -158,7 +158,7 @@ impl NormCtx {
         &self,
         expr: &Expr,
         pset: PsetId,
-        cg: &mut ConstraintGraph,
+        cg: &ConstraintGraph,
     ) -> Option<LinExpr> {
         let resolved = self.resolve_consts(expr, pset, cg);
         self.linearize(&resolved, pset)
@@ -170,7 +170,7 @@ impl NormCtx {
     /// [`BinOp::eval`]/[`UnOp::eval`]. Any value beyond [`MAX_CONST`]
     /// counts as unknown.
     #[must_use]
-    pub fn eval_const(&self, expr: &Expr, pset: PsetId, cg: &mut ConstraintGraph) -> Option<i64> {
+    pub fn eval_const(&self, expr: &Expr, pset: PsetId, cg: &ConstraintGraph) -> Option<i64> {
         admitted(match expr {
             Expr::Int(c) => *c,
             Expr::Bool(b) => i64::from(*b),
@@ -457,6 +457,7 @@ mod tests {
         assert_eq!(refs.len(), 2);
         let mut cg = ConstraintGraph::new();
         ctx.apply_refinements(&mut cg, &refs);
+        cg.close();
         assert!(cg.implies_le(VarId::id_of(P), VarId::NP, -1));
         assert!(cg.implies_le(VarId::ZERO, VarId::id_of(P), -1));
     }
@@ -468,6 +469,7 @@ mod tests {
         let refs = ctx.refinements(&expr("id <= 5"), P, true);
         let mut cg = ConstraintGraph::new();
         ctx.apply_refinements(&mut cg, &refs);
+        cg.close();
         assert!(cg.implies_le(VarId::ZERO, VarId::id_of(P), -6));
         // ¬(id = 5) carries nothing for a DBM.
         assert!(ctx.refinements(&expr("id = 5"), P, true).is_empty());
@@ -478,15 +480,18 @@ mod tests {
         let ctx = ctx_of("x := 1; y := 2;");
         let mut cg = ConstraintGraph::new();
         cg.assert_eq_const(VarId::pset_var(P, intern_name("x")), 6);
-        assert_eq!(ctx.eval_const(&expr("x * x + 1"), P, &mut cg), Some(37));
-        assert_eq!(ctx.eval_const(&expr("x / 0"), P, &mut cg), None);
-        assert_eq!(ctx.eval_const(&expr("y"), P, &mut cg), None);
-        assert_eq!(ctx.eval_const(&expr("id"), P, &mut cg), None);
+        cg.close();
+        assert_eq!(ctx.eval_const(&expr("x * x + 1"), P, &cg), Some(37));
+        assert_eq!(ctx.eval_const(&expr("x / 0"), P, &cg), None);
+        assert_eq!(ctx.eval_const(&expr("y"), P, &cg), None);
+        assert_eq!(ctx.eval_const(&expr("id"), P, &cg), None);
         // A pinned rank and `np` fold like any other name.
         cg.assert_eq_const(VarId::id_of(P), 3);
-        assert_eq!(ctx.eval_const(&expr("id * 2 + np"), P, &mut cg), None);
+        cg.close();
+        assert_eq!(ctx.eval_const(&expr("id * 2 + np"), P, &cg), None);
         cg.assert_eq_const(VarId::NP, 4);
-        assert_eq!(ctx.eval_const(&expr("id * 2 + np"), P, &mut cg), Some(10));
+        cg.close();
+        assert_eq!(ctx.eval_const(&expr("id * 2 + np"), P, &cg), Some(10));
     }
 
     #[test]

@@ -1,11 +1,17 @@
 //! Constraint graphs (§VII-A): conjunctions of difference constraints
 //! `x ≤ y + c` over interned variables, stored as a dense difference-bound
-//! matrix keyed by [`VarId`] with instrumented, *lazy* transitive closure.
+//! matrix keyed by [`VarId`] with instrumented transitive closure.
 //!
 //! Writes record dirty edges; [`ConstraintGraph::close`] is a no-op when
 //! nothing changed and otherwise drains the dirty set with per-edge O(n²)
 //! incremental propagation, falling back to the full O(n³) Floyd–Warshall
 //! pass only when enough of the matrix was touched to make that cheaper.
+//!
+//! Queries take `&self` and read a closed graph: whoever writes calls
+//! `close` before the next read. Debug builds assert it; a release build
+//! reads the matrix as it stands, which is sound (a bound not yet
+//! propagated is only missing, never wrong) and is how widened graphs
+//! are read anyway.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -110,6 +116,7 @@ thread_local! {
 /// let i = VarId::pset_var(PsetId(0), intern_name("i"));
 /// g.assert_eq_const(i, 1);                 // i = 1
 /// g.assert_le(i, VarId::NP, -1);           // i <= np - 1
+/// g.close();                               // propagate before reading
 /// assert_eq!(g.const_of(i), Some(1));
 /// assert!(g.implies_le(VarId::ZERO, VarId::NP, -2)); // 0 <= np - 2
 /// ```
@@ -123,14 +130,12 @@ pub struct ConstraintGraph {
     ///
     /// Shared copy-on-write: cloning a graph bumps a refcount, and the
     /// first mutation through [`ConstraintGraph::m_mut`] materializes a
-    /// private copy. Read-only queries on an already-closed graph never
-    /// copy, even through `&mut self` accessors.
+    /// private copy. Queries never copy.
     m: Arc<Vec<i64>>,
     cap: usize,
-    closed: bool,
     infeasible: bool,
-    /// Edges written since the matrix was last closed (only tracked while
-    /// `closed`; an unclosed matrix is fully re-closed anyway).
+    /// Edges written since the matrix was last closed; the graph is
+    /// closed exactly when this is empty (or it is bottom).
     dirty: Vec<(u32, u32)>,
     /// Order-canonical structural fingerprint: XOR of [`var_mix`] per
     /// tracked variable and [`edge_mix`] per finite off-diagonal bound,
@@ -153,7 +158,6 @@ impl ConstraintGraph {
             index: IdMap::default(),
             m: Arc::new(Vec::new()),
             cap: 0,
-            closed: true,
             infeasible: false,
             dirty: Vec::new(),
             fp: 0,
@@ -170,10 +174,10 @@ impl ConstraintGraph {
         g
     }
 
-    /// True if the constraints are known unsatisfiable. Detection of a
-    /// contradiction introduced by a deferred edge happens at the next
-    /// [`ConstraintGraph::close`] (the engine always closes before
-    /// checking); the common direct cycle is caught eagerly at
+    /// True if the constraints are known unsatisfiable. Like every
+    /// query it reads a closed graph: a contradiction introduced by a
+    /// deferred edge is detected by [`ConstraintGraph::close`]; the
+    /// common direct cycle is caught eagerly at
     /// [`ConstraintGraph::assert_le`] time.
     #[must_use]
     pub fn is_bottom(&self) -> bool {
@@ -228,9 +232,15 @@ impl ConstraintGraph {
     }
 
     /// True if every recorded bound is already propagated — no closure
-    /// work pending.
-    fn is_effectively_closed(&self) -> bool {
-        self.infeasible || (self.closed && self.dirty.is_empty())
+    /// work pending. A bottom graph counts as closed.
+    fn is_closed(&self) -> bool {
+        self.infeasible || self.dirty.is_empty()
+    }
+
+    /// The query contract: a query reads a closed graph.
+    #[track_caller]
+    fn debug_assert_closed(&self) {
+        debug_assert!(self.is_closed(), "query on an unclosed constraint graph");
     }
 
     /// Order-canonical 64-bit structural fingerprint.
@@ -392,7 +402,6 @@ impl ConstraintGraph {
                 break;
             }
         }
-        self.closed = true;
         stats::record_full(n, start.elapsed().as_nanos() as u64);
     }
 
@@ -428,27 +437,18 @@ impl ConstraintGraph {
     /// Restores closure. A no-op when nothing changed since the last
     /// closure; otherwise drains the dirty edges one incremental O(n²)
     /// step each, or falls back to one full O(n³) pass when the dirty set
-    /// is large enough (or the matrix was never closed).
+    /// is large enough.
     ///
     /// Draining sequentially is complete: each propagation runs against a
     /// matrix already closed with respect to all previously drained
     /// edges, so every shortest path using several new edges is built up
     /// edge by edge.
     pub fn close(&mut self) {
-        if self.infeasible {
-            return;
-        }
-        if !self.closed {
-            self.dirty.clear();
-            self.full_close();
-            return;
-        }
-        if self.dirty.is_empty() {
+        if self.infeasible || self.dirty.is_empty() {
             return;
         }
         if self.dirty.len() * 2 >= self.n() {
             self.dirty.clear();
-            self.closed = false;
             self.full_close();
             return;
         }
@@ -461,16 +461,12 @@ impl ConstraintGraph {
         }
     }
 
-    fn ensure_closed(&mut self) {
-        self.close();
-    }
-
     /// Asserts `x ≤ y + c`.
     ///
     /// Missing variables are added. The edge is recorded and closure is
-    /// deferred to the next query or explicit [`ConstraintGraph::close`];
-    /// only a direct contradiction (`y ≤ x + c'` with `c + c' < 0`) is
-    /// detected immediately.
+    /// deferred to the next [`ConstraintGraph::close`]; only a direct
+    /// contradiction (`y ≤ x + c'` with `c + c' < 0`) is detected
+    /// immediately.
     pub fn assert_le(&mut self, x: VarId, y: VarId, c: i64) {
         if self.infeasible {
             return;
@@ -487,14 +483,10 @@ impl ConstraintGraph {
             return; // No new information.
         }
         self.set(i, j, c);
-        if !self.closed {
-            return; // A full closure is pending anyway.
-        }
         if stats::force_full_closure() {
             // Ablation mode: behave like the paper's unoptimized
             // prototype and re-run the full O(n³) closure immediately.
             self.dirty.clear();
-            self.closed = false;
             self.full_close();
             return;
         }
@@ -536,9 +528,9 @@ impl ConstraintGraph {
 
     /// The tightest known `c` with `x ≤ y + c`, or `None` if unconstrained
     /// (or either variable is untracked).
-    #[must_use = "returns the bound without modifying the graph"]
-    pub fn le_bound(&mut self, x: VarId, y: VarId) -> Option<i64> {
-        self.ensure_closed();
+    #[must_use]
+    pub fn le_bound(&self, x: VarId, y: VarId) -> Option<i64> {
+        self.debug_assert_closed();
         if self.infeasible {
             return Some(i64::MIN / 4); // Bottom entails everything.
         }
@@ -549,7 +541,8 @@ impl ConstraintGraph {
     }
 
     /// True if the constraints imply `x ≤ y + c`.
-    pub fn implies_le(&mut self, x: VarId, y: VarId, c: i64) -> bool {
+    #[must_use]
+    pub fn implies_le(&self, x: VarId, y: VarId, c: i64) -> bool {
         match self.le_bound(x, y) {
             Some(b) => b <= c,
             None => false,
@@ -558,8 +551,9 @@ impl ConstraintGraph {
 
     /// `Some(c)` if the constraints imply `x = y + c`. Returns `None` on
     /// bottom (an unreachable state pins nothing down usefully).
-    pub fn eq_offset(&mut self, x: VarId, y: VarId) -> Option<i64> {
-        self.ensure_closed();
+    #[must_use]
+    pub fn eq_offset(&self, x: VarId, y: VarId) -> Option<i64> {
+        self.debug_assert_closed();
         if self.infeasible {
             return None;
         }
@@ -569,7 +563,8 @@ impl ConstraintGraph {
     }
 
     /// The constant value of `x` if the constraints pin it down.
-    pub fn const_of(&mut self, x: VarId) -> Option<i64> {
+    #[must_use]
+    pub fn const_of(&self, x: VarId) -> Option<i64> {
         self.eq_offset(x, VarId::ZERO)
     }
 
@@ -580,14 +575,11 @@ impl ConstraintGraph {
     /// matrix — no clones, no per-pair lookups — into the caller's
     /// buffer, so a caller scanning several classes reuses one
     /// allocation. Entries already in `out` are left alone.
-    pub fn equalities_of(&mut self, x: VarId, out: &mut Vec<LinExpr>) {
+    pub fn equalities_of(&self, x: VarId, out: &mut Vec<LinExpr>) {
         if self.infeasible || !self.has_var(x) {
             return;
         }
-        self.ensure_closed();
-        if self.infeasible {
-            return;
-        }
+        self.debug_assert_closed();
         let i = self.index[&x];
         let start = out.len();
         for j in 0..self.n() {
@@ -610,7 +602,8 @@ impl ConstraintGraph {
     }
 
     /// Evaluates a linear expression to a constant if possible.
-    pub fn eval_expr(&mut self, e: &LinExpr) -> Option<i64> {
+    #[must_use]
+    pub fn eval_expr(&self, e: &LinExpr) -> Option<i64> {
         match e.var {
             None => Some(e.offset),
             Some(v) => self.const_of(v).map(|c| c + e.offset),
@@ -620,7 +613,8 @@ impl ConstraintGraph {
     /// Compares two linear expressions: `Some(Ordering)` when the graph
     /// proves a relation, `None` when incomparable. Equal means provably
     /// equal.
-    pub fn compare_exprs(&mut self, a: &LinExpr, b: &LinExpr) -> Option<std::cmp::Ordering> {
+    #[must_use]
+    pub fn compare_exprs(&self, a: &LinExpr, b: &LinExpr) -> Option<std::cmp::Ordering> {
         use std::cmp::Ordering;
         let av = a.var.unwrap_or(VarId::ZERO);
         let bv = b.var.unwrap_or(VarId::ZERO);
@@ -638,7 +632,8 @@ impl ConstraintGraph {
     }
 
     /// True if the graph proves `a ≤ b` (for linear expressions).
-    pub fn proves_le(&mut self, a: &LinExpr, b: &LinExpr) -> bool {
+    #[must_use]
+    pub fn proves_le(&self, a: &LinExpr, b: &LinExpr) -> bool {
         let av = a.var.unwrap_or(VarId::ZERO);
         let bv = b.var.unwrap_or(VarId::ZERO);
         match self.le_bound(av, bv) {
@@ -653,7 +648,7 @@ impl ConstraintGraph {
         if self.infeasible {
             return;
         }
-        self.ensure_closed();
+        self.close();
         let Some(&i) = self.index.get(&x) else {
             self.ensure_var(x);
             return;
@@ -675,7 +670,7 @@ impl ConstraintGraph {
         if e.var == Some(x) {
             // x := x + c — shift every bound involving x.
             let c = e.offset;
-            self.ensure_closed();
+            self.close();
             let i = self.ensure_var(x);
             let n = self.n();
             for k in 0..n {
@@ -733,7 +728,7 @@ impl ConstraintGraph {
         if self.vars.iter().all(|&v| kept(v)) {
             return;
         }
-        self.ensure_closed();
+        self.close();
         KEEP_SCRATCH.with(|s| {
             let mut rows = s.borrow_mut();
             rows.clear();
@@ -825,7 +820,7 @@ impl ConstraintGraph {
         if self.infeasible {
             return;
         }
-        self.ensure_closed();
+        self.close();
         let src_idx: Vec<usize> = (0..self.n())
             .filter(|&i| self.vars[i].namespace() == Some(src))
             .collect();
@@ -873,56 +868,39 @@ impl ConstraintGraph {
         // enough for sound queries without a full O(n³) re-closure per
         // process-set split; any residual un-closure only loses
         // precision, never soundness (INF reads as "no constraint").
-        if self.closed {
-            for &(si, di) in &pairs {
-                let mut down = INF;
-                let mut up = INF;
-                for k in 0..n {
-                    if k == si || k == di {
-                        continue;
-                    }
-                    down = down.min(add(self.at(si, k), self.at(k, di)));
-                    up = up.min(add(self.at(di, k), self.at(k, si)));
+        for &(si, di) in &pairs {
+            let mut down = INF;
+            let mut up = INF;
+            for k in 0..n {
+                if k == si || k == di {
+                    continue;
                 }
-                if down < self.at(si, di) {
-                    self.set(si, di, down);
-                }
-                if up < self.at(di, si) {
-                    self.set(di, si, up);
-                }
+                down = down.min(add(self.at(si, k), self.at(k, di)));
+                up = up.min(add(self.at(di, k), self.at(k, si)));
+            }
+            if down < self.at(si, di) {
+                self.set(si, di, down);
+            }
+            if up < self.at(di, si) {
+                self.set(di, si, up);
             }
         }
     }
 
-    /// Least upper bound: keeps each bound only at the weaker of the two
-    /// values, over the intersection of the variable sets. Operands that
-    /// are already closed are borrowed, not cloned.
+    /// Least upper bound of two closed graphs: keeps each bound only at
+    /// the weaker of the two values, over the intersection of the
+    /// variable sets.
     #[must_use]
     pub fn join(&self, other: &ConstraintGraph) -> ConstraintGraph {
+        self.debug_assert_closed();
+        other.debug_assert_closed();
         if self.infeasible {
             return other.clone();
         }
         if other.infeasible {
             return self.clone();
         }
-        let a_store;
-        let a = if self.is_effectively_closed() {
-            self
-        } else {
-            let mut g = self.clone();
-            g.ensure_closed();
-            a_store = g;
-            &a_store
-        };
-        let b_store;
-        let b = if other.is_effectively_closed() {
-            other
-        } else {
-            let mut g = other.clone();
-            g.ensure_closed();
-            b_store = g;
-            &b_store
-        };
+        let (a, b) = (self, other);
         let mut out = ConstraintGraph::new();
         // (index in a, index in b, index in out) per common variable.
         let mut triples: Vec<(usize, usize, usize)> = Vec::new();
@@ -944,7 +922,6 @@ impl ConstraintGraph {
             }
         }
         // The pointwise max of two closed DBMs is closed.
-        out.closed = true;
         out
     }
 
@@ -955,7 +932,8 @@ impl ConstraintGraph {
         self.widen_with_thresholds(newer, &DEFAULT_WIDEN_THRESHOLDS)
     }
 
-    /// Widening: keeps a bound only if the newer state did not weaken it.
+    /// Widening of two closed graphs: keeps a bound only if the newer
+    /// state did not weaken it.
     /// A weakened bound is snapped up to the smallest *threshold* in the
     /// given ascending set that still accommodates the newer bound
     /// (widening with thresholds — needed to retain loop facts like
@@ -970,30 +948,15 @@ impl ConstraintGraph {
         newer: &ConstraintGraph,
         thresholds: &[i64],
     ) -> ConstraintGraph {
+        self.debug_assert_closed();
+        newer.debug_assert_closed();
         if self.infeasible {
             return newer.clone();
         }
         if newer.infeasible {
             return self.clone();
         }
-        let a_store;
-        let a = if self.is_effectively_closed() {
-            self
-        } else {
-            let mut g = self.clone();
-            g.ensure_closed();
-            a_store = g;
-            &a_store
-        };
-        let b_store;
-        let b = if newer.is_effectively_closed() {
-            newer
-        } else {
-            let mut g = newer.clone();
-            g.ensure_closed();
-            b_store = g;
-            &b_store
-        };
+        let (a, b) = (self, newer);
         let mut out = ConstraintGraph::new();
         let mut triples: Vec<(usize, usize, usize)> = Vec::new();
         for (ai, &v) in a.vars.iter().enumerate() {
@@ -1025,38 +988,28 @@ impl ConstraintGraph {
         }
         // Treat as closed: queries read recorded bounds only, which is
         // sound (possibly imprecise) and preserves termination.
-        out.closed = true;
         out
     }
 
     /// True if `self` entails `other` (every constraint of `other` is
-    /// implied by `self`): the `⊑` order of the lattice.
-    pub fn entails(&mut self, other: &ConstraintGraph) -> bool {
+    /// implied by `self`): the `⊑` order of the lattice, on closed
+    /// graphs.
+    #[must_use]
+    pub fn entails(&self, other: &ConstraintGraph) -> bool {
+        self.debug_assert_closed();
+        other.debug_assert_closed();
         if self.infeasible {
             return true;
         }
         if other.infeasible {
             return false;
         }
-        self.ensure_closed();
-        if self.infeasible {
-            return true;
-        }
-        let b_store;
-        let b = if other.is_effectively_closed() {
-            other
-        } else {
-            let mut g = other.clone();
-            g.ensure_closed();
-            b_store = g;
-            &b_store
-        };
-        for (i, &x) in b.vars.iter().enumerate() {
-            for (j, &y) in b.vars.iter().enumerate() {
+        for (i, &x) in other.vars.iter().enumerate() {
+            for (j, &y) in other.vars.iter().enumerate() {
                 if i == j {
                     continue;
                 }
-                let bound = b.at(i, j);
+                let bound = other.at(i, j);
                 if bound >= INF {
                     continue;
                 }
@@ -1117,6 +1070,7 @@ mod tests {
         let mut g = ConstraintGraph::new();
         g.assert_le(v("a"), v("b"), 2);
         g.assert_le(v("b"), v("c"), 3);
+        g.close();
         assert_eq!(g.le_bound(v("a"), v("c")), Some(5));
     }
 
@@ -1124,8 +1078,10 @@ mod tests {
     fn constants_via_zero() {
         let mut g = ConstraintGraph::new();
         g.assert_eq_const(v("x"), 5);
+        g.close();
         assert_eq!(g.const_of(v("x")), Some(5));
         g.assert_eq_offset(v("y"), v("x"), 2);
+        g.close();
         assert_eq!(g.const_of(v("y")), Some(7));
     }
 
@@ -1178,8 +1134,10 @@ mod tests {
         let mut g = ConstraintGraph::new();
         g.assert_eq_const(v("x"), 10);
         g.assign(v("y"), &LinExpr::var_plus(v("x"), -1));
+        g.close();
         assert_eq!(g.const_of(v("y")), Some(9));
         g.assign(v("x"), &LinExpr::constant(0));
+        g.close();
         // y keeps its old value; the link was to x's *old* value.
         assert_eq!(g.const_of(v("y")), Some(9));
     }
@@ -1208,7 +1166,9 @@ mod tests {
         g1.assert_eq_const(v("x"), 1);
         let mut g2 = ConstraintGraph::new();
         g2.assert_eq_const(v("x"), 3);
-        let mut j = g1.join(&g2);
+        g1.close();
+        g2.close();
+        let j = g1.join(&g2);
         assert_eq!(j.const_of(v("x")), None);
         assert_eq!(j.le_bound(v("x"), VarId::ZERO), Some(3)); // x <= 3
         assert_eq!(j.le_bound(VarId::ZERO, v("x")), Some(-1)); // x >= 1
@@ -1218,6 +1178,7 @@ mod tests {
     fn join_drops_one_sided_vars() {
         let mut g1 = ConstraintGraph::new();
         g1.assert_eq_const(v("x"), 1);
+        g1.close();
         let g2 = ConstraintGraph::new();
         let j = g1.join(&g2);
         assert!(!j.has_var(v("x")));
@@ -1227,8 +1188,9 @@ mod tests {
     fn join_with_bottom_is_identity() {
         let mut g = ConstraintGraph::new();
         g.assert_eq_const(v("x"), 4);
-        let mut j1 = g.join(&ConstraintGraph::bottom());
-        let mut j2 = ConstraintGraph::bottom().join(&g);
+        g.close();
+        let j1 = g.join(&ConstraintGraph::bottom());
+        let j2 = ConstraintGraph::bottom().join(&g);
         assert_eq!(j1.const_of(v("x")), Some(4));
         assert_eq!(j2.const_of(v("x")), Some(4));
     }
@@ -1244,7 +1206,9 @@ mod tests {
         g2.assert_eq_const(v("i"), 2);
         g2.assert_le(v("i"), VarId::NP, -1);
         g2.assert_le(VarId::ZERO, VarId::NP, -2);
-        let mut w = g1.widen(&g2);
+        g1.close();
+        g2.close();
+        let w = g1.widen(&g2);
         // Upper bound by constant grew 1 -> 2: snapped to the threshold 2
         // (widening with thresholds). Lower bound (i >= 1) held.
         // Relation i <= np - 1 held.
@@ -1254,7 +1218,8 @@ mod tests {
         // Repeated widening eventually drops the growing bound entirely.
         let mut g3 = ConstraintGraph::new();
         g3.assert_eq_const(v("i"), 100);
-        let mut w2 = w.widen(&g3);
+        g3.close();
+        let w2 = w.widen(&g3);
         assert_eq!(w2.le_bound(v("i"), VarId::ZERO), None);
     }
 
@@ -1264,9 +1229,11 @@ mod tests {
         g1.assert_le(v("i"), VarId::ZERO, 1);
         let mut g2 = ConstraintGraph::new();
         g2.assert_le(v("i"), VarId::ZERO, 9);
-        let mut w = g1.widen_with_thresholds(&g2, &[0, 16, 64]);
+        g1.close();
+        g2.close();
+        let w = g1.widen_with_thresholds(&g2, &[0, 16, 64]);
         assert_eq!(w.le_bound(v("i"), VarId::ZERO), Some(16));
-        let mut dropped = g1.widen_with_thresholds(&g2, &[0, 4]);
+        let dropped = g1.widen_with_thresholds(&g2, &[0, 4]);
         assert_eq!(dropped.le_bound(v("i"), VarId::ZERO), None);
     }
 
@@ -1274,13 +1241,14 @@ mod tests {
     fn entails_is_reflexive_and_detects_strengthening() {
         let mut g1 = ConstraintGraph::new();
         g1.assert_eq_const(v("x"), 5);
+        g1.close();
         let snapshot = g1.clone();
         assert!(g1.entails(&snapshot));
         let mut weaker = ConstraintGraph::new();
         weaker.assert_le(v("x"), VarId::ZERO, 10);
+        weaker.close();
         assert!(g1.entails(&weaker));
-        let mut wk = weaker.clone();
-        assert!(!wk.entails(&g1.clone()));
+        assert!(!weaker.entails(&g1));
     }
 
     #[test]
@@ -1306,6 +1274,7 @@ mod tests {
         let mut g = ConstraintGraph::new();
         g.assert_eq_const(VarId::pset_var(PsetId(2), intern_name("k")), 9);
         g.rename_namespace(PsetId(2), PsetId(5));
+        g.close();
         assert_eq!(
             g.const_of(VarId::pset_var(PsetId(5), intern_name("k"))),
             Some(9)
@@ -1332,6 +1301,7 @@ mod tests {
         let mut g = ConstraintGraph::new();
         g.assert_eq_const(v("i"), 1);
         g.assert_eq_const(v("one"), 1);
+        g.close();
         let mut eqs = vec![LinExpr::constant(-9)];
         g.equalities_of(v("i"), &mut eqs);
         assert_eq!(eqs[0], LinExpr::constant(-9), "entries already there stay");
@@ -1344,6 +1314,7 @@ mod tests {
     fn proves_le_and_eq_on_expressions() {
         let mut g = ConstraintGraph::new();
         g.assert_eq_offset(v("i"), VarId::NP, 0); // i = np
+        g.close();
         let (i_1, np_1) = (
             LinExpr::var_plus(v("i"), -1),
             LinExpr::var_plus(VarId::NP, -1),
@@ -1358,6 +1329,7 @@ mod tests {
         use std::cmp::Ordering;
         let mut g = ConstraintGraph::new();
         g.assert_eq_const(v("i"), 4);
+        g.close();
         assert_eq!(
             g.compare_exprs(&LinExpr::of_var(v("i")), &LinExpr::constant(4)),
             Some(Ordering::Equal)
@@ -1382,8 +1354,7 @@ mod tests {
         let mut g = ConstraintGraph::new();
         g.assert_le(v("a"), v("b"), 1);
         g.close(); // drains the one dirty edge incrementally
-        g.closed = false;
-        g.close(); // full
+        g.full_close();
         let s = crate::stats::ClosureStats::snapshot();
         assert!(s.full_closures >= 1);
         assert!(s.incremental_closures >= 1);
@@ -1407,6 +1378,7 @@ mod tests {
     fn eval_expr_resolves_constants() {
         let mut g = ConstraintGraph::new();
         g.assert_eq_const(v("n"), 6);
+        g.close();
         assert_eq!(g.eval_expr(&LinExpr::var_plus(v("n"), -2)), Some(4));
         assert_eq!(g.eval_expr(&LinExpr::constant(3)), Some(3));
         assert_eq!(g.eval_expr(&LinExpr::of_var(v("unknown"))), None);
@@ -1415,7 +1387,7 @@ mod tests {
     #[test]
     fn incremental_matches_full_closure() {
         // Property-style check: building a random-ish chain via
-        // assert_le (lazy dirty edges, drained on query) matches
+        // assert_le (dirty edges, drained by close) matches
         // rebuilding with a single full closure.
         let edges = [
             ("a", "b", 3),
@@ -1429,8 +1401,8 @@ mod tests {
         for (x, y, c) in edges {
             incr.assert_le(v(x), v(y), c);
         }
+        incr.close();
         let mut full = ConstraintGraph::new();
-        full.closed = false;
         for (x, y, c) in edges {
             let i = full.ensure_var(v(x));
             let j = full.ensure_var(v(y));
@@ -1439,7 +1411,7 @@ mod tests {
                 full.set(i, j, c);
             }
         }
-        full.close();
+        full.full_close();
         for x in ["a", "b", "c", "d"] {
             for y in ["a", "b", "c", "d"] {
                 assert_eq!(
@@ -1466,9 +1438,8 @@ mod tests {
         g.assert_le(v("h"), v("a"), 2); // closes a non-negative cycle
         g.assert_le(v("b"), v("g"), -4); // tighter than the chain path
         let mut full = g.clone();
-        full.closed = false;
         full.dirty.clear();
-        full.close();
+        full.full_close();
         g.close();
         let s = crate::stats::ClosureStats::snapshot();
         assert_eq!(s.incremental_closures, 2, "both edges drained per-edge");
@@ -1525,6 +1496,18 @@ mod edge_case_tests {
         g.clone_namespace(PsetId(0), PsetId(1));
     }
 
+    /// Queries read a closed graph; debug builds catch a query that
+    /// follows a write without a `close`.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "query on an unclosed constraint graph")]
+    fn query_after_unclosed_write_panics() {
+        let mut g = ConstraintGraph::new();
+        g.assert_le(v("a"), v("b"), 2);
+        g.assert_le(v("b"), v("c"), 3);
+        let _ = g.le_bound(v("a"), v("c"));
+    }
+
     #[test]
     fn operations_on_bottom_are_inert() {
         let mut g = ConstraintGraph::bottom();
@@ -1545,13 +1528,14 @@ mod edge_case_tests {
         // and reach "no constraint" in finitely many widenings.
         let mut cur = ConstraintGraph::new();
         cur.assert_le(v("x"), VarId::ZERO, -10);
+        cur.close();
         let mut steps = 0;
         loop {
             let mut next = ConstraintGraph::new();
             next.assert_le(v("x"), VarId::ZERO, -10 + steps * 7);
+            next.close();
             let w = cur.widen(&next);
-            let mut probe = w.clone();
-            if probe.le_bound(v("x"), VarId::ZERO).is_none() {
+            if w.le_bound(v("x"), VarId::ZERO).is_none() {
                 break; // Reached top for this bound.
             }
             cur = w;
@@ -1586,7 +1570,9 @@ mod edge_case_tests {
         g1.assert_eq_const(v("only_left"), 1);
         let mut g2 = ConstraintGraph::new();
         g2.assert_eq_const(v("only_right"), 2);
-        let mut j = g1.join(&g2);
+        g1.close();
+        g2.close();
+        let j = g1.join(&g2);
         assert!(!j.has_var(v("only_left")));
         assert!(!j.has_var(v("only_right")));
         assert!(!j.is_bottom());
@@ -1698,6 +1684,7 @@ mod edge_case_tests {
                     "round {round}: {g:?}"
                 );
             }
+            g.close();
             let j = g.join(&ConstraintGraph::new());
             assert_eq!(j.fingerprint(), j.recomputed_fingerprint());
             let w = g.widen(&g.clone());
@@ -1721,6 +1708,7 @@ mod edge_case_tests {
         }
         // Re-added variables land on recycled slots and start fresh.
         g.assert_eq_const(v("x0"), 41);
+        g.close();
         assert_eq!(g.const_of(v("x0")), Some(41));
         assert_eq!(g.const_of(v("x7")), Some(7));
     }

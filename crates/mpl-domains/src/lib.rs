@@ -10,8 +10,9 @@
 //!
 //! The constraint graph is a difference-bound matrix (DBM), dense over
 //! interned [`var::VarId`] handles, with full O(n³) transitive closure
-//! and an O(n²) single-edge incremental variant driven by a lazy dirty
-//! set ([`ConstraintGraph::close`] is a no-op when nothing changed). Both
+//! and an O(n²) single-edge incremental variant driven by a dirty set
+//! ([`ConstraintGraph::close`] is a no-op when nothing changed). Queries
+//! take `&self` and read a closed graph; whoever writes closes. Both
 //! closure paths are instrumented through [`stats::ClosureStats`], which
 //! is how `mpl-bench`'s `profile` binary reproduces the §IX profile
 //! (closure counts, average variable counts, share of runtime).

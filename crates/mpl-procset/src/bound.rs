@@ -203,7 +203,7 @@ impl Bound {
 
     /// Adds to the alias set every expression the constraint graph can
     /// prove equal to this bound (see [`Bound::saturated`]).
-    pub fn saturate(&mut self, cg: &mut ConstraintGraph) {
+    pub fn saturate(&mut self, cg: &ConstraintGraph) {
         if let Some(saturated) = self.saturated(cg) {
             *self = saturated;
         }
@@ -219,7 +219,7 @@ impl Bound {
     /// Every scan writes into one per-thread buffer that outlives the
     /// call, so saturation allocates only when the result outgrows the
     /// inline capacity.
-    pub fn saturated(&self, cg: &mut ConstraintGraph) -> Option<Bound> {
+    pub fn saturated(&self, cg: &ConstraintGraph) -> Option<Bound> {
         thread_local! {
             static FOUND: Cell<Vec<LinExpr>> = const { Cell::new(Vec::new()) };
         }
@@ -231,8 +231,7 @@ impl Bound {
         // test on the packed id.
         let constants = aliases.partition_point(LinExpr::is_constant);
         for e in &aliases[..constants] {
-            for k in 0..cg.variables().len() {
-                let v = cg.variables()[k];
+            for &v in cg.variables() {
                 if !v.is_rank_id() {
                     continue;
                 }
@@ -337,7 +336,7 @@ impl Bound {
 
     /// Compares two bounds using the constraint graph; `None` when no
     /// relation is provable from any alias pair.
-    pub fn compare(&self, cg: &mut ConstraintGraph, other: &Bound) -> Option<Ordering> {
+    pub fn compare(&self, cg: &ConstraintGraph, other: &Bound) -> Option<Ordering> {
         self.compare_shifted(0, cg, other)
     }
 
@@ -348,7 +347,7 @@ impl Bound {
     pub(crate) fn compare_shifted(
         &self,
         shift: i64,
-        cg: &mut ConstraintGraph,
+        cg: &ConstraintGraph,
         other: &Bound,
     ) -> Option<Ordering> {
         // Syntactic fast path: identical alias present in both.
@@ -374,18 +373,18 @@ impl Bound {
     }
 
     /// True if the graph proves `self = other`.
-    pub fn provably_eq(&self, cg: &mut ConstraintGraph, other: &Bound) -> bool {
+    pub fn provably_eq(&self, cg: &ConstraintGraph, other: &Bound) -> bool {
         self.compare(cg, other) == Some(Ordering::Equal)
     }
 
     /// True if the graph proves `self ≤ other`.
-    pub fn provably_le(&self, cg: &mut ConstraintGraph, other: &Bound) -> bool {
+    pub fn provably_le(&self, cg: &ConstraintGraph, other: &Bound) -> bool {
         self.le_shifted(0, cg, other)
     }
 
     /// True if the graph proves `self + shift ≤ other` (see
     /// [`Bound::compare_shifted`]).
-    fn le_shifted(&self, shift: i64, cg: &mut ConstraintGraph, other: &Bound) -> bool {
+    fn le_shifted(&self, shift: i64, cg: &ConstraintGraph, other: &Bound) -> bool {
         if matches!(
             self.compare_shifted(shift, cg, other),
             Some(Ordering::Less | Ordering::Equal)
@@ -429,7 +428,7 @@ impl Bound {
     }
 
     /// True if the graph proves `self < other`.
-    pub fn provably_lt(&self, cg: &mut ConstraintGraph, other: &Bound) -> bool {
+    pub fn provably_lt(&self, cg: &ConstraintGraph, other: &Bound) -> bool {
         self.compare(cg, other) == Some(Ordering::Less) || self.le_shifted(1, cg, other)
     }
 }
@@ -463,40 +462,42 @@ mod tests {
 
     #[test]
     fn constant_bounds_compare_without_graph_facts() {
-        let mut cg = ConstraintGraph::new();
+        let cg = ConstraintGraph::new();
         let a = Bound::constant(3);
         let b = Bound::constant(5);
-        assert_eq!(a.compare(&mut cg, &b), Some(Ordering::Less));
-        assert!(a.provably_lt(&mut cg, &b));
-        assert!(a.provably_le(&mut cg, &b));
-        assert!(!b.provably_le(&mut cg, &a));
+        assert_eq!(a.compare(&cg, &b), Some(Ordering::Less));
+        assert!(a.provably_lt(&cg, &b));
+        assert!(a.provably_le(&cg, &b));
+        assert!(!b.provably_le(&cg, &a));
     }
 
     #[test]
     fn same_base_compares_by_offset() {
-        let mut cg = ConstraintGraph::new();
+        let cg = ConstraintGraph::new();
         let a = Bound::of(LinExpr::var_plus(VarId::NP, -1));
         let b = Bound::of(LinExpr::of_var(VarId::NP));
-        assert_eq!(a.compare(&mut cg, &b), Some(Ordering::Less));
+        assert_eq!(a.compare(&cg, &b), Some(Ordering::Less));
     }
 
     #[test]
     fn graph_facts_resolve_cross_variable_comparisons() {
         let mut cg = ConstraintGraph::new();
         cg.assert_eq_const(var("i"), 1);
+        cg.close();
         let a = Bound::of(LinExpr::of_var(var("i")));
         let b = Bound::constant(1);
-        assert!(a.provably_eq(&mut cg, &b));
+        assert!(a.provably_eq(&cg, &b));
         let c = Bound::constant(4);
-        assert!(a.provably_lt(&mut cg, &c));
+        assert!(a.provably_lt(&cg, &c));
     }
 
     #[test]
     fn saturate_collects_aliases() {
         let mut cg = ConstraintGraph::new();
         cg.assert_eq_const(var("i"), 1);
+        cg.close();
         let mut b = Bound::of(LinExpr::of_var(var("i")));
-        b.saturate(&mut cg);
+        b.saturate(&cg);
         assert!(b.exprs().contains(&LinExpr::constant(1)));
         assert_eq!(b.as_constant(), Some(1));
     }
@@ -505,8 +506,9 @@ mod tests {
     fn saturate_shifts_alias_offsets() {
         let mut cg = ConstraintGraph::new();
         cg.assert_eq_const(var("i"), 4);
+        cg.close();
         let mut b = Bound::of(LinExpr::var_plus(var("i"), -1));
-        b.saturate(&mut cg);
+        b.saturate(&cg);
         assert!(b.exprs().contains(&LinExpr::constant(3)));
     }
 
@@ -514,12 +516,14 @@ mod tests {
     fn widen_keeps_common_aliases() {
         let mut cg = ConstraintGraph::new();
         cg.assert_eq_const(var("i"), 1);
+        cg.close();
         let mut first = Bound::of(LinExpr::of_var(var("i")));
-        first.saturate(&mut cg); // {i, 1}
+        first.saturate(&cg); // {i, 1}
         let mut cg2 = ConstraintGraph::new();
         cg2.assert_eq_const(var("i"), 2);
+        cg2.close();
         let mut second = Bound::of(LinExpr::of_var(var("i")));
-        second.saturate(&mut cg2); // {i, 2}
+        second.saturate(&cg2); // {i, 2}
         let w = first.widen(&second);
         assert_eq!(w.exprs().len(), 1);
         assert!(w.exprs().contains(&LinExpr::of_var(var("i"))));
@@ -537,8 +541,9 @@ mod tests {
     fn rep_prefers_constants() {
         let mut cg = ConstraintGraph::new();
         cg.assert_eq_const(var("i"), 7);
+        cg.close();
         let mut b = Bound::of(LinExpr::of_var(var("i")));
-        b.saturate(&mut cg);
+        b.saturate(&cg);
         assert_eq!(b.rep(), &LinExpr::constant(7));
     }
 

@@ -53,7 +53,8 @@ impl Rng {
         (0..self.below(11)).map(|_| self.expr()).collect()
     }
 
-    /// A graph with a few equalities and bounds among the variables.
+    /// A closed graph with a few equalities and bounds among the
+    /// variables.
     fn graph(&mut self) -> ConstraintGraph {
         let mut cg = ConstraintGraph::new();
         for _ in 0..self.below(8) {
@@ -65,12 +66,13 @@ impl Rng {
                 _ => cg.assert_le(x, y, self.offset()),
             }
         }
+        cg.close();
         cg
     }
 }
 
 /// The set-based saturation the alias list replaced.
-fn model_saturate(model: &mut Model, cg: &mut ConstraintGraph) {
+fn model_saturate(model: &mut Model, cg: &ConstraintGraph) {
     let mut extra = Model::new();
     let mut scanned = Model::new();
     for e in model.iter() {
@@ -86,7 +88,7 @@ fn model_saturate(model: &mut Model, cg: &mut ConstraintGraph) {
                 scanned.insert(a);
             }
         } else {
-            for v in cg.variables().to_vec() {
+            for &v in cg.variables() {
                 if !v.is_rank_id() {
                     continue;
                 }
@@ -108,7 +110,7 @@ fn model_display(model: &Model) -> String {
     }
 }
 
-fn model_compare(a: &Model, b: &Model, cg: &mut ConstraintGraph) -> Option<Ordering> {
+fn model_compare(a: &Model, b: &Model, cg: &ConstraintGraph) -> Option<Ordering> {
     if a.intersection(b).next().is_some() {
         return Some(Ordering::Equal);
     }
@@ -129,7 +131,7 @@ fn model_compare(a: &Model, b: &Model, cg: &mut ConstraintGraph) -> Option<Order
     None
 }
 
-fn model_le(a: &Model, b: &Model, cg: &mut ConstraintGraph) -> bool {
+fn model_le(a: &Model, b: &Model, cg: &ConstraintGraph) -> bool {
     if matches!(
         model_compare(a, b, cg),
         Some(Ordering::Less | Ordering::Equal)
@@ -152,7 +154,7 @@ fn model_le(a: &Model, b: &Model, cg: &mut ConstraintGraph) -> bool {
     false
 }
 
-fn model_lt(a: &Model, b: &Model, cg: &mut ConstraintGraph) -> bool {
+fn model_lt(a: &Model, b: &Model, cg: &ConstraintGraph) -> bool {
     let shifted: Model = a.iter().map(|x| x.plus(1)).collect();
     model_compare(a, b, cg) == Some(Ordering::Less) || model_le(&shifted, b, cg)
 }
@@ -202,8 +204,8 @@ fn alias_list_matches_the_set_model() {
                 }
                 _ => {
                     let cg = rng.graph();
-                    bound.saturate(&mut cg.clone());
-                    model_saturate(&mut model, &mut cg.clone());
+                    bound.saturate(&cg);
+                    model_saturate(&mut model, &cg);
                 }
             }
             assert_same(&bound, &model, &step);
@@ -214,18 +216,18 @@ fn alias_list_matches_the_set_model() {
             let other_model: Model = other.into_iter().collect();
             let cg = rng.graph();
             assert_eq!(
-                bound.compare(&mut cg.clone(), &other_bound),
-                model_compare(&model, &other_model, &mut cg.clone()),
+                bound.compare(&cg, &other_bound),
+                model_compare(&model, &other_model, &cg),
                 "{step}: compare {bound} with {other_bound}"
             );
             assert_eq!(
-                bound.provably_le(&mut cg.clone(), &other_bound),
-                model_le(&model, &other_model, &mut cg.clone()),
+                bound.provably_le(&cg, &other_bound),
+                model_le(&model, &other_model, &cg),
                 "{step}: {bound} <= {other_bound}"
             );
             assert_eq!(
-                bound.provably_lt(&mut cg.clone(), &other_bound),
-                model_lt(&model, &other_model, &mut cg.clone()),
+                bound.provably_lt(&cg, &other_bound),
+                model_lt(&model, &other_model, &cg),
                 "{step}: {bound} < {other_bound}"
             );
         }
