@@ -13,7 +13,8 @@
 //!   the first `widen_delay` visits, then widened with thresholds until
 //!   it converges;
 //! * **admission** — a successor state is queued only if it brings new
-//!   information at its location (`same_as` dedup / widening progress).
+//!   information at its location (fingerprint dedup / widening
+//!   progress).
 //!
 //! The store keeps a location's state only while a queued state can
 //! still reach it (DESIGN §3.17). A location's rank is the lowest
@@ -259,10 +260,10 @@ impl Scheduler {
     /// `Some(TopReason::AbstractionLoss)` when widening relaxed a
     /// process-set bound to ±∞.
     ///
-    /// Dedup is O(1) in the common no-new-info case: the offered state's
-    /// fingerprint is compared against the fingerprint cached with the
-    /// stored state, and only a mismatch falls back to the full
-    /// [`AnalysisState::same_as_slow`] walk.
+    /// Dedup is O(1): the offered state's fingerprint is compared
+    /// against the fingerprint cached with the stored state, and equal
+    /// fingerprints stand for structurally equal states (debug builds
+    /// check [`AnalysisState::structurally_eq`]).
     pub fn admit<O: AnalysisObserver>(
         &mut self,
         s: AnalysisState,
@@ -291,9 +292,6 @@ impl Scheduler {
                 );
                 return None;
             }
-            if s.same_as_slow(&slot.state) {
-                return None;
-            }
             slot.state = s.clone();
             slot.fp = s_fp;
             slot.visits = visits;
@@ -307,9 +305,6 @@ impl Scheduler {
                 widened.structurally_eq(&slot.state),
                 "state fingerprint collision at widening"
             );
-            return None; // Converged at this location.
-        }
-        if widened.same_as_slow(&slot.state) {
             return None; // Converged at this location.
         }
         if widened.any_vacant_range() {
