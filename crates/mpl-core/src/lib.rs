@@ -65,7 +65,6 @@ pub mod scheduler;
 pub mod service;
 pub mod share;
 pub mod state;
-pub mod topology;
 
 pub use cache::{CacheStats, ResultCache};
 pub use client::{CartesianClient, Client, ClientDomain, SymbolicClient};
@@ -93,4 +92,3 @@ pub use scheduler::{StoredStats, CANCEL_CHECK_STEPS};
 pub use service::{error_line, AnalysisService, Reply, ServiceConfig, ShutdownMode};
 pub use share::Shared;
 pub use state::{AnalysisState, PsetState};
-pub use topology::StaticTopology;

@@ -6,7 +6,7 @@
 //! share them without pulling in engine internals.
 
 use std::collections::BTreeSet;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use mpl_cfg::CfgNodeId;
 
@@ -185,7 +185,9 @@ pub struct AnalysisResult {
     /// Terminal verdict.
     pub verdict: Verdict,
     /// All established (send node, recv node) matches — the static
-    /// communication topology at statement granularity.
+    /// communication topology at statement granularity, directly
+    /// comparable with `mpl_sim::RuntimeTopology::site_pairs`. An exact
+    /// verdict covers a run when its pairs are a subset of these.
     pub matches: BTreeSet<(CfgNodeId, CfgNodeId)>,
     /// Matches with their process subsets.
     pub events: Vec<MatchEvent>,
@@ -225,6 +227,23 @@ impl AnalysisResult {
     #[must_use]
     pub fn is_exact(&self) -> bool {
         self.verdict == Verdict::Exact
+    }
+
+    /// The static topology as `mpl analyze` prints it: whether it is
+    /// exact (only then a sound and complete statement-level topology),
+    /// then one line per match event with its symbolic process subsets.
+    #[must_use]
+    pub fn render_topology(&self) -> String {
+        let exact = if self.is_exact() {
+            "exact"
+        } else {
+            "approximate"
+        };
+        let mut out = format!("static topology ({exact}):\n");
+        for e in &self.events {
+            let _ = writeln!(out, "  {e}");
+        }
+        out
     }
 
     /// The constant printed at `node`, if every reaching process set
@@ -271,6 +290,17 @@ mod tests {
             TopReason::SplitDepthExceeded,
             TopReason::Deadline,
         ]
+    }
+
+    #[test]
+    fn render_topology_lists_each_event() {
+        let prog = mpl_lang::corpus::fig2_exchange();
+        let result = crate::engine::analyze(&prog.program, &crate::AnalysisConfig::default());
+        assert!(result.is_exact());
+        assert_eq!((result.matches.len(), result.events.len()), (2, 2));
+        let text = result.render_topology();
+        assert!(text.starts_with("static topology (exact):\n"), "{text}");
+        assert_eq!(text.lines().count(), 3, "{text}");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! Run with `cargo run -p mpl-examples --bin mdcask_exchange`.
 
 use mpl_cfg::Cfg;
-use mpl_core::{analyze_cfg_with, classify, AnalysisConfig, Client, StaticTopology, TraceObserver};
+use mpl_core::{analyze_cfg_with, classify, AnalysisConfig, Client, TraceObserver};
 use mpl_lang::corpus;
 use mpl_sim::Simulator;
 
@@ -37,8 +37,7 @@ fn main() {
 
     println!("\n=== result ===");
     println!("verdict: {:?}", result.verdict);
-    let topo = StaticTopology::from_result(&result);
-    print!("{topo}");
+    print!("{}", result.render_topology());
     let pattern = classify(&result);
     println!("pattern: {pattern}");
     if let Some(hint) = pattern.collective_hint() {
@@ -52,7 +51,7 @@ fn main() {
             .run()
             .expect("simulation succeeds");
         assert!(outcome.is_complete());
-        let ok = topo.covers(&outcome.topology.site_pairs());
+        let ok = outcome.topology.site_pairs().is_subset(&result.matches);
         println!(
             "np = {np:>2}: {} runtime messages, static topology covers them: {}",
             outcome.topology.len(),

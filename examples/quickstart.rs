@@ -7,7 +7,7 @@
 //! Run with `cargo run -p mpl-examples --bin quickstart`.
 
 use mpl_cfg::Cfg;
-use mpl_core::{analyze_cfg, classify, AnalysisConfig, StaticTopology};
+use mpl_core::{analyze_cfg, classify, AnalysisConfig};
 use mpl_lang::parse_program;
 use mpl_sim::Simulator;
 
@@ -35,8 +35,7 @@ end
     let result = analyze_cfg(&cfg, &AnalysisConfig::default());
     println!("=== static analysis ===");
     println!("verdict: {:?}", result.verdict);
-    let topo = StaticTopology::from_result(&result);
-    print!("{topo}");
+    print!("{}", result.render_topology());
     println!("pattern: {}", classify(&result));
     for p in &result.prints {
         println!(
@@ -61,7 +60,7 @@ end
     );
 
     // The static site-level topology covers exactly the runtime one.
-    assert!(topo.is_exact());
-    assert_eq!(*topo.site_pairs(), outcome.topology.site_pairs());
+    assert!(result.is_exact());
+    assert_eq!(result.matches, outcome.topology.site_pairs());
     println!("\nstatic topology matches runtime topology exactly ✓");
 }

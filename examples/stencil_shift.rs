@@ -8,7 +8,7 @@
 //! Run with `cargo run -p mpl-examples --bin stencil_shift`.
 
 use mpl_cfg::Cfg;
-use mpl_core::{analyze_cfg, classify, AnalysisConfig, Client, StaticTopology};
+use mpl_core::{analyze_cfg, classify, AnalysisConfig, Client};
 use mpl_lang::corpus::{self, GridDims};
 use mpl_sim::Simulator;
 
@@ -24,8 +24,7 @@ fn main() {
             },
         );
         println!("verdict: {:?}", result.verdict);
-        let topo = StaticTopology::from_result(&result);
-        print!("{topo}");
+        print!("{}", result.render_topology());
         let pattern = classify(&result);
         println!("pattern: {pattern}");
         if let Some(hint) = pattern.collective_hint() {
@@ -38,7 +37,7 @@ fn main() {
                 .expect("simulation succeeds");
             assert!(outcome.is_complete());
             assert!(
-                topo.covers(&outcome.topology.site_pairs()),
+                outcome.topology.site_pairs().is_subset(&result.matches),
                 "static topology must cover np={np}"
             );
             println!(

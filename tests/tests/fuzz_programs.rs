@@ -9,7 +9,7 @@
 //! * exact verdicts never hide runtime leaks or deadlocks.
 
 use mpl_cfg::Cfg;
-use mpl_core::{analyze_cfg, AnalysisConfig, Client, StaticTopology};
+use mpl_core::{analyze_cfg, AnalysisConfig, Client};
 use mpl_lang::parse_program;
 use mpl_rng::Rng64;
 use mpl_sim::{Schedule, SimConfig, Simulator};
@@ -134,11 +134,10 @@ fn check_program(src: &str, np: u64, seed: u64, clients: &[Client]) {
         };
         let result = analyze_cfg(&cfg, &config);
         if result.is_exact() {
-            let topo = StaticTopology::from_result(&result);
             assert!(
-                topo.covers(&base.topology.site_pairs()),
+                base.topology.site_pairs().is_subset(&result.matches),
                 "static {:?} misses runtime {:?}\n{src}",
-                topo.site_pairs(),
+                result.matches,
                 base.topology.site_pairs()
             );
             assert!(

@@ -6,7 +6,7 @@
 //! one level more is a parse error at the token that opens it.
 
 use mpl_cfg::Cfg;
-use mpl_core::{analyze_cfg, AnalysisConfig, Client, StaticTopology};
+use mpl_core::{analyze_cfg, AnalysisConfig, Client};
 use mpl_lang::parse_program;
 use mpl_lang::parser::MAX_DEPTH;
 
@@ -70,11 +70,7 @@ fn deepest_accepted_sources_run_end_to_end_on_a_2_mib_stack() {
                         ..AnalysisConfig::default()
                     };
                     let result = analyze_cfg(&cfg, &config);
-                    let rendered = format!(
-                        "{:?} {}",
-                        result.verdict,
-                        StaticTopology::from_result(&result)
-                    );
+                    let rendered = format!("{:?} {}", result.verdict, result.render_topology());
                     assert!(!rendered.is_empty(), "{shape}");
                 }
                 drop((cfg, printed, program));

@@ -3,12 +3,20 @@
 //! the paper's verdict and its statement-level topology must cover every
 //! message of concrete executions across a range of process counts.
 
-use mpl_cfg::Cfg;
-use mpl_core::{analyze_cfg, classify, AnalysisConfig, Client, Pattern, StaticTopology, Verdict};
+use std::collections::BTreeSet;
+
+use mpl_cfg::{Cfg, CfgNodeId};
+use mpl_core::{analyze_cfg, classify, AnalysisConfig, Client, Pattern, Verdict};
 use mpl_lang::corpus::{self, CorpusProgram, GridDims};
 use mpl_sim::Simulator;
 
-fn check_covers_runtime(prog: &CorpusProgram, client: Client, nps: &[u64]) -> StaticTopology {
+/// Checks that `prog`'s exact static topology covers its runtime
+/// topology at every `np`, and returns the static site pairs.
+fn check_covers_runtime(
+    prog: &CorpusProgram,
+    client: Client,
+    nps: &[u64],
+) -> BTreeSet<(CfgNodeId, CfgNodeId)> {
     let cfg = Cfg::build(&prog.program);
     let result = analyze_cfg(
         &cfg,
@@ -23,7 +31,6 @@ fn check_covers_runtime(prog: &CorpusProgram, client: Client, nps: &[u64]) -> St
         prog.name,
         result.verdict
     );
-    let topo = StaticTopology::from_result(&result);
     for &np in nps {
         let outcome = Simulator::from_cfg(Cfg::build(&prog.program), np)
             .run()
@@ -34,15 +41,15 @@ fn check_covers_runtime(prog: &CorpusProgram, client: Client, nps: &[u64]) -> St
             prog.name
         );
         assert!(
-            topo.covers(&outcome.topology.site_pairs()),
+            outcome.topology.site_pairs().is_subset(&result.matches),
             "{} np={np}: static {:?} misses runtime {:?}",
             prog.name,
-            topo.site_pairs(),
+            result.matches,
             outcome.topology.site_pairs()
         );
         assert!(outcome.leaks.is_empty(), "{} np={np} leaked", prog.name);
     }
-    topo
+    result.matches
 }
 
 #[test]
@@ -50,10 +57,10 @@ fn e1_fig2_exchange() {
     let prog = corpus::fig2_exchange();
     let topo = check_covers_runtime(&prog, Client::Simple, &[4, 5, 9]);
     // Exactly the two matches of Fig 2(d), nothing more.
-    assert_eq!(topo.site_pairs().len(), 2);
+    assert_eq!(topo.len(), 2);
     // And the runtime topology at any np equals the static one exactly.
     let outcome = Simulator::new(&prog.program, 6).run().unwrap();
-    assert_eq!(*topo.site_pairs(), outcome.topology.site_pairs());
+    assert_eq!(topo, outcome.topology.site_pairs());
 }
 
 #[test]
@@ -74,7 +81,7 @@ fn e2_fig5_exchange_with_root() {
     let prog = corpus::exchange_with_root();
     let topo = check_covers_runtime(&prog, Client::Simple, &[4, 5, 8, 13]);
     assert_eq!(
-        topo.site_pairs().len(),
+        topo.len(),
         2,
         "root send->worker recv, worker send->root recv"
     );
@@ -86,7 +93,7 @@ fn e2_fig5_exchange_with_root() {
 fn e2_fig1_full_mdcask() {
     let prog = corpus::mdcask_full();
     let topo = check_covers_runtime(&prog, Client::Simple, &[4, 6, 9]);
-    assert_eq!(topo.site_pairs().len(), 3);
+    assert_eq!(topo.len(), 3);
     let result = mpl_core::analyze(&prog.program, &AnalysisConfig::default());
     assert_eq!(classify(&result), Pattern::ExchangeWithRoot);
 }
@@ -121,10 +128,12 @@ fn e3_fig6_transpose_square_concrete_matches_runtime() {
         let cfg = Cfg::build(&prog.program);
         let result = analyze_cfg(&cfg, &AnalysisConfig::default());
         assert!(result.is_exact(), "nrows={nrows}: {:?}", result.verdict);
-        let topo = StaticTopology::from_result(&result);
         let outcome = Simulator::from_cfg(cfg, np).run().unwrap();
         assert!(outcome.is_complete());
-        assert!(topo.covers(&outcome.topology.site_pairs()), "nrows={nrows}");
+        assert!(
+            outcome.topology.site_pairs().is_subset(&result.matches),
+            "nrows={nrows}"
+        );
     }
 }
 
@@ -147,7 +156,7 @@ fn e4_fig7_nearest_neighbor_shift() {
     let topo = check_covers_runtime(&prog, Client::Simple, &[4, 6, 9, 12]);
     // Fig 8's three matches collapse to two statement-level pairs
     // (edge send and interior send target the same recv nodes).
-    assert!(!topo.site_pairs().is_empty());
+    assert!(!topo.is_empty());
     let result = mpl_core::analyze(&prog.program, &AnalysisConfig::default());
     assert_eq!(classify(&result), Pattern::Shift { offset: 1 });
 }
@@ -174,11 +183,10 @@ fn e4_stencil_2d_concrete() {
             },
         );
         assert!(result.is_exact(), "{nrows}x{ncols}: {:?}", result.verdict);
-        let topo = StaticTopology::from_result(&result);
         let outcome = Simulator::from_cfg(cfg, np).run().unwrap();
         assert!(outcome.is_complete());
         assert!(
-            topo.covers(&outcome.topology.site_pairs()),
+            outcome.topology.site_pairs().is_subset(&result.matches),
             "{nrows}x{ncols}"
         );
         assert_eq!(outcome.topology.len(), ((nrows - 1) * ncols) as usize);
@@ -208,7 +216,7 @@ fn broadcast_and_gather_and_scatter() {
         (corpus::scatter_indexed(), Pattern::Broadcast),
     ] {
         let topo = check_covers_runtime(&prog, Client::Simple, &[4, 7]);
-        assert_eq!(topo.site_pairs().len(), 1, "{}", prog.name);
+        assert_eq!(topo.len(), 1, "{}", prog.name);
         let result = mpl_core::analyze(&prog.program, &AnalysisConfig::default());
         assert_eq!(classify(&result), pattern, "{}", prog.name);
     }
@@ -229,7 +237,7 @@ fn const_relay_propagates_through_hops() {
 fn extension_pipeline_is_exact_shift_family() {
     let prog = corpus::pipeline_double();
     let topo = check_covers_runtime(&prog, Client::Simple, &[4, 8, 12]);
-    assert_eq!(topo.site_pairs().len(), 3);
+    assert_eq!(topo.len(), 3);
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //!   sound, not just the fixed corpus.
 
 use mpl_cfg::Cfg;
-use mpl_core::{analyze_cfg, AnalysisConfig, Client, StaticTopology, Verdict};
+use mpl_core::{analyze_cfg, AnalysisConfig, Client, Verdict};
 use mpl_lang::{corpus, parse_program};
 use mpl_rng::Rng64;
 use mpl_sim::Simulator;
@@ -21,7 +21,6 @@ fn assert_sound(src: &str, nps: &[u64]) {
     if !result.is_exact() {
         return; // ⊤ / deadlock verdicts promise nothing about topology.
     }
-    let topo = StaticTopology::from_result(&result);
     for &np in nps {
         let outcome = Simulator::from_cfg(Cfg::build(&program), np)
             .run()
@@ -30,9 +29,9 @@ fn assert_sound(src: &str, nps: &[u64]) {
             panic!("exact verdict but runtime deadlock at np={np}\n{src}");
         }
         assert!(
-            topo.covers(&outcome.topology.site_pairs()),
+            outcome.topology.site_pairs().is_subset(&result.matches),
             "np={np}: static {:?} misses {:?}\n{src}",
-            topo.site_pairs(),
+            result.matches,
             outcome.topology.site_pairs()
         );
     }
@@ -51,7 +50,6 @@ fn corpus_exact_verdicts_are_sound_for_many_np() {
         if !result.is_exact() {
             continue;
         }
-        let topo = StaticTopology::from_result(&result);
         for &np in &nps {
             let outcome = Simulator::from_cfg(Cfg::build(&prog.program), np)
                 .run()
@@ -60,7 +58,7 @@ fn corpus_exact_verdicts_are_sound_for_many_np() {
                 panic!("{}: exact verdict but deadlock at np={np}", prog.name);
             }
             assert!(
-                topo.covers(&outcome.topology.site_pairs()),
+                outcome.topology.site_pairs().is_subset(&result.matches),
                 "{} at np={np}",
                 prog.name
             );
