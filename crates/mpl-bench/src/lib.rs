@@ -232,6 +232,7 @@ impl Sum for ProfiledRun {
             acc.matrix_copies += run.matrix_copies;
             acc.allocations += run.allocations;
             let (p, q) = (&mut acc.profile, run.profile);
+            p.schedule += q.schedule;
             p.transfer += q.transfer;
             p.matching += q.matching;
             p.join_widen += q.join_widen;

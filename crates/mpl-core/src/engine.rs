@@ -142,7 +142,12 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
         self.scheduler.seed(init);
 
         while self.top.is_none() {
-            let st = match self.scheduler.tick() {
+            let tick_start = timing.then(Instant::now);
+            let ticked = self.scheduler.tick();
+            if let Some(t) = tick_start {
+                profile.schedule += t.elapsed();
+            }
+            let st = match ticked {
                 None => break, // Worklist exhausted: fixpoint.
                 Some(Err(reason)) => {
                     self.give_up(reason);

@@ -28,14 +28,16 @@ use crate::state::AnalysisState;
 /// Per-phase wall-clock breakdown of one engine run, plus the final
 /// location-store footprint.
 ///
-/// The phases partition the worklist loop body: `transfer` (advancing
-/// unblocked process sets), `matching` (blocked steps: send–receive
-/// matching, ambiguity splits, pending-send promotion), `join_widen`
-/// (successor normalization: closure, empty-set dropping, merging,
-/// canonical renumbering, bound saturation) and `admission` (folding the
+/// The phases partition the worklist loop: `schedule` (popping the next
+/// state, which first evicts the stored locations below the queue's
+/// watermark, and the budget checks), `transfer` (advancing unblocked
+/// process sets), `matching` (blocked steps: send–receive matching,
+/// ambiguity splits, pending-send promotion), `join_widen` (successor
+/// normalization: closure, empty-set dropping, merging, canonical
+/// renumbering, bound saturation) and `admission` (folding the
 /// successor's new matches into the result, terminal bookkeeping, and
 /// dedup / widening against stored states, including the state clones
-/// it takes). [`EngineProfile::phase_sum`] covers the loop body, so
+/// it takes). [`EngineProfile::phase_sum`] covers the loop, so
 /// `phase_sum ≈ total` within a few percent.
 ///
 /// Phase timing is collected only when the observer opts in via
@@ -45,6 +47,10 @@ use crate::state::AnalysisState;
 #[derive(Debug, Clone, Copy, Default)]
 #[non_exhaustive]
 pub struct EngineProfile {
+    /// Time in [`Scheduler::tick`](crate::scheduler::Scheduler::tick):
+    /// popping the next state, evicting the stored locations below the
+    /// watermark, and the step-budget and deadline checks.
+    pub schedule: Duration,
     /// Time advancing unblocked process sets (CFG transfer functions).
     pub transfer: Duration,
     /// Time in blocked steps: matching, ambiguity splits, promotions.
@@ -73,10 +79,10 @@ pub struct EngineProfile {
 }
 
 impl EngineProfile {
-    /// The sum of the phase timers covering the worklist loop body.
+    /// The sum of the phase timers covering the worklist loop.
     #[must_use]
     pub fn phase_sum(&self) -> Duration {
-        self.transfer + self.matching + self.join_widen + self.admission
+        self.schedule + self.transfer + self.matching + self.join_widen + self.admission
     }
 }
 
@@ -84,9 +90,11 @@ impl fmt::Display for EngineProfile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "transfer {:?}, match {:?}, join/widen {:?}, admission {:?} \
-             (sum {:?} of {:?} total); {} stored locations, peak {} live, \
-             ~{} bytes held at end; {} rounds, frontier peak {} mean {:.1}",
+            "schedule {:?}, transfer {:?}, match {:?}, join/widen {:?}, \
+             admission {:?} (sum {:?} of {:?} total); {} stored locations, \
+             peak {} live, ~{} bytes held at end; {} rounds, frontier peak \
+             {} mean {:.1}",
+            self.schedule,
             self.transfer,
             self.matching,
             self.join_widen,
