@@ -170,6 +170,12 @@ impl ResultCache {
         }
     }
 
+    /// Maximum resident entries.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// Number of resident entries.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -81,7 +81,7 @@ pub use observer::{
     TraceObserver,
 };
 pub use pattern::{classify, classify_pairs, Pattern};
-pub use persist::{CacheJournal, JournalEntry, JournalReplay, JournalStats};
+pub use persist::{CacheJournal, JournalEntry, JournalReplay, JournalStats, RecordSpan};
 pub use request::{
     summary_json_line, AnalysisRequest, AnalysisRequestBuilder, AnalysisResponse, BatchResponse,
     BatchSummary, Fault, JobOutcome, RequestBatch, RequestError, PROTOCOL_VERSION,

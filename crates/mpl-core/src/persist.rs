@@ -1,5 +1,6 @@
 //! Crash-safe persistence for the serve result cache: an append-only,
-//! checksummed NDJSON journal with torn-tail recovery.
+//! checksummed NDJSON journal with torn-tail recovery, which the
+//! service also reads as a second cache tier.
 //!
 //! The daemon's reason to exist is that analyses are expensive (the
 //! paper's §IX: 381 s for the fan-out kernel), so losing the result
@@ -25,6 +26,13 @@
 //!   service periodically rewrites it from the live cache (newest last,
 //!   so replay reproduces recency order) into a temp file and atomically
 //!   renames it into place.
+//! * **Positional reads.** Replay, [`CacheJournal::append`] and
+//!   [`CacheJournal::compact`] report the [`RecordSpan`] of every
+//!   record in the current file, and [`CacheJournal::read`] reads one
+//!   record back by its span under replay's checks (newline, JSON
+//!   schema, CRC). The service keeps an index of these spans, so an
+//!   entry evicted from memory is answered from its record instead of
+//!   by the engine.
 //!
 //! The module knows nothing about the cache or the service — it stores
 //! `(key, check, body)` triples, the exact payload of
@@ -32,6 +40,7 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read as _, Seek as _, Write as _};
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 
 use crate::json::{json_escape, parse, JsonValue};
@@ -51,11 +60,23 @@ pub struct JournalEntry {
     pub body: String,
 }
 
+/// Where one record sits in the journal file: its byte offset and its
+/// length, trailing newline included.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordSpan {
+    /// Byte offset of the record's first byte.
+    pub offset: u64,
+    /// Record length in bytes, newline included.
+    pub len: u64,
+}
+
 /// The outcome of replaying a journal byte stream.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct JournalReplay {
     /// Entries recovered, in journal (insertion) order.
     pub entries: Vec<JournalEntry>,
+    /// The span of each entry of `entries`, in the same order.
+    pub spans: Vec<RecordSpan>,
     /// Length of the longest valid prefix, in bytes.
     pub valid_bytes: u64,
     /// Bytes past the valid prefix that were discarded (torn tail,
@@ -148,6 +169,10 @@ impl CacheJournal {
                 break;
             };
             replay.entries.push(entry);
+            replay.spans.push(RecordSpan {
+                offset: offset as u64,
+                len: nl as u64 + 1,
+            });
             offset += nl + 1;
         }
         replay.valid_bytes = offset as u64;
@@ -184,7 +209,6 @@ impl CacheJournal {
             drop(trunc);
             file = OpenOptions::new().read(true).append(true).open(&path)?;
         }
-        file.seek(io::SeekFrom::End(0))?;
         let stats = JournalStats {
             replayed: replay.entries.len() as u64,
             torn_bytes: replay.torn_bytes,
@@ -196,37 +220,66 @@ impl CacheJournal {
 
     /// Appends one entry and flushes it to the kernel (durable across a
     /// `kill -9`; full power-loss durability would need fsync per
-    /// record, which the serving path does not pay).
+    /// record, which the serving path does not pay). Returns the span
+    /// the record was written to. Its offset is the file's end as the
+    /// kernel reports it, so the garbage a failed partial append leaves
+    /// cannot shift the spans of later records.
     ///
     /// # Errors
     ///
-    /// Any I/O failure writing or flushing.
-    pub fn append(&mut self, key: u64, check: &str, body: &str) -> io::Result<()> {
+    /// Any I/O failure seeking, writing or flushing.
+    pub fn append(&mut self, key: u64, check: &str, body: &str) -> io::Result<RecordSpan> {
         let mut line = render_record(key, check, body);
         line.push('\n');
+        let offset = self.file.seek(io::SeekFrom::End(0))?;
         self.file.write_all(line.as_bytes())?;
         self.file.flush()?;
         self.stats.appends += 1;
-        Ok(())
+        Ok(RecordSpan {
+            offset,
+            len: line.len() as u64,
+        })
+    }
+
+    /// Reads the record at `span` back from the current file and checks
+    /// it as replay does: it must end in a newline, match the record
+    /// schema and pass its CRC. `None` for any I/O failure (a span past
+    /// the end of the file included) and any failed check.
+    #[must_use]
+    pub fn read(&self, span: RecordSpan) -> Option<JournalEntry> {
+        let mut buf = vec![0u8; usize::try_from(span.len).ok()?];
+        self.file.read_exact_at(&mut buf, span.offset).ok()?;
+        let (&b'\n', line) = buf.split_last()? else {
+            return None;
+        };
+        std::str::from_utf8(line).ok().and_then(parse_record)
     }
 
     /// Rewrites the journal from `entries` (oldest first — replay
     /// reproduces the iteration order) into a temp file, syncs it, and
-    /// atomically renames it over the journal.
+    /// atomically renames it over the journal. Returns each written
+    /// record's key and span in the new file, in file order. On error
+    /// the journal keeps reading and appending through its old handle,
+    /// so the spans it reported before stay valid.
     ///
     /// # Errors
     ///
-    /// Any I/O failure writing, syncing, or renaming.
-    pub fn compact<'a, I>(&mut self, entries: I) -> io::Result<()>
+    /// Any I/O failure writing, syncing, renaming or reopening.
+    pub fn compact<'a, I>(&mut self, entries: I) -> io::Result<Vec<(u64, RecordSpan)>>
     where
         I: IntoIterator<Item = (u64, &'a str, &'a str)>,
     {
         let tmp_path = self.path.with_extension("ndjson.tmp");
         let mut tmp = File::create(&tmp_path)?;
+        let mut spans = Vec::new();
+        let mut offset = 0;
         for (key, check, body) in entries {
             let mut line = render_record(key, check, body);
             line.push('\n');
             tmp.write_all(line.as_bytes())?;
+            let len = line.len() as u64;
+            spans.push((key, RecordSpan { offset, len }));
+            offset += len;
         }
         tmp.sync_all()?;
         drop(tmp);
@@ -235,9 +288,8 @@ impl CacheJournal {
             .read(true)
             .append(true)
             .open(&self.path)?;
-        self.file.seek(io::SeekFrom::End(0))?;
         self.stats.compactions += 1;
-        Ok(())
+        Ok(spans)
     }
 
     /// Lifetime counters.
@@ -375,6 +427,101 @@ mod tests {
             vec![99, 100]
         );
         assert_eq!(replay.entries[0].check, "kept-check");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn spans_from_replay_append_and_compact_read_back_their_entries() {
+        let dir = scratch_dir("spans");
+        let entries = sample_entries();
+        let (mut journal, _) = CacheJournal::open(&dir).expect("open");
+        let mut spans = Vec::new();
+        for (k, c, b) in &entries {
+            spans.push(journal.append(*k, c, b).expect("append"));
+        }
+        let read_back = |journal: &CacheJournal, span| journal.read(span).expect("span reads back");
+        for (span, (k, c, b)) in spans.iter().zip(&entries) {
+            let entry = read_back(&journal, *span);
+            assert_eq!((entry.key, &entry.check, &entry.body), (*k, c, b));
+        }
+        drop(journal);
+        let (mut journal, replay) = CacheJournal::open(&dir).expect("reopen");
+        assert_eq!(replay.spans, spans, "replay reports the spans append did");
+        for (span, entry) in replay.spans.iter().zip(&replay.entries) {
+            assert_eq!(&read_back(&journal, *span), entry);
+        }
+        // Compaction reorders the file; its spans name the new offsets.
+        let kept: Vec<_> = entries.iter().rev().collect();
+        let written = journal
+            .compact(kept.iter().map(|(k, c, b)| (*k, c.as_str(), b.as_str())))
+            .expect("compact");
+        assert_eq!(written.len(), kept.len());
+        for ((key, span), (k, c, b)) in written.iter().zip(&kept) {
+            let entry = read_back(&journal, *span);
+            assert_eq!(*key, *k);
+            assert_eq!((entry.key, &entry.check, &entry.body), (*k, c, b));
+        }
+        // And an append after compaction lands after the compacted file.
+        let after = journal.append(7, "c7", "b7").expect("append");
+        let (_, last) = written.last().copied().expect("records written");
+        assert_eq!(after.offset, last.offset + last.len);
+        assert_eq!(read_back(&journal, after).body, "b7");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn spans_past_the_end_or_into_a_torn_record_read_none() {
+        let dir = scratch_dir("torn-span");
+        let (mut journal, _) = CacheJournal::open(&dir).expect("open");
+        let first = journal.append(1, "c1", "b1").expect("append");
+        let second = journal.append(2, "c2", "b2").expect("append");
+        let end = second.offset + second.len;
+        for span in [
+            RecordSpan {
+                offset: end,
+                len: second.len,
+            },
+            RecordSpan {
+                offset: end + 100,
+                len: 1,
+            },
+            RecordSpan {
+                offset: second.offset,
+                len: second.len + 1,
+            },
+            RecordSpan { offset: 0, len: 0 },
+        ] {
+            assert_eq!(journal.read(span), None, "{span:?}");
+        }
+        // A span that starts or ends inside a record is not a record.
+        for span in [
+            RecordSpan {
+                offset: first.offset + 1,
+                len: first.len - 1,
+            },
+            RecordSpan {
+                offset: first.offset,
+                len: first.len - 1,
+            },
+        ] {
+            assert_eq!(journal.read(span), None, "{span:?}");
+        }
+        // Tear the second record on disk: its span now runs past the end.
+        let path = dir.join(JOURNAL_FILE);
+        let file = OpenOptions::new().write(true).open(&path).expect("open");
+        file.set_len(end - 5).expect("tear");
+        assert_eq!(journal.read(second), None);
+        assert_eq!(journal.read(first).map(|e| e.key), Some(1));
+        // Torn in place instead: same length, but a byte of its payload
+        // flipped, so its CRC fails.
+        file.set_len(end).expect("regrow");
+        let data = render_record(2, "c2", "b2");
+        let at = data.find("\"b2\"").expect("body field") + 1;
+        let mut bytes = data.into_bytes();
+        bytes[at] ^= 0x01;
+        bytes.push(b'\n');
+        file.write_all_at(&bytes, second.offset).expect("rewrite");
+        assert_eq!(journal.read(second), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

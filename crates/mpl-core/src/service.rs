@@ -58,9 +58,21 @@
 //! [`ServiceConfig::compact_every`] appends. [`AnalysisService::open`]
 //! replays the journal — tolerating a torn tail, see [`crate::persist`]
 //! — so a restarted daemon serves byte-identical responses as warm
-//! cache hits. Journal I/O errors degrade the service to in-memory
-//! caching (counted in `journal_errors`) rather than failing requests.
+//! cache hits.
+//!
+//! The journal is also the cache's second tier. The service indexes
+//! each key's newest record in the current file, so a request whose
+//! entry was evicted from memory reads that record back, checks it as
+//! replay does, compares the full check string, and moves it into the
+//! LRU without appending (`journal_hits`). Only a request neither tier
+//! answers goes on to single-flight and the engine. Memory stays
+//! bounded by the cache capacity and the file by compaction, so the
+//! tier holds the live LRU plus at most `compact_every` appended
+//! records. Journal I/O errors and records that fail their checks
+//! degrade the service to in-memory caching (counted in
+//! `journal_errors`) rather than failing requests.
 
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -71,7 +83,7 @@ use mpl_runtime::{AdmissionGate, CancelToken, ClientQuotas, QuotaPolicy};
 use crate::cache::{CacheStats, ResultCache};
 use crate::config::AnalysisConfig;
 use crate::json::{json_escape, parse, JsonValue};
-use crate::persist::{CacheJournal, JournalStats};
+use crate::persist::{CacheJournal, JournalReplay, JournalStats, RecordSpan};
 use crate::request::{AnalysisRequest, PROTOCOL_VERSION};
 
 /// Knobs for [`AnalysisService::open`].
@@ -160,26 +172,62 @@ impl ShutdownMode {
 
 /// The cache plus its optional journal — one lock, so the write-ahead
 /// append and the in-memory insert are atomic with respect to other
-/// requests.
+/// requests, and a compaction never swaps the file under a journal
+/// read.
 #[derive(Debug)]
 struct CacheState {
     cache: ResultCache,
     journal: Option<CacheJournal>,
+    /// The span of each key's newest record in the current journal
+    /// file: the journal tier.
+    index: HashMap<u64, RecordSpan>,
     compact_every: u64,
     appends_since_compact: u64,
+    journal_hits: u64,
     journal_errors: u64,
 }
 
 impl CacheState {
+    /// Looks `key` up in memory, then in the journal. A journal record
+    /// serves only if it reads back intact and carries the same key and
+    /// check string; it then moves into the LRU without being appended
+    /// again. A record that fails is counted in `journal_errors` and
+    /// dropped from the index, so the caller computes.
+    fn lookup(&mut self, key: u64, check: &str) -> Option<String> {
+        if let Some(body) = self.cache.lookup(key, check) {
+            return Some(body);
+        }
+        // Capacity 0 turns caching off, the journal tier with it.
+        if self.cache.capacity() == 0 {
+            return None;
+        }
+        let span = *self.index.get(&key)?;
+        let entry = self.journal.as_ref().and_then(|journal| journal.read(span));
+        match entry {
+            Some(entry) if entry.key == key && entry.check == check => {
+                self.journal_hits += 1;
+                self.cache.insert(key, entry.check, entry.body.clone());
+                Some(entry.body)
+            }
+            _ => {
+                self.journal_errors += 1;
+                self.index.remove(&key);
+                None
+            }
+        }
+    }
+
     /// Journal-backed insert: write-ahead append (and periodic
     /// compaction), then the in-memory insert. Journal failures degrade
     /// to memory-only caching; they never fail the request.
     fn insert(&mut self, key: u64, check: String, body: String) {
         if let Some(journal) = &mut self.journal {
-            if journal.append(key, &check, &body).is_err() {
-                self.journal_errors += 1;
-            } else {
-                self.appends_since_compact += 1;
+            match journal.append(key, &check, &body) {
+                Ok(span) => {
+                    self.index.insert(key, span);
+                    self.appends_since_compact += 1;
+                }
+                Err(_) => self.journal_errors += 1,
             }
         }
         self.cache.insert(key, check, body);
@@ -188,10 +236,14 @@ impl CacheState {
         }
     }
 
+    /// Rewrites the journal from the live LRU. The index follows the
+    /// new file; if compaction fails, the old file stays in place and so
+    /// does the index.
     fn compact(&mut self) {
         if let Some(journal) = &mut self.journal {
-            if journal.compact(self.cache.iter_lru()).is_err() {
-                self.journal_errors += 1;
+            match journal.compact(self.cache.iter_lru()) {
+                Ok(spans) => self.index = spans.into_iter().collect(),
+                Err(_) => self.journal_errors += 1,
             }
             self.appends_since_compact = 0;
         }
@@ -276,20 +328,25 @@ impl AnalysisService {
     /// A description of the I/O failure if the journal directory or
     /// file cannot be opened. Never fails when `cache_dir` is `None`.
     pub fn open(config: ServiceConfig) -> Result<AnalysisService, String> {
-        let (journal, replayed_entries) = match &config.cache_dir {
+        let (journal, replay) = match &config.cache_dir {
             Some(dir) => {
                 let (journal, replay) = CacheJournal::open(dir).map_err(|e| {
                     format!("cannot open cache journal in `{}`: {e}", dir.display())
                 })?;
-                (Some(journal), replay.entries)
+                (Some(journal), replay)
             }
-            None => (None, Vec::new()),
+            None => (None, JournalReplay::default()),
         };
         let mut cache = ResultCache::new(config.cache_capacity);
         // Journal order is oldest-first, so replay reproduces recency
-        // and capacity keeps the newest entries.
-        let replayed = replayed_entries.len() as u64;
-        for entry in replayed_entries {
+        // and capacity keeps the newest entries. Every record was
+        // verified on the way in. The index covers the ones capacity
+        // evicts too, and the last record for a key wins, as in the
+        // cache.
+        let replayed = replay.entries.len() as u64;
+        let mut index = HashMap::with_capacity(replay.spans.len());
+        for (entry, span) in replay.entries.into_iter().zip(replay.spans) {
+            index.insert(entry.key, span);
             cache.insert(entry.key, entry.check, entry.body);
         }
         Ok(AnalysisService {
@@ -299,8 +356,10 @@ impl AnalysisService {
             cache: Mutex::new(CacheState {
                 cache,
                 journal,
+                index,
                 compact_every: config.compact_every.max(1),
                 appends_since_compact: 0,
+                journal_hits: 0,
                 journal_errors: 0,
             }),
             flights: Mutex::new(Vec::new()),
@@ -490,13 +549,7 @@ impl AnalysisService {
         let key = request.fingerprint();
         let check = request.cache_check();
         loop {
-            if let Some(body) = self
-                .cache
-                .lock()
-                .expect("cache lock")
-                .cache
-                .lookup(key, &check)
-            {
+            if let Some(body) = self.cache.lock().expect("cache lock").lookup(key, &check) {
                 return body;
             }
             match self.join_flight(key, &check) {
@@ -614,11 +667,12 @@ impl AnalysisService {
     /// Renders the stats record (`kind` is `stats` or
     /// `shutdown-summary` — same fields, different type tag).
     fn render_stats(&self, kind: &str) -> String {
-        let (cache, journal, journal_errors) = {
+        let (cache, journal, journal_hits, journal_errors) = {
             let state = self.cache.lock().expect("cache lock");
             (
                 state.cache.stats(),
                 state.journal_stats(),
+                state.journal_hits,
                 state.journal_errors,
             )
         };
@@ -628,8 +682,8 @@ impl AnalysisService {
              \"evictions\":{},\"collisions\":{},\"entries\":{},\"cache_capacity\":{},\
              \"in_flight\":{},\"queue_capacity\":{},\"admitted\":{},\"rejected\":{},\
              \"invalid\":{},\"coalesced\":{},\"quota_rejected\":{},\"quota_clients\":{},\
-             \"oversize\":{},\"replayed\":{},\"journal_appends\":{},\"compactions\":{},\
-             \"journal_errors\":{journal_errors}}}",
+             \"oversize\":{},\"replayed\":{},\"journal_hits\":{journal_hits},\
+             \"journal_appends\":{},\"compactions\":{},\"journal_errors\":{journal_errors}}}",
             cache.hits,
             cache.misses,
             cache.evictions,

@@ -146,9 +146,10 @@ done
 
 echo "== profile and tables smoke (E1-E12, E18) =="
 # `profile --check` exits nonzero unless every sample of a row reports
-# the same counters and, on every program out of timer noise, the four
+# the same counters and, on every program out of timer noise, the five
 # phases of the median run explain its worklist loop
-# (|transfer+match+join/widen+admission - loop| <= 10% of loop).
+# (|schedule+transfer+match+join/widen+admission - loop| <= 10% of loop;
+# each `phase check` line also prints the gap without `schedule`).
 # `tables` regenerates the untimed figures and must not panic.
 cargo build -q --release -p mpl-bench --offline
 target/release/profile --check | grep -E '^(phase|counter|alloc) check'
@@ -244,5 +245,27 @@ grep -q '"type":"drain"' "$smoke_dir/chaos2.log" \
   || { echo "missing drain record"; cat "$smoke_dir/chaos2.log"; exit 1; }
 grep -q '"type":"shutdown-summary"' "$smoke_dir/chaos2.log" \
   || { echo "missing shutdown summary"; cat "$smoke_dir/chaos2.log"; exit 1; }
+
+echo "== serve journal tier smoke (--cache 1 restart) =="
+# A third start on the same --cache-dir with room for one entry: replay
+# leaves only the newest record (chaos3) in memory, so chaos3 is a
+# memory hit and chaos1 and chaos2 are answered from their journal
+# records, byte-identical and without a new append.
+"$MPL" serve --socket "$chaos_sock" --cache-dir "$chaos_dir" --cache 1 > "$smoke_dir/chaos3.log" &
+chaos_pid=$!
+for _ in $(seq 1 100); do [ -S "$chaos_sock" ] && break; sleep 0.05; done
+[ -S "$chaos_sock" ] || { echo "chaos daemon did not start a third time"; exit 1; }
+for i in 3 1 2; do
+  "$MPL" client --socket "$chaos_sock" --file "$smoke_dir/chaos$i.mpl" > "$smoke_dir/chaos-tier$i.json"
+  diff "$smoke_dir/chaos-cold$i.json" "$smoke_dir/chaos-tier$i.json" \
+    || { echo "journal-tier response $i diverged from its pre-crash bytes"; exit 1; }
+done
+tier_stats=$("$MPL" client --socket "$chaos_sock" --op stats)
+tier_stat() { grep -o "\"$1\":[0-9]*" <<< "$tier_stats" | grep -o '[0-9]*'; }
+[ "$(tier_stat hits)" -ge 1 ] || { echo "expected >= 1 memory hit: $tier_stats"; exit 1; }
+[ "$(tier_stat journal_hits)" -ge 2 ] || { echo "expected >= 2 journal hits: $tier_stats"; exit 1; }
+[ "$(tier_stat journal_appends)" -eq 0 ] || { echo "expected no journal appends: $tier_stats"; exit 1; }
+"$MPL" client --socket "$chaos_sock" --op shutdown >/dev/null
+wait "$chaos_pid" || { echo "chaos daemon exited nonzero after its third start"; exit 1; }
 
 echo "verify: OK"

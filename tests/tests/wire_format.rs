@@ -152,39 +152,39 @@ fn served_records_use_the_versioned_envelope() {
     let reply = svc.handle_line(&analyze);
     check_program_record(reply.line());
 
-    let stats_line = svc.handle_line("{\"op\":\"stats\"}");
-    let (ty, stats) = record(stats_line.line());
-    assert_eq!(ty, "stats");
-    for key in [
-        "hits",
-        "misses",
-        "evictions",
-        "collisions",
-        "entries",
-        "cache_capacity",
-        "in_flight",
-        "queue_capacity",
-        "admitted",
-        "rejected",
-        "invalid",
-        "coalesced",
-        "quota_rejected",
-        "quota_clients",
-        "oversize",
-        "replayed",
-        "journal_appends",
-        "compactions",
-        "journal_errors",
-    ] {
-        assert!(
-            int_field(&stats, key, stats_line.line()) >= 0,
-            "stats missing {key}"
-        );
-    }
-
     // The shutdown summary reuses the stats schema under its own tag.
-    let (ty, _) = record(&svc.shutdown_summary_line());
-    assert_eq!(ty, "shutdown-summary");
+    let stats_line = svc.handle_line("{\"op\":\"stats\"}").line().to_owned();
+    for (line, tag) in [
+        (stats_line, "stats"),
+        (svc.shutdown_summary_line(), "shutdown-summary"),
+    ] {
+        let (ty, stats) = record(&line);
+        assert_eq!(ty, tag);
+        for key in [
+            "hits",
+            "misses",
+            "evictions",
+            "collisions",
+            "entries",
+            "cache_capacity",
+            "in_flight",
+            "queue_capacity",
+            "admitted",
+            "rejected",
+            "invalid",
+            "coalesced",
+            "quota_rejected",
+            "quota_clients",
+            "oversize",
+            "replayed",
+            "journal_hits",
+            "journal_appends",
+            "compactions",
+            "journal_errors",
+        ] {
+            assert!(int_field(&stats, key, &line) >= 0, "{tag} missing {key}");
+        }
+    }
     let (ty, shutdown) = record(svc.handle_line("{\"op\":\"shutdown\"}").line());
     assert_eq!(ty, "shutdown");
     // The shutdown reply names its mode, from the pinned pair.
