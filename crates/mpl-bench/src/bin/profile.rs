@@ -212,18 +212,19 @@ fn hot_set() -> Vec<CorpusProgram> {
 
 /// E18: where the median run of each E6 row and of the `hot-set` row
 /// spent its worklist loop (`loop` is the loop's own clock), what its
-/// store held, how many matrices it copied and how many heap
-/// allocations it made per step.
+/// store held, how many matrices it copied, how many heap allocations
+/// it made per step and how many process ranges it rendered for its
+/// match events and print facts.
 fn phase_breakdown(rows: &[(String, Sampled<ProfiledRun>)]) {
     banner(
         "per-phase engine breakdown of the median run (E18)",
-        "program                   schedule  transfer     match join/widen admission      loop stored  peak    ~bytes copies allocs/step",
+        "program                   schedule  transfer     match join/widen admission      loop stored  peak    ~bytes copies allocs/step ranges",
     );
     for (label, row) in rows {
         let run = &row.median().1;
         let p = &run.profile;
         println!(
-            "{label:<24} {:>9.2?} {:>9.2?} {:>9.2?} {:>10.2?} {:>9.2?} {:>9.2?} {:>6} {:>5} {:>9} {:>6} {:>11.1}",
+            "{label:<24} {:>9.2?} {:>9.2?} {:>9.2?} {:>10.2?} {:>9.2?} {:>9.2?} {:>6} {:>5} {:>9} {:>6} {:>11.1} {:>6}",
             p.schedule,
             p.transfer,
             p.matching,
@@ -235,6 +236,7 @@ fn phase_breakdown(rows: &[(String, Sampled<ProfiledRun>)]) {
             p.stored.approx_bytes,
             run.matrix_copies,
             run.allocations_per_step(),
+            p.ranges_rendered,
         );
     }
     println!();

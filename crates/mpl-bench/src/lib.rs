@@ -180,6 +180,8 @@ pub struct RunCounters {
     stored_locations: usize,
     /// Most locations the store held at once.
     stored_peak_live: usize,
+    /// Process ranges rendered for match events and print facts.
+    ranges_rendered: u64,
 }
 
 impl ProfiledRun {
@@ -212,6 +214,7 @@ impl ProfiledRun {
             allocations: self.allocations,
             stored_locations: self.profile.stored.locations,
             stored_peak_live: self.profile.stored.peak_live,
+            ranges_rendered: self.profile.ranges_rendered,
         }
     }
 }
@@ -244,6 +247,7 @@ impl Sum for ProfiledRun {
             p.rounds += q.rounds;
             p.frontier_total += q.frontier_total;
             p.frontier_peak = p.frontier_peak.max(q.frontier_peak);
+            p.ranges_rendered += q.ranges_rendered;
             acc
         })
     }

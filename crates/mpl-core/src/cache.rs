@@ -33,7 +33,8 @@ pub struct CacheStats {
     /// collision overwrites are counted separately).
     pub evictions: u64,
     /// Lookups whose key matched but whose check string did not — the
-    /// 64-bit fingerprint collided and the fallback path recomputed.
+    /// 64-bit fingerprint collided and the fallback path recomputed —
+    /// and such records found beside the cache (the journal tier).
     pub collisions: u64,
     /// Entries currently resident.
     pub entries: usize,
@@ -176,6 +177,19 @@ impl ResultCache {
         self.capacity
     }
 
+    /// True when an entry is resident under `key`, whatever its check
+    /// string.
+    #[must_use]
+    pub(crate) fn contains(&self, key: u64) -> bool {
+        self.map.contains_key(&key)
+    }
+
+    /// Counts a collision found beside the cache: a record stored
+    /// elsewhere under the key whose check string did not match.
+    pub(crate) fn note_collision(&mut self) {
+        self.collisions += 1;
+    }
+
     /// Number of resident entries.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -278,6 +292,7 @@ mod tests {
         cache.insert(42, "program A".to_owned(), "answer A".to_owned());
         // Same 64-bit key, different content: must NOT serve answer A.
         assert_eq!(cache.lookup(42, "program B"), None);
+        assert!(cache.contains(42), "the colliding entry stays resident");
         let s = cache.stats();
         assert_eq!(s.collisions, 1);
         assert_eq!(s.misses, 1);
@@ -289,6 +304,10 @@ mod tests {
         assert_eq!(cache.lookup(42, "program A"), None);
         assert_eq!(cache.stats().collisions, 2);
         assert_eq!(cache.len(), 1, "one body per key");
+        // A collision found beside the cache counts with the others.
+        cache.note_collision();
+        assert_eq!(cache.stats().collisions, 3);
+        assert!(!cache.contains(7));
     }
 
     #[test]

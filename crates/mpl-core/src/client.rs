@@ -236,6 +236,9 @@ pub trait ClientDomain: fmt::Debug + Sync {
 
     /// The join hook: merges compatible process sets back together
     /// (contiguous ranges at the same location — the state-level join).
+    /// The engine looks for sets the join proved empty only when it
+    /// merged some, so a join that merges nothing must leave the state
+    /// as it found it.
     fn join(&self, st: &mut AnalysisState) {
         st.merge_psets();
     }

@@ -292,3 +292,49 @@ fn store_high_water_is_independent_of_path_length() {
     assert_eq!(short, peak_live(512));
     assert!(short <= 4, "{short} live locations");
 }
+
+/// The engine keys each match event by its interned ranges instead of
+/// its text. Every distinct `match:` line of the trace must still be one
+/// line of the rendered topology, in the byte order of the text.
+#[test]
+fn topology_lists_each_distinct_traced_match_once() {
+    for prog in corpus::all() {
+        for client in [Client::Simple, Client::Cartesian] {
+            let config = AnalysisConfig {
+                client,
+                ..AnalysisConfig::default()
+            };
+            let mut tracer = TraceObserver::new();
+            let result = analyze_cfg_with(&Cfg::build(&prog.program), &config, &mut tracer);
+            let traced: std::collections::BTreeSet<&str> = tracer
+                .lines()
+                .iter()
+                .filter_map(|l| l.strip_prefix("match: "))
+                .collect();
+            let topology = result.render_topology();
+            let rendered: Vec<&str> = topology.lines().skip(1).map(str::trim_start).collect();
+            assert_eq!(
+                traced.into_iter().collect::<Vec<_>>(),
+                rendered,
+                "{} / {client:?}",
+                prog.name
+            );
+        }
+    }
+}
+
+/// A path of k pair exchanges names the same two ranges at every match,
+/// so the run renders as many ranges at any k.
+#[test]
+fn ranges_rendered_do_not_grow_with_path_length() {
+    let rendered = |k: usize| {
+        let cfg = Cfg::build(&corpus::repeated_exchanges(k).program);
+        let mut stats = StatsObserver::new();
+        let result = analyze_cfg_with(&cfg, &AnalysisConfig::default(), &mut stats);
+        assert_eq!(result.events.len(), 2 * k, "k={k}");
+        stats.profile().expect("profile fired").ranges_rendered
+    };
+    let short = rendered(8);
+    assert_eq!(short, rendered(256));
+    assert!(short <= 4, "{short} ranges rendered");
+}

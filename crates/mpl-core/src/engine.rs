@@ -23,7 +23,9 @@
 //! [`crate::scheduler`]; the configuration and result types live in
 //! [`crate::config`] and [`crate::result`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 use std::time::Instant;
 
 use mpl_cfg::{Cfg, CfgNode, CfgNodeId, EdgeKind};
@@ -86,8 +88,16 @@ struct Engine<'a, O: AnalysisObserver> {
     /// stored state's match set is a subset, so a successor contributes
     /// only the pairs its step added (see [`Engine::admit_successor`]).
     matches: BTreeSet<(CfgNodeId, CfgNodeId)>,
-    events: BTreeMap<String, MatchEvent>,
-    prints: BTreeMap<(CfgNodeId, String), Option<i64>>,
+    /// The ranges `events` and `prints` name, each rendered once.
+    ranges: RangeTable,
+    /// Match events, one per key of `event_index`.
+    events: Vec<MatchEvent>,
+    /// Where `events` holds the event of each send node, receive node
+    /// and pair of ranges.
+    event_index: HashMap<(CfgNodeId, CfgNodeId, RangeId, RangeId), usize>,
+    /// The value each print node printed for each range (`None` once
+    /// two visits disagree).
+    prints: HashMap<(CfgNodeId, RangeId), Option<i64>>,
     leaks: BTreeSet<CfgNodeId>,
     deadlock: Option<Vec<(CfgNodeId, String)>>,
     top: Option<TopReason>,
@@ -116,8 +126,10 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
             observer,
             assumes,
             matches: BTreeSet::new(),
-            events: BTreeMap::new(),
-            prints: BTreeMap::new(),
+            ranges: RangeTable::default(),
+            events: Vec::new(),
+            event_index: HashMap::new(),
+            prints: HashMap::new(),
             leaks: BTreeSet::new(),
             deadlock: None,
             top: None,
@@ -166,15 +178,25 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
         } else {
             Verdict::Exact
         };
+        // Events in the byte order of their text, prints by node, then
+        // range text: the order of the rendered keys.
+        let mut events = self.events;
+        events.sort_unstable_by(MatchEvent::cmp_display);
+        let mut prints: Vec<PrintFact> = self
+            .prints
+            .into_iter()
+            .map(|((node, range), value)| PrintFact {
+                node,
+                range: Arc::clone(self.ranges.text(range)),
+                value,
+            })
+            .collect();
+        prints.sort_unstable_by(|a, b| (a.node, &a.range).cmp(&(b.node, &b.range)));
         let result = AnalysisResult {
             verdict,
             matches: self.matches,
-            events: self.events.into_values().collect(),
-            prints: self
-                .prints
-                .into_iter()
-                .map(|((node, range), value)| PrintFact { node, range, value })
-                .collect(),
+            events,
+            prints,
             leaks: self.leaks.into_iter().collect(),
             steps: self.scheduler.steps(),
             closure_stats: ClosureStats::snapshot().since(&self.closure_baseline),
@@ -182,6 +204,7 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
         self.observer.on_complete(&result);
         profile.total = run_start.elapsed();
         profile.stored = self.scheduler.stored_stats();
+        profile.ranges_rendered = self.ranges.rendered();
         self.scheduler.record_frontier(&mut profile);
         self.observer.on_profile(&profile);
         result
@@ -365,14 +388,15 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
                 .linearize(e, pset)
                 .and_then(|lin| st.cg.eval_expr(&lin))
         });
-        let key = (node, st.psets[idx].range.to_string());
-        match self.prints.get(&key) {
-            Some(prev) if *prev != value => {
-                self.prints.insert(key, None);
+        let range = self.ranges.intern(&st.psets[idx].range);
+        match self.prints.entry((node, range)) {
+            Entry::Occupied(mut prev) => {
+                if *prev.get() != value {
+                    prev.insert(None);
+                }
             }
-            Some(_) => {}
-            None => {
-                self.prints.insert(key, value);
+            Entry::Vacant(slot) => {
+                slot.insert(value);
             }
         }
     }
@@ -667,9 +691,9 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
         let recv_succ = self.cfg.sole_succ(recv.node);
         let sender_id = st.psets[send.pset_idx].id;
         st.matches.insert((send.node, recv.node));
-        // Capture the event now (the constants are provable in the
-        // pre-release state), but only *record* it once the match has
-        // actually been applied — a failed application must leave no
+        // Read the event's constants now (they are provable in the
+        // pre-release state), but only *record* the event once the match
+        // has actually been applied — a failed application must leave no
         // trace in the reported topology.
         let singleton_const = |r: &ProcRange| -> Option<i64> {
             if !r.is_singleton(&st.cg) {
@@ -677,15 +701,10 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
             }
             r.lb.exprs().iter().find_map(|e| st.cg.eval_expr(e))
         };
-        let event = MatchEvent {
-            send_node: send.node,
-            recv_node: recv.node,
-            s_procs: outcome.s_procs.to_string(),
-            r_procs: outcome.r_procs.to_string(),
-            kind: outcome.kind,
-            s_const: singleton_const(&outcome.s_procs),
-            r_const: singleton_const(&outcome.r_procs),
-        };
+        let consts = [
+            singleton_const(&outcome.s_procs),
+            singleton_const(&outcome.r_procs),
+        ];
 
         if send.pset_idx == recv.pset_idx {
             // Self-exchange (transpose): only full-set matches supported.
@@ -708,7 +727,7 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
             );
             st.psets[recv.pset_idx].pending = None;
             st.psets[recv.pset_idx].node = recv_succ;
-            self.record_match_event(event);
+            self.record_match_event(send, recv, outcome, consts);
             return Some(st);
         }
 
@@ -789,7 +808,7 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
             };
             release(&mut st, send_idx, &s_procs, released_node, false)?;
         }
-        self.record_match_event(event);
+        self.record_match_event(send, recv, outcome, consts);
         Some(st)
     }
 
@@ -834,8 +853,10 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
         s.drop_empty_psets();
         let before = s.psets.len();
         self.domain.join(s);
-        s.drop_empty_psets();
+        // Without a merge the join only re-closed a closed graph, so a
+        // second emptiness pass would find nothing the first did not.
         if s.psets.len() < before {
+            s.drop_empty_psets();
             self.observer.on_merge(before, s.psets.len());
         }
         if s.any_vacant_range() {
@@ -934,9 +955,86 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
         self.observer.on_terminal(st);
     }
 
-    fn record_match_event(&mut self, event: MatchEvent) {
+    /// Records an applied match's event (`consts` are its sender and
+    /// receiver constants); a later event with the same key replaces it.
+    fn record_match_event(
+        &mut self,
+        send: &SendSite,
+        recv: &RecvSite,
+        outcome: &MatchOutcome,
+        [s_const, r_const]: [Option<i64>; 2],
+    ) {
+        let (s, r) = (
+            self.ranges.intern(&outcome.s_procs),
+            self.ranges.intern(&outcome.r_procs),
+        );
+        let event = MatchEvent {
+            send_node: send.node,
+            recv_node: recv.node,
+            s_procs: Arc::clone(self.ranges.text(s)),
+            r_procs: Arc::clone(self.ranges.text(r)),
+            kind: outcome.kind,
+            s_const,
+            r_const,
+        };
         self.observer.on_match(&event);
-        self.events.insert(event.to_string(), event);
+        match self.event_index.entry((send.node, recv.node, s, r)) {
+            Entry::Occupied(at) => self.events[*at.get()] = event,
+            Entry::Vacant(slot) => {
+                slot.insert(self.events.len());
+                self.events.push(event);
+            }
+        }
+    }
+}
+
+/// A [`RangeTable`] id: ranges with equal text share one.
+type RangeId = u32;
+
+/// The process ranges one run's match events and print facts name. A
+/// range is looked up by structure first, and rendered only the first
+/// time that structure is seen. Ranges of different structure can
+/// render alike (a `VarId::ZERO` alias and the constant 0 both print
+/// `0`); they share the id of their text, so events and facts keyed by
+/// id group exactly as their text does.
+#[derive(Default)]
+struct RangeTable {
+    /// Each range seen, by structure.
+    ids: HashMap<ProcRange, RangeId>,
+    /// Each text rendered, by content.
+    by_text: HashMap<Arc<str>, RangeId>,
+    /// Each id's text.
+    texts: Vec<Arc<str>>,
+}
+
+impl RangeTable {
+    /// The id of `range`'s text.
+    fn intern(&mut self, range: &ProcRange) -> RangeId {
+        if let Some(&id) = self.ids.get(range) {
+            return id;
+        }
+        let text: Arc<str> = range.to_string().into();
+        let id = match self.by_text.get(&text) {
+            Some(&id) => id,
+            None => {
+                let id = RangeId::try_from(self.texts.len()).expect("fewer than 2^32 ranges");
+                self.texts.push(Arc::clone(&text));
+                self.by_text.insert(text, id);
+                id
+            }
+        };
+        self.ids.insert(range.clone(), id);
+        id
+    }
+
+    /// The text of `id`.
+    fn text(&self, id: RangeId) -> &Arc<str> {
+        &self.texts[id as usize]
+    }
+
+    /// Ranges rendered so far: one per distinct structure.
+    fn rendered(&self) -> u64 {
+        self.ids.len() as u64
     }
 }
 
@@ -963,4 +1061,33 @@ fn release(
     );
     st.split_pset(idx, parts);
     Some(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mpl_domains::LinExpr;
+
+    #[test]
+    fn ranges_that_render_alike_share_one_id() {
+        let top = LinExpr::var_plus(VarId::NP, -1);
+        let constant = ProcRange::from_exprs(LinExpr::constant(0), top);
+        let zero_alias = ProcRange::from_exprs(LinExpr::of_var(VarId::ZERO), top);
+        assert_ne!(constant, zero_alias);
+        let mut table = RangeTable::default();
+        let id = table.intern(&constant);
+        assert_eq!(&**table.text(id), "[0..np-1]");
+        // Rendered once more for the new structure, then found by text:
+        // two events over these ranges get one key, as their text did.
+        assert_eq!(table.intern(&zero_alias), id);
+        assert_eq!(table.rendered(), 2);
+        // Seen structures are not rendered again.
+        assert_eq!(table.intern(&constant), id);
+        assert_eq!(table.intern(&zero_alias), id);
+        assert_eq!(table.rendered(), 2);
+        let other = table.intern(&ProcRange::all_procs().plus(1));
+        assert_ne!(other, id);
+        assert_eq!(&**table.text(other), "[1..np]");
+        assert_eq!(table.rendered(), 3);
+    }
 }

@@ -76,6 +76,10 @@ pub struct EngineProfile {
     /// Widest frontier: the most states that were ever ready to be
     /// stepped independently of one another.
     pub frontier_peak: usize,
+    /// Process ranges rendered to text for the run's match events and
+    /// print facts: one per distinct range structure, however many
+    /// events and facts name it.
+    pub ranges_rendered: u64,
 }
 
 impl EngineProfile {

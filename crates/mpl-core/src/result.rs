@@ -5,8 +5,10 @@
 //! observers ([`crate::observer`]), the batch runtime and the CLI can
 //! share them without pulling in engine internals.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 use mpl_cfg::CfgNodeId;
 
@@ -134,6 +136,9 @@ impl Verdict {
 }
 
 /// One recorded send–receive match with its process subsets.
+///
+/// The range texts are shared: every event and print fact of one run
+/// that names the same range holds the same string.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatchEvent {
     /// The send statement.
@@ -141,9 +146,9 @@ pub struct MatchEvent {
     /// The receive statement.
     pub recv_node: CfgNodeId,
     /// Matched sender ranks (display form).
-    pub s_procs: String,
+    pub s_procs: Arc<str>,
     /// Matched receiver ranks (display form).
-    pub r_procs: String,
+    pub r_procs: Arc<str>,
     /// The shape of the match.
     pub kind: crate::matcher::MatchKind,
     /// The sender rank, when the matched senders are one known constant.
@@ -151,6 +156,35 @@ pub struct MatchEvent {
     /// The receiver rank, when the matched receivers are one known
     /// constant.
     pub r_const: Option<i64>,
+}
+
+impl MatchEvent {
+    /// Compares the bytes of two events' [`Display`](fmt::Display)
+    /// forms, `n{send}@{s_procs} -> n{recv}@{r_procs}`, without
+    /// rendering either. The first field that differs decides: no node
+    /// part `n{k}@` continues another (`@` is no digit), and no range
+    /// text continues another (its only `]` closes it).
+    pub(crate) fn cmp_display(&self, other: &MatchEvent) -> Ordering {
+        cmp_node_text(self.send_node, other.send_node)
+            .then_with(|| self.s_procs.cmp(&other.s_procs))
+            .then_with(|| cmp_node_text(self.recv_node, other.recv_node))
+            .then_with(|| self.r_procs.cmp(&other.r_procs))
+    }
+}
+
+/// Compares `{a}@` with `{b}@` as bytes, in integer arithmetic: numbers
+/// of one length as numbers; otherwise the shorter against as many
+/// leading digits of the longer, and on a tie the shorter after the
+/// longer (`@` follows the digits).
+fn cmp_node_text(a: CfgNodeId, b: CfgNodeId) -> Ordering {
+    let digits = |n: u32| n.checked_ilog10().unwrap_or(0);
+    let (la, lb) = (digits(a.0), digits(b.0));
+    let (a, b) = match la.cmp(&lb) {
+        Ordering::Equal => return a.cmp(&b),
+        Ordering::Less => (a.0, b.0 / 10u32.pow(lb - la)),
+        Ordering::Greater => (a.0 / 10u32.pow(la - lb), b.0),
+    };
+    a.cmp(&b).then(lb.cmp(&la))
 }
 
 impl fmt::Display for MatchEvent {
@@ -169,8 +203,9 @@ impl fmt::Display for MatchEvent {
 pub struct PrintFact {
     /// The print statement.
     pub node: CfgNodeId,
-    /// The process range executing it (display form).
-    pub range: String,
+    /// The process range executing it (display form, shared like a
+    /// [`MatchEvent`]'s).
+    pub range: Arc<str>,
     /// The printed value, if proven constant.
     pub value: Option<i64>,
 }
@@ -301,6 +336,51 @@ mod tests {
         let text = result.render_topology();
         assert!(text.starts_with("static topology (exact):\n"), "{text}");
         assert_eq!(text.lines().count(), 3, "{text}");
+    }
+
+    #[test]
+    fn events_compare_as_their_display_text() {
+        let event = |send: u32, s: &str, recv: u32, r: &str| MatchEvent {
+            send_node: CfgNodeId(send),
+            recv_node: CfgNodeId(recv),
+            s_procs: s.into(),
+            r_procs: r.into(),
+            kind: crate::matcher::MatchKind::UniformPair,
+            s_const: None,
+            r_const: None,
+        };
+        // `n1@` sorts after `n12@` and `n3@` after `n30@`: '@' follows
+        // the digits.
+        let events = [
+            event(1, "[0..0]", 3, "[1..1]"),
+            event(12, "[0..0]", 3, "[1..1]"),
+            event(1, "[0..0]", 30, "[1..1]"),
+            event(1, "[0..0]", 3, "[1..np-1]"),
+            event(1, "[0..np-1]", 3, "[1..1]"),
+            event(0, "[{0,P1.i}..0]", 4_294_967_295, "[1..1]"),
+            event(7, "[0..0]", 0, "[1..1]"),
+        ];
+        for a in &events {
+            for b in &events {
+                assert_eq!(
+                    a.cmp_display(b),
+                    a.to_string().cmp(&b.to_string()),
+                    "{a} vs {b}"
+                );
+            }
+        }
+        let nodes: Vec<u32> = (0..=1100)
+            .chain([9_999, 10_000, 99_999, 1_000_000_000, u32::MAX])
+            .collect();
+        for &a in &nodes {
+            for &b in &nodes {
+                assert_eq!(
+                    cmp_node_text(CfgNodeId(a), CfgNodeId(b)),
+                    format!("{a}@").cmp(&format!("{b}@")),
+                    "{a} vs {b}"
+                );
+            }
+        }
     }
 
     #[test]

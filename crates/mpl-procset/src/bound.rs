@@ -3,6 +3,7 @@
 use std::cell::Cell;
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use mpl_domains::{ConstraintGraph, LinExpr, PsetId};
 
@@ -111,6 +112,14 @@ impl PartialEq for Aliases {
 
 impl Eq for Aliases {}
 
+/// Hashes the aliases, as [`PartialEq`] compares them: inline and
+/// spilled lists with the same entries hash alike.
+impl Hash for Aliases {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
 impl fmt::Debug for Aliases {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_set().entries(self.as_slice()).finish()
@@ -120,7 +129,7 @@ impl fmt::Debug for Aliases {
 /// One end of a process range: a non-empty set of linear expressions,
 /// all equal to the bound's value in the current dataflow state, kept
 /// sorted and free of duplicates.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Bound {
     exprs: Aliases,
 }
@@ -564,6 +573,24 @@ mod tests {
             PsetId(4),
             intern_name("i")
         ))));
+    }
+
+    #[test]
+    fn equal_bounds_hash_alike_inline_or_spilled() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |b: &Bound| {
+            let mut h = DefaultHasher::new();
+            b.hash(&mut h);
+            h.finish()
+        };
+        // Five aliases with duplicates spill to the heap, then dedup to
+        // three: the same list an inline bound holds.
+        let spilled = Bound::from_exprs([1, 2, 3, 2, 1].map(LinExpr::constant));
+        let inline = Bound::from_exprs([3, 1, 2].map(LinExpr::constant));
+        assert_ne!(spilled.heap_bytes(), 0);
+        assert_eq!(inline.heap_bytes(), 0);
+        assert_eq!(spilled, inline);
+        assert_eq!(hash(&spilled), hash(&inline));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use mpl_domains::{ConstraintGraph, LinExpr, PsetId, VarId};
 use crate::bound::Bound;
 
 /// A contiguous, inclusive range of process ranks with symbolic bounds.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ProcRange {
     /// Lower bound (inclusive).
     pub lb: Bound,

@@ -212,7 +212,12 @@ fn records_of_an_older_engine_replay_but_never_serve() {
     assert_eq!(restarted.replayed(), 1);
     let served = restarted.handle_line(&line).line().to_owned();
     let stats = restarted.cache_stats();
-    assert_eq!((stats.hits, stats.misses), (0, 1));
+    assert_eq!((stats.hits, stats.misses, stats.collisions), (0, 1, 1));
+    assert_eq!(
+        stat(&restarted, "journal_errors"),
+        0,
+        "an expected invalidation is no journal error"
+    );
     let args: Vec<String> = ["analyze", "prog.mpl", "--json"]
         .iter()
         .map(|s| (*s).to_owned())
@@ -478,8 +483,8 @@ fn records_of_an_older_engine_never_serve_from_the_journal_tier() {
     assert_eq!(stat(&svc, "journal_hits"), 0);
     assert_eq!(
         stat(&svc, "journal_errors"),
-        1,
-        "the stale record failed its check"
+        0,
+        "the stale record read back intact"
     );
     assert_eq!(
         stat(&svc, "journal_appends"),
@@ -488,8 +493,8 @@ fn records_of_an_older_engine_never_serve_from_the_journal_tier() {
     );
     assert_eq!(
         svc.cache_stats().collisions,
-        0,
-        "memory never held the stale record"
+        1,
+        "the stale record's check string collided in the journal tier"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
