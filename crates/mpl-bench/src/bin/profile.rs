@@ -23,15 +23,17 @@
 //! Run with `cargo run -p mpl-bench --bin profile --release`. Pass
 //! `--ablation` to add the ablations (E8). Pass `--check` to exit 1 if
 //! two samples of a row report different counters or count different
-//! allocations, or if the phases of a mid-size median run do not account
-//! for its loop — the smoke test `scripts/verify.sh` runs.
+//! allocations, if the phases of a mid-size median run do not account
+//! for its loop, or if the `hot-set` row or `MatchSet::insert` exceed
+//! their fingerprint and allocation bounds — the smoke test
+//! `scripts/verify.sh` runs.
 
 use std::process::Command;
 use std::time::Duration;
 
-use mpl_bench::{profiled_run, sample, ProfiledRun, Sampled, SAMPLES};
-use mpl_cfg::Cfg;
-use mpl_core::Client;
+use mpl_bench::{allocations, profiled_run, sample, ProfiledRun, Sampled, SAMPLES};
+use mpl_cfg::{Cfg, CfgNodeId};
+use mpl_core::{Client, MatchSet};
 use mpl_domains::{
     intern_name, set_force_full_closure, ClosureStats, ConstraintGraph, PsetId, VarId,
 };
@@ -213,18 +215,20 @@ fn hot_set() -> Vec<CorpusProgram> {
 /// E18: where the median run of each E6 row and of the `hot-set` row
 /// spent its worklist loop (`loop` is the loop's own clock), what its
 /// store held, how many matrices it copied, how many heap allocations
-/// it made per step and how many process ranges it rendered for its
-/// match events and print facts.
+/// it made per step, how many process ranges it rendered for its match
+/// events and print facts, how many states admission fingerprinted
+/// (`fps`), how many send–receive pairs it probed and proved matched,
+/// and how many successor states it normalized (`norm`).
 fn phase_breakdown(rows: &[(String, Sampled<ProfiledRun>)]) {
     banner(
         "per-phase engine breakdown of the median run (E18)",
-        "program                   schedule  transfer     match join/widen admission      loop stored  peak    ~bytes copies allocs/step ranges",
+        "program                   schedule  transfer     match join/widen admission      loop stored  peak    ~bytes copies allocs/step ranges    fps probes matched   norm",
     );
     for (label, row) in rows {
         let run = &row.median().1;
         let p = &run.profile;
         println!(
-            "{label:<24} {:>9.2?} {:>9.2?} {:>9.2?} {:>10.2?} {:>9.2?} {:>9.2?} {:>6} {:>5} {:>9} {:>6} {:>11.1} {:>6}",
+            "{label:<24} {:>9.2?} {:>9.2?} {:>9.2?} {:>10.2?} {:>9.2?} {:>9.2?} {:>6} {:>5} {:>9} {:>6} {:>11.1} {:>6} {:>6} {:>6} {:>7} {:>6}",
             p.schedule,
             p.transfer,
             p.matching,
@@ -237,6 +241,10 @@ fn phase_breakdown(rows: &[(String, Sampled<ProfiledRun>)]) {
             run.matrix_copies,
             run.allocations_per_step(),
             p.ranges_rendered,
+            p.fingerprints,
+            p.probes,
+            p.probes_matched,
+            p.normalized,
         );
     }
     println!();
@@ -383,6 +391,65 @@ fn check_phase_coverage(rows: &[(String, Sampled<ProfiledRun>)]) -> bool {
     ok
 }
 
+/// The most state fingerprints the `hot-set` row may compute: admission
+/// hashes a state only once a second state reaches its location, and
+/// about 1 200 of the row's 17 300 admissions are such revisits.
+const HOT_SET_FINGERPRINTS: u64 = 2_000;
+
+/// The most heap allocations per step the `hot-set` row may make.
+const HOT_SET_ALLOCS_PER_STEP: f64 = 32.0;
+
+/// The most heap allocations a `MatchSet::insert` may make on average
+/// along a path of 2 048 matches: one per node the 16-way trie copies.
+const INSERT_ALLOCS: f64 = 4.0;
+
+/// Heap allocations per `MatchSet::insert` along the path of
+/// `repeated_exchanges(1024)`: 2 048 inserts, each into a clone of the
+/// set before it, which stays alive as an engine's stored states do.
+fn insert_allocations() -> f64 {
+    const PAIRS: u32 = 2_048;
+    let mut path = Vec::with_capacity(PAIRS as usize);
+    let mut set = MatchSet::new();
+    let before = allocations();
+    for i in 0..PAIRS {
+        let mut next = set.clone();
+        next.insert((CfgNodeId(2 * i), CfgNodeId(2 * i + 1)));
+        path.push(std::mem::replace(&mut set, next));
+    }
+    let made = allocations() - before;
+    std::hint::black_box(path);
+    made as f64 / f64::from(PAIRS)
+}
+
+/// Holds the `hot-set` row's median run and `MatchSet::insert` to their
+/// bounds, printing one `count check` line each.
+fn check_counts(hot: &ProfiledRun) -> bool {
+    let checks = [
+        (
+            "hot-set fingerprints",
+            hot.profile.fingerprints as f64,
+            HOT_SET_FINGERPRINTS as f64,
+        ),
+        (
+            "hot-set allocs/step",
+            hot.allocations_per_step(),
+            HOT_SET_ALLOCS_PER_STEP,
+        ),
+        (
+            "MatchSet::insert allocs",
+            insert_allocations(),
+            INSERT_ALLOCS,
+        ),
+    ];
+    let mut ok = true;
+    for (label, value, bound) in checks {
+        let verdict = if value <= bound { "ok" } else { "FAIL" };
+        println!("count check {label:<24} {value:>9.1} (bound {bound}) {verdict}");
+        ok &= value <= bound;
+    }
+    ok
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let ablation = args.iter().any(|a| a == "--ablation");
@@ -407,6 +474,12 @@ fn main() {
 
     if check {
         let phases_ok = check_phase_coverage(&rows);
+        let hot = rows
+            .iter()
+            .find(|(label, _)| label == "hot-set")
+            .map(|(_, row)| &row.median().1)
+            .expect("the hot-set row was sampled");
+        let counts_ok = check_counts(hot);
         for label in &profiler.drifted {
             println!("counter check {label}: samples report different counters FAIL");
         }
@@ -421,9 +494,14 @@ fn main() {
                 "alloc check: every sample of every engine row counts the same allocations ok"
             );
         }
-        if !(phases_ok && profiler.drifted.is_empty() && profiler.alloc_drifted.is_empty()) {
+        if !(phases_ok
+            && counts_ok
+            && profiler.drifted.is_empty()
+            && profiler.alloc_drifted.is_empty())
+        {
             eprintln!(
-                "profile --check failed: phases miss the loop, or counters or allocations drift"
+                "profile --check failed: phases miss the loop, counts exceed their bounds, \
+                 or counters or allocations drift"
             );
             std::process::exit(1);
         }

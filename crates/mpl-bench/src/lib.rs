@@ -182,6 +182,13 @@ pub struct RunCounters {
     stored_peak_live: usize,
     /// Process ranges rendered for match events and print facts.
     ranges_rendered: u64,
+    /// State fingerprints admission computed.
+    fingerprints: u64,
+    /// Match probes tried, and how many proved a match.
+    probes: u64,
+    probes_matched: u64,
+    /// Successor states normalized.
+    normalized: u64,
 }
 
 impl ProfiledRun {
@@ -215,6 +222,10 @@ impl ProfiledRun {
             stored_locations: self.profile.stored.locations,
             stored_peak_live: self.profile.stored.peak_live,
             ranges_rendered: self.profile.ranges_rendered,
+            fingerprints: self.profile.fingerprints,
+            probes: self.profile.probes,
+            probes_matched: self.profile.probes_matched,
+            normalized: self.profile.normalized,
         }
     }
 }
@@ -248,6 +259,10 @@ impl Sum for ProfiledRun {
             p.frontier_total += q.frontier_total;
             p.frontier_peak = p.frontier_peak.max(q.frontier_peak);
             p.ranges_rendered += q.ranges_rendered;
+            p.fingerprints += q.fingerprints;
+            p.probes += q.probes;
+            p.probes_matched += q.probes_matched;
+            p.normalized += q.normalized;
             acc
         })
     }

@@ -68,29 +68,40 @@ impl DataflowAnalysis for Liveness {
 }
 
 /// The name `node` writes, if any.
-fn defines(node: &CfgNode) -> Option<&str> {
+#[must_use]
+pub fn defines(node: &CfgNode) -> Option<&str> {
     match node {
         CfgNode::Assign { name, .. } | CfgNode::Recv { var: name, .. } => Some(name),
         _ => None,
     }
 }
 
-/// The names `node` reads (a name read by both of a send's expressions
-/// appears twice).
+/// The names `node` reads, each once, in first-use order.
 #[must_use]
 pub fn reads(node: &CfgNode) -> Vec<&str> {
+    let mut names = Vec::new();
+    for_each_read(node, &mut |name| {
+        if !names.contains(&name) {
+            names.push(name);
+        }
+    });
+    names
+}
+
+/// Calls `f` on every name `node` reads, repeats included, without
+/// collecting them.
+pub fn for_each_read<'a>(node: &'a CfgNode, f: &mut impl FnMut(&'a str)) {
     match node {
         CfgNode::Assign { value: e, .. }
         | CfgNode::Recv { src: e, .. }
         | CfgNode::Branch { cond: e }
         | CfgNode::Print(e)
-        | CfgNode::Assume(e) => e.variables(),
+        | CfgNode::Assume(e) => e.for_each_var(f),
         CfgNode::Send { value, dest } => {
-            let mut names = value.variables();
-            names.extend(dest.variables());
-            names
+            value.for_each_var(f);
+            dest.for_each_var(f);
         }
-        CfgNode::Entry | CfgNode::Exit | CfgNode::Skip => Vec::new(),
+        CfgNode::Entry | CfgNode::Exit | CfgNode::Skip => {}
     }
 }
 

@@ -33,8 +33,10 @@
 //! request arrives, and exits printing a `shutdown-summary` record with
 //! the final cache, admission, coalescing, quota, and journal counters.
 
-use std::io::{BufRead, BufReader, Read as _, Write as _};
+use std::io::{BufRead, BufReader, IoSlice, Read as _, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::raw::{c_int, c_short};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -47,8 +49,8 @@ use mpl_core::{
 
 use crate::{parse_client, CmdOutput, Flags};
 
-/// How long the accept loop sleeps between polls of the listener and
-/// the shutdown token.
+/// How long the accept loop waits on the listener before it checks the
+/// shutdown token again. A pending connection ends the wait at once.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// Read timeout on connection sockets: the interval at which an idle
@@ -262,7 +264,7 @@ pub(crate) fn cmd_serve(args: &[String]) -> Result<CmdOutput, String> {
                         spawn_connection(Arc::clone(&service), &registry, stream, peer, max_line);
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
+                        wait_readable(listener.as_raw_fd(), ACCEPT_POLL);
                     }
                     Err(_) => std::thread::sleep(ACCEPT_POLL),
                 }
@@ -281,7 +283,7 @@ pub(crate) fn cmd_serve(args: &[String]) -> Result<CmdOutput, String> {
                         spawn_connection(Arc::clone(&service), &registry, stream, peer, max_line);
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
+                        wait_readable(listener.as_raw_fd(), ACCEPT_POLL);
                     }
                     Err(_) => std::thread::sleep(ACCEPT_POLL),
                 }
@@ -353,9 +355,7 @@ fn spawn_connection<S>(
                 LineRead::TooLong => {
                     // The rest of the oversized line is unread, so the
                     // framing is lost: answer, then close.
-                    let reply = service.oversize_reply(max_line);
-                    let _ = writeln!(writer, "{reply}");
-                    let _ = writer.flush();
+                    let _ = write_line(&mut writer, &service.oversize_reply(max_line));
                     break;
                 }
                 LineRead::Line => {
@@ -363,7 +363,7 @@ fn spawn_connection<S>(
                         Ok(line) => line,
                         Err(_) => {
                             let reply = error_line("bad-json", "request line is not UTF-8");
-                            if writeln!(writer, "{reply}").is_err() || writer.flush().is_err() {
+                            if write_line(&mut writer, &reply).is_err() {
                                 break;
                             }
                             continue;
@@ -374,7 +374,7 @@ fn spawn_connection<S>(
                     }
                     let reply = service.handle_line_as(&line, &peer);
                     let done = matches!(reply, Reply::Shutdown(_));
-                    if writeln!(writer, "{}", reply.line()).is_err() || writer.flush().is_err() {
+                    if write_line(&mut writer, reply.line()).is_err() {
                         break;
                     }
                     if done {
@@ -385,6 +385,62 @@ fn spawn_connection<S>(
         }
     });
     registry.handles.lock().expect("registry lock").push(handle);
+}
+
+/// Writes `line` and its newline with one vectored write (`writev`)
+/// where the stream takes both at once, so a reply does not go out as
+/// two writes, then finishes whatever a short write left.
+fn write_line(writer: &mut impl Write, line: &str) -> std::io::Result<()> {
+    let bufs = [IoSlice::new(line.as_bytes()), IoSlice::new(b"\n")];
+    let written = loop {
+        match writer.write_vectored(&bufs) {
+            Ok(n) => break n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    };
+    if written < line.len() {
+        writer.write_all(&line.as_bytes()[written..])?;
+    }
+    if written <= line.len() {
+        writer.write_all(b"\n")?;
+    }
+    writer.flush()
+}
+
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+#[cfg(target_os = "linux")]
+type Nfds = std::os::raw::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type Nfds = std::os::raw::c_uint;
+
+const POLLIN: c_short = 1;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+}
+
+/// Waits until `fd` is readable — for a listener, until a connection is
+/// pending — or `timeout` passes. An error or a signal ends the wait
+/// early; the caller's loop just looks again.
+fn wait_readable(fd: RawFd, timeout: Duration) {
+    let mut pfd = PollFd {
+        fd,
+        events: POLLIN,
+        revents: 0,
+    };
+    let millis = c_int::try_from(timeout.as_millis()).unwrap_or(c_int::MAX);
+    // SAFETY: `pfd` is live for the call and `nfds` is 1 to match the
+    // single descriptor.
+    unsafe {
+        poll(&mut pfd, 1, millis);
+    }
 }
 
 /// One attempt to read a capped, newline-terminated line.
@@ -592,8 +648,7 @@ fn round_trip<S: std::io::Read + std::io::Write + TryCloneStream>(
     request: &str,
 ) -> Result<String, String> {
     let read_half = stream.try_clone_stream().map_err(|e| e.to_string())?;
-    writeln!(stream, "{request}").map_err(|e| format!("send failed: {e}"))?;
-    stream.flush().map_err(|e| format!("send failed: {e}"))?;
+    write_line(&mut stream, request).map_err(|e| format!("send failed: {e}"))?;
     let mut reader = BufReader::new(read_half);
     let mut response = String::new();
     let n = reader
@@ -603,4 +658,68 @@ fn round_trip<S: std::io::Read + std::io::Write + TryCloneStream>(
         return Err("server closed the connection without replying".to_owned());
     }
     Ok(response.trim_end_matches('\n').to_owned())
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::{IoSlice, Write};
+
+    use super::write_line;
+
+    /// A writer that counts its calls and takes at most `max` bytes per
+    /// call, as a socket with a full buffer does.
+    struct Chunky {
+        calls: usize,
+        max: usize,
+        out: Vec<u8>,
+    }
+
+    impl Chunky {
+        fn new(max: usize) -> Chunky {
+            Chunky {
+                calls: 0,
+                max,
+                out: Vec::new(),
+            }
+        }
+    }
+
+    impl Write for Chunky {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let mut left = self.max;
+            for buf in bufs {
+                let take = buf.len().min(left);
+                self.out.extend_from_slice(&buf[..take]);
+                left -= take;
+            }
+            Ok(self.max - left)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_reply_and_its_newline_go_out_in_one_write() {
+        let mut writer = Chunky::new(usize::MAX);
+        write_line(&mut writer, "{\"v\":1,\"type\":\"pong\"}").unwrap();
+        assert_eq!(writer.out, b"{\"v\":1,\"type\":\"pong\"}\n");
+        assert_eq!(writer.calls, 1);
+    }
+
+    #[test]
+    fn a_short_write_is_finished() {
+        let line = "{\"v\":1,\"type\":\"pong\"}";
+        for max in [1, 3, line.len() - 1, line.len(), line.len() + 1] {
+            let mut writer = Chunky::new(max);
+            write_line(&mut writer, line).unwrap();
+            assert_eq!(writer.out, format!("{line}\n").as_bytes(), "max {max}");
+        }
+    }
 }

@@ -167,71 +167,26 @@ pub trait ClientDomain: fmt::Debug + Sync {
         &self,
         norm: &NormCtx,
         st: &mut AnalysisState,
-        send: &SendSite,
-        recv: &RecvSite,
+        send: &SendSite<'_>,
+        recv: &RecvSite<'_>,
         sender_id: PsetId,
         recv_idx: usize,
     ) {
         let recv_pset = st.psets[recv_idx].id;
-        let var = norm.var(recv_pset, &recv.var);
+        let var = norm.var(recv_pset, recv.var);
         st.resaturate_ranges();
         st.rewrite_aliases_on_assign(var, None);
         // Received values are uniform only when pinned to one constant.
-        st.uniform.remove(&var);
-
-        // A constant value: every receiver holds it.
-        if let Some(c) = norm.eval_const(&send.value, sender_id, &st.cg) {
-            st.cg.assign(var, &LinExpr::constant(c));
-            st.uniform.insert(var);
-            return;
-        }
-
-        // Relational value through the constraint graph.
-        if let Some(lin) = norm.linearize(&send.value, sender_id) {
-            if let Some(c) = st.cg.eval_expr(&lin) {
-                st.cg.assign(var, &LinExpr::constant(c));
+        // The uniform set is written only if that changes `var`'s
+        // membership, so a set shared with the predecessor stays shared.
+        let uniform = assign_received(norm, st, send, recv, sender_id, recv_pset, var);
+        if st.uniform.contains(&var) != uniform {
+            if uniform {
                 st.uniform.insert(var);
-                return;
-            }
-            // A per-process value (anything provably id-based) must be
-            // rewritten through the receiver's src expression: receiver r
-            // got the value of sender src(r), i.e. var = src(r) + k. A
-            // plain cross-namespace equality would claim *every* receiver
-            // equals *every* sender and bottom the graph after splits.
-            let id_s = VarId::id_of(sender_id);
-            let id_offset = match lin.var {
-                Some(v) if v == id_s => Some(lin.offset),
-                Some(v) => st.cg.eq_offset(v, id_s).map(|k| k + lin.offset),
-                None => None,
-            };
-            if let Some(k) = id_offset {
-                if let Some(src_lin) = norm.linearize(&recv.src, recv_pset) {
-                    st.cg.assign(var, &src_lin.plus(k));
-                    return;
-                }
-                st.cg.assign_unknown(var);
-                return;
-            }
-            match &lin.var {
-                Some(v) if v.namespace() == Some(sender_id) => {
-                    // A sender-local variable: a cross-namespace equality
-                    // is only sound when the value is uniform across the
-                    // sender set.
-                    if lin.var.as_ref().is_some_and(|v| st.uniform.contains(v)) {
-                        st.cg.assign(var, &lin);
-                    } else {
-                        st.cg.assign_unknown(var);
-                    }
-                    return;
-                }
-                _ => {
-                    // Constant or global/np-based: valid in any namespace.
-                    st.cg.assign(var, &lin);
-                    return;
-                }
+            } else {
+                st.uniform.remove(&var);
             }
         }
-        st.cg.assign_unknown(var);
     }
 
     /// The join hook: merges compatible process sets back together
@@ -319,6 +274,68 @@ pub trait ClientDomain: fmt::Debug + Sync {
             _ => None,
         }
     }
+}
+
+/// Assigns the value `send` carries to the receiver variable `var` of
+/// namespace `recv_pset`; returns whether `var` is now uniform (pinned to
+/// one constant). `var`'s old uniformity is never read: it counts as
+/// overwritten.
+fn assign_received(
+    norm: &NormCtx,
+    st: &mut AnalysisState,
+    send: &SendSite<'_>,
+    recv: &RecvSite<'_>,
+    sender_id: PsetId,
+    recv_pset: PsetId,
+    var: VarId,
+) -> bool {
+    // A constant value: every receiver holds it.
+    if let Some(c) = norm.eval_const(send.value, sender_id, &st.cg) {
+        st.cg.assign(var, &LinExpr::constant(c));
+        return true;
+    }
+
+    // Relational value through the constraint graph.
+    let Some(lin) = norm.linearize(send.value, sender_id) else {
+        st.cg.assign_unknown(var);
+        return false;
+    };
+    if let Some(c) = st.cg.eval_expr(&lin) {
+        st.cg.assign(var, &LinExpr::constant(c));
+        return true;
+    }
+    // A per-process value (anything provably id-based) must be
+    // rewritten through the receiver's src expression: receiver r got
+    // the value of sender src(r), i.e. var = src(r) + k. A plain
+    // cross-namespace equality would claim *every* receiver equals
+    // *every* sender and bottom the graph after splits.
+    let id_s = VarId::id_of(sender_id);
+    let id_offset = match lin.var {
+        Some(v) if v == id_s => Some(lin.offset),
+        Some(v) => st.cg.eq_offset(v, id_s).map(|k| k + lin.offset),
+        None => None,
+    };
+    if let Some(k) = id_offset {
+        match norm.linearize(recv.src, recv_pset) {
+            Some(src_lin) => st.cg.assign(var, &src_lin.plus(k)),
+            None => st.cg.assign_unknown(var),
+        }
+        return false;
+    }
+    match lin.var {
+        // A sender-local variable: a cross-namespace equality is only
+        // sound when the value is uniform across the sender set.
+        Some(v) if v.namespace() == Some(sender_id) => {
+            if v != var && st.uniform.contains(&v) {
+                st.cg.assign(var, &lin);
+            } else {
+                st.cg.assign_unknown(var);
+            }
+        }
+        // Constant or global/np-based: valid in any namespace.
+        _ => st.cg.assign(var, &lin),
+    }
+    false
 }
 
 /// Splits `range` by `id = e`.

@@ -24,12 +24,12 @@
 //! [`crate::config`] and [`crate::result`].
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
 use mpl_cfg::{Cfg, CfgNode, CfgNodeId, EdgeKind};
-use mpl_domains::{ClosureStats, LinExpr, PsetId, VarId};
+use mpl_domains::{ClosureStats, FxHashMap, LinExpr, PsetId, VarId};
 use mpl_lang::ast::{BinOp, Expr, Program, UnOp};
 use mpl_procset::ProcRange;
 
@@ -41,7 +41,8 @@ use crate::norm::{LiveNames, NormCtx};
 use crate::observer::{AnalysisObserver, EngineProfile, NoopObserver};
 use crate::result::{AnalysisResult, MatchEvent, PrintFact, TopReason, Verdict};
 use crate::scheduler::Scheduler;
-use crate::state::{AnalysisState, PendingSend};
+use crate::share::Shared;
+use crate::state::{AnalysisState, PendingSend, PsetState};
 
 /// Analyzes `program` (builds its CFG internally).
 #[must_use]
@@ -94,13 +95,18 @@ struct Engine<'a, O: AnalysisObserver> {
     events: Vec<MatchEvent>,
     /// Where `events` holds the event of each send node, receive node
     /// and pair of ranges.
-    event_index: HashMap<(CfgNodeId, CfgNodeId, RangeId, RangeId), usize>,
+    event_index: FxHashMap<(CfgNodeId, CfgNodeId, RangeId, RangeId), usize>,
     /// The value each print node printed for each range (`None` once
     /// two visits disagree).
-    prints: HashMap<(CfgNodeId, RangeId), Option<i64>>,
+    prints: FxHashMap<(CfgNodeId, RangeId), Option<i64>>,
     leaks: BTreeSet<CfgNodeId>,
     deadlock: Option<Vec<(CfgNodeId, String)>>,
     top: Option<TopReason>,
+    /// Match probes tried, and how many proved a match.
+    probes: u64,
+    probes_matched: u64,
+    /// Successor states normalized.
+    normalized: u64,
 }
 
 impl<'a, O: AnalysisObserver> Engine<'a, O> {
@@ -128,11 +134,14 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
             matches: BTreeSet::new(),
             ranges: RangeTable::default(),
             events: Vec::new(),
-            event_index: HashMap::new(),
-            prints: HashMap::new(),
+            event_index: FxHashMap::default(),
+            prints: FxHashMap::default(),
             leaks: BTreeSet::new(),
             deadlock: None,
             top: None,
+            probes: 0,
+            probes_matched: 0,
+            normalized: 0,
         }
     }
 
@@ -203,9 +212,16 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
         };
         self.observer.on_complete(&result);
         profile.total = run_start.elapsed();
-        profile.stored = self.scheduler.stored_stats();
+        if timing {
+            // The byte estimate walks every stored state: only an
+            // observer that asked for the profile pays for it.
+            profile.stored = self.scheduler.stored_stats();
+        }
         profile.ranges_rendered = self.ranges.rendered();
-        self.scheduler.record_frontier(&mut profile);
+        profile.probes = self.probes;
+        profile.probes_matched = self.probes_matched;
+        profile.normalized = self.normalized;
+        self.scheduler.record_counters(&mut profile);
         self.observer.on_profile(&profile);
         result
     }
@@ -234,6 +250,7 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
         }
         for mut s in successors {
             let norm_start = timing.then(Instant::now);
+            self.normalized += 1;
             let keep = self.normalize_successor(&mut s);
             if let Some(t) = norm_start {
                 profile.join_widen += t.elapsed();
@@ -329,28 +346,29 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
     /// Advances the unblocked pset `idx` one CFG step.
     fn advance(&mut self, mut st: AnalysisState, idx: usize) -> Vec<AnalysisState> {
         let node = st.psets[idx].node;
-        match self.cfg.node(node).clone() {
+        let cfg = self.cfg;
+        match cfg.node(node) {
             CfgNode::Entry | CfgNode::Skip => {
-                st.psets[idx].node = self.cfg.sole_succ(node);
+                st.psets[idx].node = cfg.sole_succ(node);
                 vec![st]
             }
             CfgNode::Assign { name, value } => {
                 self.domain
-                    .transfer_assign(&self.norm, &mut st, idx, &name, &value);
-                st.psets[idx].node = self.cfg.sole_succ(node);
+                    .transfer_assign(&self.norm, &mut st, idx, name, value);
+                st.psets[idx].node = cfg.sole_succ(node);
                 vec![st]
             }
             CfgNode::Print(e) => {
-                self.record_print(&st, idx, node, &e);
-                st.psets[idx].node = self.cfg.sole_succ(node);
+                self.record_print(&st, idx, node, e);
+                st.psets[idx].node = cfg.sole_succ(node);
                 vec![st]
             }
             CfgNode::Assume(e) => {
-                self.domain.transfer_assume(&self.norm, &mut st, idx, &e);
-                st.psets[idx].node = self.cfg.sole_succ(node);
+                self.domain.transfer_assume(&self.norm, &mut st, idx, e);
+                st.psets[idx].node = cfg.sole_succ(node);
                 vec![st]
             }
-            CfgNode::Branch { cond } => self.branch(st, idx, &cond),
+            CfgNode::Branch { cond } => self.branch(st, idx, cond),
             CfgNode::Send { .. } | CfgNode::Recv { .. } | CfgNode::Exit => {
                 unreachable!("blocked node reached advance")
             }
@@ -593,42 +611,47 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
         }
     }
 
-    /// Collects the send/receive operations available for matching.
-    fn comm_sites(&self, st: &AnalysisState) -> (Vec<SendSite>, Vec<RecvSite>) {
-        let mut sends: Vec<SendSite> = Vec::new();
-        let mut recvs: Vec<RecvSite> = Vec::new();
-        for (i, p) in st.psets.iter().enumerate() {
-            if let Some(pend) = &p.pending {
-                sends.push(SendSite {
+    /// The send operations available for matching, in set order: a
+    /// set's pending send, or else the send it is blocked at. Each
+    /// borrows its expressions from the state or the CFG.
+    fn send_sites<'s>(
+        cfg: &'s Cfg,
+        st: &'s AnalysisState,
+    ) -> impl Iterator<Item = SendSite<'s>> + 's {
+        st.psets.iter().enumerate().filter_map(move |(i, p)| {
+            let (node, value, dest, pending) = match (&p.pending, cfg.node(p.node)) {
+                (Some(pend), _) => (pend.node, &pend.value, &pend.dest, true),
+                (None, CfgNode::Send { value, dest }) => (p.node, value, dest, false),
+                (None, _) => return None,
+            };
+            Some(SendSite {
+                pset_idx: i,
+                node,
+                value,
+                dest,
+                pending,
+            })
+        })
+    }
+
+    /// The receive operations available for matching, in set order,
+    /// borrowed from the CFG.
+    fn recv_sites<'s>(
+        cfg: &'s Cfg,
+        st: &'s AnalysisState,
+    ) -> impl Iterator<Item = RecvSite<'s>> + 's {
+        st.psets
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, p)| match cfg.node(p.node) {
+                CfgNode::Recv { var, src } => Some(RecvSite {
                     pset_idx: i,
-                    node: pend.node,
-                    value: pend.value.clone(),
-                    dest: pend.dest.clone(),
-                    pending: true,
-                });
-            }
-            match self.cfg.node(p.node) {
-                CfgNode::Send { value, dest } if p.pending.is_none() => {
-                    sends.push(SendSite {
-                        pset_idx: i,
-                        node: p.node,
-                        value: value.clone(),
-                        dest: dest.clone(),
-                        pending: false,
-                    });
-                }
-                CfgNode::Recv { var, src } => {
-                    recvs.push(RecvSite {
-                        pset_idx: i,
-                        node: p.node,
-                        src: src.clone(),
-                        var: var.clone(),
-                    });
-                }
-                _ => {}
-            }
-        }
-        (sends, recvs)
+                    node: p.node,
+                    src,
+                    var,
+                }),
+                _ => None,
+            })
     }
 
     /// Probes every (send, recv) pair once (`matchSendsRecvs`, §VI).
@@ -638,13 +661,16 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
     /// nothing matched and nothing is left to split on.
     fn match_step(&mut self, st: &AnalysisState, depth: u32) -> Option<Vec<AnalysisState>> {
         let matcher = self.domain.matcher();
-        let (sends, recvs) = self.comm_sites(st);
+        let cfg = self.cfg;
         let mut split = None;
-        for send in &sends {
-            for recv in &recvs {
-                let undecided = match matcher.try_match(st, send, recv, &self.norm, &self.assumes) {
+        for send in Self::send_sites(cfg, st) {
+            for recv in Self::recv_sites(cfg, st) {
+                self.probes += 1;
+                let undecided = match matcher.try_match(st, &send, &recv, &self.norm, &self.assumes)
+                {
                     Probe::Match(outcome) => {
-                        if let Some(next) = self.apply_match(st.clone(), send, recv, &outcome) {
+                        self.probes_matched += 1;
+                        if let Some(next) = self.apply_match(st.clone(), &send, &recv, &outcome) {
                             return Some(vec![next]);
                         }
                         self.observer.on_match_rejected();
@@ -684,8 +710,8 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
     fn apply_match(
         &mut self,
         mut st: AnalysisState,
-        send: &SendSite,
-        recv: &RecvSite,
+        send: &SendSite<'_>,
+        recv: &RecvSite<'_>,
         outcome: &MatchOutcome,
     ) -> Option<AnalysisState> {
         let recv_succ = self.cfg.sole_succ(recv.node);
@@ -763,7 +789,7 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
         // ranges (saturated before the split) still carry; asserting
         // bounds against one would revive a variable no set owns. Strip
         // both kinds and re-saturate against the updated facts.
-        let stale = VarId::pset_var(assigned_ns, mpl_domains::intern_name(&recv.var));
+        let stale = VarId::pset_var(assigned_ns, mpl_domains::intern_name(recv.var));
         let sanitize = |st: &AnalysisState, r: &ProcRange| -> ProcRange {
             let fresh =
                 |v: VarId| v != stale && v.namespace().is_none_or(|ns| st.index_of(ns).is_some());
@@ -818,7 +844,9 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
     /// admitted, and widening only unions admitted match sets), so only
     /// `s.matches \ base` is new.
     fn admit_successor(&mut self, base: &MatchSet, s: AnalysisState) -> Option<TopReason> {
-        self.matches.extend(s.matches.difference(base));
+        s.matches.for_each_missing(base, |pair| {
+            self.matches.insert(pair);
+        });
         debug_assert!(
             s.matches.iter().all(|m| self.matches.contains(&m)),
             "a stepped state's matches were missing from the result"
@@ -898,46 +926,48 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
     /// aliases are dead locals, yet a bound left with no alias would turn
     /// the state into ⊤. Every other alias of a dead variable is stripped.
     fn project_dead_vars(&self, s: &mut AnalysisState) {
-        let homes: Vec<(PsetId, CfgNodeId, Option<CfgNodeId>)> = s
-            .psets
-            .iter()
-            .map(|p| (p.id, p.node, p.pending.as_ref().map(|pd| pd.node)))
-            .collect();
-        let is_dead = |v: VarId| {
+        let live = &self.live;
+        let is_dead = |psets: &[Shared<PsetState>], v: VarId| {
             let (Some(ns), Some(name)) = (v.namespace(), v.name_index()) else {
                 return false;
             };
             !v.is_rank_id()
-                && homes.iter().any(|&(id, node, pending)| {
-                    id == ns
-                        && !self.live.is_live(node, name)
-                        && !pending.is_some_and(|send| self.live.is_read(send, name))
+                && psets.iter().find(|p| p.id == ns).is_some_and(|p| {
+                    !live.is_live(p.node, name)
+                        && !p
+                            .pending
+                            .as_ref()
+                            .is_some_and(|send| live.is_read(send.node, name))
                 })
         };
-        let mut dead: BTreeSet<VarId> =
-            s.cg.variables()
-                .iter()
-                .copied()
-                .chain(s.uniform.iter().copied())
-                .filter(|&v| is_dead(v))
-                .collect();
-        if dead.is_empty() {
+        if !s
+            .cg
+            .variables()
+            .iter()
+            .chain(s.uniform.iter())
+            .any(|&v| is_dead(&s.psets, v))
+        {
             return;
         }
+        // The first alias of a bound whose aliases are all dead stays,
+        // in set order: a bound rescued earlier keeps its alias alive
+        // for the bounds after it. Almost no bound needs this, so the
+        // list almost never allocates.
+        let mut rescued: Vec<VarId> = Vec::new();
         for p in &s.psets {
             for bound in [&p.range.lb, &p.range.ub] {
                 let aliases = bound.exprs();
-                if aliases
-                    .iter()
-                    .all(|e| e.var.is_some_and(|v| dead.contains(&v)))
-                {
+                if aliases.iter().all(|e| {
+                    e.var
+                        .is_some_and(|v| is_dead(&s.psets, v) && !rescued.contains(&v))
+                }) {
                     if let Some(first) = aliases.first().and_then(|e| e.var) {
-                        dead.remove(&first);
+                        rescued.push(first);
                     }
                 }
             }
         }
-        s.project_out(|v| dead.contains(&v));
+        s.project_out_by(|psets, v| is_dead(psets, v) && !rescued.contains(&v));
     }
 
     fn is_terminal(&self, st: &AnalysisState) -> bool {
@@ -959,8 +989,8 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
     /// receiver constants); a later event with the same key replaces it.
     fn record_match_event(
         &mut self,
-        send: &SendSite,
-        recv: &RecvSite,
+        send: &SendSite<'_>,
+        recv: &RecvSite<'_>,
         outcome: &MatchOutcome,
         [s_const, r_const]: [Option<i64>; 2],
     ) {
@@ -1000,9 +1030,9 @@ type RangeId = u32;
 #[derive(Default)]
 struct RangeTable {
     /// Each range seen, by structure.
-    ids: HashMap<ProcRange, RangeId>,
+    ids: FxHashMap<ProcRange, RangeId>,
     /// Each text rendered, by content.
-    by_text: HashMap<Arc<str>, RangeId>,
+    by_text: FxHashMap<Arc<str>, RangeId>,
     /// Each id's text.
     texts: Vec<Arc<str>>,
 }

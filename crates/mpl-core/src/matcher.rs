@@ -28,32 +28,33 @@ use crate::norm::NormCtx;
 use crate::state::AnalysisState;
 
 /// A send operation offered for matching (either a process set blocked at
-/// a `send` node, or a pending send it carries).
-#[derive(Debug, Clone)]
-pub struct SendSite {
+/// a `send` node, or a pending send it carries). It borrows its
+/// expressions from the CFG or the state it was found in.
+#[derive(Debug, Clone, Copy)]
+pub struct SendSite<'a> {
     /// Index of the sending pset in the state.
     pub pset_idx: usize,
     /// The send statement's CFG node.
     pub node: CfgNodeId,
     /// The value expression.
-    pub value: Expr,
+    pub value: &'a Expr,
     /// The destination expression.
-    pub dest: Expr,
+    pub dest: &'a Expr,
     /// True if this is a pending (already-issued) send.
     pub pending: bool,
 }
 
-/// A receive operation offered for matching.
-#[derive(Debug, Clone)]
-pub struct RecvSite {
+/// A receive operation offered for matching, borrowed from the CFG.
+#[derive(Debug, Clone, Copy)]
+pub struct RecvSite<'a> {
     /// Index of the receiving pset in the state.
     pub pset_idx: usize,
     /// The recv statement's CFG node.
     pub node: CfgNodeId,
     /// The source expression.
-    pub src: Expr,
+    pub src: &'a Expr,
     /// The variable receiving the value.
-    pub var: String,
+    pub var: &'a str,
 }
 
 /// The shape of a successful match, used by the pattern classifier.
@@ -112,8 +113,8 @@ pub trait MatchStrategy {
     fn try_match(
         &self,
         st: &AnalysisState,
-        send: &SendSite,
-        recv: &RecvSite,
+        send: &SendSite<'_>,
+        recv: &RecvSite<'_>,
         norm: &NormCtx,
         assumes: &[Expr],
     ) -> Probe;
@@ -137,8 +138,8 @@ impl MatchStrategy for SimpleMatcher {
     fn try_match(
         &self,
         st: &AnalysisState,
-        send: &SendSite,
-        recv: &RecvSite,
+        send: &SendSite<'_>,
+        recv: &RecvSite<'_>,
         norm: &NormCtx,
         _assumes: &[Expr],
     ) -> Probe {
@@ -149,10 +150,10 @@ impl MatchStrategy for SimpleMatcher {
         let cg = &*st.cg;
         let ps = st.psets[send.pset_idx].id;
         let pr = st.psets[recv.pset_idx].id;
-        let Some(dest) = norm.linearize_resolved(&send.dest, ps, cg) else {
+        let Some(dest) = norm.linearize_resolved(send.dest, ps, cg) else {
             return Probe::NoMatch;
         };
-        let Some(src) = norm.linearize_resolved(&recv.src, pr, cg) else {
+        let Some(src) = norm.linearize_resolved(recv.src, pr, cg) else {
             return Probe::NoMatch;
         };
         let s_range = &st.psets[send.pset_idx].range;
@@ -329,8 +330,8 @@ impl MatchStrategy for CartesianMatcher {
     fn try_match(
         &self,
         st: &AnalysisState,
-        send: &SendSite,
-        recv: &RecvSite,
+        send: &SendSite<'_>,
+        recv: &RecvSite<'_>,
         norm: &NormCtx,
         assumes: &[Expr],
     ) -> Probe {
@@ -358,8 +359,8 @@ impl MatchStrategy for CartesianMatcher {
 /// in full, so the result is the two sets' ranges.
 fn hsm_match(
     st: &AnalysisState,
-    send: &SendSite,
-    recv: &RecvSite,
+    send: &SendSite<'_>,
+    recv: &RecvSite<'_>,
     norm: &NormCtx,
     assumes: &[Expr],
 ) -> Option<(ProcRange, ProcRange)> {
@@ -371,11 +372,11 @@ fn hsm_match(
     if !ctx.pos(&s_n) || !ctx.pos(&r_n) {
         return None;
     }
-    let vars_s = uniform_vars(st, norm, &send.dest, st.psets[send.pset_idx].id)?;
-    let vars_r = uniform_vars(st, norm, &recv.src, st.psets[recv.pset_idx].id)?;
+    let vars_s = uniform_vars(st, norm, send.dest, st.psets[send.pset_idx].id)?;
+    let vars_r = uniform_vars(st, norm, recv.src, st.psets[recv.pset_idx].id)?;
     let id_s = Hsm::range(s_lb.clone(), s_n.clone());
     let (h_send, composed) =
-        compose_exprs(&send.dest, &recv.src, &id_s, &vars_s, &vars_r, &ctx).ok()?;
+        compose_exprs(send.dest, recv.src, &id_s, &vars_s, &vars_r, &ctx).ok()?;
     // Surjection of the send expression onto the receiver set, and the
     // composition (recv ∘ send) must be the identity on the senders.
     (h_send.is_surjection_onto(&r_lb, &r_n, &ctx) && composed.is_identity_on(&s_lb, &s_n, &ctx))
@@ -496,7 +497,9 @@ mod tests {
         (cfg, norm, st)
     }
 
-    fn send_site(idx: usize, dest: &str) -> SendSite {
+    /// A send site over leaked expressions: a test's sites outlive the
+    /// parse they come from.
+    fn send_site(idx: usize, dest: &str) -> SendSite<'static> {
         use mpl_lang::ast::StmtKind;
         let p = parse_program(&format!("send x -> {dest};")).unwrap();
         let StmtKind::Send { value, dest } = &p.stmts[0].kind else {
@@ -505,13 +508,14 @@ mod tests {
         SendSite {
             pset_idx: idx,
             node: CfgNodeId(90),
-            value: value.clone(),
-            dest: dest.clone(),
+            value: Box::leak(Box::new(value.clone())),
+            dest: Box::leak(Box::new(dest.clone())),
             pending: false,
         }
     }
 
-    fn recv_site(idx: usize, src: &str) -> RecvSite {
+    /// A receive site over leaked expressions, as [`send_site`].
+    fn recv_site(idx: usize, src: &str) -> RecvSite<'static> {
         use mpl_lang::ast::StmtKind;
         let p = parse_program(&format!("recv y <- {src};")).unwrap();
         let StmtKind::Recv { var, src } = &p.stmts[0].kind else {
@@ -520,8 +524,8 @@ mod tests {
         RecvSite {
             pset_idx: idx,
             node: CfgNodeId(91),
-            src: src.clone(),
-            var: var.clone(),
+            src: Box::leak(Box::new(src.clone())),
+            var: var.clone().leak(),
         }
     }
 
@@ -678,8 +682,8 @@ mod tests {
         let send = SendSite {
             pset_idx: 0,
             node: CfgNodeId(90),
-            value: Expr::Int(1),
-            dest: parse_dest(expr),
+            value: &Expr::Int(1),
+            dest: &parse_dest(expr),
             pending: true,
         };
         let recv = recv_site(0, expr);
@@ -694,8 +698,8 @@ mod tests {
         let send = SendSite {
             pset_idx: 0,
             node: CfgNodeId(90),
-            value: Expr::Int(1),
-            dest: parse_dest("(id + 1) % np"),
+            value: &Expr::Int(1),
+            dest: &parse_dest("(id + 1) % np"),
             pending: true,
         };
         let recv = recv_site(0, "(id + np - 1) % np");

@@ -3,9 +3,10 @@
 //! refinements, and symbolic (polynomial) values for the HSM client.
 
 use std::collections::{BTreeSet, HashSet};
+use std::hash::BuildHasherDefault;
 
-use mpl_cfg::{Cfg, CfgNode, CfgNodeId};
-use mpl_domains::{intern_name, ConstraintGraph, LinExpr, PsetId, VarId, VarKind};
+use mpl_cfg::{liveness, Cfg, CfgNode, CfgNodeId};
+use mpl_domains::{intern_name, ConstraintGraph, FxHasher, LinExpr, PsetId, VarId, VarKind};
 use mpl_hsm::SymPoly;
 use mpl_lang::ast::{BinOp, Expr, UnOp};
 
@@ -30,7 +31,7 @@ fn admitted(c: i64) -> Option<i64> {
 #[derive(Debug, Clone, Default)]
 pub struct NormCtx {
     assigned: BTreeSet<String>,
-    assigned_idx: HashSet<u32>,
+    assigned_idx: HashSet<u32, BuildHasherDefault<FxHasher>>,
 }
 
 impl NormCtx {
@@ -43,11 +44,11 @@ impl NormCtx {
         for id in cfg.node_ids() {
             match cfg.node(id) {
                 CfgNode::Assign { name, value } => {
-                    assigned.insert(name.clone());
+                    insert_name(&mut assigned, name);
                     collect(value);
                 }
                 CfgNode::Recv { var: name, src } => {
-                    assigned.insert(name.clone());
+                    insert_name(&mut assigned, name);
                     collect(src);
                 }
                 CfgNode::Send { value, dest } => {
@@ -65,7 +66,7 @@ impl NormCtx {
         // interned up front, no transfer function ever grows the table, so
         // a name's `VarId` does not depend on the order states are
         // explored in.
-        let assigned_idx: HashSet<u32> = assigned.iter().map(|n| intern_name(n)).collect();
+        let assigned_idx = assigned.iter().map(|n| intern_name(n)).collect();
         for name in mentioned.difference(&assigned) {
             let _ = intern_name(name);
         }
@@ -272,66 +273,162 @@ impl NormCtx {
     }
 }
 
-/// The names live on entry to each CFG node ([`mpl_cfg::liveness`]) and
-/// the names each node reads, interned once per run (after
-/// [`NormCtx::from_cfg`] has fixed the vocabulary) so the engine's
-/// dead-variable projection tests a variable by its name index alone.
+/// The names live on entry to each CFG node and the names each node's
+/// own statement reads, solved once per run over interned name ids
+/// (after [`NormCtx::from_cfg`] has fixed the vocabulary), so the
+/// engine's dead-variable projection tests a variable by one bit.
+///
+/// The equations are [`mpl_cfg::liveness`]'s: `Assign` and `Recv`
+/// define their target, every expression of a statement reads its
+/// variables, and a name is live on entry to a node when the node reads
+/// it, or when it is live on exit and the node does not define it. They
+/// are solved backward from the exit over one dense bitset, each name a
+/// column and each node two rows, instead of over sets of strings.
 #[derive(Debug, Clone, Default)]
 pub struct LiveNames {
-    /// Sorted name indices live on entry, per node id.
-    live: Vec<Vec<u32>>,
-    /// Sorted name indices the node's own statement reads, per node id.
-    reads: Vec<Vec<u32>>,
+    /// The column of each interned name index, [`NO_COLUMN`] for a name
+    /// the program never mentions.
+    column: Vec<u32>,
+    /// Words per row.
+    words: usize,
+    /// Node `n`'s live-on-entry row at word `2n · words`, its read row
+    /// right after it.
+    bits: Vec<u64>,
 }
 
+/// [`LiveNames::column`] of a name the program never mentions.
+const NO_COLUMN: u32 = u32::MAX;
+
 impl LiveNames {
-    /// Solves liveness over `cfg` and interns the result.
+    /// Solves liveness over `cfg`.
     #[must_use]
     pub fn from_cfg(cfg: &Cfg) -> LiveNames {
-        fn interned<'a>(names: impl IntoIterator<Item = &'a str>) -> Vec<u32> {
-            let mut idx: Vec<u32> = names.into_iter().map(intern_name).collect();
-            idx.sort_unstable();
-            idx.dedup();
-            idx
+        let n = cfg.node_count();
+        // Number the program's names densely, in order of appearance.
+        let mut column: Vec<u32> = Vec::new();
+        let mut columns = 0u32;
+        let mut column_of = |name: &str| {
+            let idx = intern_name(name) as usize;
+            if column.len() <= idx {
+                column.resize(idx + 1, NO_COLUMN);
+            }
+            if column[idx] == NO_COLUMN {
+                column[idx] = columns;
+                columns += 1;
+            }
+            column[idx] as usize
+        };
+        // Each node's defined column, and its reads in the read rows.
+        let mut defs: Vec<Option<usize>> = Vec::with_capacity(n);
+        let mut reads: Vec<(usize, usize)> = Vec::new();
+        for id in cfg.node_ids() {
+            let node = cfg.node(id);
+            defs.push(liveness::defines(node).map(&mut column_of));
+            liveness::for_each_read(node, &mut |name| {
+                reads.push((id.0 as usize, column_of(name)));
+            });
+        }
+        let words = (columns as usize).div_ceil(64);
+        let row = |node: usize, read: bool| (2 * node + usize::from(read)) * words;
+        let mut bits = vec![0u64; 2 * n * words];
+        for &(node, col) in &reads {
+            bits[row(node, true) + col / 64] |= 1 << (col % 64);
+        }
+        // Backward worklist from the exit, as `mpl_cfg::dataflow`'s:
+        // `out` holds each node's live-on-exit row, and a node joins the
+        // queue on its first arrival even if that adds no name.
+        let mut out = vec![0u64; n * words];
+        let mut entry = vec![0u64; words];
+        let (mut reached, mut queued) = (vec![false; n], vec![false; n]);
+        let exit = cfg.exit().0 as usize;
+        reached[exit] = true;
+        queued[exit] = true;
+        let mut queue = std::collections::VecDeque::from([cfg.exit()]);
+        while let Some(node) = queue.pop_front() {
+            let v = node.0 as usize;
+            queued[v] = false;
+            live_on_entry(&bits, &out, &defs, words, v, &mut entry);
+            for &(_, pred) in cfg.preds(node) {
+                let p = pred.0 as usize;
+                let mut changed = !reached[p];
+                reached[p] = true;
+                for (word, add) in out[p * words..(p + 1) * words].iter_mut().zip(&entry) {
+                    changed |= *add & !*word != 0;
+                    *word |= add;
+                }
+                if changed && !queued[p] {
+                    queued[p] = true;
+                    queue.push_back(pred);
+                }
+            }
+        }
+        for v in 0..n {
+            live_on_entry(&bits, &out, &defs, words, v, &mut entry);
+            bits[row(v, false)..row(v, true)].copy_from_slice(&entry);
         }
         LiveNames {
-            live: mpl_cfg::liveness::live_on_entry(cfg)
-                .iter()
-                .map(|names| interned(names.iter().map(String::as_str)))
-                .collect(),
-            reads: cfg
-                .node_ids()
-                .map(|id| interned(mpl_cfg::liveness::reads(cfg.node(id))))
-                .collect(),
+            column,
+            words,
+            bits,
         }
+    }
+
+    /// Bit `name` of `node`'s live (`read = false`) or read row.
+    fn bit(&self, node: CfgNodeId, name: u32, read: bool) -> bool {
+        let Some(&col) = self.column.get(name as usize) else {
+            return false;
+        };
+        if col == NO_COLUMN {
+            return false;
+        }
+        let col = col as usize;
+        let row = (2 * node.0 as usize + usize::from(read)) * self.words;
+        self.bits[row + col / 64] & (1 << (col % 64)) != 0
     }
 
     /// True if the name with index `name` is live on entry to `node`.
     #[must_use]
     pub fn is_live(&self, node: CfgNodeId, name: u32) -> bool {
-        self.live[node.0 as usize].binary_search(&name).is_ok()
+        self.bit(node, name, false)
     }
 
     /// True if `node`'s own statement reads the name with index `name`.
     #[must_use]
     pub fn is_read(&self, node: CfgNodeId, name: u32) -> bool {
-        self.reads[node.0 as usize].binary_search(&name).is_ok()
+        self.bit(node, name, true)
+    }
+}
+
+/// Writes node `v`'s live-on-entry row into `entry`: its reads, plus
+/// its live-on-exit row `out` less the name it defines.
+fn live_on_entry(
+    bits: &[u64],
+    out: &[u64],
+    defs: &[Option<usize>],
+    words: usize,
+    v: usize,
+    entry: &mut [u64],
+) {
+    let reads = &bits[(2 * v + 1) * words..(2 * v + 2) * words];
+    entry.copy_from_slice(&out[v * words..(v + 1) * words]);
+    if let Some(col) = defs[v] {
+        entry[col / 64] &= !(1 << (col % 64));
+    }
+    for (word, read) in entry.iter_mut().zip(reads) {
+        *word |= read;
     }
 }
 
 /// Collects every `Var` name mentioned in `e` (for vocabulary
 /// pre-interning in [`NormCtx::from_cfg`]).
 fn collect_var_names(e: &Expr, out: &mut BTreeSet<String>) {
-    match e {
-        Expr::Var(name) => {
-            out.insert(name.clone());
-        }
-        Expr::Binary(_, l, r) => {
-            collect_var_names(l, out);
-            collect_var_names(r, out);
-        }
-        Expr::Unary(_, inner) => collect_var_names(inner, out),
-        Expr::Int(_) | Expr::Bool(_) | Expr::Id | Expr::Np => {}
+    e.for_each_var(&mut |name| insert_name(out, name));
+}
+
+/// Adds `name` to `names`, copying it only if it is new.
+fn insert_name(names: &mut BTreeSet<String>, name: &str) {
+    if !names.contains(name) {
+        names.insert(name.to_owned());
     }
 }
 
@@ -492,6 +589,84 @@ mod tests {
         cg.assert_eq_const(VarId::NP, 4);
         cg.close();
         assert_eq!(ctx.eval_const(&expr("id * 2 + np"), P, &cg), Some(10));
+    }
+
+    /// Checks [`LiveNames`] against the string-set liveness of
+    /// [`mpl_cfg::liveness`] it replaced, kept as the oracle: at every
+    /// node, for every name the program mentions and one it does not.
+    fn assert_liveness_matches_oracle(label: &str, program: &mpl_lang::ast::Program) {
+        let cfg = Cfg::build(program);
+        let _ = NormCtx::from_cfg(&cfg);
+        let live = LiveNames::from_cfg(&cfg);
+        let oracle = mpl_cfg::liveness::live_on_entry(&cfg);
+        let mut names = BTreeSet::from(["never_mentioned".to_owned()]);
+        for id in cfg.node_ids() {
+            if let CfgNode::Assign { name, .. } | CfgNode::Recv { var: name, .. } = cfg.node(id) {
+                names.insert(name.clone());
+            }
+            names.extend(
+                mpl_cfg::liveness::reads(cfg.node(id))
+                    .into_iter()
+                    .map(str::to_owned),
+            );
+        }
+        for id in cfg.node_ids() {
+            let reads = mpl_cfg::liveness::reads(cfg.node(id));
+            for name in &names {
+                let idx = intern_name(name);
+                assert_eq!(
+                    live.is_live(id, idx),
+                    oracle[id.0 as usize].contains(name),
+                    "{label}: `{name}` live on entry to {id}"
+                );
+                assert_eq!(
+                    live.is_read(id, idx),
+                    reads.contains(&name.as_str()),
+                    "{label}: `{name}` read at {id}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn live_names_match_the_string_liveness_on_the_corpus() {
+        for prog in mpl_lang::corpus::all() {
+            assert_liveness_matches_oracle(prog.name, &prog.program);
+        }
+    }
+
+    #[test]
+    fn live_names_match_the_string_liveness_on_the_examples() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/programs");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(dir).expect("examples/programs") {
+            let path = entry.expect("directory entry").path();
+            if path.extension().is_some_and(|e| e == "mpl") {
+                let source = std::fs::read_to_string(&path).expect("readable example");
+                let program = parse_program(&source).expect("example parses");
+                assert_liveness_matches_oracle(&path.display().to_string(), &program);
+                seen += 1;
+            }
+        }
+        assert!(seen >= 5, "{seen} examples");
+    }
+
+    #[test]
+    fn live_names_match_the_string_liveness_on_generated_programs() {
+        use mpl_lang::corpus;
+        for k in [1, 8, 64] {
+            assert_liveness_matches_oracle(
+                "repeated_exchanges",
+                &corpus::repeated_exchanges(k).program,
+            );
+        }
+        for n in [8, 48, 96] {
+            assert_liveness_matches_oracle("wide", &corpus::exchange_with_root_wide(n).program);
+            assert_liveness_matches_oracle(
+                "wide_live",
+                &corpus::exchange_with_root_wide_live(n).program,
+            );
+        }
     }
 
     #[test]

@@ -40,10 +40,12 @@ use crate::state::AnalysisState;
 /// it takes). [`EngineProfile::phase_sum`] covers the loop, so
 /// `phase_sum ≈ total` within a few percent.
 ///
-/// Phase timing is collected only when the observer opts in via
-/// [`AnalysisObserver::timing_enabled`] — the timer calls cost a few
-/// percent, so the default engine loop skips them entirely. The
-/// frontier counters are always populated.
+/// Phase timing and the store's footprint are collected only when the
+/// observer opts in via [`AnalysisObserver::timing_enabled`] — the timer
+/// calls cost a few percent, and the footprint walks every stored
+/// state, so the default engine loop skips them entirely. The counters
+/// (frontiers, ranges, fingerprints, probes, normalized states) are
+/// always populated.
 #[derive(Debug, Clone, Copy, Default)]
 #[non_exhaustive]
 pub struct EngineProfile {
@@ -65,6 +67,7 @@ pub struct EngineProfile {
     pub total: Duration,
     /// The scheduler's per-location state store: locations stored over
     /// the run, the most held at once, and the bytes held at the end.
+    /// Zero unless the observer enabled timing.
     pub stored: StoredStats,
     /// Frontiers the FIFO worklist went through. A frontier is what the
     /// queue held when the previous one was used up, so `rounds` is the
@@ -80,6 +83,18 @@ pub struct EngineProfile {
     /// print facts: one per distinct range structure, however many
     /// events and facts name it.
     pub ranges_rendered: u64,
+    /// State fingerprints admission computed: two on a location's first
+    /// revisit (the offered and the stored state), one on each later
+    /// one, plus one per widened state, and none for a state that opens
+    /// a location.
+    pub fingerprints: u64,
+    /// Send–receive pairs probed by the client's matcher.
+    pub probes: u64,
+    /// Probes that proved a match (applied or, when releasing the
+    /// matched subsets failed, rejected).
+    pub probes_matched: u64,
+    /// Successor states normalized (closed, merged, projected, renamed).
+    pub normalized: u64,
 }
 
 impl EngineProfile {
@@ -189,9 +204,9 @@ pub trait AnalysisObserver {
     }
 
     /// The run's [`EngineProfile`]. Fired once per run, after
-    /// [`AnalysisObserver::on_complete`]. The phase timers are zero
-    /// unless [`AnalysisObserver::timing_enabled`] returned `true`;
-    /// `total` and `stored` are always populated.
+    /// [`AnalysisObserver::on_complete`]. The phase timers and `stored`
+    /// are zero unless [`AnalysisObserver::timing_enabled`] returned
+    /// `true`; `total` and the counters are always populated.
     fn on_profile(&mut self, profile: &EngineProfile) {
         let _ = profile;
     }

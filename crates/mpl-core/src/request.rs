@@ -290,7 +290,14 @@ impl AnalysisRequest {
     /// never trusted without the check string.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let check = self.cache_check();
+        Self::check_fingerprint(&self.cache_check())
+    }
+
+    /// [`Self::fingerprint`] of an already rendered
+    /// [`Self::cache_check`], for a caller that holds the check string
+    /// anyway and should not render the program twice.
+    #[must_use]
+    pub fn check_fingerprint(check: &str) -> u64 {
         let mut h = 0x9E37_79B9_7F4A_7C15u64;
         for chunk in check.as_bytes().chunks(8) {
             let mut buf = [0u8; 8];
@@ -722,6 +729,18 @@ fn topology_list(result: &AnalysisResult) -> Vec<String> {
         .collect()
 }
 
+/// Writes the topology as JSON strings (`"n1->n2","n3->n4"`) straight
+/// into `out`. A node id renders as `n` and digits, so no pair needs
+/// JSON escaping.
+fn write_topology_json(out: &mut String, result: &AnalysisResult) {
+    for (i, (s, r)) in result.matches.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "\"{s}->{r}\"");
+    }
+}
+
 impl AnalysisResponse {
     /// The canonical JSON record for this response — one line, stable
     /// key order, versioned. This is *the* wire format: `mpl analyze
@@ -731,7 +750,9 @@ impl AnalysisResponse {
     /// cacheable paths.
     #[must_use]
     pub fn json_line(&self, timing: bool) -> String {
-        let mut out = String::new();
+        // Room for the fixed fields and about 16 bytes per listed pair.
+        let pairs = self.result.as_ref().map_or(0, |r| r.matches.len());
+        let mut out = String::with_capacity(192 + 16 * pairs);
         let _ = write!(out, "{{\"v\":{PROTOCOL_VERSION},\"type\":\"program\"");
         if let Some(name) = &self.name {
             let _ = write!(out, ",\"name\":\"{}\"", json_escape(name));
@@ -761,17 +782,14 @@ impl AnalysisResponse {
             .result
             .as_ref()
             .map_or((0, 0, 0), |r| (r.matches.len(), r.leaks.len(), r.steps));
-        let topo = self.result.as_ref().map_or_else(String::new, |r| {
-            topology_list(r)
-                .iter()
-                .map(|p| format!("\"{}\"", json_escape(p)))
-                .collect::<Vec<_>>()
-                .join(",")
-        });
         let _ = write!(
             out,
-            ",\"matches\":{matches},\"leaks\":{leaks},\"steps\":{steps},\"topology\":[{topo}]"
+            ",\"matches\":{matches},\"leaks\":{leaks},\"steps\":{steps},\"topology\":["
         );
+        if let Some(result) = &self.result {
+            write_topology_json(&mut out, result);
+        }
+        out.push(']');
         if timing {
             let _ = write!(out, ",\"wall_nanos\":{}", self.wall_nanos);
             if let Some(worker) = self.panic_worker {
@@ -1176,6 +1194,13 @@ mod tests {
             .build()
             .unwrap();
         assert_ne!(a.fingerprint(), named.fingerprint());
+        // The service hashes the check string it already rendered.
+        for request in [&a, &c, &named] {
+            assert_eq!(
+                AnalysisRequest::check_fingerprint(&request.cache_check()),
+                request.fingerprint()
+            );
+        }
     }
 
     #[test]

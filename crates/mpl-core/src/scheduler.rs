@@ -14,7 +14,9 @@
 //!   it converges;
 //! * **admission** — a successor state is queued only if it brings new
 //!   information at its location (fingerprint dedup / widening
-//!   progress).
+//!   progress). A state that opens a location is stored unhashed: most
+//!   locations are reached once, so states are fingerprinted only when
+//!   a second state reaches their location.
 //!
 //! The store keeps a location's state only while a queued state can
 //! still reach it (DESIGN §3.17). A location's rank is the lowest
@@ -25,6 +27,7 @@
 //! evicted: no state can be admitted there again.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use mpl_cfg::{Cfg, SccRanks};
 use mpl_runtime::CancelToken;
@@ -40,11 +43,13 @@ use crate::state::AnalysisState;
 /// cancellation within a bounded number of steps" guarantee.
 pub const CANCEL_CHECK_STEPS: u64 = 8;
 
-/// Best-known state at one location, with its cached state fingerprint
-/// and the location's visit count.
+/// Best-known state at one location, with its state fingerprint and the
+/// location's visit count.
 struct Slot {
     state: AnalysisState,
-    fp: u64,
+    /// `state`'s fingerprint, computed when a second state first reaches
+    /// the location.
+    fp: Option<u64>,
     visits: u32,
     /// Debug-only collision guard: the full location key.
     #[cfg(debug_assertions)]
@@ -65,12 +70,33 @@ pub struct StoredStats {
     pub approx_bytes: usize,
 }
 
+/// Hashes a store key as itself: the keys are location fingerprints,
+/// hashes already.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 << 8) | u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
 /// The engine's worklist with its budget, widening and store
 /// bookkeeping.
 pub struct Scheduler {
     work: VecDeque<AnalysisState>,
     /// Location fingerprint → best-known state at that location.
-    stored: HashMap<u64, Slot>,
+    stored: HashMap<u64, Slot, BuildHasherDefault<KeyHasher>>,
     ranks: SccRanks,
     /// Queued states per location rank.
     queued: Vec<u32>,
@@ -96,6 +122,8 @@ pub struct Scheduler {
     frontier_total: u64,
     /// Widest frontier.
     frontier_peak: usize,
+    /// State fingerprints computed by admission.
+    fingerprints: u64,
 }
 
 impl Scheduler {
@@ -106,7 +134,7 @@ impl Scheduler {
         let ranks = SccRanks::compute(cfg);
         Scheduler {
             work: VecDeque::new(),
-            stored: HashMap::new(),
+            stored: HashMap::default(),
             queued: vec![0; ranks.count()],
             buckets: vec![Vec::new(); ranks.count()],
             ranks,
@@ -121,6 +149,7 @@ impl Scheduler {
             rounds: 0,
             frontier_total: 0,
             frontier_peak: 0,
+            fingerprints: 0,
         }
     }
 
@@ -145,13 +174,13 @@ impl Scheduler {
         self.work.push_back(s);
     }
 
-    /// Stores a state at a location not seen before.
-    fn insert_slot(&mut self, loc: u64, s: &AnalysisState, fp: u64) {
+    /// Stores a state at a location not seen before, unhashed.
+    fn insert_slot(&mut self, loc: u64, s: &AnalysisState) {
         self.stored.insert(
             loc,
             Slot {
                 state: s.clone(),
-                fp,
+                fp: None,
                 visits: 1,
                 #[cfg(debug_assertions)]
                 key: s.location_key(),
@@ -194,8 +223,7 @@ impl Scheduler {
     /// Seeds the worklist with the initial state (counted as the first
     /// visit of its location).
     pub fn seed(&mut self, init: AnalysisState) {
-        let fp = init.fingerprint();
-        self.insert_slot(init.location_fingerprint(), &init, fp);
+        self.insert_slot(init.location_fingerprint(), &init);
         self.push(init);
     }
 
@@ -241,11 +269,13 @@ impl Scheduler {
         Some(Ok(st))
     }
 
-    /// Copies the frontier counters into `profile`: how many frontiers
-    /// the run went through, their summed width and the widest one. The
-    /// width is the number of states that could be stepped independently,
-    /// so it bounds what any intra-analysis parallelism could use.
-    pub fn record_frontier(&self, profile: &mut EngineProfile) {
+    /// Copies the scheduler's counters into `profile`: the state
+    /// fingerprints admission computed, and how many frontiers the run
+    /// went through, their summed width and the widest one. The width is
+    /// the number of states that could be stepped independently, so it
+    /// bounds what any intra-analysis parallelism could use.
+    pub fn record_counters(&self, profile: &mut EngineProfile) {
+        profile.fingerprints = self.fingerprints;
         profile.rounds = self.rounds;
         profile.frontier_total = self.frontier_total;
         profile.frontier_peak = self.frontier_peak;
@@ -261,9 +291,11 @@ impl Scheduler {
     /// process-set bound to ±∞.
     ///
     /// Dedup is O(1): the offered state's fingerprint is compared
-    /// against the fingerprint cached with the stored state, and equal
-    /// fingerprints stand for structurally equal states (debug builds
-    /// check [`AnalysisState::structurally_eq`]).
+    /// against the fingerprint stored with the location's state, and
+    /// equal fingerprints stand for structurally equal states (debug
+    /// builds check [`AnalysisState::structurally_eq`]). A state that
+    /// opens a location is stored without one; the stored state is
+    /// fingerprinted on the location's first revisit.
     pub fn admit<O: AnalysisObserver>(
         &mut self,
         s: AnalysisState,
@@ -271,21 +303,31 @@ impl Scheduler {
         thresholds: &[i64],
         observer: &mut O,
     ) -> Option<TopReason> {
-        let s_fp = s.fingerprint();
         let loc = s.location_fingerprint();
         let Some(slot) = self.stored.get_mut(&loc) else {
-            self.insert_slot(loc, &s, s_fp);
+            self.insert_slot(loc, &s);
             self.push(s);
             return None;
         };
         #[cfg(debug_assertions)]
         debug_assert_eq!(slot.key, s.location_key(), "location fingerprint collision");
+        let count = &mut self.fingerprints;
+        let mut fingerprint = |st: &AnalysisState| {
+            *count += 1;
+            st.fingerprint()
+        };
+        let stored_fp = match slot.fp {
+            Some(fp) => fp,
+            None => fingerprint(&slot.state),
+        };
         let visits = slot.visits + 1;
         if visits <= self.widen_delay {
             // Delayed widening: explore the state exactly (bounded
             // concrete chains finish precisely), but stop if nothing
             // changed.
-            if s_fp == slot.fp {
+            let s_fp = fingerprint(&s);
+            slot.fp = Some(s_fp);
+            if s_fp == stored_fp {
                 debug_assert!(
                     s.structurally_eq(&slot.state),
                     "state fingerprint collision at admission"
@@ -293,14 +335,14 @@ impl Scheduler {
                 return None;
             }
             slot.state = s.clone();
-            slot.fp = s_fp;
             slot.visits = visits;
             self.push(s);
             return None;
         }
         let widened = domain.widen(&slot.state, &s, thresholds);
-        let w_fp = widened.fingerprint();
-        if w_fp == slot.fp {
+        let w_fp = fingerprint(&widened);
+        slot.fp = Some(stored_fp);
+        if w_fp == stored_fp {
             debug_assert!(
                 widened.structurally_eq(&slot.state),
                 "state fingerprint collision at widening"
@@ -312,7 +354,7 @@ impl Scheduler {
         }
         observer.on_widen(visits, &widened);
         slot.state = widened.clone();
-        slot.fp = w_fp;
+        slot.fp = Some(w_fp);
         slot.visits = visits;
         self.push(widened);
         None
@@ -469,9 +511,70 @@ mod frontier_order_tests {
         }
         assert_eq!(drained, nodes, "FIFO drain is insertion-ordered");
         let mut profile = EngineProfile::default();
-        sched.record_frontier(&mut profile);
+        sched.record_counters(&mut profile);
         assert_eq!(profile.rounds, 1);
         assert_eq!(profile.frontier_peak, nodes.len());
         assert_eq!(profile.frontier_total, nodes.len() as u64);
+    }
+}
+
+#[cfg(test)]
+mod fingerprint_tests {
+    use mpl_cfg::{Cfg, CfgNodeId};
+    use mpl_lang::corpus;
+
+    use super::Scheduler;
+    use crate::config::AnalysisConfig;
+    use crate::engine::analyze_cfg_with;
+    use crate::observer::{EngineProfile, NoopObserver, StatsObserver};
+    use crate::state::AnalysisState;
+
+    fn fingerprints(sched: &Scheduler) -> u64 {
+        let mut profile = EngineProfile::default();
+        sched.record_counters(&mut profile);
+        profile.fingerprints
+    }
+
+    #[test]
+    fn admission_fingerprints_a_location_only_once_revisited() {
+        let cfg = Cfg::build(&corpus::fig2_exchange().program);
+        let config = AnalysisConfig::default();
+        let domain = config.client.domain();
+        let nodes: Vec<CfgNodeId> = cfg.node_ids().collect();
+        let mut sched = Scheduler::new(&config, &cfg);
+        let admit = |sched: &mut Scheduler, node| {
+            let st = AnalysisState::initial(node, 4);
+            assert!(sched.admit(st, domain, &[], &mut NoopObserver).is_none());
+        };
+        sched.seed(AnalysisState::initial(nodes[0], 4));
+        assert_eq!(fingerprints(&sched), 0, "seeding hashes nothing");
+        admit(&mut sched, nodes[1]);
+        assert_eq!(fingerprints(&sched), 0, "a first visit hashes nothing");
+        admit(&mut sched, nodes[1]);
+        assert_eq!(
+            fingerprints(&sched),
+            2,
+            "a revisit hashes the offered and the stored state"
+        );
+        admit(&mut sched, nodes[1]);
+        assert_eq!(fingerprints(&sched), 3, "the stored fingerprint is kept");
+        admit(&mut sched, nodes[2]);
+        assert_eq!(fingerprints(&sched), 3);
+    }
+
+    #[test]
+    fn a_path_of_first_visits_computes_no_fingerprint() {
+        // Each of the 2k + 8 locations of k pair exchanges is visited
+        // once, so admission never hashes a state.
+        let cfg = Cfg::build(&corpus::repeated_exchanges(64).program);
+        let mut stats = StatsObserver::new();
+        let result = analyze_cfg_with(&cfg, &AnalysisConfig::default(), &mut stats);
+        assert!(result.is_exact(), "{:?}", result.verdict);
+        let profile = stats.profile().expect("profile fired");
+        assert_eq!(profile.stored.locations as u64, result.steps);
+        assert_eq!(profile.fingerprints, 0);
+        assert_eq!(profile.probes_matched, 128, "one proved match per exchange");
+        assert!(profile.probes >= profile.probes_matched);
+        assert!(profile.normalized >= result.steps - 1);
     }
 }

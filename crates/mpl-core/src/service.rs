@@ -557,8 +557,8 @@ impl AnalysisService {
                 return line;
             }
         };
-        let key = request.fingerprint();
         let check = request.cache_check();
+        let key = AnalysisRequest::check_fingerprint(&check);
         loop {
             if let Some(body) = self.cache.lock().expect("cache lock").lookup(key, &check) {
                 return body;

@@ -189,15 +189,26 @@ impl AnalysisState {
     /// that holds none of them is left untouched, so its copy-on-write
     /// handle stays shared.
     pub fn project_out(&mut self, dead: impl Fn(VarId) -> bool) {
-        if self.cg.variables().iter().any(|&v| dead(v)) {
-            self.cg.retain_vars(|v| !dead(v));
+        self.project_out_by(|_, v| dead(v));
+    }
+
+    /// [`AnalysisState::project_out`] with a selector that also reads the
+    /// process sets. Projection changes only their ranges, so a selector
+    /// may decide a variable by its set's id, node or pending send
+    /// without the caller copying the sets out first.
+    pub fn project_out_by(&mut self, dead: impl Fn(&[Shared<PsetState>], VarId) -> bool) {
+        let psets = &self.psets;
+        if self.cg.variables().iter().any(|&v| dead(psets, v)) {
+            self.cg.retain_vars(|v| !dead(psets, v));
         }
-        if self.uniform.iter().any(|&v| dead(v)) {
-            self.uniform.retain(|&v| !dead(v));
+        if self.uniform.iter().any(|&v| dead(psets, v)) {
+            self.uniform.retain(|&v| !dead(psets, v));
         }
-        for p in &mut self.psets {
-            if p.range.mentions(&dead) {
-                p.range = strip_range(&p.range, &dead);
+        for i in 0..self.psets.len() {
+            let range = &self.psets[i].range;
+            if range.mentions(|v| dead(&self.psets, v)) {
+                let stripped = strip_range(range, |v| dead(&self.psets, v));
+                self.psets[i].range = stripped;
             }
         }
     }

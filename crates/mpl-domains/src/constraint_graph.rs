@@ -41,29 +41,54 @@ fn add(a: i64, b: i64) -> i64 {
     }
 }
 
-/// A packed `VarId` is already well-mixed enough for an identity-style
-/// hash: one multiply by a 64-bit golden-ratio constant replaces SipHash
-/// on the hot index lookups.
+/// A fast hasher for small keys that an adversary does not choose (FxHash's
+/// rotate-xor-multiply per word): the graph's variable index, and the
+/// engine's per-run tables, whose outputs never depend on a table's
+/// iteration order. A packed `VarId` costs one multiply, where SipHash
+/// costs dozens of operations.
 #[derive(Default)]
-struct IdHasher(u64);
+pub struct FxHasher(u64);
 
-impl Hasher for IdHasher {
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+}
+
+impl Hasher for FxHasher {
     fn finish(&self) -> u64 {
         self.0
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
         }
     }
 
-    fn write_u32(&mut self, v: u32) {
-        self.0 = u64::from(v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
     }
 }
 
-type IdMap = HashMap<VarId, usize, BuildHasherDefault<IdHasher>>;
+/// A `HashMap` under [`FxHasher`].
+pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+type IdMap = FxHashMap<VarId, usize>;
 
 /// All bottoms fingerprint to this sentinel: once a negative cycle is
 /// found, recorded bounds are meaningless and every bottom is the same
@@ -557,15 +582,39 @@ impl ConstraintGraph {
         if self.infeasible {
             return None;
         }
-        let upper = self.le_bound(x, y)?;
-        let lower = self.le_bound(y, x)?;
-        (upper == -lower).then_some(upper)
+        self.eq_at(*self.index.get(&x)?, *self.index.get(&y)?)
+    }
+
+    /// `Some(c)` if the bounds between rows `i` and `j` pin
+    /// `vars[i] = vars[j] + c`.
+    fn eq_at(&self, i: usize, j: usize) -> Option<i64> {
+        let (upper, lower) = (self.at(i, j), self.at(j, i));
+        (upper < INF && lower < INF && upper == -lower).then_some(upper)
     }
 
     /// The constant value of `x` if the constraints pin it down.
     #[must_use]
     pub fn const_of(&self, x: VarId) -> Option<i64> {
         self.eq_offset(x, VarId::ZERO)
+    }
+
+    /// Calls `f` with each tracked variable the graph pins to a constant,
+    /// and the constant, in [`Self::variables`] order: what
+    /// [`Self::const_of`] answers for each variable, found with one index
+    /// lookup in all instead of two per variable.
+    pub fn for_each_constant(&self, mut f: impl FnMut(VarId, i64)) {
+        self.debug_assert_closed();
+        if self.infeasible {
+            return;
+        }
+        let Some(&zero) = self.index.get(&VarId::ZERO) else {
+            return;
+        };
+        for (k, &v) in self.vars.iter().enumerate() {
+            if let Some(c) = self.eq_at(k, zero) {
+                f(v, c);
+            }
+        }
     }
 
     /// Appends to `out`, sorted, every expression `y + c` (with `y ≠ x`)
@@ -1083,6 +1132,30 @@ mod tests {
         g.assert_eq_offset(v("y"), v("x"), 2);
         g.close();
         assert_eq!(g.const_of(v("y")), Some(7));
+    }
+
+    #[test]
+    fn for_each_constant_lists_what_const_of_pins() {
+        let mut g = ConstraintGraph::new();
+        g.assert_eq_const(v("x"), 5);
+        g.assert_eq_offset(v("y"), v("x"), 2);
+        g.assert_le(v("z"), v("x"), 1);
+        g.assert_eq_const(VarId::id_of(PsetId(0)), 3);
+        g.close();
+        let mut listed = Vec::new();
+        g.for_each_constant(|var, c| listed.push((var, c)));
+        let expected: Vec<(VarId, i64)> = g
+            .variables()
+            .iter()
+            .filter_map(|&var| g.const_of(var).map(|c| (var, c)))
+            .collect();
+        assert_eq!(listed, expected);
+        assert_eq!(listed.len(), 4, "zero, x, y and the rank id: {listed:?}");
+        // Bottom pins nothing, as `const_of` says.
+        g.assert_le(v("x"), VarId::ZERO, 0);
+        g.close();
+        assert!(g.is_bottom());
+        g.for_each_constant(|var, c| panic!("{var} = {c} on bottom"));
     }
 
     #[test]

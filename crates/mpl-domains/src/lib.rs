@@ -26,7 +26,9 @@ pub mod linexpr;
 pub mod stats;
 pub mod var;
 
-pub use constraint_graph::{splitmix64, ConstraintGraph, DEFAULT_WIDEN_THRESHOLDS};
+pub use constraint_graph::{
+    splitmix64, ConstraintGraph, FxHashMap, FxHasher, DEFAULT_WIDEN_THRESHOLDS,
+};
 pub use linexpr::LinExpr;
 pub use stats::{force_full_closure, set_force_full_closure, ClosureStats};
 pub use var::{

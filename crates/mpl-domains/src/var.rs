@@ -20,8 +20,9 @@
 //! within `Pset`.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
+
+use crate::constraint_graph::FxHashMap;
 
 /// Identifies one process set within a pCFG node. Process-set ids are
 /// allocated by the analysis engine; the constraint graph only uses them
@@ -184,7 +185,7 @@ impl fmt::Display for VarId {
 #[derive(Debug, Clone)]
 pub struct VarTable {
     names: Vec<String>,
-    lookup: HashMap<String, u32>,
+    lookup: FxHashMap<String, u32>,
 }
 
 impl Default for VarTable {
@@ -199,7 +200,7 @@ impl VarTable {
     pub fn new() -> VarTable {
         let mut t = VarTable {
             names: Vec::new(),
-            lookup: HashMap::new(),
+            lookup: FxHashMap::default(),
         };
         let idx = t.intern_name("id");
         debug_assert_eq!(idx, ID_NAME);

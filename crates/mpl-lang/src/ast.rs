@@ -169,22 +169,24 @@ impl Expr {
     #[must_use]
     pub fn variables(&self) -> Vec<&str> {
         let mut out = Vec::new();
-        self.collect_variables(&mut out);
+        self.for_each_var(&mut |name| {
+            if !out.contains(&name) {
+                out.push(name);
+            }
+        });
         out
     }
 
-    fn collect_variables<'a>(&'a self, out: &mut Vec<&'a str>) {
+    /// Calls `f` on every variable name mentioned (excluding `id`/`np`),
+    /// left to right, repeats included, without collecting them.
+    pub fn for_each_var<'a>(&'a self, f: &mut impl FnMut(&'a str)) {
         match self {
-            Expr::Var(name) => {
-                if !out.contains(&name.as_str()) {
-                    out.push(name);
-                }
-            }
+            Expr::Var(name) => f(name),
             Expr::Binary(_, l, r) => {
-                l.collect_variables(out);
-                r.collect_variables(out);
+                l.for_each_var(f);
+                r.for_each_var(f);
             }
-            Expr::Unary(_, e) => e.collect_variables(out),
+            Expr::Unary(_, e) => e.for_each_var(f),
             Expr::Int(_) | Expr::Bool(_) | Expr::Id | Expr::Np => {}
         }
     }

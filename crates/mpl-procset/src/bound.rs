@@ -240,14 +240,11 @@ impl Bound {
         // test on the packed id.
         let constants = aliases.partition_point(LinExpr::is_constant);
         for e in &aliases[..constants] {
-            for &v in cg.variables() {
-                if !v.is_rank_id() {
-                    continue;
-                }
-                if let Some(cv) = cg.const_of(v) {
+            cg.for_each_constant(|v, cv| {
+                if v.is_rank_id() {
                     found.push(LinExpr::var_plus(v, e.offset - cv));
                 }
-            }
+            });
         }
         // `found[scanned..]` holds, sorted, every alias a full class scan
         // emitted. The closed graph's exact-equality classes are
