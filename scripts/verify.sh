@@ -146,13 +146,15 @@ done
 
 echo "== profile and tables smoke (E1-E12, E18) =="
 # `profile --check` exits nonzero unless every sample of a row reports
-# the same counters and, on every program out of timer noise, the five
-# phases of the median run explain its worklist loop
+# the same counters, `hot-set` and `MatchSet::insert` stay within their
+# fingerprint and allocation bounds (`count check`), and, on every
+# program out of timer noise, the five phases of the median run explain
+# its worklist loop
 # (|schedule+transfer+match+join/widen+admission - loop| <= 10% of loop;
 # each `phase check` line also prints the gap without `schedule`).
 # `tables` regenerates the untimed figures and must not panic.
 cargo build -q --release -p mpl-bench --offline
-target/release/profile --check | grep -E '^(phase|counter|alloc) check'
+target/release/profile --check | grep -E '^(phase|count|counter|alloc) check'
 target/release/tables >/dev/null
 
 echo "== examples (each binary asserts its paper claims) =="
