@@ -18,22 +18,30 @@
 //! E18 also counts heap allocations per engine step, through the
 //! counting allocator of `mpl-bench`, and adds the `hot-set` row: the
 //! warm-up programs of the `serve-hot` benchmark workload, analyzed one
-//! after another under the Cartesian client and summed.
+//! after another under the Cartesian client and summed. E29 reads the
+//! same allocator's live bytes: the heap each layer of one cold analysis
+//! holds at its peak and keeps.
 //!
 //! Run with `cargo run -p mpl-bench --bin profile --release`. Pass
 //! `--ablation` to add the ablations (E8). Pass `--check` to exit 1 if
 //! two samples of a row report different counters or count different
 //! allocations, if the phases of a mid-size median run do not account
-//! for its loop, or if the `hot-set` row or `MatchSet::insert` exceed
-//! their fingerprint and allocation bounds — the smoke test
+//! for its loop, if the `hot-set` row or `MatchSet::insert` exceed
+//! their fingerprint and allocation bounds, or if E29's parse peaks above
+//! the tree it keeps or its CFG above its bytes per node — the smoke test
 //! `scripts/verify.sh` runs.
 
+use std::fmt::Write as _;
 use std::process::Command;
 use std::time::Duration;
 
-use mpl_bench::{allocations, profiled_run, sample, ProfiledRun, Sampled, SAMPLES};
+use mpl_bench::{
+    allocations, heap_use, profiled_run, sample, HeapUse, ProfiledRun, Sampled, SAMPLES,
+};
 use mpl_cfg::{Cfg, CfgNodeId};
-use mpl_core::{Client, MatchSet};
+use mpl_core::{
+    analyze_cfg, json_escape, AnalysisConfig, AnalysisService, Client, MatchSet, ServiceConfig,
+};
 use mpl_domains::{
     intern_name, set_force_full_closure, ClosureStats, ConstraintGraph, PsetId, VarId,
 };
@@ -308,6 +316,123 @@ fn scaling(profiler: &mut Profiler) {
     println!();
 }
 
+/// The heap each layer of one cold analysis of a source used (E29).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct HeapRow {
+    /// Source bytes.
+    source: usize,
+    /// `parse_program`: its peak, and the AST it returns.
+    parse: HeapUse,
+    /// `Cfg::build` from that AST, and the graph's node count.
+    cfg: HeapUse,
+    nodes: usize,
+    /// `analyze_cfg` over that graph under the default configuration:
+    /// its peak above the AST and CFG, and the result it returns.
+    engine: Option<HeapUse>,
+    /// One `analyze` request line for the source, handled by a service
+    /// with an empty cache, as the daemon's connection thread does.
+    request: Option<HeapUse>,
+}
+
+impl HeapRow {
+    /// The CFG's bytes per node.
+    fn cfg_bytes_per_node(&self) -> f64 {
+        self.cfg.retained as f64 / self.nodes.max(1) as f64
+    }
+
+    /// The parse's peak over the AST it keeps.
+    fn parse_over_ast(&self) -> f64 {
+        self.parse.peak as f64 / self.parse.retained.max(1) as f64
+    }
+}
+
+/// Parses `source`, builds its CFG and, if `engine`, analyzes it and
+/// handles it as one cold `analyze` request, measuring each layer's heap.
+fn heap_layers(source: &str, engine: bool) -> HeapRow {
+    let (program, parse) = heap_use(|| mpl_lang::parse_program(source).expect("E29 sources parse"));
+    let (cfg, cfg_heap) = heap_use(|| Cfg::build(&program));
+    let engine_heap = engine.then(|| heap_use(|| analyze_cfg(&cfg, &AnalysisConfig::default())).1);
+    let nodes = cfg.node_count();
+    drop((cfg, program));
+    let request = engine.then(|| {
+        let service = AnalysisService::new(ServiceConfig::default());
+        let line = format!(r#"{{"op":"analyze","program":"{}"}}"#, json_escape(source));
+        heap_use(|| service.handle_line(&line)).1
+    });
+    HeapRow {
+        source: source.len(),
+        parse,
+        cfg: cfg_heap,
+        nodes,
+        engine: engine_heap,
+        request,
+    }
+}
+
+/// A straight-line source of at least `bytes` bytes: assignments,
+/// sends, receives and prints in turn, one statement a line.
+fn straight_line(bytes: usize) -> String {
+    let mut src = String::with_capacity(bytes + 64);
+    for i in 0.. {
+        if src.len() >= bytes {
+            break;
+        }
+        let (x, y) = (i % 16, (i + 5) % 16);
+        let _ = match i % 4 {
+            0 => writeln!(src, "x{x} := x{y} + {};", i % 97),
+            1 => writeln!(src, "send x{x} -> (id + 1) % np;"),
+            2 => writeln!(src, "recv x{x} <- (id + np - 1) % np;"),
+            _ => writeln!(src, "print x{x};"),
+        };
+    }
+    src
+}
+
+/// E29: the heap one cold analysis holds, layer by layer, in kB of
+/// 1 000 bytes. The straight-line row covers the parse and the CFG only.
+fn heap_by_layer(profiler: &mut Profiler) -> Vec<(String, HeapRow)> {
+    banner(
+        "heap by layer of one cold analysis, kB (E29)",
+        "program                     source parse peak  AST kept  CFG kept B/node engine peak result kept request peak",
+    );
+    let kb = |bytes: i64| format!("{:.0}", bytes as f64 / 1e3);
+    let cell = |heap: Option<HeapUse>, pick: fn(HeapUse) -> i64| {
+        heap.map_or("-".to_owned(), |h| kb(pick(h)))
+    };
+    let inputs = [
+        (
+            "repeated_exchanges(1024)",
+            corpus::repeated_exchanges(1024).program.to_string(),
+            true,
+        ),
+        (
+            "wide(48)",
+            corpus::exchange_with_root_wide(48).program.to_string(),
+            true,
+        ),
+        ("straight-line 3.4 MB", straight_line(3_400_000), false),
+    ];
+    let mut rows = Vec::new();
+    for (label, source, engine) in inputs {
+        let row = profiler.sample(label, || heap_layers(&source, engine), |row| *row);
+        let heap = row.median().1;
+        println!(
+            "{label:<24} {:>9} {:>10} {:>9} {:>9} {:>6.0} {:>11} {:>11} {:>12}",
+            kb(heap.source as i64),
+            kb(heap.parse.peak),
+            kb(heap.parse.retained),
+            kb(heap.cfg.retained),
+            heap.cfg_bytes_per_node(),
+            cell(heap.engine, |h| h.peak),
+            cell(heap.engine, |h| h.retained),
+            cell(heap.request, |h| h.peak),
+        );
+        rows.push((label.to_owned(), heap));
+    }
+    println!();
+    rows
+}
+
 /// E8: the unoptimized prototype's full re-closure after every new
 /// constraint, and the richer Cartesian client on patterns the simple
 /// client already handles (§IX point (i)).
@@ -421,9 +546,27 @@ fn insert_allocations() -> f64 {
     made as f64 / f64::from(PAIRS)
 }
 
-/// Holds the `hot-set` row's median run and `MatchSet::insert` to their
-/// bounds, printing one `count check` line each.
-fn check_counts(hot: &ProfiledRun) -> bool {
+/// The most the parse of `repeated_exchanges(1024)` may peak above the
+/// AST it returns: the parser holds one token at a time, not the source's
+/// token list.
+const PARSE_OVER_AST: f64 = 1.1;
+
+/// The most bytes the CFG of `repeated_exchanges(1024)` may hold per
+/// node: 64 for the node, 24 for its span, about 24 for its edges in both
+/// rows and their offsets, and the few bytes of its one-name
+/// expressions. No node owns an edge list, and no table keeps slack.
+/// (Rows whose expressions nest hold more: each operator boxes its
+/// operands.)
+const CFG_BYTES_PER_NODE: f64 = 128.0;
+
+/// Holds the `hot-set` row's median run, `MatchSet::insert` and the E29
+/// rows to their bounds, printing one `count check` line each.
+fn check_counts(hot: &ProfiledRun, heap: &[(String, HeapRow)]) -> bool {
+    let long_path = heap
+        .iter()
+        .find(|(label, _)| label == "repeated_exchanges(1024)")
+        .map(|(_, row)| row)
+        .expect("E29 has a repeated_exchanges(1024) row");
     let checks = [
         (
             "hot-set fingerprints",
@@ -439,6 +582,16 @@ fn check_counts(hot: &ProfiledRun) -> bool {
             "MatchSet::insert allocs",
             insert_allocations(),
             INSERT_ALLOCS,
+        ),
+        (
+            "E29 parse peak/AST kept",
+            long_path.parse_over_ast(),
+            PARSE_OVER_AST,
+        ),
+        (
+            "E29 CFG bytes/node",
+            long_path.cfg_bytes_per_node(),
+            CFG_BYTES_PER_NODE,
         ),
     ];
     let mut ok = true;
@@ -468,6 +621,7 @@ fn main() {
     rows.push(("hot-set".to_owned(), hot));
     phase_breakdown(&rows);
     scaling(&mut profiler);
+    let heap = heap_by_layer(&mut profiler);
     if ablation {
         ablations(&mut profiler);
     }
@@ -479,7 +633,7 @@ fn main() {
             .find(|(label, _)| label == "hot-set")
             .map(|(_, row)| &row.median().1)
             .expect("the hot-set row was sampled");
-        let counts_ok = check_counts(hot);
+        let counts_ok = check_counts(hot, &heap);
         for label in &profiler.drifted {
             println!("counter check {label}: samples report different counters FAIL");
         }

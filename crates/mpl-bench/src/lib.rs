@@ -17,7 +17,9 @@
 //!
 //! This crate installs a counting global allocator, so its binaries and
 //! tests can report how many heap allocations a run makes
-//! ([`allocations`]). The `mpl` binary keeps the plain system allocator.
+//! ([`allocations`]) and how much heap a call holds at its peak and
+//! keeps ([`heap_use`]). The `mpl` binary keeps the plain system
+//! allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -31,37 +33,57 @@ use mpl_domains::{stats, ClosureStats};
 thread_local! {
     /// Heap allocations made on this thread (see [`allocations`]).
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Heap bytes allocated on this thread less those freed on it (see
+    /// [`heap_use`]).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The most `LIVE` has been since [`heap_use`] last reset it.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 /// The system allocator, counting every `alloc`, `alloc_zeroed` and
-/// `realloc` on the calling thread.
+/// `realloc` on the calling thread, and the bytes each adds to or
+/// frees from the thread's live heap.
 struct CountingAlloc;
 
-fn count_allocation() {
+fn count_allocation(grown: i64) {
     // A const-initialized `Cell` has no destructor and never allocates;
     // `try_with` only fails while the thread is being torn down.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    count_bytes(grown);
+}
+
+fn count_bytes(grown: i64) {
+    let _ = LIVE.try_with(|live| {
+        let now = live.get() + grown;
+        live.set(now);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+    });
+}
+
+fn size(bytes: usize) -> i64 {
+    i64::try_from(bytes).unwrap_or(i64::MAX)
 }
 
 // SAFETY: every call is forwarded unchanged to `System`; counting touches
-// only a thread-local integer.
+// only thread-local integers.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
+        count_allocation(size(layout.size()));
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
+        count_allocation(size(layout.size()));
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation();
+        count_allocation(size(new_size) - size(layout.size()));
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_bytes(-size(layout.size()));
         System.dealloc(ptr, layout);
     }
 }
@@ -76,6 +98,37 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 #[must_use]
 pub fn allocations() -> u64 {
     ALLOCATIONS.try_with(Cell::get).unwrap_or(0)
+}
+
+/// The heap one call used on its thread, in bytes requested from the
+/// allocator (a `realloc` counts as the change of its size).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HeapUse {
+    /// The most the thread's live heap rose above its level at the call.
+    pub peak: i64,
+    /// How far above that level the live heap ended: what the call's
+    /// result, and anything else it kept, holds.
+    pub retained: i64,
+}
+
+/// Calls `f` and measures the heap it used on the calling thread. Calls
+/// nest: an enclosing [`heap_use`] still sees the inner call's peak.
+pub fn heap_use<T>(f: impl FnOnce() -> T) -> (T, HeapUse) {
+    let live = || LIVE.try_with(Cell::get).unwrap_or(0);
+    let peak = || PEAK.try_with(Cell::get).unwrap_or(0);
+    let set_peak = |bytes: i64| {
+        let _ = PEAK.try_with(|peak| peak.set(bytes));
+    };
+    let (outer_peak, start) = (peak(), live());
+    set_peak(start);
+    let out = f();
+    let (inner_peak, end) = (peak(), live());
+    set_peak(outer_peak.max(inner_peak));
+    let heap = HeapUse {
+        peak: inner_peak - start,
+        retained: end - start,
+    };
+    (out, heap)
 }
 
 /// Samples [`sample`] takes of every row.
@@ -304,6 +357,31 @@ pub fn profiled_run(cfg: &Cfg, client: Client) -> ProfiledRun {
 mod tests {
     use super::*;
     use mpl_lang::corpus;
+
+    #[test]
+    fn heap_use_reports_peak_and_retained_bytes_and_nests() {
+        let (kept, outer) = heap_use(|| {
+            let (_, inner) = heap_use(|| drop(std::hint::black_box(vec![0u8; 1 << 20])));
+            assert_eq!(
+                inner,
+                HeapUse {
+                    peak: 1 << 20,
+                    retained: 0
+                }
+            );
+            let mut kept: Vec<u8> = Vec::with_capacity(1000);
+            kept.reserve_exact(3000);
+            kept
+        });
+        assert_eq!(kept.capacity(), 3000);
+        assert_eq!(
+            outer,
+            HeapUse {
+                peak: 1 << 20,
+                retained: 3000
+            }
+        );
+    }
 
     #[test]
     fn repeated_runs_on_one_thread_report_equal_counters() {

@@ -94,51 +94,144 @@ impl fmt::Display for EdgeKind {
 /// — exactly the loop structure the paper's Figure 5 walk-through assumes
 /// (`i = np` holds on the loop's exit edge by combining the entry and exit
 /// branch conditions).
+///
+/// The graph is stored flat: one table each of nodes and spans, and the
+/// edges twice in compressed sparse rows, once by source (`succs`) and
+/// once by target (`preds`). Node `i`'s outgoing edges are
+/// `succs[succ_at[i]..succ_at[i + 1]]`, its incoming ones likewise, each
+/// in the order the build added them. Every table is sized exactly once.
 #[derive(Debug, Clone)]
 pub struct Cfg {
-    nodes: Vec<CfgNode>,
-    spans: Vec<Span>,
-    succs: Vec<Vec<(EdgeKind, CfgNodeId)>>,
-    preds: Vec<Vec<(EdgeKind, CfgNodeId)>>,
+    nodes: Box<[CfgNode]>,
+    spans: Box<[Span]>,
+    succ_at: Box<[u32]>,
+    succs: Box<[Edge]>,
+    pred_at: Box<[u32]>,
+    preds: Box<[Edge]>,
 }
+
+/// One end of an edge, as a row of [`Cfg`] lists it: the label and the
+/// node at the other end.
+type Edge = (EdgeKind, CfgNodeId);
 
 /// The entry node id (always 0).
 pub const ENTRY: CfgNodeId = CfgNodeId(0);
 /// The exit node id (always 1).
 pub const EXIT: CfgNodeId = CfgNodeId(1);
 
+/// The nodes and edges (from, label, to) a [`Cfg`] is lowered into, in
+/// the order they are added, before the edges are sorted into rows.
+struct Builder {
+    nodes: Vec<CfgNode>,
+    spans: Vec<Span>,
+    edges: Vec<(CfgNodeId, EdgeKind, CfgNodeId)>,
+}
+
 impl Cfg {
     /// Builds the CFG for `program`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program has more than `u32::MAX` nodes or edges.
     #[must_use]
     pub fn build(program: &Program) -> Cfg {
-        let mut cfg = Cfg {
-            nodes: Vec::new(),
-            spans: Vec::new(),
-            succs: Vec::new(),
-            preds: Vec::new(),
+        let (nodes, edges) = Builder::count(&program.stmts);
+        assert!(u32::try_from(2 + nodes.max(edges)).is_ok(), "CFG too large");
+        let mut b = Builder {
+            nodes: Vec::with_capacity(2 + nodes),
+            spans: Vec::with_capacity(2 + nodes),
+            edges: Vec::with_capacity(1 + edges),
         };
-        let entry = cfg.add_node(CfgNode::Entry, Span::default());
-        let exit = cfg.add_node(CfgNode::Exit, Span::default());
+        let entry = b.add_node(CfgNode::Entry, Span::default());
+        let exit = b.add_node(CfgNode::Exit, Span::default());
         debug_assert_eq!(entry, ENTRY);
         debug_assert_eq!(exit, EXIT);
-        let last = cfg.lower_block(&program.stmts, entry, EdgeKind::Seq);
-        let (from, kind) = last;
-        cfg.add_edge(from, kind, exit);
-        cfg
+        let (from, kind) = b.lower_block(&program.stmts, entry, EdgeKind::Seq);
+        b.add_edge(from, kind, exit);
+        debug_assert_eq!(b.nodes.len(), b.nodes.capacity());
+        debug_assert_eq!(b.edges.len(), b.edges.capacity());
+        let n = b.nodes.len();
+        let (succ_at, succs) = rows(
+            n,
+            b.edges.iter().map(|&(from, kind, to)| (from, (kind, to))),
+        );
+        let (pred_at, preds) = rows(
+            n,
+            b.edges.iter().map(|&(from, kind, to)| (to, (kind, from))),
+        );
+        Cfg {
+            nodes: b.nodes.into_boxed_slice(),
+            spans: b.spans.into_boxed_slice(),
+            succ_at,
+            succs,
+            pred_at,
+            preds,
+        }
+    }
+}
+
+/// Sorts `edges`, each `(row, entry)`, into compressed sparse rows over
+/// `n` rows: the row offsets (`n + 1` of them) and the entries, each
+/// row's in the order `edges` gave them (a stable counting sort).
+fn rows(
+    n: usize,
+    edges: impl Iterator<Item = (CfgNodeId, Edge)> + Clone,
+) -> (Box<[u32]>, Box<[Edge]>) {
+    let mut at = vec![0u32; n + 1].into_boxed_slice();
+    for (row, _) in edges.clone() {
+        at[row.0 as usize + 1] += 1;
+    }
+    for i in 1..=n {
+        at[i] += at[i - 1];
+    }
+    let mut next = at[..n].to_vec();
+    let mut entries = vec![(EdgeKind::Seq, ENTRY); at[n] as usize].into_boxed_slice();
+    for (row, entry) in edges {
+        let slot = &mut next[row.0 as usize];
+        entries[*slot as usize] = entry;
+        *slot += 1;
+    }
+    (at, entries)
+}
+
+impl Builder {
+    /// The nodes and edges lowering `stmts` adds, entry, exit and the
+    /// edge into exit not included.
+    fn count(stmts: &[Stmt]) -> (usize, usize) {
+        stmts.iter().fold((0, 0), |(nodes, edges), stmt| {
+            let (n, e) = match &stmt.kind {
+                StmtKind::If {
+                    then_branch,
+                    else_branch,
+                    ..
+                } => {
+                    let (tn, te) = Self::count(then_branch);
+                    let (en, ee) = Self::count(else_branch);
+                    (2 + tn + en, 3 + te + ee)
+                }
+                StmtKind::While { body, .. } => {
+                    let (bn, be) = Self::count(body);
+                    (1 + bn, 2 + be)
+                }
+                StmtKind::For { body, .. } => {
+                    let (bn, be) = Self::count(body);
+                    (3 + bn, 4 + be)
+                }
+                _ => (1, 1),
+            };
+            (nodes + n, edges + e)
+        })
     }
 
     fn add_node(&mut self, node: CfgNode, span: Span) -> CfgNodeId {
         let id = CfgNodeId(u32::try_from(self.nodes.len()).expect("CFG too large"));
         self.nodes.push(node);
         self.spans.push(span);
-        self.succs.push(Vec::new());
-        self.preds.push(Vec::new());
         id
     }
 
     fn add_edge(&mut self, from: CfgNodeId, kind: EdgeKind, to: CfgNodeId) {
-        self.succs[from.0 as usize].push((kind, to));
-        self.preds[to.0 as usize].push((kind, from));
+        self.edges.push((from, kind, to));
     }
 
     /// Lowers a statement block. `pred`/`kind` describe the dangling edge
@@ -266,7 +359,9 @@ impl Cfg {
             }
         }
     }
+}
 
+impl Cfg {
     /// The entry node id.
     #[must_use]
     pub fn entry(&self) -> CfgNodeId {
@@ -302,16 +397,18 @@ impl Cfg {
         self.spans[id.0 as usize]
     }
 
-    /// Outgoing edges of `id`.
+    /// Outgoing edges of `id`, in the order the build added them.
     #[must_use]
     pub fn succs(&self, id: CfgNodeId) -> &[(EdgeKind, CfgNodeId)] {
-        &self.succs[id.0 as usize]
+        let i = id.0 as usize;
+        &self.succs[self.succ_at[i] as usize..self.succ_at[i + 1] as usize]
     }
 
-    /// Incoming edges of `id`.
+    /// Incoming edges of `id`, in the order the build added them.
     #[must_use]
     pub fn preds(&self, id: CfgNodeId) -> &[(EdgeKind, CfgNodeId)] {
-        &self.preds[id.0 as usize]
+        let i = id.0 as usize;
+        &self.preds[self.pred_at[i] as usize..self.pred_at[i + 1] as usize]
     }
 
     /// Iterates over all node ids in index order.
@@ -447,6 +544,170 @@ mod tests {
             for &(kind, succ) in cfg.succs(id) {
                 assert!(cfg.preds(succ).contains(&(kind, id)));
             }
+        }
+    }
+
+    /// A node's edges as `(label, node)` pairs, labelled `S`, `T` or `F`.
+    type Row = Vec<(char, u32)>;
+
+    /// Every node's successors and predecessors.
+    fn edge_lists(cfg: &Cfg) -> (Vec<Row>, Vec<Row>) {
+        let list = |edges: &[Edge]| {
+            edges
+                .iter()
+                .map(|&(kind, node)| {
+                    let label = match kind {
+                        EdgeKind::Seq => 'S',
+                        EdgeKind::True => 'T',
+                        EdgeKind::False => 'F',
+                    };
+                    (label, node.0)
+                })
+                .collect::<Vec<_>>()
+        };
+        let succs = cfg.node_ids().map(|id| list(cfg.succs(id))).collect();
+        let preds = cfg.node_ids().map(|id| list(cfg.preds(id))).collect();
+        (succs, preds)
+    }
+
+    /// A diamond: the branch lists its true edge before its false edge,
+    /// and the join its then-arm before its else-arm.
+    #[test]
+    fn diamond_edges_keep_their_order() {
+        // 2 branch, 3 join, 4 then-arm, 5 else-arm.
+        let (succs, preds) = edge_lists(&cfg_of("if id = 0 then x := 1; else x := 2; end"));
+        assert_eq!(
+            succs,
+            [
+                vec![('S', 2)],
+                vec![],
+                vec![('T', 4), ('F', 5)],
+                vec![('S', 1)],
+                vec![('S', 3)],
+                vec![('S', 3)],
+            ]
+        );
+        assert_eq!(
+            preds,
+            [
+                vec![],
+                vec![('S', 3)],
+                vec![('S', 0)],
+                vec![('S', 4), ('S', 5)],
+                vec![('T', 2)],
+                vec![('F', 2)],
+            ]
+        );
+    }
+
+    /// A `while` header lists the edge into the loop before the back
+    /// edge; an empty body is a self loop on the true edge.
+    #[test]
+    fn while_back_edges_keep_their_order() {
+        // 2 `x := 0`, 3 branch, 4 body, 5 print.
+        let cfg = cfg_of("x := 0; while x < 3 do x := x + 1; end print x;");
+        let (succs, preds) = edge_lists(&cfg);
+        assert_eq!(succs[3], [('T', 4), ('F', 5)]);
+        assert_eq!(preds[3], [('S', 2), ('S', 4)]);
+        assert_eq!(succs[4], [('S', 3)]);
+        assert_eq!(preds[5], [('F', 3)]);
+        let (succs, preds) = edge_lists(&cfg_of("while c do end"));
+        assert_eq!(succs, [vec![('S', 2)], vec![], vec![('T', 2), ('F', 1)]]);
+        assert_eq!(preds, [vec![], vec![('F', 2)], vec![('S', 0), ('T', 2)]]);
+    }
+
+    /// A `for` loop: init, branch, body, increment, with the increment's
+    /// back edge listed after the init edge at the branch.
+    #[test]
+    fn for_loop_edges_keep_their_order() {
+        // 2 init, 3 branch, 4 send, 5 increment.
+        let (succs, preds) = edge_lists(&cfg_of("for i = 1 to np do send 0 -> i; end"));
+        assert_eq!(
+            succs,
+            [
+                vec![('S', 2)],
+                vec![],
+                vec![('S', 3)],
+                vec![('T', 4), ('F', 1)],
+                vec![('S', 5)],
+                vec![('S', 3)],
+            ]
+        );
+        assert_eq!(
+            preds,
+            [
+                vec![],
+                vec![('F', 3)],
+                vec![('S', 0)],
+                vec![('S', 2), ('S', 5)],
+                vec![('T', 3)],
+                vec![('S', 4)],
+            ]
+        );
+    }
+
+    /// Nested `if`s: each join lists its predecessors in the order the
+    /// arms were lowered, an arm's own join before the outer else-arm.
+    #[test]
+    fn nested_if_edges_keep_their_order() {
+        // 2 outer branch, 3 outer join, 4 inner branch, 5 inner join,
+        // 6 `x := 1`, 7 `y := 2`.
+        let (succs, preds) =
+            edge_lists(&cfg_of("if a then if b then x := 1; end else y := 2; end"));
+        assert_eq!(
+            succs,
+            [
+                vec![('S', 2)],
+                vec![],
+                vec![('T', 4), ('F', 7)],
+                vec![('S', 1)],
+                vec![('T', 6), ('F', 5)],
+                vec![('S', 3)],
+                vec![('S', 5)],
+                vec![('S', 3)],
+            ]
+        );
+        assert_eq!(
+            preds,
+            [
+                vec![],
+                vec![('S', 3)],
+                vec![('S', 0)],
+                vec![('S', 5), ('S', 7)],
+                vec![('T', 2)],
+                vec![('S', 6), ('F', 4)],
+                vec![('T', 4)],
+                vec![('F', 2)],
+            ]
+        );
+    }
+
+    /// `preds` lists exactly the edges `succs` lists, seen from the other
+    /// end, on the corpus and on generated programs of every size shape.
+    #[test]
+    fn preds_mirror_succs_on_the_corpus_and_generated_programs() {
+        let mut programs = mpl_lang::corpus::all();
+        for k in [1, 8, 64, 1024] {
+            programs.push(mpl_lang::corpus::repeated_exchanges(k));
+        }
+        for n in [1, 8, 48] {
+            programs.push(mpl_lang::corpus::exchange_with_root_wide(n));
+            programs.push(mpl_lang::corpus::exchange_with_root_wide_live(n));
+        }
+        for prog in programs {
+            let cfg = Cfg::build(&prog.program);
+            let mut forward = Vec::new();
+            let mut backward = Vec::new();
+            for id in cfg.node_ids() {
+                forward.extend(cfg.succs(id).iter().map(|&(kind, to)| (id, kind, to)));
+                backward.extend(cfg.preds(id).iter().map(|&(kind, from)| (from, kind, id)));
+            }
+            let key = |&(from, kind, to): &(CfgNodeId, EdgeKind, CfgNodeId)| (from, to, kind as u8);
+            forward.sort_by_key(key);
+            backward.sort_by_key(key);
+            assert_eq!(forward, backward, "{}", prog.name);
+            assert!(cfg.preds(cfg.entry()).is_empty(), "{}", prog.name);
+            assert!(cfg.succs(cfg.exit()).is_empty(), "{}", prog.name);
         }
     }
 

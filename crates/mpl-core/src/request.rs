@@ -73,6 +73,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
+use mpl_cfg::Cfg;
 use mpl_domains::ClosureStats;
 use mpl_lang::ast::Program;
 use mpl_lang::parse_program;
@@ -80,7 +81,7 @@ use mpl_runtime::CancelToken;
 
 use crate::client::Client;
 use crate::config::{AnalysisConfig, ConfigError};
-use crate::engine::analyze;
+use crate::engine::analyze_cfg;
 use crate::json::json_escape;
 use crate::result::{AnalysisResult, TopReason, Verdict};
 
@@ -342,6 +343,9 @@ impl AnalysisRequest {
     fn run_ladder(&self) -> (JobOutcome, Option<AnalysisResult>) {
         let name = self.name.as_deref().unwrap_or("");
         let max_attempts = self.retries.saturating_add(1).min(MAX_LEVEL + 1);
+        // Every attempt analyzes the same graph; only the interner and
+        // the configuration start afresh.
+        let cfg = Cfg::build(&self.program);
         // The attempt-1 budget-⊤ result, kept so exhausted retries still
         // report the answer produced under the *requested* configuration.
         let mut requested_top: Option<AnalysisResult> = None;
@@ -372,7 +376,7 @@ impl AnalysisRequest {
                 _ => {
                     let mut config = degrade(&self.config, attempt);
                     config.cancel = token;
-                    analyze(&self.program, &config)
+                    analyze_cfg(&cfg, &config)
                 }
             };
             let last = attempt == max_attempts;

@@ -22,7 +22,9 @@ impl fmt::Display for LexError {
 
 impl Error for LexError {}
 
-struct Lexer<'a> {
+/// Lexes MPL source one token at a time: [`tokenize`] collects every
+/// token, and the parser pulls them as it goes.
+pub(crate) struct Lexer<'a> {
     src: &'a [u8],
     pos: usize,
     line: u32,
@@ -30,7 +32,7 @@ struct Lexer<'a> {
 }
 
 impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
+    pub(crate) fn new(src: &'a str) -> Self {
         Lexer {
             src: src.as_bytes(),
             pos: 0,
@@ -88,7 +90,9 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn next_token(&mut self) -> Result<Token, LexError> {
+    /// The next token, or [`TokenKind::Eof`] once the source is spent
+    /// (again on every later call).
+    pub(crate) fn next_token(&mut self) -> Result<Token, LexError> {
         self.skip_trivia();
         let mut span = self.here();
         let Some(c) = self.peek() else {

@@ -31,7 +31,7 @@ use std::error::Error;
 use std::fmt;
 
 use crate::ast::{BinOp, Expr, Program, Stmt, StmtKind, UnOp};
-use crate::lexer::{tokenize, LexError};
+use crate::lexer::{LexError, Lexer};
 use crate::token::{Span, Token, TokenKind};
 
 /// An error produced while parsing MPL source.
@@ -70,9 +70,17 @@ impl From<LexError> for ParseError {
 /// analyses, `Display` and `Drop` — so no source can overflow the stack.
 pub const MAX_DEPTH: usize = 256;
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The token being parsed, pulled from `lexer` one at a time.
+    tok: Token,
+    /// The span of the token [`Parser::bump`] last moved out: where the
+    /// statement just parsed ends.
+    prev: Span,
+    /// The first lex error, once `lexer` has hit one. The parser sees the
+    /// end of input from there on, and the error wins over whatever the
+    /// parse makes of that (see [`Parser::finish`]).
+    lex_error: Option<LexError>,
     /// Levels open above the token being parsed.
     depth: usize,
     /// The height of the expression the last expression parser returned:
@@ -82,17 +90,66 @@ struct Parser {
     height: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Self {
+        let mut parser = Parser {
+            lexer: Lexer::new(src),
+            tok: Token {
+                kind: TokenKind::Eof,
+                span: Span::default(),
+            },
+            prev: Span::default(),
+            lex_error: None,
+            depth: 0,
+            height: 0,
+        };
+        parser.tok = parser.lex();
+        parser
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.peek().clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
+    /// The lexer's next token; from the first lex error on, end of input.
+    /// (Out of line, so the lexer adds nothing to the recursive parsers'
+    /// frames.)
+    #[inline(never)]
+    fn lex(&mut self) -> Token {
+        if self.lex_error.is_none() {
+            match self.lexer.next_token() {
+                Ok(token) => return token,
+                Err(e) => self.lex_error = Some(e),
+            }
         }
-        t
+        Token {
+            kind: TokenKind::Eof,
+            span: self.prev,
+        }
+    }
+
+    /// The outcome of the whole parse: the first lex error anywhere in the
+    /// source wins over any parse error, as if the source had been
+    /// tokenized before parsing. So after a parse error the rest of the
+    /// source is lexed (and nothing kept) to look for one.
+    fn finish(mut self, parsed: Result<Program, ParseError>) -> Result<Program, ParseError> {
+        if parsed.is_err() {
+            while self.tok.kind != TokenKind::Eof {
+                self.tok = self.lex();
+            }
+        }
+        match self.lex_error {
+            Some(e) => Err(e.into()),
+            None => parsed,
+        }
+    }
+
+    fn peek(&self) -> &Token {
+        &self.tok
+    }
+
+    /// Moves the current token out and pulls the next one in its place.
+    fn bump(&mut self) -> Token {
+        let next = self.lex();
+        let token = std::mem::replace(&mut self.tok, next);
+        self.prev = token.span;
+        token
     }
 
     fn at(&self, kind: &TokenKind) -> bool {
@@ -108,9 +165,10 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Result<Token, ParseError> {
+    fn expect(&mut self, kind: &TokenKind) -> Result<(), ParseError> {
         if self.at(kind) {
-            Ok(self.bump())
+            self.bump();
+            Ok(())
         } else {
             Err(self.error_here(&format!(
                 "expected {}, found {}",
@@ -201,10 +259,9 @@ impl Parser {
             TokenKind::For => self.parse_for(),
             _ => self.parse_simple(),
         }?;
-        let end = self.tokens[self.pos.saturating_sub(1)].span;
         Ok(Stmt {
             kind,
-            span: start.merge(end),
+            span: start.merge(self.prev),
         })
     }
 
@@ -258,7 +315,7 @@ impl Parser {
 
     /// Every statement without a body.
     fn parse_simple(&mut self) -> Result<StmtKind, ParseError> {
-        let kind = match self.peek().kind.clone() {
+        let kind = match self.peek().kind {
             TokenKind::Send => {
                 self.bump();
                 let value = self.parse_expr()?;
@@ -291,7 +348,7 @@ impl Parser {
                 let value = self.parse_expr()?;
                 StmtKind::Assign { name, value }
             }
-            other => {
+            ref other => {
                 return Err(
                     self.error_here(&format!("expected a statement, found {}", other.describe()))
                 )
@@ -315,20 +372,14 @@ impl Parser {
         self.depth + self.height <= MAX_DEPTH
     }
 
-    /// The error for the token at index `at` opening level
-    /// `MAX_DEPTH + 1`.
-    fn too_deep_at(&self, at: usize) -> ParseError {
-        Self::too_deep(self.tokens[at].span)
-    }
-
     fn parse_or(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.parse_and()?;
         while self.at(&TokenKind::Or) {
-            let (at, lhs_height) = (self.pos, self.height);
-            self.bump();
+            let lhs_height = self.height;
+            let at = self.bump().span;
             let rhs = self.parse_and()?;
             if !self.grow(lhs_height) {
-                return Err(self.too_deep_at(at));
+                return Err(Self::too_deep(at));
             }
             lhs = Expr::binary(BinOp::Or, lhs, rhs);
         }
@@ -338,11 +389,11 @@ impl Parser {
     fn parse_and(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.parse_not()?;
         while self.at(&TokenKind::And) {
-            let (at, lhs_height) = (self.pos, self.height);
-            self.bump();
+            let lhs_height = self.height;
+            let at = self.bump().span;
             let rhs = self.parse_not()?;
             if !self.grow(lhs_height) {
-                return Err(self.too_deep_at(at));
+                return Err(Self::too_deep(at));
             }
             lhs = Expr::binary(BinOp::And, lhs, rhs);
         }
@@ -374,11 +425,11 @@ impl Parser {
             TokenKind::Ge => BinOp::Ge,
             _ => return Ok(lhs),
         };
-        let (at, lhs_height) = (self.pos, self.height);
-        self.bump();
+        let lhs_height = self.height;
+        let at = self.bump().span;
         let rhs = self.parse_sum()?;
         if !self.grow(lhs_height) {
-            return Err(self.too_deep_at(at));
+            return Err(Self::too_deep(at));
         }
         Ok(Expr::binary(op, lhs, rhs))
     }
@@ -391,11 +442,11 @@ impl Parser {
                 TokenKind::Minus => BinOp::Sub,
                 _ => return Ok(lhs),
             };
-            let (at, lhs_height) = (self.pos, self.height);
-            self.bump();
+            let lhs_height = self.height;
+            let at = self.bump().span;
             let rhs = self.parse_term()?;
             if !self.grow(lhs_height) {
-                return Err(self.too_deep_at(at));
+                return Err(Self::too_deep(at));
             }
             lhs = Expr::binary(op, lhs, rhs);
         }
@@ -410,11 +461,11 @@ impl Parser {
                 TokenKind::Percent => BinOp::Mod,
                 _ => return Ok(lhs),
             };
-            let (at, lhs_height) = (self.pos, self.height);
-            self.bump();
+            let lhs_height = self.height;
+            let at = self.bump().span;
             let rhs = self.parse_unary()?;
             if !self.grow(lhs_height) {
-                return Err(self.too_deep_at(at));
+                return Err(Self::too_deep(at));
             }
             lhs = Expr::binary(op, lhs, rhs);
         }
@@ -442,14 +493,18 @@ impl Parser {
         if self.at(&TokenKind::LParen) {
             return self.parse_group();
         }
-        let e = match &self.peek().kind {
-            TokenKind::Int(n) => Expr::Int(*n),
+        let e = match self.peek().kind {
+            TokenKind::Int(n) => Expr::Int(n),
             TokenKind::True => Expr::Bool(true),
             TokenKind::False => Expr::Bool(false),
-            TokenKind::Ident(name) => Expr::Var(name.clone()),
+            TokenKind::Ident(_) => {
+                let (name, _) = self.expect_ident()?;
+                self.height = 0;
+                return Ok(Expr::Var(name));
+            }
             TokenKind::Id => Expr::Id,
             TokenKind::Np => Expr::Np,
-            other => {
+            ref other => {
                 let msg = format!("expected an expression, found {}", other.describe());
                 return Err(self.error_here(&msg));
             }
@@ -486,14 +541,9 @@ impl Parser {
 /// # Ok::<(), mpl_lang::ParseError>(())
 /// ```
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
-    let tokens = tokenize(src)?;
-    let mut parser = Parser {
-        tokens,
-        pos: 0,
-        depth: 0,
-        height: 0,
-    };
-    parser.parse_program()
+    let mut parser = Parser::new(src);
+    let parsed = parser.parse_program();
+    parser.finish(parsed)
 }
 
 #[cfg(test)]
@@ -687,6 +737,239 @@ mod tests {
             assert_eq!(err.message, message, "{deepest}");
             assert_eq!(err.span.start, first + stride * MAX_DEPTH, "{deepest}");
         }
+    }
+
+    /// A malformed source, what it shows, and the error it must give:
+    /// `(start, end, line, col)` of the span and the message.
+    type Malformed = (&'static str, String, (usize, usize, u32, u32), &'static str);
+
+    /// Malformed sources with the errors `parse_program` gave when it
+    /// tokenized the whole source before parsing. Pulling tokens as the
+    /// parse goes must not change one of them.
+    fn malformed_sources() -> Vec<Malformed> {
+        let deep = MAX_DEPTH + 1;
+        let too_deep = "nesting deeper than 256 levels";
+        let src = str::to_owned;
+        vec![
+            (
+                "lex error after a parse error",
+                src("x := ;\ny := 1 # 2;"),
+                (14, 14, 2, 8),
+                "unexpected character `#`",
+            ),
+            (
+                "lex error before a parse error",
+                src("x := 1 @ 2;\ny := ;"),
+                (7, 7, 1, 8),
+                "unexpected character `@`",
+            ),
+            (
+                "lex error after an unclosed block",
+                src("if id = 0 then x := 1;\n$"),
+                (23, 23, 2, 1),
+                "unexpected character `$`",
+            ),
+            (
+                "lex error in an otherwise whole program",
+                src("x := 1;\nprint x;\n!"),
+                (17, 17, 3, 1),
+                "expected `!=`",
+            ),
+            ("lone colon", src("x : 1;"), (2, 2, 1, 3), "expected `:=`"),
+            (
+                "integer out of range",
+                src("x := 99999999999999999999;"),
+                (5, 5, 1, 6),
+                "integer literal `99999999999999999999` out of range",
+            ),
+            (
+                "end of input in an expression",
+                src("x := 1 +"),
+                (8, 8, 1, 9),
+                "expected an expression, found end of input",
+            ),
+            (
+                "end of input in a block",
+                src("if id = 0 then\n  x := 1;\n"),
+                (25, 25, 3, 1),
+                "expected a statement, found end of input",
+            ),
+            (
+                "end of input after a keyword",
+                src("while"),
+                (5, 5, 1, 6),
+                "expected an expression, found end of input",
+            ),
+            (
+                "stray token after end",
+                src("if id = 0 then skip; end end"),
+                (25, 28, 1, 26),
+                "expected a statement, found `end`",
+            ),
+            (
+                "stray parenthesis after a loop",
+                src("while x < 1 do skip; end\n)"),
+                (25, 26, 2, 1),
+                "expected a statement, found `)`",
+            ),
+            (
+                "missing semicolon",
+                src("x := 1\ny := 2;"),
+                (7, 8, 2, 1),
+                "expected `;`, found identifier `y`",
+            ),
+            (
+                "chained comparison",
+                src("if 1 < 2 < 3 then skip; end"),
+                (9, 10, 1, 10),
+                "expected `then`, found `<`",
+            ),
+            (
+                "receive into a literal",
+                src("recv 5 <- 0;"),
+                (5, 6, 1, 6),
+                "expected identifier, found integer `5`",
+            ),
+            (
+                "for header without assignment",
+                src("for i to 3 do skip; end"),
+                (6, 8, 1, 7),
+                "expected `=`, found `to`",
+            ),
+            (
+                "send without destination",
+                src("send 1 -> ;"),
+                (10, 11, 1, 11),
+                "expected an expression, found `;`",
+            ),
+            (
+                "empty parentheses",
+                src("print ();"),
+                (7, 8, 1, 8),
+                "expected an expression, found `)`",
+            ),
+            (
+                "unclosed parenthesis",
+                src("print (1 + 2;"),
+                (12, 13, 1, 13),
+                "expected `)`, found `;`",
+            ),
+            (
+                "else without if",
+                src("x := 1;\nelse\n"),
+                (8, 12, 2, 1),
+                "expected a statement, found `else`",
+            ),
+            (
+                "too deep at a binary operator",
+                format!("x := 1{};", " + 1".repeat(deep)),
+                (1031, 1032, 1, 1032),
+                too_deep,
+            ),
+            (
+                "too deep at a parenthesis",
+                format!("x := {}1{};", "(".repeat(deep), ")".repeat(deep)),
+                (261, 262, 1, 262),
+                too_deep,
+            ),
+            (
+                "too deep at a unary minus",
+                format!("x := {}y;", "-".repeat(deep)),
+                (261, 262, 1, 262),
+                too_deep,
+            ),
+            (
+                "too deep at a block",
+                format!(
+                    "{}skip;{}",
+                    "while c do\n".repeat(deep),
+                    "end\n".repeat(deep)
+                ),
+                (2816, 2821, 257, 1),
+                too_deep,
+            ),
+            (
+                "too deep, then a lex error",
+                format!("x := {}1{}; #", "(".repeat(deep), ")".repeat(deep)),
+                (522, 522, 1, 523),
+                "unexpected character `#`",
+            ),
+        ]
+    }
+
+    #[test]
+    fn malformed_sources_keep_their_errors() {
+        for (what, source, (start, end, line, col), message) in malformed_sources() {
+            let err = parse_program(&source).unwrap_err();
+            let span = Span {
+                start,
+                end,
+                line,
+                col,
+            };
+            assert_eq!((err.span, err.message.as_str()), (span, message), "{what}");
+        }
+    }
+
+    /// A lex error anywhere wins over the parse error before it, as it
+    /// did when the whole source was tokenized first: the lexer's own
+    /// error for the source is the parse's.
+    #[test]
+    fn the_first_lex_error_wins_over_every_parse_error() {
+        for (what, source, ..) in malformed_sources() {
+            if let Err(lex) = crate::lexer::tokenize(&source) {
+                assert_eq!(parse_program(&source), Err(lex.into()), "{what}");
+            }
+        }
+    }
+
+    /// Each statement spans from its first token to its last, comments
+    /// and blank lines after it excluded; a compound statement ends at
+    /// its `end`.
+    #[test]
+    fn statement_spans_run_from_first_to_last_token() {
+        let src = "x := 1;\nif id = 0 then\n  send x -> 1;\n  recv y <- 1; // a comment\nelse\n  \
+                   while y < 3 do y := -y + 1; end\nend\nfor i = 1 to np - 1 do\n  print (i);\nend\n\nskip;   \n";
+        fn walk(stmts: &[crate::ast::Stmt], out: &mut Vec<(usize, usize, u32, u32)>) {
+            for stmt in stmts {
+                let Span {
+                    start,
+                    end,
+                    line,
+                    col,
+                } = stmt.span;
+                out.push((start, end, line, col));
+                match &stmt.kind {
+                    StmtKind::If {
+                        then_branch,
+                        else_branch,
+                        ..
+                    } => {
+                        walk(then_branch, out);
+                        walk(else_branch, out);
+                    }
+                    StmtKind::While { body, .. } | StmtKind::For { body, .. } => walk(body, out),
+                    _ => {}
+                }
+            }
+        }
+        let mut spans = Vec::new();
+        walk(&parse_program(src).unwrap().stmts, &mut spans);
+        assert_eq!(
+            spans,
+            [
+                (0, 7, 1, 1),
+                (8, 108, 2, 1),
+                (25, 37, 3, 3),
+                (40, 52, 4, 3),
+                (73, 104, 6, 3),
+                (88, 100, 6, 18),
+                (109, 148, 8, 1),
+                (134, 144, 9, 3),
+                (150, 155, 12, 1),
+            ]
+        );
+        assert_eq!(&src[73..104], "while y < 3 do y := -y + 1; end");
     }
 
     /// Blocks and expressions count against one cap: an expression inside
