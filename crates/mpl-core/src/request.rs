@@ -95,7 +95,7 @@ pub const PROTOCOL_VERSION: i64 = 1;
 /// any response byte for the same request: a journal written by an
 /// older engine then misses once, instead of replaying its stale bodies
 /// under a check string the new engine would also produce.
-const ENGINE_REVISION: u32 = 5;
+const ENGINE_REVISION: u32 = 6;
 
 /// The deepest level of the degradation ladder ([`degrade`]). Every
 /// attempt past `MAX_LEVEL + 1` would rerun an identical configuration,
@@ -1687,7 +1687,7 @@ mod tests {
             .build()
             .unwrap()
             .cache_check();
-        assert!(check.contains(";engine=5;"), "{check}");
+        assert!(check.contains(";engine=6;"), "{check}");
     }
 
     #[test]

@@ -197,8 +197,8 @@ fn records_of_an_older_engine_replay_but_never_serve() {
     let (journal, replay) = CacheJournal::open(&dir).expect("reopen journal");
     drop(journal);
     let record = replay.entries.into_iter().next().expect("journaled record");
-    assert!(record.check.contains(";engine=5;"), "{}", record.check);
-    let old_check = record.check.replace(";engine=5;", ";");
+    assert!(record.check.contains(";engine=6;"), "{}", record.check);
+    let old_check = record.check.replace(";engine=6;", ";");
     let stale_body = record.body.replace("\"steps\":74", "\"steps\":78");
     assert_ne!(stale_body, record.body, "{}", record.body);
     std::fs::remove_dir_all(&dir).expect("clear journal");
@@ -454,8 +454,8 @@ fn records_of_an_older_engine_never_serve_from_the_journal_tier() {
     let (journal, replay) = CacheJournal::open(&dir).expect("reopen journal");
     drop(journal);
     let [record, newer]: [JournalEntry; 2] = replay.entries.try_into().expect("two records");
-    assert!(record.check.contains(";engine=5;"), "{}", record.check);
-    let old_check = record.check.replace(";engine=5;", ";engine=4;");
+    assert!(record.check.contains(";engine=6;"), "{}", record.check);
+    let old_check = record.check.replace(";engine=6;", ";engine=5;");
     let stale_body = record.body.replace("\"steps\":74", "\"steps\":78");
     assert_ne!(stale_body, record.body, "{}", record.body);
 
