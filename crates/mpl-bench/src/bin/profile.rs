@@ -191,7 +191,7 @@ fn closure_profile(profiler: &mut Profiler) -> Vec<(String, Sampled<ProfiledRun>
         println!(
             "{label:<24} {:<9} {:>6} {:>6} {:>8.1} {:>6} {:>8.1} {} {:>7.1}%",
             format!("{client:?}"),
-            run.steps,
+            run.profile.steps,
             c.full_closures,
             c.avg_full_vars(),
             c.incremental_closures,
@@ -310,7 +310,7 @@ fn scaling(profiler: &mut Profiler) {
     for k in [1usize, 4, 16, 32] {
         let label = format!("repeated_exchanges({k})");
         let row = profiler.run(&label, &corpus::repeated_exchanges(k), Client::Simple);
-        let steps = row.median().1.steps;
+        let steps = row.median().1.profile.steps;
         println!("{label:<24} {steps:>6} {}", time_cells(&row));
     }
     println!();
@@ -477,7 +477,7 @@ fn ablations(profiler: &mut Profiler) {
     ] {
         for client in [Client::Simple, Client::Cartesian] {
             let row = profiler.run(&format!("{} {client:?}", prog.name), &prog, client);
-            let steps = row.median().1.steps;
+            let steps = row.median().1.profile.steps;
             let client = format!("{client:?}");
             println!(
                 "{:<24} {client:<9} {steps:>6} {}",

@@ -204,16 +204,14 @@ pub fn sample<T>(mut f: impl FnMut() -> T) -> Sampled<T> {
 /// impl).
 #[derive(Debug, Clone, Default)]
 pub struct ProfiledRun {
-    /// Engine steps.
-    pub steps: u64,
     /// Closure counters accumulated during the run.
     pub closure: ClosureStats,
     /// Bound matrices the run copied on write.
     pub matrix_copies: u64,
     /// Heap allocations the run made on its thread.
     pub allocations: u64,
-    /// Per-phase breakdown of the worklist loop and store footprint
-    /// (E18), timed by the engine's own clock.
+    /// The engine's counts, its per-phase breakdown of the worklist
+    /// loop and its store footprint (E18), timed by its own clock.
     pub profile: EngineProfile,
 }
 
@@ -221,27 +219,14 @@ pub struct ProfiledRun {
 /// one program on one thread reports the same.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunCounters {
-    /// Engine steps.
-    steps: u64,
+    /// Every count of the engine's profile ([`EngineProfile::counts`]).
+    engine: EngineProfile,
     /// Closure counts and variable sums (`closure_nanos` zeroed).
     closure: ClosureStats,
     /// Bound matrices copied on write.
     matrix_copies: u64,
     /// Heap allocations.
     allocations: u64,
-    /// Locations the store held over the run.
-    stored_locations: usize,
-    /// Most locations the store held at once.
-    stored_peak_live: usize,
-    /// Process ranges rendered for match events and print facts.
-    ranges_rendered: u64,
-    /// State fingerprints admission computed.
-    fingerprints: u64,
-    /// Match probes tried, and how many proved a match.
-    probes: u64,
-    probes_matched: u64,
-    /// Successor states normalized.
-    normalized: u64,
 }
 
 impl ProfiledRun {
@@ -258,27 +243,20 @@ impl ProfiledRun {
     /// Heap allocations per engine step.
     #[must_use]
     pub fn allocations_per_step(&self) -> f64 {
-        self.allocations as f64 / self.steps.max(1) as f64
+        self.allocations as f64 / self.profile.steps.max(1) as f64
     }
 
     /// The run's timing-independent counters.
     #[must_use]
     pub fn counters(&self) -> RunCounters {
         RunCounters {
-            steps: self.steps,
+            engine: self.profile.counts(),
             closure: ClosureStats {
                 closure_nanos: 0,
                 ..self.closure
             },
             matrix_copies: self.matrix_copies,
             allocations: self.allocations,
-            stored_locations: self.profile.stored.locations,
-            stored_peak_live: self.profile.stored.peak_live,
-            ranges_rendered: self.profile.ranges_rendered,
-            fingerprints: self.profile.fingerprints,
-            probes: self.profile.probes,
-            probes_matched: self.profile.probes_matched,
-            normalized: self.profile.normalized,
         }
     }
 }
@@ -289,7 +267,6 @@ impl ProfiledRun {
 impl Sum for ProfiledRun {
     fn sum<I: Iterator<Item = ProfiledRun>>(runs: I) -> ProfiledRun {
         runs.fold(ProfiledRun::default(), |mut acc, run| {
-            acc.steps += run.steps;
             let (c, d) = (&mut acc.closure, run.closure);
             c.full_closures += d.full_closures;
             c.full_closure_vars += d.full_closure_vars;
@@ -308,14 +285,22 @@ impl Sum for ProfiledRun {
             p.stored.locations += q.stored.locations;
             p.stored.peak_live = p.stored.peak_live.max(q.stored.peak_live);
             p.stored.approx_bytes += q.stored.approx_bytes;
+            p.steps += q.steps;
             p.rounds += q.rounds;
             p.frontier_total += q.frontier_total;
             p.frontier_peak = p.frontier_peak.max(q.frontier_peak);
-            p.ranges_rendered += q.ranges_rendered;
             p.fingerprints += q.fingerprints;
+            p.widenings += q.widenings;
+            p.promotions += q.promotions;
+            p.splits += q.splits;
+            p.merges += q.merges;
             p.probes += q.probes;
             p.probes_matched += q.probes_matched;
+            p.matches += q.matches;
+            p.tops += q.tops;
+            p.terminals += q.terminals;
             p.normalized += q.normalized;
+            p.ranges_rendered += q.ranges_rendered;
             acc
         })
     }
@@ -345,7 +330,6 @@ pub fn profiled_run(cfg: &Cfg, client: Client) -> ProfiledRun {
         .copied()
         .expect("StatsObserver captures the engine profile on completion");
     ProfiledRun {
-        steps: result.steps,
         closure: result.closure_stats,
         matrix_copies,
         profile,
@@ -393,7 +377,8 @@ mod tests {
             let first = profiled_run(&cfg, Client::Simple).counters();
             let second = profiled_run(&cfg, Client::Simple).counters();
             assert_eq!(first, second, "{}", prog.name);
-            assert!(first.steps > 0 && first.stored_peak_live > 0, "{first:?}");
+            let engine = first.engine;
+            assert!(engine.steps > 0 && engine.stored.peak_live > 0, "{first:?}");
             assert!(first.allocations > 0, "{first:?}");
         }
     }

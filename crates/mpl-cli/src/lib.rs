@@ -299,8 +299,8 @@ fn cmd_analyze(
             cs.avg_incremental_vars(),
             cs.closure_time(),
         );
-        let _ = writeln!(out, "engine events: {}", stats_obs.stats());
         if let Some(profile) = stats_obs.profile() {
+            let _ = writeln!(out, "engine events: {}", profile.events());
             let _ = writeln!(out, "engine phases: {profile}");
             let _ = writeln!(
                 out,

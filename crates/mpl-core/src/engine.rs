@@ -59,11 +59,12 @@ pub fn analyze_cfg(cfg: &Cfg, config: &AnalysisConfig) -> AnalysisResult {
 
 /// Analyzes a CFG under a caller-supplied [`AnalysisObserver`].
 ///
-/// The observer receives every engine event (steps, matches, splits,
-/// merges, widenings, ⊤) as the run unfolds; a
-/// [`TraceObserver`](crate::observer::TraceObserver) collects them as the
-/// Fig 5-style trace. The engine is monomorphized over `O`, so a no-op
-/// observer costs nothing.
+/// The observer receives the traced events (steps, promotions, splits,
+/// matches, terminal states) as the run unfolds, then the run's
+/// [`EngineProfile`]; a
+/// [`TraceObserver`](crate::observer::TraceObserver) collects the events
+/// as the Fig 5-style trace. The engine is monomorphized over `O`, so a
+/// no-op observer costs nothing.
 #[must_use]
 pub fn analyze_cfg_with<O: AnalysisObserver>(
     cfg: &Cfg,
@@ -102,11 +103,9 @@ struct Engine<'a, O: AnalysisObserver> {
     leaks: BTreeSet<CfgNodeId>,
     deadlock: Option<Vec<(CfgNodeId, String)>>,
     top: Option<TopReason>,
-    /// Match probes tried, and how many proved a match.
-    probes: u64,
-    probes_matched: u64,
-    /// Successor states normalized.
-    normalized: u64,
+    /// The run's counts, each made where its event happens (the
+    /// scheduler's through the profile passed to it), and its timers.
+    profile: EngineProfile,
 }
 
 impl<'a, O: AnalysisObserver> Engine<'a, O> {
@@ -139,15 +138,13 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
             leaks: BTreeSet::new(),
             deadlock: None,
             top: None,
-            probes: 0,
-            probes_matched: 0,
-            normalized: 0,
+            profile: EngineProfile::default(),
         }
     }
 
     /// Records a ⊤ cause (the last one reported wins in the verdict).
     fn give_up(&mut self, reason: TopReason) {
-        self.observer.on_top(&reason);
+        self.profile.tops += 1;
         self.top = Some(reason);
     }
 
@@ -155,18 +152,17 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
         // Phase timing is opt-in (a few percent of timer calls): queried
         // once so untimed runs skip every `Instant::now`.
         let timing = self.observer.timing_enabled();
-        let mut profile = EngineProfile::default();
         let run_start = Instant::now();
 
         let mut init = AnalysisState::initial(self.cfg.entry(), self.config.min_np);
         self.domain.rename(&mut init);
-        self.scheduler.seed(init);
+        self.scheduler.seed(init, &mut self.profile);
 
         while self.top.is_none() {
             let tick_start = timing.then(Instant::now);
-            let ticked = self.scheduler.tick();
+            let ticked = self.scheduler.tick(&mut self.profile);
             if let Some(t) = tick_start {
-                profile.schedule += t.elapsed();
+                self.profile.schedule += t.elapsed();
             }
             let st = match ticked {
                 None => break, // Worklist exhausted: fixpoint.
@@ -176,8 +172,8 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
                 }
                 Some(Ok(st)) => st,
             };
-            self.observer.on_step(self.scheduler.steps(), &st);
-            self.explore(st, timing, &mut profile);
+            self.observer.on_step(self.profile.steps, &st);
+            self.explore(st, timing);
         }
 
         let verdict = if let Some(reason) = self.top {
@@ -207,28 +203,23 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
             events,
             prints,
             leaks: self.leaks.into_iter().collect(),
-            steps: self.scheduler.steps(),
+            steps: self.profile.steps,
             closure_stats: ClosureStats::snapshot().since(&self.closure_baseline),
         };
-        self.observer.on_complete(&result);
-        profile.total = run_start.elapsed();
+        self.profile.total = run_start.elapsed();
         if timing {
             // The byte estimate walks every stored state: only an
-            // observer that asked for the profile pays for it.
-            profile.stored = self.scheduler.stored_stats();
+            // observer that asked for the timings pays for it.
+            self.profile.stored.approx_bytes = self.scheduler.stored_bytes();
         }
-        profile.ranges_rendered = self.ranges.rendered();
-        profile.probes = self.probes;
-        profile.probes_matched = self.probes_matched;
-        profile.normalized = self.normalized;
-        self.scheduler.record_counters(&mut profile);
-        self.observer.on_profile(&profile);
+        self.profile.ranges_rendered = self.ranges.rendered();
+        self.observer.on_profile(&self.profile);
         result
     }
 
     /// Steps one popped state, then normalizes and admits its successor
     /// states.
-    fn explore(&mut self, st: AnalysisState, timing: bool, profile: &mut EngineProfile) {
+    fn explore(&mut self, st: AnalysisState, timing: bool) {
         // A step with an unblocked set is a transfer step; with every
         // set blocked it is a matching step (match / split / promote).
         let is_transfer = st.psets.iter().any(|p| {
@@ -243,17 +234,17 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
         if let Some(t) = step_start {
             let dt = t.elapsed();
             if is_transfer {
-                profile.transfer += dt;
+                self.profile.transfer += dt;
             } else {
-                profile.matching += dt;
+                self.profile.matching += dt;
             }
         }
         for mut s in successors {
             let norm_start = timing.then(Instant::now);
-            self.normalized += 1;
+            self.profile.normalized += 1;
             let keep = self.normalize_successor(&mut s);
             if let Some(t) = norm_start {
-                profile.join_widen += t.elapsed();
+                self.profile.join_widen += t.elapsed();
             }
             if !keep {
                 continue;
@@ -261,7 +252,7 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
             let admit_start = timing.then(Instant::now);
             let rejected = self.admit_successor(&base, s);
             if let Some(t) = admit_start {
-                profile.admission += t.elapsed();
+                self.profile.admission += t.elapsed();
             }
             if let Some(reason) = rejected {
                 self.give_up(reason);
@@ -292,6 +283,7 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
             matches!(self.cfg.node(p.node), CfgNode::Send { .. }) && p.pending.is_none()
         });
         if let Some(idx) = promotable {
+            self.profile.promotions += 1;
             self.observer.on_promote(idx, &st);
             let mut s = st;
             let CfgNode::Send { value, dest } = self.cfg.node(s.psets[idx].node).clone() else {
@@ -665,11 +657,11 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
         let mut split = None;
         for send in Self::send_sites(cfg, st) {
             for recv in Self::recv_sites(cfg, st) {
-                self.probes += 1;
+                self.profile.probes += 1;
                 let undecided = match matcher.try_match(st, &send, &recv, &self.norm, &self.assumes)
                 {
                     Probe::Match(outcome) => {
-                        self.probes_matched += 1;
+                        self.profile.probes_matched += 1;
                         if let Some(next) = self.apply_match(st.clone(), &send, &recv, &outcome) {
                             return Some(vec![next]);
                         }
@@ -687,6 +679,7 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
             return Some(Vec::new());
         }
         let (a, b) = split?;
+        self.profile.splits += 1;
         self.observer.on_split(&a, &b);
         let (av, bv) = (a.var.unwrap_or(VarId::ZERO), b.var.unwrap_or(VarId::ZERO));
         let mut out = Vec::new();
@@ -859,7 +852,7 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
             s,
             self.domain,
             &self.config.widen_thresholds,
-            &mut *self.observer,
+            &mut self.profile,
         )
     }
 
@@ -885,7 +878,7 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
         // second emptiness pass would find nothing the first did not.
         if s.psets.len() < before {
             s.drop_empty_psets();
-            self.observer.on_merge(before, s.psets.len());
+            self.profile.merges += 1;
         }
         if s.any_vacant_range() {
             self.give_up(TopReason::AbstractionLoss);
@@ -982,6 +975,7 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
                 self.leaks.insert(pend.node);
             }
         }
+        self.profile.terminals += 1;
         self.observer.on_terminal(st);
     }
 
@@ -1007,6 +1001,7 @@ impl<'a, O: AnalysisObserver> Engine<'a, O> {
             s_const,
             r_const,
         };
+        self.profile.matches += 1;
         self.observer.on_match(&event);
         match self.event_index.entry((send.node, recv.node, s, r)) {
             Entry::Occupied(at) => self.events[*at.get()] = event,

@@ -77,8 +77,7 @@ pub use matchset::{MatchPair, MatchSet};
 pub use mpicfg::{mpi_cfg_topology, MpiCfgTopology};
 pub use mpl_runtime::{AdmissionGate, CancelToken, ClientQuotas, QuotaPolicy};
 pub use observer::{
-    AnalysisObserver, EngineProfile, EngineStats, NoopObserver, ObserverStack, StatsObserver,
-    TraceObserver,
+    AnalysisObserver, EngineProfile, NoopObserver, ObserverStack, StatsObserver, TraceObserver,
 };
 pub use pattern::{classify, classify_pairs, Pattern};
 pub use persist::{CacheJournal, JournalEntry, JournalReplay, JournalStats, RecordSpan};

@@ -1,18 +1,20 @@
 //! Zero-cost analysis observers.
 //!
 //! The engine is generic over an [`AnalysisObserver`] and invokes its
-//! hooks at every interesting point of the worklist loop (steps, splits,
-//! merges, matches, widenings, ⊤). All hooks have empty default bodies,
-//! so the default [`NoopObserver`] monomorphizes to nothing — the
-//! observed engine compiles to the same code as a hard-wired loop, and
-//! [`crate::analyze_cfg`] is just the engine run with a `NoopObserver`.
+//! hooks where the Fig 5-style trace has a line (steps, promotions,
+//! splits, matches, terminal states), then once with the run's
+//! [`EngineProfile`], which holds every count. All hooks have empty
+//! default bodies, so the default [`NoopObserver`] monomorphizes to
+//! nothing — the observed engine compiles to the same code as a
+//! hard-wired loop, and [`crate::analyze_cfg`] is just the engine run
+//! with a `NoopObserver`.
 //!
 //! Three concrete observers cover the existing consumers:
 //!
 //! * [`TraceObserver`] renders the Fig 5-style human trace that
 //!   `mpl analyze --trace` prints;
-//! * [`StatsObserver`] counts engine events and captures the final
-//!   [`crate::result::AnalysisResult`]'s closure statistics;
+//! * [`StatsObserver`] turns the phase timers on and keeps the run's
+//!   profile;
 //! * [`ObserverStack`] composes any number of observers so the CLI and
 //!   batch layers can stack `--trace` and `--stats` independently.
 
@@ -21,12 +23,17 @@ use std::time::Duration;
 
 use mpl_domains::LinExpr;
 
-use crate::result::{AnalysisResult, MatchEvent, TopReason};
+use crate::result::MatchEvent;
 use crate::scheduler::StoredStats;
 use crate::state::AnalysisState;
 
-/// Per-phase wall-clock breakdown of one engine run, plus the final
-/// location-store footprint.
+/// The one record of an engine run's counts, with the per-phase
+/// wall-clock breakdown of its worklist loop and the store's footprint.
+///
+/// The engine owns one profile per run, filled on every run: the
+/// scheduler counts steps, frontiers, fingerprints, widenings and stored
+/// locations where they happen, and the engine counts the rest. A new
+/// count is one field here plus one increment where its event happens.
 ///
 /// The phases partition the worklist loop: `schedule` (popping the next
 /// state, which first evicts the stored locations below the queue's
@@ -40,13 +47,11 @@ use crate::state::AnalysisState;
 /// it takes). [`EngineProfile::phase_sum`] covers the loop, so
 /// `phase_sum ≈ total` within a few percent.
 ///
-/// Phase timing and the store's footprint are collected only when the
-/// observer opts in via [`AnalysisObserver::timing_enabled`] — the timer
-/// calls cost a few percent, and the footprint walks every stored
-/// state, so the default engine loop skips them entirely. The counters
-/// (frontiers, ranges, fingerprints, probes, normalized states) are
-/// always populated.
-#[derive(Debug, Clone, Copy, Default)]
+/// Only the phase timers and the store's byte estimate wait for the
+/// observer to opt in via [`AnalysisObserver::timing_enabled`] — the
+/// timer calls cost a few percent, and the estimate walks every stored
+/// state, so the default engine loop skips them entirely.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct EngineProfile {
     /// Time in [`Scheduler::tick`](crate::scheduler::Scheduler::tick):
@@ -66,9 +71,12 @@ pub struct EngineProfile {
     /// Wall-clock time of the whole engine run.
     pub total: Duration,
     /// The scheduler's per-location state store: locations stored over
-    /// the run, the most held at once, and the bytes held at the end.
-    /// Zero unless the observer enabled timing.
+    /// the run, the most held at once, and the bytes held at the end
+    /// (zero unless the observer enabled timing).
     pub stored: StoredStats,
+    /// States the scheduler handed out to be stepped (a state a budget
+    /// refused is not one): the result's `steps`.
+    pub steps: u64,
     /// Frontiers the FIFO worklist went through. A frontier is what the
     /// queue held when the previous one was used up, so `rounds` is the
     /// depth of the breadth-first exploration.
@@ -79,22 +87,38 @@ pub struct EngineProfile {
     /// Widest frontier: the most states that were ever ready to be
     /// stepped independently of one another.
     pub frontier_peak: usize,
-    /// Process ranges rendered to text for the run's match events and
-    /// print facts: one per distinct range structure, however many
-    /// events and facts name it.
-    pub ranges_rendered: u64,
     /// State fingerprints admission computed: two on a location's first
     /// revisit (the offered and the stored state), one on each later
     /// one, plus one per widened state, and none for a state that opens
     /// a location.
     pub fingerprints: u64,
+    /// Widenings that moved a recurring location's stored state.
+    pub widenings: u64,
+    /// Pending-send promotions (§X depth-1 aggregation).
+    pub promotions: u64,
+    /// Match-ambiguity forks (§VI splits).
+    pub splits: u64,
+    /// Successors whose join merged process sets (one per successor,
+    /// however many sets it merged).
+    pub merges: u64,
     /// Send–receive pairs probed by the client's matcher.
     pub probes: u64,
-    /// Probes that proved a match (applied or, when releasing the
-    /// matched subsets failed, rejected).
+    /// Probes that proved a match: each was applied or, when releasing
+    /// the matched subsets failed, rejected (see
+    /// [`EngineProfile::rejected`]).
     pub probes_matched: u64,
+    /// Proved matches the engine applied.
+    pub matches: u64,
+    /// ⊤ causes recorded; the result reports the last.
+    pub tops: u64,
+    /// States that reached the pCFG exit with every set at `Exit`.
+    pub terminals: u64,
     /// Successor states normalized (closed, merged, projected, renamed).
     pub normalized: u64,
+    /// Process ranges rendered to text for the run's match events and
+    /// print facts: one per distinct range structure, however many
+    /// events and facts name it.
+    pub ranges_rendered: u64,
 }
 
 impl EngineProfile {
@@ -102,6 +126,46 @@ impl EngineProfile {
     #[must_use]
     pub fn phase_sum(&self) -> Duration {
         self.schedule + self.transfer + self.matching + self.join_widen + self.admission
+    }
+
+    /// Proved matches that could not be applied: every proved probe is
+    /// applied or rejected, so this is `probes_matched - matches`.
+    #[must_use]
+    pub fn rejected(&self) -> u64 {
+        self.probes_matched - self.matches
+    }
+
+    /// The counts alone: the profile with its phase timers and the
+    /// store's byte estimate zeroed. Two runs of one program report the
+    /// same.
+    #[must_use]
+    pub fn counts(&self) -> EngineProfile {
+        let (mut counts, zero) = (*self, Duration::ZERO);
+        (counts.schedule, counts.transfer, counts.matching) = (zero, zero, zero);
+        (counts.join_widen, counts.admission, counts.total) = (zero, zero, zero);
+        counts.stored.approx_bytes = 0;
+        counts
+    }
+
+    /// The event counts on one line, as the `engine events:` line of
+    /// `mpl analyze --stats` prints them.
+    pub fn events(&self) -> impl fmt::Display + '_ {
+        fmt::from_fn(move |f| {
+            write!(
+                f,
+                "{} steps, {} matches ({} rejected), {} splits, {} merges, \
+                 {} widenings, {} promotions, {} terminals, {} tops",
+                self.steps,
+                self.matches,
+                self.rejected(),
+                self.splits,
+                self.merges,
+                self.widenings,
+                self.promotions,
+                self.terminals,
+                self.tops,
+            )
+        })
     }
 }
 
@@ -134,14 +198,14 @@ impl fmt::Display for EngineProfile {
     }
 }
 
-/// Hooks invoked by the engine's worklist loop.
+/// Hooks invoked by the engine's worklist loop: the trace seam.
 ///
 /// Every method has an empty default body: implement only what you need.
 /// Hook arguments are passed by reference and are cheap to ignore — the
 /// engine never formats or clones anything on an observer's behalf, so a
 /// no-op implementation costs nothing.
 pub trait AnalysisObserver {
-    /// A state was popped from the worklist (`step` is 1-based).
+    /// The scheduler handed out a state to step (`step` is 1-based).
     fn on_step(&mut self, step: u64, st: &AnalysisState) {
         let _ = (step, st);
     }
@@ -158,12 +222,6 @@ pub trait AnalysisObserver {
         let _ = (a, b);
     }
 
-    /// Compatible process sets were merged: `before` psets became
-    /// `after`.
-    fn on_merge(&mut self, before: usize, after: usize) {
-        let _ = (before, after);
-    }
-
     /// A send–receive match was established.
     fn on_match(&mut self, event: &MatchEvent) {
         let _ = event;
@@ -173,27 +231,9 @@ pub trait AnalysisObserver {
     /// subsets failed); the engine keeps looking.
     fn on_match_rejected(&mut self) {}
 
-    /// A recurring pCFG location was widened after `visits` visits.
-    fn on_widen(&mut self, visits: u32, widened: &AnalysisState) {
-        let _ = (visits, widened);
-    }
-
-    /// The analysis gave up with ⊤ for `reason` (may fire more than once
-    /// if several successor states independently hit a budget; the last
-    /// reason wins in the result).
-    fn on_top(&mut self, reason: &TopReason) {
-        let _ = reason;
-    }
-
     /// A state reached the pCFG exit with every set at `Exit`.
     fn on_terminal(&mut self, st: &AnalysisState) {
         let _ = st;
-    }
-
-    /// The run finished; `result` is the final [`AnalysisResult`] about
-    /// to be returned.
-    fn on_complete(&mut self, result: &AnalysisResult) {
-        let _ = result;
     }
 
     /// Whether the engine should collect per-phase wall-clock timings for
@@ -203,10 +243,10 @@ pub trait AnalysisObserver {
         false
     }
 
-    /// The run's [`EngineProfile`]. Fired once per run, after
-    /// [`AnalysisObserver::on_complete`]. The phase timers and `stored`
-    /// are zero unless [`AnalysisObserver::timing_enabled`] returned
-    /// `true`; `total` and the counters are always populated.
+    /// The run's [`EngineProfile`], fired once when the run ends. The
+    /// phase timers and the store's byte estimate are zero unless
+    /// [`AnalysisObserver::timing_enabled`] returned `true`; `total` and
+    /// the counts are always filled.
     fn on_profile(&mut self, profile: &EngineProfile) {
         let _ = profile;
     }
@@ -274,81 +314,23 @@ impl AnalysisObserver for TraceObserver {
     }
 }
 
-/// Counts of engine events collected by a [`StatsObserver`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct EngineStats {
-    /// Worklist states processed.
-    pub steps: u64,
-    /// Pending-send promotions (§X aggregation).
-    pub promotions: u64,
-    /// Match-ambiguity forks.
-    pub splits: u64,
-    /// Process-set merges (count of merge events, not sets removed).
-    pub merges: u64,
-    /// Established send–receive matches.
-    pub matches: u64,
-    /// Matcher proposals that could not be applied.
-    pub rejected_matches: u64,
-    /// Widenings applied at recurring locations.
-    pub widenings: u64,
-    /// ⊤ events observed (the result reports only the last).
-    pub tops: u64,
-    /// Terminal states reached.
-    pub terminals: u64,
-}
-
-impl fmt::Display for EngineStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} steps, {} matches ({} rejected), {} splits, {} merges, \
-             {} widenings, {} promotions, {} terminals, {} tops",
-            self.steps,
-            self.matches,
-            self.rejected_matches,
-            self.splits,
-            self.merges,
-            self.widenings,
-            self.promotions,
-            self.terminals,
-            self.tops,
-        )
-    }
-}
-
-/// Counts engine events and captures the final result's closure
-/// statistics (the §IX profile quantities the engine measures per run,
-/// [`AnalysisResult::closure_stats`]).
+/// Turns the phase timers on and keeps the run's [`EngineProfile`] (the
+/// closure statistics are the result's own,
+/// [`AnalysisResult::closure_stats`](crate::result::AnalysisResult::closure_stats)).
 #[derive(Debug, Clone, Default)]
 pub struct StatsObserver {
-    stats: EngineStats,
-    closure: Option<mpl_domains::ClosureStats>,
     profile: Option<EngineProfile>,
 }
 
 impl StatsObserver {
-    /// A fresh, all-zero collector.
+    /// A collector that has seen no run yet.
     #[must_use]
     pub fn new() -> StatsObserver {
         StatsObserver::default()
     }
 
-    /// The event counts collected so far.
-    #[must_use]
-    pub fn stats(&self) -> &EngineStats {
-        &self.stats
-    }
-
-    /// The run's closure-operation statistics, available once the engine
-    /// has completed (from [`AnalysisObserver::on_complete`]).
-    #[must_use]
-    pub fn closure_stats(&self) -> Option<&mpl_domains::ClosureStats> {
-        self.closure.as_ref()
-    }
-
-    /// The run's per-phase profile, available once the engine has
-    /// completed (from [`AnalysisObserver::on_profile`]).
+    /// The run's profile, available once the engine has completed (from
+    /// [`AnalysisObserver::on_profile`]).
     #[must_use]
     pub fn profile(&self) -> Option<&EngineProfile> {
         self.profile.as_ref()
@@ -356,46 +338,6 @@ impl StatsObserver {
 }
 
 impl AnalysisObserver for StatsObserver {
-    fn on_step(&mut self, _step: u64, _st: &AnalysisState) {
-        self.stats.steps += 1;
-    }
-
-    fn on_promote(&mut self, _pset_idx: usize, _st: &AnalysisState) {
-        self.stats.promotions += 1;
-    }
-
-    fn on_split(&mut self, _a: &LinExpr, _b: &LinExpr) {
-        self.stats.splits += 1;
-    }
-
-    fn on_merge(&mut self, _before: usize, _after: usize) {
-        self.stats.merges += 1;
-    }
-
-    fn on_match(&mut self, _event: &MatchEvent) {
-        self.stats.matches += 1;
-    }
-
-    fn on_match_rejected(&mut self) {
-        self.stats.rejected_matches += 1;
-    }
-
-    fn on_widen(&mut self, _visits: u32, _widened: &AnalysisState) {
-        self.stats.widenings += 1;
-    }
-
-    fn on_top(&mut self, _reason: &TopReason) {
-        self.stats.tops += 1;
-    }
-
-    fn on_terminal(&mut self, _st: &AnalysisState) {
-        self.stats.terminals += 1;
-    }
-
-    fn on_complete(&mut self, result: &AnalysisResult) {
-        self.closure = Some(result.closure_stats);
-    }
-
     fn timing_enabled(&self) -> bool {
         true
     }
@@ -460,12 +402,6 @@ impl AnalysisObserver for ObserverStack<'_> {
         }
     }
 
-    fn on_merge(&mut self, before: usize, after: usize) {
-        for layer in &mut self.layers {
-            layer.on_merge(before, after);
-        }
-    }
-
     fn on_match(&mut self, event: &MatchEvent) {
         for layer in &mut self.layers {
             layer.on_match(event);
@@ -478,27 +414,9 @@ impl AnalysisObserver for ObserverStack<'_> {
         }
     }
 
-    fn on_widen(&mut self, visits: u32, widened: &AnalysisState) {
-        for layer in &mut self.layers {
-            layer.on_widen(visits, widened);
-        }
-    }
-
-    fn on_top(&mut self, reason: &TopReason) {
-        for layer in &mut self.layers {
-            layer.on_top(reason);
-        }
-    }
-
     fn on_terminal(&mut self, st: &AnalysisState) {
         for layer in &mut self.layers {
             layer.on_terminal(st);
-        }
-    }
-
-    fn on_complete(&mut self, result: &AnalysisResult) {
-        for layer in &mut self.layers {
-            layer.on_complete(result);
         }
     }
 
@@ -549,20 +467,51 @@ mod tests {
     fn stats_observer_counts_steps_and_matches() {
         let prog = corpus::fig2_exchange();
         let mut stats = StatsObserver::new();
+        assert!(stats.profile().is_none());
         let result = analyze_cfg_with(
             &Cfg::build(&prog.program),
             &AnalysisConfig::default(),
             &mut stats,
         );
-        assert_eq!(stats.stats().steps, result.steps);
-        assert_eq!(stats.stats().matches as usize, result.events.len());
-        assert_eq!(
-            stats.closure_stats().copied(),
-            Some(result.closure_stats),
-            "on_complete must capture the run's closure delta"
+        let profile = stats.profile().expect("on_profile fired");
+        assert_eq!(profile.steps, result.steps);
+        assert_eq!(profile.matches as usize, result.events.len());
+        assert_eq!(profile.rejected(), 0);
+        // Timing was on: the phases are timed and the store is measured.
+        assert!(profile.phase_sum() > Duration::ZERO);
+        assert!(profile.stored.approx_bytes > 0);
+        // The events line is a single line.
+        let events = profile.events().to_string();
+        assert!(events.starts_with(&format!("{} steps, ", result.steps)));
+        assert!(!events.contains('\n'));
+    }
+
+    #[test]
+    fn counts_are_filled_without_timing() {
+        // A timing-off observer still gets every count; only the timers
+        // and the store's byte estimate stay zero.
+        #[derive(Default)]
+        struct Untimed(Option<EngineProfile>);
+        impl AnalysisObserver for Untimed {
+            fn on_profile(&mut self, profile: &EngineProfile) {
+                self.0 = Some(*profile);
+            }
+        }
+        let cfg = Cfg::build(&corpus::exchange_with_root().program);
+        let config = AnalysisConfig::default();
+        let (mut untimed, mut timed) = (Untimed::default(), StatsObserver::new());
+        let result = analyze_cfg_with(&cfg, &config, &mut untimed);
+        let _ = analyze_cfg_with(&cfg, &config, &mut timed);
+        let untimed = untimed.0.expect("on_profile fired");
+        assert_eq!(untimed.steps, result.steps);
+        assert_eq!(untimed.phase_sum(), Duration::ZERO);
+        assert_eq!(untimed.stored.approx_bytes, 0);
+        assert!(
+            untimed.total > Duration::ZERO,
+            "the run's total is always timed"
         );
-        // The Display form is a single line.
-        assert!(!stats.stats().to_string().contains('\n'));
+        let timed = timed.profile().expect("on_profile fired");
+        assert_eq!(untimed.counts(), timed.counts());
     }
 
     #[test]
@@ -583,7 +532,7 @@ mod tests {
             )
         };
         assert!(result.is_exact());
-        assert_eq!(stats.stats().steps, result.steps);
+        assert_eq!(stats.profile().map(|p| p.steps), Some(result.steps));
         assert!(tracer.lines().len() as u64 >= result.steps);
     }
 }

@@ -43,7 +43,8 @@ fn render_run(out: &mut String, name: &str, client: Client) {
     };
     let _ = writeln!(out, "{name} / {client:?}");
     let _ = writeln!(out, "  verdict: {verdict}");
-    let _ = writeln!(out, "  engine: {}", stats.stats());
+    let profile = stats.profile().expect("the engine reports its profile");
+    let _ = writeln!(out, "  engine: {}", profile.events());
     let cs = &result.closure_stats;
     let _ = writeln!(
         out,
