@@ -222,11 +222,13 @@ pub(crate) fn cmd_serve(args: &[String]) -> Result<CmdOutput, String> {
     let (listener, addr, kind) = if let Some(path) = socket {
         let listener =
             UnixListener::bind(&path).map_err(|e| format!("cannot bind `{path}`: {e}"))?;
+        listener.set_nonblocking(true).map_err(|e| e.to_string())?;
         (Listener::Unix(listener, path.clone()), path, "unix")
     } else {
         let addr = tcp.expect("transport_flags guarantees one of the pair");
         let listener =
             TcpListener::bind(&addr).map_err(|e| format!("cannot bind `{addr}`: {e}"))?;
+        listener.set_nonblocking(true).map_err(|e| e.to_string())?;
         let actual = listener
             .local_addr()
             .map_err(|e| e.to_string())?
@@ -248,50 +250,28 @@ pub(crate) fn cmd_serve(args: &[String]) -> Result<CmdOutput, String> {
     }
 
     let registry = ConnRegistry::new();
-    let shutdown = service.shutdown_token();
-    let mut conn_seq = 0u64;
     match &listener {
-        Listener::Unix(listener, _) => {
-            listener.set_nonblocking(true).map_err(|e| e.to_string())?;
-            while !shutdown.is_cancelled() {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        conn_seq += 1;
-                        // Unix peer credentials are not portable; the
-                        // per-connection sequence number is the quota
-                        // identity for anonymous local clients.
-                        let peer = format!("conn-{conn_seq}");
-                        spawn_connection(Arc::clone(&service), &registry, stream, peer, max_line);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        wait_readable(listener.as_raw_fd(), ACCEPT_POLL);
-                    }
-                    Err(_) => std::thread::sleep(ACCEPT_POLL),
-                }
-            }
+        // Unix peer credentials are not portable; the per-connection
+        // sequence number is the quota identity for anonymous local
+        // clients.
+        Listener::Unix(listener, path) => {
+            let mut conn_seq = 0u64;
+            accept_until_shutdown(&service, &registry, listener.as_raw_fd(), max_line, || {
+                let (stream, _) = listener.accept()?;
+                conn_seq += 1;
+                Ok((stream, format!("conn-{conn_seq}")))
+            });
+            let _ = std::fs::remove_file(path);
         }
+        // The remote address is the quota identity: a client that
+        // reconnects without a `client_id` keeps its bucket instead of
+        // minting a fresh anonymous one per connection.
         Listener::Tcp(listener) => {
-            listener.set_nonblocking(true).map_err(|e| e.to_string())?;
-            while !shutdown.is_cancelled() {
-                match listener.accept() {
-                    Ok((stream, remote)) => {
-                        // The remote address is the quota identity: a
-                        // client that reconnects without a `client_id`
-                        // keeps its bucket instead of minting a fresh
-                        // anonymous one per connection.
-                        let peer = remote.to_string();
-                        spawn_connection(Arc::clone(&service), &registry, stream, peer, max_line);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        wait_readable(listener.as_raw_fd(), ACCEPT_POLL);
-                    }
-                    Err(_) => std::thread::sleep(ACCEPT_POLL),
-                }
-            }
+            accept_until_shutdown(&service, &registry, listener.as_raw_fd(), max_line, || {
+                let (stream, remote) = listener.accept()?;
+                Ok((stream, remote.to_string()))
+            });
         }
-    }
-    if let Listener::Unix(_, path) = &listener {
-        let _ = std::fs::remove_file(path);
     }
 
     let mut text = String::new();
@@ -314,6 +294,33 @@ pub(crate) fn cmd_serve(args: &[String]) -> Result<CmdOutput, String> {
     text.push_str(&service.shutdown_summary_line());
     text.push('\n');
     Ok(CmdOutput { text, code: 0 })
+}
+
+/// Accepts connections until a shutdown is requested, each on its own
+/// thread. `accept` takes one pending connection off the nonblocking
+/// listener `fd` and yields its stream and its peer identity, which keys
+/// the connection's quota bucket.
+fn accept_until_shutdown<S>(
+    service: &Arc<AnalysisService>,
+    registry: &Arc<ConnRegistry>,
+    fd: RawFd,
+    max_line: usize,
+    mut accept: impl FnMut() -> std::io::Result<(S, String)>,
+) where
+    S: std::io::Read + std::io::Write + TryCloneStream + Send + 'static,
+{
+    let shutdown = service.shutdown_token();
+    while !shutdown.is_cancelled() {
+        match accept() {
+            Ok((stream, peer)) => {
+                spawn_connection(Arc::clone(service), registry, stream, peer, max_line);
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                wait_readable(fd, ACCEPT_POLL);
+            }
+            Err(_) => std::thread::sleep(ACCEPT_POLL),
+        }
+    }
 }
 
 /// Spawns and registers the per-connection thread.
@@ -502,27 +509,25 @@ trait TryCloneStream: Sized {
     fn prepare_polling(&self, poll: Duration) -> std::io::Result<()>;
 }
 
-impl TryCloneStream for UnixStream {
-    fn try_clone_stream(&self) -> std::io::Result<UnixStream> {
-        self.try_clone()
-    }
+/// Implements [`TryCloneStream`] for stream types whose inherent
+/// `try_clone`, `set_nonblocking` and `set_read_timeout` have the same
+/// signatures, as `UnixStream`'s and `TcpStream`'s do.
+macro_rules! impl_try_clone_stream {
+    ($($stream:ty),*) => {$(
+        impl TryCloneStream for $stream {
+            fn try_clone_stream(&self) -> std::io::Result<$stream> {
+                self.try_clone()
+            }
 
-    fn prepare_polling(&self, poll: Duration) -> std::io::Result<()> {
-        self.set_nonblocking(false)?;
-        self.set_read_timeout(Some(poll))
-    }
+            fn prepare_polling(&self, poll: Duration) -> std::io::Result<()> {
+                self.set_nonblocking(false)?;
+                self.set_read_timeout(Some(poll))
+            }
+        }
+    )*};
 }
 
-impl TryCloneStream for TcpStream {
-    fn try_clone_stream(&self) -> std::io::Result<TcpStream> {
-        self.try_clone()
-    }
-
-    fn prepare_polling(&self, poll: Duration) -> std::io::Result<()> {
-        self.set_nonblocking(false)?;
-        self.set_read_timeout(Some(poll))
-    }
-}
+impl_try_clone_stream!(UnixStream, TcpStream);
 
 /// The `mpl client` command: sends one request line to a running
 /// daemon and prints the one response line. Exit code 0 for served
