@@ -294,6 +294,83 @@ fn binary_serve_end_to_end_over_unix_socket() {
 }
 
 #[test]
+fn binary_serve_end_to_end_over_tcp() {
+    use std::io::{BufRead as _, BufReader, Read as _};
+    use std::process::{Child, Stdio};
+
+    /// Kills the daemon if the test fails before it shuts down.
+    struct Daemon(Child);
+    impl Drop for Daemon {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    let mut daemon = Daemon(
+        Command::new(env!("CARGO_BIN_EXE_mpl"))
+            .args(["serve", "--tcp", "127.0.0.1:0"])
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn daemon"),
+    );
+    let mut daemon_out = BufReader::new(daemon.0.stdout.take().expect("piped stdout"));
+
+    // The readiness line carries the port the daemon bound.
+    let mut ready = String::new();
+    daemon_out.read_line(&mut ready).expect("readiness line");
+    assert!(ready.contains("\"transport\":\"tcp\""), "{ready}");
+    let addr = ready
+        .split("\"addr\":\"")
+        .nth(1)
+        .and_then(|rest| rest.split('"').next())
+        .expect("readiness line names its address")
+        .to_owned();
+    assert!(
+        addr.starts_with("127.0.0.1:") && !addr.ends_with(":0"),
+        "{addr}"
+    );
+
+    let mut file = tempfile();
+    file.write_all(EXCHANGE.as_bytes()).expect("write program");
+    let path = file.path().to_str().expect("utf-8 temp path").to_owned();
+    let client = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_mpl"))
+            .args(["client", "--tcp", &addr])
+            .args(args)
+            .output()
+            .expect("spawn client");
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+
+    assert_eq!(client(&["--op", "ping"]), "{\"v\":1,\"type\":\"pong\"}\n");
+    let served = client(&["--file", &path]);
+    let (oneshot, stderr, code) = run_mpl(&["analyze", "--json"], EXCHANGE);
+    assert_eq!(code, 0, "stderr: {stderr}");
+    assert_eq!(served, oneshot, "daemon and one-shot output must agree");
+    let stats = client(&["--op", "stats"]);
+    assert!(stats.contains("\"misses\":1"), "{stats}");
+
+    let bye = client(&["--op", "shutdown", "--mode", "drain"]);
+    assert!(bye.contains("\"mode\":\"drain\""), "{bye}");
+    let status = daemon.0.wait().expect("daemon exits after shutdown");
+    assert_eq!(status.code(), Some(0));
+    let mut rest = String::new();
+    daemon_out.read_to_string(&mut rest).expect("summary");
+    let records: Vec<&str> = rest.lines().collect();
+    assert_eq!(records.len(), 2, "{rest}");
+    assert!(
+        records[0].starts_with("{\"v\":1,\"type\":\"drain\",\"completed\":true"),
+        "{rest}"
+    );
+    assert!(
+        records[1].starts_with("{\"v\":1,\"type\":\"shutdown-summary\""),
+        "{rest}"
+    );
+}
+
+#[test]
 fn binary_serve_flag_parsing_is_strict() {
     let serve = |args: &[&str]| {
         let out = Command::new(env!("CARGO_BIN_EXE_mpl"))

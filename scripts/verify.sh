@@ -166,36 +166,38 @@ for example in $examples; do
   "target/release/$example" >/dev/null || { echo "example $example failed"; exit 1; }
 done
 
-echo "== serve daemon smoke (cache + byte-identity) =="
+echo "== serve daemon smoke over TCP (cache + byte-identity) =="
 # Start a daemon, fire concurrent requests at it, and hold it to the
 # protocol's core contract: every served response is byte-identical to
 # what the one-shot `mpl analyze --json` prints, and a repeated request
-# is answered from the result cache (>= 1 hit in `stats`).
-sock="$smoke_dir/serve.sock"
-"$MPL" serve --socket "$sock" --cache 32 > "$smoke_dir/serve.log" &
+# is answered from the result cache (>= 1 hit in `stats`). This smoke
+# serves over TCP on an ephemeral port, read from the `serving` line;
+# the smokes after it serve over a Unix socket.
+"$MPL" serve --tcp 127.0.0.1:0 --cache 32 > "$smoke_dir/serve.log" &
 serve_pid=$!
-for _ in $(seq 1 100); do [ -S "$sock" ] && break; sleep 0.05; done
-[ -S "$sock" ] || { echo "serve daemon did not come up"; exit 1; }
+for _ in $(seq 1 100); do grep -q '"type":"serving"' "$smoke_dir/serve.log" && break; sleep 0.05; done
+addr=$(grep -o '"addr":"[^"]*"' "$smoke_dir/serve.log" | cut -d'"' -f4 || true)
+[ -n "$addr" ] || { echo "serve daemon did not come up"; exit 1; }
 prog="$smoke_dir/p0.mpl"
 client_pids=()
 for i in 1 2 3 4; do
-  "$MPL" client --socket "$sock" --file "$prog" > "$smoke_dir/resp$i.json" &
+  "$MPL" client --tcp "$addr" --file "$prog" > "$smoke_dir/resp$i.json" &
   client_pids+=($!)
 done
 for pid in "${client_pids[@]}"; do
   wait "$pid" || { echo "concurrent serve client failed"; exit 1; }
 done
 # A fifth, sequential request: with the cache warm this must be a hit.
-"$MPL" client --socket "$sock" --file "$prog" > "$smoke_dir/resp5.json"
+"$MPL" client --tcp "$addr" --file "$prog" > "$smoke_dir/resp5.json"
 oneshot=$("$MPL" analyze "$prog" --json)
 for i in 1 2 3 4 5; do
   diff <(printf '%s\n' "$oneshot") "$smoke_dir/resp$i.json" \
     || { echo "served response $i diverged from mpl analyze --json"; exit 1; }
 done
-stats=$("$MPL" client --socket "$sock" --op stats)
+stats=$("$MPL" client --tcp "$addr" --op stats)
 hits=$(grep -o '"hits":[0-9]*' <<< "$stats" | grep -o '[0-9]*')
 [ "$hits" -ge 1 ] || { echo "expected >= 1 cache hit, got: $stats"; exit 1; }
-"$MPL" client --socket "$sock" --op shutdown >/dev/null
+"$MPL" client --tcp "$addr" --op shutdown >/dev/null
 wait "$serve_pid" || { echo "serve daemon exited nonzero"; exit 1; }
 grep -q '"type":"shutdown-summary"' "$smoke_dir/serve.log" \
   || { echo "missing shutdown summary"; cat "$smoke_dir/serve.log"; exit 1; }
