@@ -20,7 +20,7 @@
 //! warm-up programs of the `serve-hot` benchmark workload, analyzed one
 //! after another under the Cartesian client and summed. E29 reads the
 //! same allocator's live bytes: the heap each layer of one cold analysis
-//! holds at its peak and keeps.
+//! holds at its peak and keeps ([`mpl_bench::heap_layers`]).
 //!
 //! Run with `cargo run -p mpl-bench --bin profile --release`. Pass
 //! `--ablation` to add the ablations (E8). Pass `--check` to exit 1 if
@@ -28,7 +28,8 @@
 //! allocations, if the phases of a mid-size median run do not account
 //! for its loop, if the `hot-set` row or `MatchSet::insert` exceed
 //! their fingerprint and allocation bounds, or if E29's parse peaks above
-//! the tree it keeps or its CFG above its bytes per node — the smoke test
+//! the tree it keeps, its CFG above its bytes per node or its cold
+//! request above the AST, CFG and engine peak together — the smoke test
 //! `scripts/verify.sh` runs.
 
 use std::fmt::Write as _;
@@ -36,12 +37,10 @@ use std::process::Command;
 use std::time::Duration;
 
 use mpl_bench::{
-    allocations, heap_use, profiled_run, sample, HeapUse, ProfiledRun, Sampled, SAMPLES,
+    allocations, heap_layers, profiled_run, sample, HeapRow, HeapUse, ProfiledRun, Sampled, SAMPLES,
 };
 use mpl_cfg::{Cfg, CfgNodeId};
-use mpl_core::{
-    analyze_cfg, json_escape, AnalysisConfig, AnalysisService, Client, MatchSet, ServiceConfig,
-};
+use mpl_core::{Client, MatchSet};
 use mpl_domains::{
     intern_name, set_force_full_closure, ClosureStats, ConstraintGraph, PsetId, VarId,
 };
@@ -316,59 +315,6 @@ fn scaling(profiler: &mut Profiler) {
     println!();
 }
 
-/// The heap each layer of one cold analysis of a source used (E29).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct HeapRow {
-    /// Source bytes.
-    source: usize,
-    /// `parse_program`: its peak, and the AST it returns.
-    parse: HeapUse,
-    /// `Cfg::build` from that AST, and the graph's node count.
-    cfg: HeapUse,
-    nodes: usize,
-    /// `analyze_cfg` over that graph under the default configuration:
-    /// its peak above the AST and CFG, and the result it returns.
-    engine: Option<HeapUse>,
-    /// One `analyze` request line for the source, handled by a service
-    /// with an empty cache, as the daemon's connection thread does.
-    request: Option<HeapUse>,
-}
-
-impl HeapRow {
-    /// The CFG's bytes per node.
-    fn cfg_bytes_per_node(&self) -> f64 {
-        self.cfg.retained as f64 / self.nodes.max(1) as f64
-    }
-
-    /// The parse's peak over the AST it keeps.
-    fn parse_over_ast(&self) -> f64 {
-        self.parse.peak as f64 / self.parse.retained.max(1) as f64
-    }
-}
-
-/// Parses `source`, builds its CFG and, if `engine`, analyzes it and
-/// handles it as one cold `analyze` request, measuring each layer's heap.
-fn heap_layers(source: &str, engine: bool) -> HeapRow {
-    let (program, parse) = heap_use(|| mpl_lang::parse_program(source).expect("E29 sources parse"));
-    let (cfg, cfg_heap) = heap_use(|| Cfg::build(&program));
-    let engine_heap = engine.then(|| heap_use(|| analyze_cfg(&cfg, &AnalysisConfig::default())).1);
-    let nodes = cfg.node_count();
-    drop((cfg, program));
-    let request = engine.then(|| {
-        let service = AnalysisService::new(ServiceConfig::default());
-        let line = format!(r#"{{"op":"analyze","program":"{}"}}"#, json_escape(source));
-        heap_use(|| service.handle_line(&line)).1
-    });
-    HeapRow {
-        source: source.len(),
-        parse,
-        cfg: cfg_heap,
-        nodes,
-        engine: engine_heap,
-        request,
-    }
-}
-
 /// A straight-line source of at least `bytes` bytes: assignments,
 /// sends, receives and prints in turn, one statement a line.
 fn straight_line(bytes: usize) -> String {
@@ -559,6 +505,13 @@ const PARSE_OVER_AST: f64 = 1.1;
 /// operands.)
 const CFG_BYTES_PER_NODE: f64 = 128.0;
 
+/// The most one cold request for `repeated_exchanges(1024)` may peak
+/// over its AST kept, CFG kept and engine peak summed. A request whose
+/// AST lived under the engine would hold all three at once, plus its
+/// check strings; one that drops the AST once the CFG is built holds the
+/// CFG and the check strings beside the engine's state.
+const REQUEST_OVER_LAYERS: f64 = 1.0;
+
 /// Holds the `hot-set` row's median run, `MatchSet::insert` and the E29
 /// rows to their bounds, printing one `count check` line each.
 fn check_counts(hot: &ProfiledRun, heap: &[(String, HeapRow)]) -> bool {
@@ -592,6 +545,13 @@ fn check_counts(hot: &ProfiledRun, heap: &[(String, HeapRow)]) -> bool {
             "E29 CFG bytes/node",
             long_path.cfg_bytes_per_node(),
             CFG_BYTES_PER_NODE,
+        ),
+        (
+            "E29 request/AST+CFG+eng",
+            long_path
+                .request_over_layers()
+                .expect("the repeated_exchanges(1024) row runs the engine"),
+            REQUEST_OVER_LAYERS,
         ),
     ];
     let mut ok = true;

@@ -18,8 +18,8 @@
 //! This crate installs a counting global allocator, so its binaries and
 //! tests can report how many heap allocations a run makes
 //! ([`allocations`]) and how much heap a call holds at its peak and
-//! keeps ([`heap_use`]). The `mpl` binary keeps the plain system
-//! allocator.
+//! keeps ([`heap_use`]; per layer of one cold analysis, E29's
+//! [`heap_layers`]). The `mpl` binary keeps the plain system allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -27,8 +27,12 @@ use std::iter::Sum;
 use std::time::{Duration, Instant};
 
 use mpl_cfg::Cfg;
-use mpl_core::{analyze_cfg_with, AnalysisConfig, Client, EngineProfile, StatsObserver};
+use mpl_core::{
+    analyze_cfg, analyze_cfg_with, json_escape, AnalysisConfig, AnalysisService, Client,
+    EngineProfile, ServiceConfig, StatsObserver,
+};
 use mpl_domains::{stats, ClosureStats};
+use mpl_lang::parse_program;
 
 thread_local! {
     /// Heap allocations made on this thread (see [`allocations`]).
@@ -129,6 +133,78 @@ pub fn heap_use<T>(f: impl FnOnce() -> T) -> (T, HeapUse) {
         retained: end - start,
     };
     (out, heap)
+}
+
+/// The heap each layer of one cold analysis of a source used (E29).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HeapRow {
+    /// Source bytes.
+    pub source: usize,
+    /// `parse_program`: its peak, and the AST it returns.
+    pub parse: HeapUse,
+    /// `Cfg::build` from that AST.
+    pub cfg: HeapUse,
+    /// The graph's node count.
+    pub nodes: usize,
+    /// `analyze_cfg` over that graph under the default configuration:
+    /// its peak above the AST and CFG, and the result it returns.
+    pub engine: Option<HeapUse>,
+    /// One `analyze` request line for the source, handled by a service
+    /// with an empty cache, as the daemon's connection thread does.
+    pub request: Option<HeapUse>,
+}
+
+impl HeapRow {
+    /// The CFG's bytes per node.
+    #[must_use]
+    pub fn cfg_bytes_per_node(&self) -> f64 {
+        self.cfg.retained as f64 / self.nodes.max(1) as f64
+    }
+
+    /// The parse's peak over the AST it keeps.
+    #[must_use]
+    pub fn parse_over_ast(&self) -> f64 {
+        self.parse.peak as f64 / self.parse.retained.max(1) as f64
+    }
+
+    /// The cold request's peak over the AST kept, the CFG kept and the
+    /// engine's peak summed, or `None` on a row without an engine run.
+    /// The request holds all three at once, and so reads 1 or more, if
+    /// its AST is alive under the engine.
+    #[must_use]
+    pub fn request_over_layers(&self) -> Option<f64> {
+        let (engine, request) = (self.engine?, self.request?);
+        let layers = self.parse.retained + self.cfg.retained + engine.peak;
+        Some(request.peak as f64 / layers.max(1) as f64)
+    }
+}
+
+/// Parses `source`, builds its CFG and, if `engine`, analyzes it and
+/// handles it as one cold `analyze` request, measuring each layer's heap.
+///
+/// # Panics
+///
+/// If `source` does not parse.
+#[must_use]
+pub fn heap_layers(source: &str, engine: bool) -> HeapRow {
+    let (program, parse) = heap_use(|| parse_program(source).expect("E29 sources parse"));
+    let (cfg, cfg_heap) = heap_use(|| Cfg::build(&program));
+    let engine_heap = engine.then(|| heap_use(|| analyze_cfg(&cfg, &AnalysisConfig::default())).1);
+    let nodes = cfg.node_count();
+    drop((cfg, program));
+    let request = engine.then(|| {
+        let service = AnalysisService::new(ServiceConfig::default());
+        let line = format!(r#"{{"op":"analyze","program":"{}"}}"#, json_escape(source));
+        heap_use(|| service.handle_line(&line)).1
+    });
+    HeapRow {
+        source: source.len(),
+        parse,
+        cfg: cfg_heap,
+        nodes,
+        engine: engine_heap,
+        request,
+    }
 }
 
 /// Samples [`sample`] takes of every row.
@@ -365,6 +441,14 @@ mod tests {
                 retained: 3000
             }
         );
+    }
+
+    #[test]
+    fn a_cold_request_frees_its_ast_before_the_engine_runs() {
+        let source = corpus::repeated_exchanges(256).program.to_string();
+        let row = heap_layers(&source, true);
+        let ratio = row.request_over_layers().expect("the row ran the engine");
+        assert!(ratio < 1.0, "{ratio:.2}: {row:?}");
     }
 
     #[test]

@@ -174,8 +174,7 @@ impl fmt::Display for EngineProfile {
         write!(
             f,
             "schedule {:?}, transfer {:?}, match {:?}, join/widen {:?}, \
-             admission {:?} (sum {:?} of {:?} total); {} stored locations, \
-             peak {} live, ~{} bytes held at end; {} rounds, frontier peak \
+             admission {:?} (sum {:?} of {:?} total); {} rounds, frontier peak \
              {} mean {:.1}",
             self.schedule,
             self.transfer,
@@ -184,9 +183,6 @@ impl fmt::Display for EngineProfile {
             self.admission,
             self.phase_sum(),
             self.total,
-            self.stored.locations,
-            self.stored.peak_live,
-            self.stored.approx_bytes,
             self.rounds,
             self.frontier_peak,
             if self.rounds == 0 {

@@ -45,11 +45,13 @@
 //! abstraction it returns ⊤, never a wrong answer (§VI). Requests extend
 //! that discipline from one analysis to a fleet of them:
 //!
-//! * **panic isolation** — a panicking request becomes a
-//!   [`JobOutcome::Panicked`] response, caught by
-//!   [`AnalysisRequest::execute`], the one isolation layer; a
-//!   [`RequestBatch`] runs every request through it and names the worker
-//!   thread, and the rest of the batch completes;
+//! * **panic isolation** — a panicking request, in its CFG build or in
+//!   any attempt, becomes a [`JobOutcome::Panicked`] response, caught by
+//!   [`AnalysisRequest::execute`] and its two siblings
+//!   ([`AnalysisRequest::execute_on`], [`AnalysisRequest::into_response`]),
+//!   which share one isolation layer; a [`RequestBatch`] runs every
+//!   request through it and names the worker thread, and the rest of the
+//!   batch completes;
 //! * **cooperative deadlines** — each attempt gets a fresh
 //!   [`CancelToken`] with the request's `timeout`, and the engine gives
 //!   up with a sound ⊤ ([`TopReason::Deadline`]) when it fires. Partial
@@ -308,23 +310,52 @@ impl AnalysisRequest {
         mpl_domains::splitmix64(h ^ check.len() as u64)
     }
 
-    /// Executes the request on the calling thread — fresh interner per
-    /// attempt, cooperative deadline, retry ladder — with panic
-    /// isolation: an unwinding analysis becomes a
-    /// [`JobOutcome::Panicked`] response with a zero wall time. This is
-    /// the only place a panic is caught; a [`RequestBatch`] runs each of
+    /// Executes the request on the calling thread — CFG built from
+    /// [`Self::program`], fresh interner per attempt, cooperative
+    /// deadline, retry ladder — with panic isolation: an unwinding
+    /// analysis, CFG build included, becomes a [`JobOutcome::Panicked`]
+    /// response with a zero wall time. A [`RequestBatch`] runs each of
     /// its requests through it.
     #[must_use]
     pub fn execute(&self) -> AnalysisResponse {
+        self.respond(|| self.run_ladder(&Cfg::build(&self.program)))
+    }
+
+    /// [`Self::execute`] over a CFG the caller already built from
+    /// [`Self::program`], for a caller that keeps the graph anyway.
+    #[must_use]
+    pub fn execute_on(&self, cfg: &Cfg) -> AnalysisResponse {
+        self.respond(|| self.run_ladder(cfg))
+    }
+
+    /// [`Self::execute`] for a request the caller is done with: the AST
+    /// is dropped once the CFG is built, before the first attempt, so
+    /// the engine runs beside the graph alone. Same response bytes.
+    #[must_use]
+    pub fn into_response(mut self) -> AnalysisResponse {
+        let program = std::mem::take(&mut self.program);
+        self.respond(|| {
+            let cfg = Cfg::build(&program);
+            drop(program);
+            self.run_ladder(&cfg)
+        })
+    }
+
+    /// Runs `ladder` under `catch_unwind` and wraps what it returns (or
+    /// the panic) in a response. This is the only place a panic is
+    /// caught.
+    fn respond(
+        &self,
+        ladder: impl FnOnce() -> (JobOutcome, Option<AnalysisResult>),
+    ) -> AnalysisResponse {
         let start = Instant::now();
-        let (outcome, result, wall_nanos) =
-            match catch_unwind(AssertUnwindSafe(|| self.run_ladder())) {
-                Ok((outcome, result)) => (outcome, result, start.elapsed().as_nanos() as u64),
-                Err(payload) => {
-                    let message = panic_message(payload.as_ref());
-                    (JobOutcome::Panicked { message }, None, 0)
-                }
-            };
+        let (outcome, result, wall_nanos) = match catch_unwind(AssertUnwindSafe(ladder)) {
+            Ok((outcome, result)) => (outcome, result, start.elapsed().as_nanos() as u64),
+            Err(payload) => {
+                let message = panic_message(payload.as_ref());
+                (JobOutcome::Panicked { message }, None, 0)
+            }
+        };
         AnalysisResponse {
             name: self.name.clone(),
             client: self.config.client,
@@ -335,17 +366,15 @@ impl AnalysisRequest {
         }
     }
 
-    /// Runs the attempt ladder: attempt 1 under the requested
+    /// Runs the attempt ladder over `cfg`: attempt 1 under the requested
     /// configuration, then — after a budget-⊤ or a deadline — up to
     /// `retries` more under ever coarser [`degrade`]d ones, capped at the
-    /// ladder's depth. Panics, including an injected [`Fault::Panic`],
-    /// unwind out of here.
-    fn run_ladder(&self) -> (JobOutcome, Option<AnalysisResult>) {
+    /// ladder's depth. Every attempt analyzes the same graph; only the
+    /// interner and the configuration start afresh. Panics, including an
+    /// injected [`Fault::Panic`], unwind out of here.
+    fn run_ladder(&self, cfg: &Cfg) -> (JobOutcome, Option<AnalysisResult>) {
         let name = self.name.as_deref().unwrap_or("");
         let max_attempts = self.retries.saturating_add(1).min(MAX_LEVEL + 1);
-        // Every attempt analyzes the same graph; only the interner and
-        // the configuration start afresh.
-        let cfg = Cfg::build(&self.program);
         // The attempt-1 budget-⊤ result, kept so exhausted retries still
         // report the answer produced under the *requested* configuration.
         let mut requested_top: Option<AnalysisResult> = None;
@@ -376,7 +405,7 @@ impl AnalysisRequest {
                 _ => {
                     let mut config = degrade(&self.config, attempt);
                     config.cancel = token;
-                    analyze_cfg(&cfg, &config)
+                    analyze_cfg(cfg, &config)
                 }
             };
             let last = attempt == max_attempts;

@@ -493,7 +493,7 @@ impl AnalysisService {
                     mode.tag()
                 ))
             }
-            "analyze" => Reply::Line(self.handle_analyze(&value, peer)),
+            "analyze" => Reply::Line(self.handle_analyze(value, peer)),
             other => Reply::Line(error_line("bad-request", &format!("unknown op `{other}`"))),
         }
     }
@@ -515,7 +515,12 @@ impl AnalysisService {
         )
     }
 
-    fn handle_analyze(&self, value: &JsonValue, peer: &str) -> String {
+    /// Serves one decoded `analyze` object. The object, which holds a
+    /// copy of the source, is dropped once the request is built, and a
+    /// leader runs the consuming [`AnalysisRequest::into_response`], so
+    /// under the engine a cold request holds its CFG and check string,
+    /// not the AST or the decoded line.
+    fn handle_analyze(&self, value: JsonValue, peer: &str) -> String {
         // Quota first: a client over its rate gets a structured
         // retry-after answer before it can occupy a gate slot. A missing
         // *or empty* `client_id` falls back to the transport's peer
@@ -540,7 +545,7 @@ impl AnalysisService {
         // Backpressure second: a full service answers immediately with a
         // structured rejection instead of queueing unboundedly. The
         // permit is RAII — released on every return path below,
-        // including panics inside `execute` (which are themselves
+        // including panics inside the request (which are themselves
         // caught and rendered).
         let Some(_permit) = self.gate.try_admit() else {
             return format!(
@@ -550,13 +555,14 @@ impl AnalysisService {
                 self.gate.capacity()
             );
         };
-        let request = match self.build_request(value) {
+        let request = match self.build_request(&value) {
             Ok(request) => request,
             Err(line) => {
                 self.invalid.fetch_add(1, Ordering::Relaxed);
                 return line;
             }
         };
+        drop(value);
         let check = request.cache_check();
         let key = AnalysisRequest::check_fingerprint(&check);
         loop {
@@ -570,7 +576,7 @@ impl AnalysisService {
                         slot,
                         body: None,
                     };
-                    let body = request.execute().json_line(false);
+                    let body = request.into_response().json_line(false);
                     self.cache
                         .lock()
                         .expect("cache lock")
@@ -899,6 +905,37 @@ mod tests {
         assert!(reply.line().contains("\"type\":\"program\""), "{reply:?}");
         assert_eq!(svc.gate().rejected(), 1);
         assert_eq!(svc.gate().in_flight(), 0, "permit released after serving");
+    }
+
+    #[test]
+    fn a_panicking_request_is_answered_and_leaves_nothing_held() {
+        let source = corpus::fig2_exchange().source;
+        let panicking = analyze_line(&format!("// mpl:fault=panic\n{source}"));
+        // With a cache the repeat is a hit; without one it leads a new
+        // flight, which waits forever if the first left its slot behind.
+        for cache_capacity in [128, 0] {
+            let svc = AnalysisService::new(ServiceConfig {
+                cache_capacity,
+                ..ServiceConfig::default()
+            });
+            let reply = svc.handle_line(&panicking);
+            let line = reply.line();
+            assert!(line.starts_with("{\"v\":1,\"type\":\"program\""), "{line}");
+            assert_eq!(
+                line.matches("\"outcome\":\"panicked\"").count(),
+                1,
+                "{line}"
+            );
+            assert!(line.contains("injected fault"), "{line}");
+            assert_eq!(svc.gate().in_flight(), 0, "permit released after the panic");
+            let normal = svc.handle_line(&analyze_line(&source));
+            assert!(
+                normal.line().contains("\"outcome\":\"completed\""),
+                "{normal:?}"
+            );
+            assert_eq!(svc.handle_line(&panicking), reply);
+            assert_eq!(svc.gate().in_flight(), 0);
+        }
     }
 
     #[test]

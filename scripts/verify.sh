@@ -147,7 +147,8 @@ done
 echo "== profile and tables smoke (E1-E12, E18) =="
 # `profile --check` exits nonzero unless every sample of a row reports
 # the same counters, `hot-set` and `MatchSet::insert` stay within their
-# fingerprint and allocation bounds (`count check`), and, on every
+# fingerprint and allocation bounds and E29's k = 1024 row within its
+# parse, CFG and cold-request heap bounds (`count check`), and, on every
 # program out of timer noise, the five phases of the median run explain
 # its worklist loop
 # (|schedule+transfer+match+join/widen+admission - loop| <= 10% of loop;
