@@ -310,10 +310,10 @@ impl AnalysisState {
         // to one namespace renamed to `m`, then join pointwise.
         let mut a_side = self.cg.clone();
         a_side.drop_namespace(b);
-        a_side.rename_namespace(a, m);
+        a_side.rename_namespaces(&[(a, m)]);
         let mut b_side = self.cg.clone();
         b_side.drop_namespace(a);
-        b_side.rename_namespace(b, m);
+        b_side.rename_namespaces(&[(b, m)]);
         self.cg = a_side.join(&b_side).into();
         self.uniform
             .retain(|v| v.namespace() != Some(a) && v.namespace() != Some(b));
@@ -357,51 +357,43 @@ impl AnalysisState {
                 .then_with(|| p.range.to_string().cmp(&q.range.to_string()))
                 .then_with(|| p.pending.is_some().cmp(&q.pending.is_some()))
         });
-        // Already canonical (the steady state once the analysis reaches a
-        // loop's fixpoint): every rename below would be the identity, so
-        // skip the two O(p) rename sweeps over graph, uniform set and
-        // ranges.
-        if self
+        let moves: Vec<(PsetId, PsetId)> = self
             .psets
             .iter()
             .enumerate()
-            .all(|(k, p)| p.id.0 == k as u32)
-        {
-            self.next_id = self.psets.len() as u32;
-            return;
-        }
-        // Two-phase rename to avoid collisions. The temporary band sits
-        // just below the packed VarId's 16-bit pset-id ceiling; live ids
-        // are reset to 0.. right below, so the band is never reached by
-        // real allocations.
-        const TMP: u32 = 1 << 15;
-        let olds: Vec<PsetId> = self.psets.iter().map(|p| p.id).collect();
-        for (k, &old) in olds.iter().enumerate() {
-            let tmp = PsetId(TMP + k as u32);
-            self.rename_everywhere(old, tmp);
-        }
-        for k in 0..olds.len() {
-            let tmp = PsetId(TMP + k as u32);
-            let fin = PsetId(k as u32);
-            self.rename_everywhere(tmp, fin);
+            .map(|(k, p)| (p.id, PsetId(k as u32)))
+            .filter(|&(old, new)| old != new)
+            .collect();
+        // Already canonical (the steady state once the analysis reaches a
+        // loop's fixpoint): nothing moves, so skip the pass over graph,
+        // uniform set and ranges.
+        if !moves.is_empty() {
+            self.rename_psets(&moves);
         }
         self.next_id = self.psets.len() as u32;
     }
 
-    fn rename_everywhere(&mut self, from: PsetId, to: PsetId) {
-        self.cg.rename_namespace(from, to);
-        let renamed: BTreeSet<VarId> = self.uniform.iter().map(|v| v.renamed(from, to)).collect();
+    /// Moves namespace `from` to `to` for every `(from, to)` pair of
+    /// `map` at once (the pairs may swap or cycle ids): one pass over
+    /// the graph, one rebuild of the uniform set, and one rename of each
+    /// set whose id moves or whose range mentions a moved namespace.
+    fn rename_psets(&mut self, map: &[(PsetId, PsetId)]) {
+        self.cg.rename_namespaces(map);
+        let renamed: BTreeSet<VarId> = self.uniform.iter().map(|v| v.renamed_by(map)).collect();
         self.uniform = renamed.into();
         for p in &mut self.psets {
+            let to = map
+                .iter()
+                .find(|&&(from, _)| from == p.id)
+                .map(|&(_, to)| to);
             // Skip untouched sets so their `Shared` handle stays shared.
-            let touches = p.id == from || p.range.mentions(|v| v.namespace() == Some(from));
-            if !touches {
+            if to.is_none() && !p.range.mentions(|v| v.renamed_by(map) != v) {
                 continue;
             }
-            if p.id == from {
+            if let Some(to) = to {
                 p.id = to;
             }
-            p.range = p.range.renamed(from, to);
+            p.range = p.range.renamed(map);
         }
     }
 
@@ -805,6 +797,69 @@ mod tests {
         );
         let ids: Vec<u32> = st.psets.iter().map(|p| p.id.0).collect();
         assert_eq!(ids, [0, 1, 2, 3, 4]);
+    }
+
+    /// Renumbering three sets whose ids, in canonical order, are 2, 0
+    /// and 1 (a cycle: no id keeps its place) moves graph, uniform set
+    /// and ranges exactly as the same renames made one at a time
+    /// through a temporary band of unused ids do.
+    #[test]
+    fn renumber_canonical_matches_renames_through_a_band() {
+        let mut st = initial();
+        let parts = [(0, 0), (1, 1), (2, 3)].map(|(lo, hi)| {
+            let r = ProcRange::from_exprs(LinExpr::constant(lo), LinExpr::constant(hi));
+            (r, CfgNodeId(0), false)
+        });
+        st.split_pset(0, parts.to_vec());
+        st.renumber_canonical();
+        let x = |p: u32| VarId::pset_var(PsetId(p), intern_name("x"));
+        for p in 0..3 {
+            st.cg.assert_eq_const(x(p), i64::from(p) + 1);
+            st.uniform.insert(x(p));
+        }
+        st.cg.close();
+        // Each range also names the other sets' variables.
+        st.resaturate_ranges();
+        for (k, node) in [(0, 5), (1, 9), (2, 2)] {
+            st.psets[k].node = CfgNodeId(node);
+        }
+        let mut reference = st.clone();
+        reference
+            .psets
+            .sort_by_key(|p| (p.node, p.range.to_string(), p.pending.is_some()));
+        let olds: Vec<PsetId> = reference.psets.iter().map(|p| p.id).collect();
+        assert_eq!(olds, [PsetId(2), PsetId(0), PsetId(1)]);
+        const BAND: u32 = 1 << 15;
+        let rename = |s: &mut AnalysisState, from: PsetId, to: PsetId| {
+            s.cg.rename_namespaces(&[(from, to)]);
+            let uniform: BTreeSet<VarId> = s.uniform.iter().map(|v| v.renamed(from, to)).collect();
+            s.uniform = uniform.into();
+            for p in &mut s.psets {
+                if p.id == from {
+                    p.id = to;
+                }
+                p.range = p.range.renamed(&[(from, to)]);
+            }
+        };
+        for (k, &old) in olds.iter().enumerate() {
+            rename(&mut reference, old, PsetId(BAND + k as u32));
+        }
+        for k in 0..olds.len() as u32 {
+            rename(&mut reference, PsetId(BAND + k), PsetId(k));
+        }
+        st.renumber_canonical();
+        assert_eq!(st.cg.variables(), reference.cg.variables());
+        assert!(st.cg.same_shape(&reference.cg));
+        assert_eq!(st.cg.fingerprint(), reference.cg.fingerprint());
+        assert_eq!(*st.uniform, *reference.uniform);
+        for (p, q) in st.psets.iter().zip(&reference.psets) {
+            assert_eq!((p.id, p.node), (q.id, q.node));
+            assert_eq!(p.range, q.range);
+            assert!(p.range.mentions(|v| v.namespace() != Some(p.id)));
+        }
+        assert!(st.structurally_eq(&reference));
+        assert_eq!(st.fingerprint(), reference.fingerprint());
+        assert_eq!(st.cg.const_of(x(0)), Some(3));
     }
 
     #[test]

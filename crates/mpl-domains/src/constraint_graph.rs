@@ -797,29 +797,44 @@ impl ConstraintGraph {
         self.retain_vars(|v| v.namespace() != Some(p));
     }
 
-    /// Renames every variable of namespace `from` into namespace `to`.
+    /// Renames every variable of each namespace `from` into namespace
+    /// `to`, for all `(from, to)` pairs of `map` at once: one
+    /// fingerprint delta and one index rebuild however many namespaces
+    /// move. Every variable moves at most once, so the pairs may swap
+    /// or cycle namespaces.
     ///
     /// # Panics
     ///
-    /// Panics if `to` already owns a variable with a clashing name.
-    pub fn rename_namespace(&mut self, from: PsetId, to: PsetId) {
-        if from == to {
-            return;
+    /// Panics if two pairs share a target, or if a target namespace
+    /// holds a variable with a clashing name that does not move away.
+    pub fn rename_namespaces(&mut self, map: &[(PsetId, PsetId)]) {
+        for (k, &(_, to)) in map.iter().enumerate() {
+            assert!(
+                map[..k].iter().all(|&(_, t)| t != to),
+                "two namespaces renamed into {to}"
+            );
         }
         let n = self.n();
-        // Collect the renamed positions first, checking collisions
-        // against the pre-rename index (renaming preserves the name
-        // part, so two sources can never map to one destination).
+        // Collect the renamed positions first. Renaming preserves the
+        // name part and the targets are distinct, so two moved
+        // variables never meet; a target may only be held by a variable
+        // that moves away itself.
         let mut renamed: Vec<(usize, VarId, VarId)> = Vec::new();
         for (k, &v) in self.vars.iter().enumerate() {
-            if v.namespace() == Some(from) {
-                let r = v.renamed(from, to);
-                assert!(!self.index.contains_key(&r), "rename collision on {r}");
+            let r = v.renamed_by(map);
+            if r != v {
                 renamed.push((k, v, r));
             }
         }
         if renamed.is_empty() {
             return;
+        }
+        for &(_, _, r) in &renamed {
+            let held = self.index.get(&r).map(|&k| self.vars[k]);
+            assert!(
+                held.is_none_or(|h| h.renamed_by(map) != h),
+                "rename collision on {r}"
+            );
         }
         // Fingerprint delta: re-mix every bound touching a renamed
         // variable under its new id — O(renamed · n), not O(n²).
@@ -1346,13 +1361,72 @@ mod tests {
     fn rename_namespace_moves_constraints() {
         let mut g = ConstraintGraph::new();
         g.assert_eq_const(VarId::pset_var(PsetId(2), intern_name("k")), 9);
-        g.rename_namespace(PsetId(2), PsetId(5));
+        g.rename_namespaces(&[(PsetId(2), PsetId(5))]);
         g.close();
         assert_eq!(
             g.const_of(VarId::pset_var(PsetId(5), intern_name("k"))),
             Some(9)
         );
         assert!(!g.has_var(VarId::pset_var(PsetId(2), intern_name("k"))));
+    }
+
+    /// Renaming a permutation of namespaces in one call leaves a graph
+    /// exactly as the same renames made one at a time through a
+    /// temporary band of unused ids do: the same variables in the same
+    /// slots, the same bounds and the same fingerprint.
+    #[test]
+    fn one_pass_rename_matches_renames_through_a_band() {
+        const BAND: u32 = 1 << 15;
+        let names = ["id", "a", "b"];
+        for seed in 0..64 {
+            let mut rng = mpl_rng::Rng64::seed_from_u64(seed);
+            let sets = 2 + rng.index(4);
+            let pick = |rng: &mut mpl_rng::Rng64| match rng.index(sets + 2) {
+                0 => VarId::ZERO,
+                1 => VarId::NP,
+                k => VarId::pset_var(
+                    PsetId(k as u32 - 2),
+                    intern_name(names[rng.index(names.len())]),
+                ),
+            };
+            let mut g = ConstraintGraph::new();
+            for _ in 0..4 * sets {
+                let (x, y) = (pick(&mut rng), pick(&mut rng));
+                // Non-negative bounds never close a negative cycle.
+                g.assert_le(x, y, rng.i64_in(0, 6));
+            }
+            g.close();
+            let mut targets: Vec<u32> = (0..sets as u32).collect();
+            for k in (1..sets).rev() {
+                targets.swap(k, rng.index(k + 1));
+            }
+            let map: Vec<(PsetId, PsetId)> = targets
+                .iter()
+                .enumerate()
+                .map(|(k, &to)| (PsetId(k as u32), PsetId(to)))
+                .collect();
+            let mut one = g.clone();
+            one.rename_namespaces(&map);
+            let mut reference = g.clone();
+            for &(from, to) in &map {
+                reference.rename_namespaces(&[(from, PsetId(BAND + to.0))]);
+            }
+            for &(_, to) in &map {
+                reference.rename_namespaces(&[(PsetId(BAND + to.0), to)]);
+            }
+            assert_eq!(one.variables(), reference.variables(), "seed {seed}");
+            for &x in one.variables() {
+                for &y in one.variables() {
+                    assert_eq!(one.le_bound(x, y), reference.le_bound(x, y), "seed {seed}");
+                }
+            }
+            assert_eq!(one.fingerprint(), reference.fingerprint(), "seed {seed}");
+            assert_eq!(
+                one.fingerprint(),
+                one.recomputed_fingerprint(),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]
@@ -1557,7 +1631,7 @@ mod edge_case_tests {
         let mut g = ConstraintGraph::new();
         g.ensure_var(VarId::pset_var(PsetId(0), intern_name("x")));
         g.ensure_var(VarId::pset_var(PsetId(1), intern_name("x")));
-        g.rename_namespace(PsetId(0), PsetId(1));
+        g.rename_namespaces(&[(PsetId(0), PsetId(1))]);
     }
 
     #[test]
@@ -1742,9 +1816,9 @@ mod edge_case_tests {
                     8 => {
                         // Round-trip through a fresh namespace: two
                         // rename delta scans, net structural no-op.
-                        g.rename_namespace(PsetId(0), PsetId(100 + cloned_into));
+                        g.rename_namespaces(&[(PsetId(0), PsetId(100 + cloned_into))]);
                         assert_eq!(g.fingerprint(), g.recomputed_fingerprint());
-                        g.rename_namespace(PsetId(100 + cloned_into), PsetId(0));
+                        g.rename_namespaces(&[(PsetId(100 + cloned_into), PsetId(0))]);
                     }
                     _ => {
                         g.clone_namespace(PsetId(1), PsetId(cloned_into));

@@ -66,12 +66,12 @@ impl LinExpr {
         self.var.is_none().then_some(self.offset)
     }
 
-    /// Rewrites a per-set base variable from namespace `from` to `to` —
-    /// pure bit math on the packed id.
+    /// Rewrites a per-set base variable by a namespace map of
+    /// `(from, to)` pairs ([`VarId::renamed_by`]).
     #[must_use]
-    pub fn renamed(&self, from: PsetId, to: PsetId) -> LinExpr {
+    pub fn renamed(&self, map: &[(PsetId, PsetId)]) -> LinExpr {
         LinExpr {
-            var: self.var.map(|v| v.renamed(from, to)),
+            var: self.var.map(|v| v.renamed_by(map)),
             offset: self.offset,
         }
     }
@@ -173,7 +173,7 @@ mod tests {
     #[test]
     fn renamed_rewrites_base() {
         let x = LinExpr::var_plus(pvar(0, "i"), 1);
-        let y = x.renamed(PsetId(0), PsetId(9));
+        let y = x.renamed(&[(PsetId(0), PsetId(9))]);
         assert_eq!(y.var, Some(pvar(9, "i")));
         assert_eq!(y.offset, 1);
     }

@@ -46,8 +46,7 @@ const PSET_NAME_MASK: u32 = (1 << PSET_SHIFT) - 1;
 const GLOBAL_NAME_MASK: u32 = (1 << TAG_SHIFT) - 1;
 
 /// The largest process-set id representable in a packed [`VarId`]
-/// (16 bits). The engine's canonical renumbering keeps live ids tiny;
-/// its two-phase rename uses a temporary band just below this limit.
+/// (16 bits). The engine's canonical renumbering keeps live ids tiny.
 pub const MAX_PSET_ID: u32 = (1 << 16) - 1;
 
 /// The name index of the pre-interned rank variable `"id"`.
@@ -153,10 +152,20 @@ impl VarId {
     /// globals and for other namespaces) — pure bit math.
     #[must_use]
     pub fn renamed(self, from: PsetId, to: PsetId) -> VarId {
-        if self.namespace() == Some(from) {
-            VarId::pset_var(to, self.0 & PSET_NAME_MASK)
-        } else {
-            self
+        self.renamed_by(&[(from, to)])
+    }
+
+    /// Re-homes a per-set variable by a namespace map of `(from, to)`
+    /// pairs: into the `to` of the pair whose `from` owns it, unchanged
+    /// when no pair does (and for globals).
+    #[must_use]
+    pub fn renamed_by(self, map: &[(PsetId, PsetId)]) -> VarId {
+        let Some(ns) = self.namespace() else {
+            return self;
+        };
+        match map.iter().find(|&&(from, _)| from == ns) {
+            Some(&(_, to)) => VarId::pset_var(to, self.0 & PSET_NAME_MASK),
+            None => self,
         }
     }
 

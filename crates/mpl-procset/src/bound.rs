@@ -293,12 +293,13 @@ impl Bound {
         out
     }
 
-    /// Rewrites per-set base variables from namespace `from` to `to`.
+    /// Rewrites per-set base variables by a namespace map of
+    /// `(from, to)` pairs ([`LinExpr::renamed`]).
     #[must_use]
-    pub fn renamed(&self, from: PsetId, to: PsetId) -> Bound {
+    pub fn renamed(&self, map: &[(PsetId, PsetId)]) -> Bound {
         let mut out = self.clone();
         for e in out.exprs.as_mut_slice() {
-            *e = e.renamed(from, to);
+            *e = e.renamed(map);
         }
         out.exprs.normalize();
         out
@@ -565,7 +566,7 @@ mod tests {
     #[test]
     fn renamed_rewrites_namespaced_bases() {
         let b = Bound::of(LinExpr::of_var(var("i")));
-        let r = b.renamed(PsetId(0), PsetId(4));
+        let r = b.renamed(&[(PsetId(0), PsetId(4))]);
         assert!(r.exprs().contains(&LinExpr::of_var(VarId::pset_var(
             PsetId(4),
             intern_name("i")

@@ -109,10 +109,11 @@ impl ProcRange {
         ProcRange::new(self.lb.plus(c), self.ub.plus(c))
     }
 
-    /// Renames per-set bound variables between namespaces.
+    /// Renames per-set bound variables by a namespace map of
+    /// `(from, to)` pairs ([`Bound::renamed`]).
     #[must_use]
-    pub fn renamed(&self, from: PsetId, to: PsetId) -> ProcRange {
-        ProcRange::new(self.lb.renamed(from, to), self.ub.renamed(from, to))
+    pub fn renamed(&self, map: &[(PsetId, PsetId)]) -> ProcRange {
+        ProcRange::new(self.lb.renamed(map), self.ub.renamed(map))
     }
 
     /// Pointwise bound widening (alias-set intersection). The result may
@@ -347,7 +348,7 @@ mod tests {
         let r = ProcRange::singleton(LinExpr::of_var(var("i")));
         let shifted = r.plus(2);
         assert!(shifted.lb.exprs().contains(&LinExpr::var_plus(var("i"), 2)));
-        let renamed = r.renamed(PsetId(0), PsetId(3));
+        let renamed = r.renamed(&[(PsetId(0), PsetId(3))]);
         assert!(renamed
             .lb
             .exprs()

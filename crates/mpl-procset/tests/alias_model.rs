@@ -188,8 +188,8 @@ fn alias_list_matches_the_set_model() {
                 }
                 2 => {
                     let (from, to) = (rng.pset(), rng.pset());
-                    bound = bound.renamed(from, to);
-                    model = model.iter().map(|e| e.renamed(from, to)).collect();
+                    bound = bound.renamed(&[(from, to)]);
+                    model = model.iter().map(|e| e.renamed(&[(from, to)])).collect();
                 }
                 3 => {
                     let other = rng.exprs();
