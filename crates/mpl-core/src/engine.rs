@@ -1091,7 +1091,72 @@ fn release(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matcher::MatchKind;
     use mpl_domains::LinExpr;
+
+    /// A proved match whose sender singleton `[7..7]` the state cannot
+    /// place inside the sending set `[1..np-1]` (only `np ≥ 2` is known)
+    /// is rejected: `apply_match` returns `None` and leaves no match
+    /// pair, event or `matches` count behind. Once `np ≥ 8` places the
+    /// singleton, the same outcome applies.
+    #[test]
+    fn an_unreleasable_match_leaves_no_trace() {
+        let program =
+            mpl_lang::parse_program("if id = 0 then recv y <- 1; else send 5 -> 0; end").unwrap();
+        let cfg = Cfg::build(&program);
+        let node = |is: fn(&CfgNode) -> bool| cfg.node_ids().find(|&n| is(cfg.node(n))).unwrap();
+        let send_node = node(|n| matches!(n, CfgNode::Send { .. }));
+        let recv_node = node(|n| matches!(n, CfgNode::Recv { .. }));
+        let (CfgNode::Send { value, dest }, CfgNode::Recv { var, src }) =
+            (cfg.node(send_node), cfg.node(recv_node))
+        else {
+            unreachable!("the program has one send and one receive");
+        };
+        let send = SendSite {
+            pset_idx: 1,
+            node: send_node,
+            value,
+            dest,
+            pending: false,
+        };
+        let recv = RecvSite {
+            pset_idx: 0,
+            node: recv_node,
+            src,
+            var,
+        };
+        let singleton = |c| ProcRange::from_exprs(LinExpr::constant(c), LinExpr::constant(c));
+        let outcome = MatchOutcome {
+            s_procs: singleton(7),
+            r_procs: singleton(0),
+            kind: MatchKind::UniformPair,
+            split: None,
+        };
+        for (min_np, applies) in [(2, false), (8, true)] {
+            let mut st = AnalysisState::initial(cfg.entry(), min_np);
+            let rest =
+                ProcRange::from_exprs(LinExpr::constant(1), LinExpr::var_plus(VarId::NP, -1));
+            st.split_pset(
+                0,
+                vec![(singleton(0), recv_node, false), (rest, send_node, false)],
+            );
+            st.cg.close();
+            let mut observer = NoopObserver;
+            let mut engine = Engine::new(&cfg, AnalysisConfig::default(), &mut observer);
+            let next = engine.apply_match(st.clone(), &send, &recv, &outcome);
+            assert_eq!(next.is_some(), applies, "np >= {min_np}");
+            assert!(st.matches.is_empty());
+            if applies {
+                assert!(next.unwrap().matches.contains(&(send_node, recv_node)));
+                assert_eq!((engine.events.len(), engine.profile.matches), (1, 1));
+            } else {
+                assert!(engine.events.is_empty() && engine.event_index.is_empty());
+                assert_eq!(engine.profile.matches, 0);
+                assert_eq!(engine.ranges.rendered(), 0);
+            }
+            assert!(engine.matches.is_empty());
+        }
+    }
 
     #[test]
     fn ranges_that_render_alike_share_one_id() {
