@@ -95,6 +95,15 @@ echo "== release mpl on robustness inputs (no panic) =="
 # communication inside a time-step loop (the guarded halo shift and the
 # paper's Fig 7 shift), and `i64::MIN / -1`.
 cargo build -q --release -p mpl-cli --offline
+# The root manifest's [profile.release] (fat LTO, one codegen unit)
+# makes mpl 1.61 MB instead of 2.10 MB (rustc 1.95), code that every
+# mpl process maps. Fail if the profile is gone.
+mpl_bytes=$(stat -c %s target/release/mpl)
+echo "release mpl: $mpl_bytes bytes (limit 1800000)"
+if (( mpl_bytes > 1800000 )); then
+  echo "release mpl is above 1.8 MB: is [profile.release] missing from Cargo.toml?"
+  exit 1
+fi
 cat > "$smoke_dir/robust_guarded_loop.mpl" <<'MPL'
 j := 0;
 while j < 2 do
